@@ -45,14 +45,13 @@ import (
 	"borealis/internal/scenario"
 	"borealis/internal/source"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Time units, in microseconds of clock time (virtual or scaled wall).
 const (
-	Microsecond = vtime.Microsecond
-	Millisecond = vtime.Millisecond
-	Second      = vtime.Second
+	Microsecond = runtime.Microsecond
+	Millisecond = runtime.Millisecond
+	Second      = runtime.Second
 )
 
 // Execution substrate: the Clock scheduling seam and its two runtimes.
@@ -68,8 +67,6 @@ type (
 	VirtualClock = runtime.VirtualClock
 	// WallClock is the real-time runtime (optionally time-scaled).
 	WallClock = runtime.WallClock
-	// Sim is the underlying discrete-event simulator of a VirtualClock.
-	Sim = vtime.Sim
 	// Net is the simulated network: reliable in-order links with
 	// partitions and crash failures.
 	Net = netsim.Net
@@ -119,17 +116,6 @@ func (r *Runtime) RunScenario(s *Scenario, opts ScenarioOptions) (*ScenarioRepor
 	opts.Runtime = r.rt
 	return scenario.Run(s, opts)
 }
-
-// NewSim returns a fresh simulator.
-//
-// Deprecated: use NewSimRuntime, which carries the same simulator behind
-// the Clock interface; Sim remains for direct event-queue access.
-func NewSim() *Sim { return vtime.New() }
-
-// NewNet returns a network fabric on the simulator.
-//
-// Deprecated: use NewNetOn with a Clock; this shim wraps the simulator.
-func NewNet(sim *Sim) *Net { return netsim.New(runtime.Virtual(sim)) }
 
 // NewNetOn returns a network fabric scheduling on the given clock.
 func NewNetOn(clk Clock) *Net { return netsim.New(clk) }
@@ -252,35 +238,14 @@ const (
 	BufferSlide     = node.BufferSlide
 )
 
-// NewNode builds a processing node on the network.
-//
-// Deprecated: use NewNodeOn with a Clock; this shim wraps the simulator.
-func NewNode(sim *Sim, net *Net, d *Diagram, cfg NodeConfig) (*Node, error) {
-	return node.New(runtime.Virtual(sim), net, d, cfg)
-}
-
 // NewNodeOn builds a processing node scheduling on the given clock.
 func NewNodeOn(clk Clock, net *Net, d *Diagram, cfg NodeConfig) (*Node, error) {
 	return node.New(clk, net, d, cfg)
 }
 
-// NewSource builds a data source.
-//
-// Deprecated: use NewSourceOn with a Clock; this shim wraps the simulator.
-func NewSource(sim *Sim, net *Net, cfg SourceConfig) *Source {
-	return source.New(runtime.Virtual(sim), net, cfg)
-}
-
 // NewSourceOn builds a data source scheduling on the given clock.
 func NewSourceOn(clk Clock, net *Net, cfg SourceConfig) *Source {
 	return source.New(clk, net, cfg)
-}
-
-// NewClient builds a client and its DPC proxy node.
-//
-// Deprecated: use NewClientOn with a Clock; this shim wraps the simulator.
-func NewClient(sim *Sim, net *Net, cfg ClientConfig) (*Client, error) {
-	return client.New(runtime.Virtual(sim), net, cfg)
 }
 
 // NewClientOn builds a client and proxy scheduling on the given clock.

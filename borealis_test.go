@@ -34,9 +34,10 @@ func TestFacadeQuickstart(t *testing.T) {
 
 // TestFacadeCustomDiagram builds a node from the low-level API.
 func TestFacadeCustomDiagram(t *testing.T) {
-	sim := borealis.NewSim()
-	net := borealis.NewNet(sim)
-	src := borealis.NewSource(sim, net, borealis.SourceConfig{
+	rt := borealis.NewSimRuntime()
+	clk := rt.Clock()
+	net := borealis.NewNetOn(clk)
+	src := borealis.NewSourceOn(clk, net, borealis.SourceConfig{
 		ID: "s", Stream: "in", Rate: 100,
 	})
 	b := borealis.NewDiagramBuilder()
@@ -55,14 +56,14 @@ func TestFacadeCustomDiagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := borealis.NewNode(sim, net, d, borealis.NodeConfig{
+	n, err := borealis.NewNodeOn(clk, net, d, borealis.NodeConfig{
 		ID:        "n",
 		Upstreams: map[string][]string{"in": {"s"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := borealis.NewClient(sim, net, borealis.ClientConfig{
+	cl, err := borealis.NewClientOn(clk, net, borealis.ClientConfig{
 		ID: "c", Stream: "out", Upstreams: []string{"n"},
 	})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestFacadeCustomDiagram(t *testing.T) {
 	n.Start()
 	cl.Start()
 	src.Start()
-	sim.RunFor(5 * borealis.Second)
+	rt.RunFor(5 * borealis.Second)
 	for _, tp := range cl.StableView() {
 		if tp.Field(0)%2 != 0 {
 			t.Fatalf("filter leaked odd tuple: %v", tp)

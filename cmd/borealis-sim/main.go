@@ -142,8 +142,6 @@ func main() {
 	mutateDirs := flag.String("mutate", "", "soak mode: comma-separated spec directories to mutate (e.g. scenarios/corpus,scenarios)")
 	differential := flag.Bool("differential", false, "soak mode: also run the differential oracles on runs the normal oracles pass")
 	perTuple := flag.Bool("per-tuple", false, "run on the reference per-tuple data plane instead of the staged batch plane (identical output, slower)")
-	benchRuns := flag.Int("bench-runs", 3, "bench mode: wall-clock repetitions per (scenario, plane); best-of wins")
-	minSpeedup := flag.Float64("min-speedup", 0, "bench mode: fail unless every fault-free batch run beats per-tuple by this factor (0 = report only)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -206,13 +204,6 @@ func main() {
 			return
 		}
 		runSweep(args[1], *field, *from, *to, *steps, opts, *asJSON)
-		return
-	case "bench":
-		if len(args) < 2 {
-			fmt.Fprintf(os.Stderr, "usage: borealis-sim [-quick] [-json] [-bench-runs N] [-min-speedup X] bench <file.json>...\n")
-			os.Exit(2)
-		}
-		runBench(args[1:], *benchRuns, *quick, *minSpeedup, *asJSON)
 		return
 	case "fuzz":
 		if len(args) != 1 {

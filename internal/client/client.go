@@ -26,7 +26,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Config parameterizes a client.
@@ -129,10 +128,10 @@ type Client struct {
 // New builds a client and its proxy node.
 func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 	if cfg.BucketSize <= 0 {
-		cfg.BucketSize = 100 * vtime.Millisecond
+		cfg.BucketSize = 100 * runtime.Millisecond
 	}
 	if cfg.Delay <= 0 {
-		cfg.Delay = 100 * vtime.Millisecond
+		cfg.Delay = 100 * runtime.Millisecond
 	}
 	b := diagram.NewBuilder()
 	su := operator.NewSUnion("proxy_in", operator.SUnionConfig{

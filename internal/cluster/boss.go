@@ -129,7 +129,7 @@ type boss struct {
 
 	mu          sync.Mutex
 	procs       []*proc
-	activeLinks map[string]bool // directed "from to" pairs currently blocked
+	activeLinks map[string]int // outstanding blocks per directed "from to" pair
 }
 
 // Run executes a scenario as a real multi-process cluster and returns the
@@ -432,25 +432,26 @@ func (b *boss) runFaultSchedule(acts []action, t0 time.Time) error {
 }
 
 // applyLinks broadcasts LINK protocol lines to every live worker and
-// mirrors the resulting block state in activeLinks, so a later respawn can
-// replay the still-active blocks to the replacement worker. Write errors
-// are ignored: a SIGKILLed worker's pipe is gone, and its replacement gets
-// the state replayed at respawn.
+// mirrors the resulting block counts in activeLinks (counted like the
+// workers' link tables: overlapping partitions of one pair stack), so a
+// later respawn can replay the still-active blocks to the replacement
+// worker. Write errors are ignored: a SIGKILLed worker's pipe is gone, and
+// its replacement gets the state replayed at respawn.
 func (b *boss) applyLinks(lines string) {
 	b.mu.Lock()
 	procs := append([]*proc(nil), b.procs...)
 	if b.activeLinks == nil {
-		b.activeLinks = make(map[string]bool)
+		b.activeLinks = make(map[string]int)
 	}
 	for _, ln := range strings.Split(lines, "\n") {
 		f := strings.Fields(ln)
 		if len(f) != 4 || f[0] != "LINK" {
 			continue
 		}
-		if f[1] == "block" {
-			b.activeLinks[f[2]+" "+f[3]] = true
-		} else {
-			delete(b.activeLinks, f[2]+" "+f[3])
+		if l := f[2] + " " + f[3]; f[1] == "block" {
+			b.activeLinks[l]++
+		} else if b.activeLinks[l] > 0 {
+			b.activeLinks[l]--
 		}
 	}
 	b.mu.Unlock()
@@ -459,6 +460,20 @@ func (b *boss) applyLinks(lines string) {
 			_, _ = fmt.Fprintf(p.stdin, "%s\n", lines)
 		}
 	}
+}
+
+// blockLinesLocked renders the outstanding blocks as the sorted LINK lines
+// that reinstall them on a fresh worker, one line per counted block.
+// Callers hold b.mu.
+func (b *boss) blockLinesLocked() []string {
+	var links []string
+	for l, n := range b.activeLinks {
+		for ; n > 0; n-- {
+			links = append(links, "LINK block "+l)
+		}
+	}
+	sort.Strings(links)
+	return links
 }
 
 // respawn replaces a killed worker: same partition, same listen address (so
@@ -486,13 +501,9 @@ func (b *boss) respawn(pi int, atUS int64) error {
 		}
 	}
 	b.procs[pi] = p
-	var links []string
-	for l := range b.activeLinks {
-		links = append(links, "LINK block "+l)
-	}
+	links := b.blockLinesLocked()
 	others := append([]*proc(nil), b.procs...)
 	b.mu.Unlock()
-	sort.Strings(links)
 	rl := routesLine(b.parts, routes)
 	pre := rl
 	if len(links) > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -386,5 +387,31 @@ func TestTwoWorkerPartitionHeal(t *testing.T) {
 	}
 	if recs == 0 {
 		t.Fatalf("no replica reconciled after the heal (§4.5): %+v", rep.Nodes)
+	}
+}
+
+// TestBossCountsOverlappingLinkBlocks: two partition faults of one pair
+// whose windows overlap reach the boss as block, block, unblock, unblock.
+// Its replay mirror must count like the workers' link tables do, so a
+// worker respawned between the two unblocks is handed the block the second
+// fault still holds — and nothing once both have healed.
+func TestBossCountsOverlappingLinkBlocks(t *testing.T) {
+	b := &boss{}
+	blk := "LINK block a b\nLINK block b a"
+	unblk := "LINK unblock a b\nLINK unblock b a"
+	b.applyLinks(blk)
+	b.applyLinks(blk)
+	if got := b.blockLinesLocked(); len(got) != 4 {
+		t.Fatalf("replay after two blocks = %q, want each direction twice", got)
+	}
+	b.applyLinks(unblk)
+	want := []string{"LINK block a b", "LINK block b a"}
+	if got := b.blockLinesLocked(); !slices.Equal(got, want) {
+		t.Fatalf("replay after block, block, unblock = %q, want %q", got, want)
+	}
+	b.applyLinks(unblk)
+	b.applyLinks(unblk) // a stray unblock must not go negative
+	if got := b.blockLinesLocked(); len(got) != 0 {
+		t.Fatalf("replay after every heal = %q, want none", got)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/source"
-	"borealis/internal/vtime"
 )
 
 // ChainSpec describes a replicated chain deployment.
@@ -83,16 +82,16 @@ func (s *ChainSpec) normalize() error {
 		s.Rate = 500
 	}
 	if s.Delay <= 0 {
-		s.Delay = 2 * vtime.Second
+		s.Delay = 2 * runtime.Second
 	}
 	if s.BucketSize <= 0 {
-		s.BucketSize = 100 * vtime.Millisecond
+		s.BucketSize = 100 * runtime.Millisecond
 	}
 	if s.BoundaryInterval <= 0 {
-		s.BoundaryInterval = 100 * vtime.Millisecond
+		s.BoundaryInterval = 100 * runtime.Millisecond
 	}
 	if s.TickInterval <= 0 {
-		s.TickInterval = 10 * vtime.Millisecond
+		s.TickInterval = 10 * runtime.Millisecond
 	}
 	if s.FailurePolicy == operator.PolicyNone {
 		s.FailurePolicy = operator.PolicyProcess
@@ -104,10 +103,10 @@ func (s *ChainSpec) normalize() error {
 		s.JoinStateTuples = 100
 	}
 	if s.ClientDelay <= 0 {
-		s.ClientDelay = 50 * vtime.Millisecond
+		s.ClientDelay = 50 * runtime.Millisecond
 	}
 	if s.ClientTentativeWait <= 0 {
-		s.ClientTentativeWait = 50 * vtime.Millisecond
+		s.ClientTentativeWait = 50 * runtime.Millisecond
 	}
 	return nil
 }
@@ -121,12 +120,10 @@ type Deployment struct {
 	// Fab is the message fabric every endpoint registered on: Net in a
 	// single-process deployment, the TCP transport in a cluster partition.
 	Fab fabric.Fabric
-	// Sim is the underlying simulator when RT is virtual, nil on a wall
-	// clock.
-	//
-	// Deprecated: drive the deployment through RT (or RunFor); Sim
-	// remains for pre-Clock call sites that schedule on it directly.
-	Sim     *vtime.Sim
+	// Sim is RT as the concrete simulator when the deployment runs on a
+	// *runtime.VirtualClock (its Step/Processed drive surface is not part
+	// of Runtime); nil on a wall clock.
+	Sim     *runtime.VirtualClock
 	Net     *netsim.Net
 	Sources []*source.Source
 	// Nodes[group][replica], groups in spec listing order (validated
@@ -213,7 +210,7 @@ func BuildChain(spec ChainSpec) (*Deployment, error) {
 				// Fig. 12: SJoin sized to hold ≈ JoinStateTuples. The
 				// window (in stime units) that keeps that many tuples
 				// buffered at the aggregate input rate:
-				win := int64(float64(spec.JoinStateTuples) / spec.Rate * float64(vtime.Second))
+				win := int64(float64(spec.JoinStateTuples) / spec.Rate * float64(runtime.Second))
 				if win < 1 {
 					win = 1
 				}
@@ -318,7 +315,7 @@ func BuildSUnionTree(spec SUnionTreeSpec) (*Deployment, error) {
 		spec.Rate = 400
 	}
 	if spec.Delay <= 0 {
-		spec.Delay = 2 * vtime.Second
+		spec.Delay = 2 * runtime.Second
 	}
 	if spec.FailurePolicy == operator.PolicyNone {
 		spec.FailurePolicy = operator.PolicyProcess
@@ -334,7 +331,7 @@ func BuildSUnionTree(spec SUnionTreeSpec) (*Deployment, error) {
 		PerTuple:         spec.PerTuple,
 		Client: TopologyClient{
 			Stream: "t1",
-			Delay:  50 * vtime.Millisecond,
+			Delay:  50 * runtime.Millisecond,
 			Record: spec.RecordClient,
 		},
 	}

@@ -5,13 +5,13 @@ import (
 
 	"borealis/internal/node"
 	"borealis/internal/operator"
+	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 const (
-	ms  = vtime.Millisecond
-	sec = vtime.Second
+	ms  = runtime.Millisecond
+	sec = runtime.Second
 )
 
 func pairSpec() ChainSpec {

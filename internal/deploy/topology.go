@@ -17,7 +17,6 @@ import (
 	"borealis/internal/runtime"
 	"borealis/internal/source"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // TopologySource describes one data source endpoint.
@@ -114,13 +113,13 @@ func (s *TopologySpec) normalize() error {
 		return fmt.Errorf("deploy: topology needs at least one node group")
 	}
 	if s.BucketSize <= 0 {
-		s.BucketSize = 100 * vtime.Millisecond
+		s.BucketSize = 100 * runtime.Millisecond
 	}
 	if s.BoundaryInterval <= 0 {
-		s.BoundaryInterval = 100 * vtime.Millisecond
+		s.BoundaryInterval = 100 * runtime.Millisecond
 	}
 	if s.TickInterval <= 0 {
-		s.TickInterval = 10 * vtime.Millisecond
+		s.TickInterval = 10 * runtime.Millisecond
 	}
 	for i := range s.Sources {
 		src := &s.Sources[i]
@@ -174,7 +173,7 @@ func (s *TopologySpec) normalize() error {
 		s.Client.BucketSize = s.BucketSize
 	}
 	if s.Client.Delay <= 0 {
-		s.Client.Delay = 50 * vtime.Millisecond
+		s.Client.Delay = 50 * runtime.Millisecond
 	}
 	if s.Client.TentativeWait < 0 {
 		s.Client.TentativeWait = 0
@@ -370,7 +369,7 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 		dep.Net = net
 	}
 	if vc, ok := rt.(*runtime.VirtualClock); ok {
-		dep.Sim = vc.Sim
+		dep.Sim = vc
 	}
 
 	for i, ss := range spec.Sources {

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"borealis/internal/operator"
+	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 func diamondSpec() TopologySpec {
@@ -28,10 +28,10 @@ func diamondSpec() TopologySpec {
 	return TopologySpec{
 		Sources: []TopologySource{{ID: "src", Stream: "s", Rate: 200}},
 		Groups: []NodeGroup{
-			{Name: "a", Output: "ta", Inputs: []string{"s"}, Replicas: 2, Delay: vtime.Second},
-			{Name: "b", Output: "tb", Inputs: []string{"ta"}, Replicas: 2, Delay: vtime.Second, Operators: evens},
-			{Name: "c", Output: "tc", Inputs: []string{"ta"}, Replicas: 2, Delay: vtime.Second, Operators: triple},
-			{Name: "d", Output: "td", Inputs: []string{"tb", "tc"}, Replicas: 2, Delay: vtime.Second},
+			{Name: "a", Output: "ta", Inputs: []string{"s"}, Replicas: 2, Delay: runtime.Second},
+			{Name: "b", Output: "tb", Inputs: []string{"ta"}, Replicas: 2, Delay: runtime.Second, Operators: evens},
+			{Name: "c", Output: "tc", Inputs: []string{"ta"}, Replicas: 2, Delay: runtime.Second, Operators: triple},
+			{Name: "d", Output: "td", Inputs: []string{"tb", "tc"}, Replicas: 2, Delay: runtime.Second},
 		},
 	}
 }
@@ -54,12 +54,12 @@ func TestTopologyDiamond(t *testing.T) {
 		t.Fatal("SourceByID(src) = nil")
 	}
 	// Cut branch b from its upstream for a while.
-	dep.Partition("ba", "aa", 5*vtime.Second, 3*vtime.Second)
-	dep.Partition("ba", "ab", 5*vtime.Second, 3*vtime.Second)
-	dep.Partition("bb", "aa", 5*vtime.Second, 3*vtime.Second)
-	dep.Partition("bb", "ab", 5*vtime.Second, 3*vtime.Second)
+	dep.Partition("ba", "aa", 5*runtime.Second, 3*runtime.Second)
+	dep.Partition("ba", "ab", 5*runtime.Second, 3*runtime.Second)
+	dep.Partition("bb", "aa", 5*runtime.Second, 3*runtime.Second)
+	dep.Partition("bb", "ab", 5*runtime.Second, 3*runtime.Second)
 	dep.Start()
-	dep.RunFor(20 * vtime.Second)
+	dep.RunFor(20 * runtime.Second)
 	st := dep.Client.Stats()
 	if st.NewTuples == 0 {
 		t.Fatal("no output through the diamond")

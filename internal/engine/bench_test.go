@@ -7,7 +7,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // benchDiagram builds the canonical node fragment: SUnion → Filter → Map →
@@ -15,7 +14,7 @@ import (
 func benchDiagram(b *testing.B) *diagram.Diagram {
 	b.Helper()
 	bd := diagram.NewBuilder()
-	bd.Add(operator.NewSUnion("su", operator.SUnionConfig{Ports: 1, BucketSize: 100 * vtime.Millisecond}))
+	bd.Add(operator.NewSUnion("su", operator.SUnionConfig{Ports: 1, BucketSize: 100 * runtime.Millisecond}))
 	bd.Add(operator.NewFilter("f", func(t tuple.Tuple) bool { return t.Field(0)%2 == 0 }))
 	bd.Add(operator.NewMap("m", func(d []int64) []int64 { return d }))
 	bd.Add(operator.NewSOutput("out"))
@@ -38,7 +37,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	e := New(sim, benchDiagram(b), Config{})
 	outs := 0
 	e.OnOutput(func(string, tuple.Tuple) { outs++ })
-	const bucket = 100 * vtime.Millisecond
+	const bucket = 100 * runtime.Millisecond
 	batch := make([]tuple.Tuple, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -63,7 +62,7 @@ func BenchmarkEngineDispatchCapacity(b *testing.B) {
 	e := New(sim, benchDiagram(b), Config{Capacity: 1e9})
 	outs := 0
 	e.OnOutput(func(string, tuple.Tuple) { outs++ })
-	const bucket = 100 * vtime.Millisecond
+	const bucket = 100 * runtime.Millisecond
 	batch := make([]tuple.Tuple, 8)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -33,7 +33,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Config parameterizes an engine.
@@ -459,7 +458,7 @@ func (e *Engine) kick() {
 		if su := e.inSU[batch.stream]; su != nil {
 			n = su.FreshCount(batch.tuples)
 		}
-		svc = int64(float64(n) / e.cfg.Capacity * float64(vtime.Second))
+		svc = int64(float64(n) / e.cfg.Capacity * float64(runtime.Second))
 	}
 	e.inService = batch
 	e.svcTimer = e.clk.AfterCall(svc, e.svcDoneFn, nil)

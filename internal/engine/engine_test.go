@@ -7,12 +7,11 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 const (
-	ms  = vtime.Millisecond
-	sec = vtime.Second
+	ms  = runtime.Millisecond
+	sec = runtime.Second
 )
 
 // mergeDiagram builds: in1, in2 → SUnion(merge) → SOutput("result").

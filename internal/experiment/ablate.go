@@ -5,7 +5,7 @@ import (
 
 	"borealis/internal/deploy"
 	"borealis/internal/node"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // BufferAblationRow is one §8.1 buffer-management strategy under a long
@@ -61,7 +61,7 @@ func bufferRun(name string, mode node.BufferMode, capTuples int, failSecs int64,
 		Replicas:   2,
 		Sources:    3,
 		Rate:       500,
-		Delay:      2 * vtime.Second,
+		Delay:      2 * runtime.Second,
 		BufferMode: mode,
 		BufferCap:  capTuples,
 		PerTuple:   opts.PerTuple,
@@ -72,22 +72,22 @@ func bufferRun(name string, mode node.BufferMode, capTuples int, failSecs int64,
 	if err != nil {
 		panic(err)
 	}
-	const failAt = 10 * vtime.Second
-	fail := failSecs * vtime.Second
+	const failAt = 10 * runtime.Second
+	fail := failSecs * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
 	dep.Start()
 	dep.RunFor(failAt)
 	before := dep.Client.Stats().NewTuples
 	dep.RunFor(fail)
 	duringFailure := dep.Client.Stats().NewTuples - before
-	dep.RunFor(3*fail + 30*vtime.Second)
+	dep.RunFor(3*fail + 30*runtime.Second)
 
 	ref, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
 	ref.Start()
-	ref.RunFor(failAt + fail + 3*fail + 30*vtime.Second)
+	ref.RunFor(failAt + fail + 3*fail + 30*runtime.Second)
 
 	full := dep.Client.VerifyEventualConsistency(ref.Client.View())
 	recent := dep.Client.VerifyRecentWindow(ref.Client.View(), 500)

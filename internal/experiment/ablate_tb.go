@@ -5,7 +5,7 @@ import (
 
 	"borealis/internal/deploy"
 	"borealis/internal/operator"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // TBAblationResult compares chain latency with and without tentative
@@ -45,25 +45,25 @@ func tbRun(depth int, tb bool, opts Options) (float64, uint64) {
 		Replicas:            2,
 		Sources:             3,
 		Rate:                500,
-		Delay:               2 * vtime.Second,
+		Delay:               2 * runtime.Second,
 		Capacity:            16500,
 		FailurePolicy:       operator.PolicyProcess,
 		StabilizationPolicy: operator.PolicyProcess,
 		TentativeBoundaries: tb,
-		AckInterval:         vtime.Second,
+		AckInterval:         runtime.Second,
 		PerTuple:            opts.PerTuple,
 	}
 	dep, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
-	const failAt = 10 * vtime.Second
-	fail := int64(30 * vtime.Second)
+	const failAt = 10 * runtime.Second
+	fail := int64(30 * runtime.Second)
 	dep.StallSourceBoundaries(0, failAt, fail)
 	dep.Start()
 	dep.RunFor(failAt)
 	dep.Client.ResetLatency()
-	dep.RunFor(fail + 60*vtime.Second)
+	dep.RunFor(fail + 60*runtime.Second)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative
 }

@@ -11,7 +11,7 @@ import (
 	"io"
 
 	"borealis/internal/operator"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // Options tunes experiment scale.
@@ -26,7 +26,7 @@ type Options struct {
 }
 
 // Seconds renders a µs virtual duration in seconds.
-func Seconds(us int64) float64 { return float64(us) / float64(vtime.Second) }
+func Seconds(us int64) float64 { return float64(us) / float64(runtime.Second) }
 
 // Variant names a {failure policy} & {stabilization policy} combination,
 // the six alternatives of §6.1.

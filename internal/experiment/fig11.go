@@ -4,8 +4,8 @@ import (
 	"io"
 
 	"borealis/internal/deploy"
+	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Fig11Point is one delivered tuple in the Fig. 11 series: the paper plots
@@ -34,14 +34,14 @@ type Fig11Result struct {
 
 // Fig11 runs scenario (a) when overlap is true, else scenario (b).
 func Fig11(overlap bool, opts Options) Fig11Result {
-	spec := deploy.SUnionTreeSpec{Rate: 400, Delay: 2 * vtime.Second, RecordClient: true, PerTuple: opts.PerTuple}
+	spec := deploy.SUnionTreeSpec{Rate: 400, Delay: 2 * runtime.Second, RecordClient: true, PerTuple: opts.PerTuple}
 	dep, err := deploy.BuildSUnionTree(spec)
 	if err != nil {
 		panic(err)
 	}
 	const (
-		f1Start = 5 * vtime.Second
-		sec     = vtime.Second
+		f1Start = 5 * runtime.Second
+		sec     = runtime.Second
 	)
 	if overlap {
 		// Fig. 11(a): failure 2 begins while failure 1 is active.
@@ -59,12 +59,12 @@ func Fig11(overlap bool, opts Options) Fig11Result {
 		dep.Sim.At(f1Start+11*sec, dep.Sources[2].Reconnect)
 	}
 	dep.Start()
-	dep.RunFor(30 * vtime.Second)
+	dep.RunFor(30 * runtime.Second)
 
 	res := Fig11Result{Overlap: overlap}
 	var stableSeq, shown int64
 	for _, d := range dep.Client.Trace() {
-		p := Fig11Point{TimeMs: float64(d.At) / float64(vtime.Millisecond), Type: d.Tuple.Type}
+		p := Fig11Point{TimeMs: float64(d.At) / float64(runtime.Millisecond), Type: d.Tuple.Type}
 		switch d.Tuple.Type {
 		case tuple.Insertion:
 			stableSeq++
@@ -97,7 +97,7 @@ func Fig11(overlap bool, opts Options) Fig11Result {
 		panic(err)
 	}
 	ref.Start()
-	ref.RunFor(30 * vtime.Second)
+	ref.RunFor(30 * runtime.Second)
 	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
 	res.ConsistencyOK = audit.OK
 	res.AuditReason = audit.Reason

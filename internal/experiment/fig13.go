@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"borealis/internal/deploy"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // Fig13Result reproduces Fig. 13: availability (Procnew) and consistency
@@ -34,7 +34,7 @@ func Fig13(opts Options) Fig13Result {
 		durations = []int64{2, 6, 12}
 	}
 	res := Fig13Result{
-		D:         3 * vtime.Second,
+		D:         3 * runtime.Second,
 		Rate:      4500,
 		Durations: durations,
 		Variants:  Variants(),
@@ -59,24 +59,24 @@ func fig13Run(v Variant, failSecs int64, opts Options) (float64, uint64) {
 		Replicas:            2,
 		Sources:             3,
 		Rate:                4500,
-		Delay:               3 * vtime.Second,
+		Delay:               3 * runtime.Second,
 		Capacity:            16500,
 		FailurePolicy:       v.Failure,
 		StabilizationPolicy: v.Stabilization,
-		AckInterval:         vtime.Second,
+		AckInterval:         runtime.Second,
 		PerTuple:            opts.PerTuple,
 	}
-	fail := failSecs * vtime.Second
+	fail := failSecs * runtime.Second
 	dep, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
-	const failAt = 10 * vtime.Second
+	const failAt = 10 * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
 	dep.Start()
 	dep.RunFor(failAt)
 	dep.Client.ResetLatency()
-	recovery := 3*fail + 20*vtime.Second
+	recovery := 3*fail + 20*runtime.Second
 	dep.RunFor(fail + recovery)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative

@@ -5,7 +5,7 @@ import (
 
 	"borealis/internal/deploy"
 	"borealis/internal/operator"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // ChainResult holds one chain-experiment series: a value per chain depth
@@ -32,22 +32,22 @@ func chainRun(depth int, fp, sp operator.DelayPolicy, failSecs int64, delayOverr
 		Capacity:            16500,
 		FailurePolicy:       fp,
 		StabilizationPolicy: sp,
-		AckInterval:         vtime.Second,
+		AckInterval:         runtime.Second,
 		PerTuple:            opts.PerTuple,
 	}
 	dep, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
-	const failAt = 10 * vtime.Second
-	fail := failSecs * vtime.Second
+	const failAt = 10 * runtime.Second
+	fail := failSecs * runtime.Second
 	// Fig. 14/15: the failure stops one input stream's boundary tuples
 	// without stopping its data, keeping the output rate unchanged.
 	dep.StallSourceBoundaries(0, failAt, fail)
 	dep.Start()
 	dep.RunFor(failAt)
 	dep.Client.ResetLatency()
-	dep.RunFor(fail + 3*fail + 30*vtime.Second)
+	dep.RunFor(fail + 3*fail + 30*runtime.Second)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative
 }
@@ -66,7 +66,7 @@ func Fig15(opts Options) ChainResult {
 		Depths:       depths,
 		FailureSecs:  30,
 		Metric:       "Procnew (s)",
-		PerNodeDelay: 2 * vtime.Second,
+		PerNodeDelay: 2 * runtime.Second,
 	}
 	for _, d := range depths {
 		p, _ := chainRun(d, operator.PolicyDelay, operator.PolicyDelay, res.FailureSecs, nil, res.PerNodeDelay, opts)
@@ -103,7 +103,7 @@ func Fig16(opts Options, durations ...int64) Fig16Result {
 			Depths:       depths,
 			FailureSecs:  f,
 			Metric:       "Ntentative (tuples)",
-			PerNodeDelay: 2 * vtime.Second,
+			PerNodeDelay: 2 * runtime.Second,
 		}
 		for _, d := range depths {
 			_, n := chainRun(d, operator.PolicyDelay, operator.PolicyDelay, f, nil, panel.PerNodeDelay, opts)

@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"borealis/internal/operator"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // Fig19Result reproduces Figs. 19 and 20: how the application's total
@@ -42,20 +42,20 @@ func Fig19(opts Options) Fig19Result {
 		durations = []int64{5, 10}
 	}
 	res := Fig19Result{
-		X:           8 * vtime.Second,
-		WholeDelay:  6500 * vtime.Millisecond,
+		X:           8 * runtime.Second,
+		WholeDelay:  6500 * runtime.Millisecond,
 		Depth:       4,
 		FailureSecs: durations,
 	}
 	whole := func(int) int64 { return res.WholeDelay }
 	for _, f := range durations {
-		p, n := chainRun(res.Depth, operator.PolicyDelay, operator.PolicyDelay, f, nil, 2*vtime.Second, opts)
+		p, n := chainRun(res.Depth, operator.PolicyDelay, operator.PolicyDelay, f, nil, 2*runtime.Second, opts)
 		res.ProcUniformDD = append(res.ProcUniformDD, p)
 		res.TentUniformDD = append(res.TentUniformDD, n)
-		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, nil, 2*vtime.Second, opts)
+		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, nil, 2*runtime.Second, opts)
 		res.ProcUniformPP = append(res.ProcUniformPP, p)
 		res.TentUniformPP = append(res.TentUniformPP, n)
-		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, whole, 2*vtime.Second, opts)
+		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, whole, 2*runtime.Second, opts)
 		res.ProcWholePP = append(res.ProcWholePP, p)
 		res.TentWholePP = append(res.TentWholePP, n)
 	}

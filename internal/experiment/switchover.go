@@ -5,7 +5,7 @@ import (
 
 	"borealis/internal/client"
 	"borealis/internal/deploy"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // SwitchoverResult reproduces the §5.1 measurement: how long a downstream
@@ -34,15 +34,15 @@ func Switchover(opts Options) SwitchoverResult {
 		Replicas:    2,
 		Sources:     3,
 		Rate:        500,
-		Delay:       2 * vtime.Second,
-		AckInterval: vtime.Second,
+		Delay:       2 * runtime.Second,
+		AckInterval: runtime.Second,
 		PerTuple:    opts.PerTuple,
 	}
 	dep, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
-	const crashAt = 10 * vtime.Second
+	const crashAt = 10 * runtime.Second
 	var last, steadyGap, crashGap int64
 	dep.Client.OnDeliver(func(d client.Delivery) {
 		if !d.Tuple.IsData() {
@@ -62,7 +62,7 @@ func Switchover(opts Options) SwitchoverResult {
 	})
 	dep.CrashNode(1, 0, crashAt)
 	dep.Start()
-	dep.RunFor(20 * vtime.Second)
+	dep.RunFor(20 * runtime.Second)
 	st := dep.Client.Stats()
 
 	ref, err := deploy.BuildChain(spec)
@@ -70,10 +70,10 @@ func Switchover(opts Options) SwitchoverResult {
 		panic(err)
 	}
 	ref.Start()
-	ref.RunFor(20 * vtime.Second)
+	ref.RunFor(20 * runtime.Second)
 	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
 
-	ms := float64(vtime.Millisecond)
+	ms := float64(runtime.Millisecond)
 	return SwitchoverResult{
 		KeepAliveMs:   100,
 		GapMs:         float64(crashGap) / ms,

@@ -4,7 +4,7 @@ import (
 	"io"
 
 	"borealis/internal/deploy"
-	"borealis/internal/vtime"
+	"borealis/internal/runtime"
 )
 
 // Table3Result reproduces Table III: Procnew for different failure
@@ -27,10 +27,10 @@ func table3Spec() deploy.ChainSpec {
 		Replicas:    2,
 		Sources:     3,
 		Rate:        1500,
-		Delay:       3 * vtime.Second,
+		Delay:       3 * runtime.Second,
 		WithJoin:    true,
 		Capacity:    16500,
-		AckInterval: vtime.Second,
+		AckInterval: runtime.Second,
 	}
 }
 
@@ -40,7 +40,7 @@ func Table3(opts Options) Table3Result {
 	if opts.Quick {
 		durations = []int64{2, 6, 12}
 	}
-	res := Table3Result{D: 3 * vtime.Second, Durations: durations}
+	res := Table3Result{D: 3 * runtime.Second, Durations: durations}
 	for _, secs := range durations {
 		proc, ok := table3Run(secs, opts)
 		res.Procnew = append(res.Procnew, proc)
@@ -51,12 +51,12 @@ func Table3(opts Options) Table3Result {
 
 func table3Run(failSecs int64, opts Options) (float64, bool) {
 	spec := table3Spec()
-	fail := failSecs * vtime.Second
+	fail := failSecs * runtime.Second
 	dep, err := deploy.BuildChain(spec)
 	if err != nil {
 		panic(err)
 	}
-	const failAt = 10 * vtime.Second
+	const failAt = 10 * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
 	dep.Start()
 	// Measure Procnew from failure start through recovery.
@@ -64,7 +64,7 @@ func table3Run(failSecs int64, opts Options) (float64, bool) {
 	dep.Client.ResetLatency()
 	// Recovery needs reconciliation time ≈ fail·rate/(cap−rate) per
 	// replica, plus slack.
-	recovery := 3*fail + 20*vtime.Second
+	recovery := 3*fail + 20*runtime.Second
 	dep.RunFor(fail + recovery)
 	st := dep.Client.Stats()
 

@@ -10,7 +10,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/source"
-	"borealis/internal/vtime"
 )
 
 // OverheadRow is one column of Table IV or V: per-tuple latency statistics
@@ -51,9 +50,9 @@ func overheadSweep(varyBucket bool, opts Options) OverheadResult {
 	}
 	res := OverheadResult{VaryBucket: varyBucket}
 	for _, p := range params {
-		bucket, interval := p*vtime.Millisecond, int64(10*vtime.Millisecond)
+		bucket, interval := p*runtime.Millisecond, int64(10*runtime.Millisecond)
 		if !varyBucket {
-			bucket, interval = 10*vtime.Millisecond, p*vtime.Millisecond
+			bucket, interval = 10*runtime.Millisecond, p*runtime.Millisecond
 		}
 		res.Rows = append(res.Rows, overheadRun(p, bucket, interval, runSecs, opts))
 	}
@@ -99,7 +98,7 @@ func (ls *latencySink) row(param int64) OverheadRow {
 	if ls.count == 0 {
 		return r
 	}
-	ms := float64(vtime.Millisecond)
+	ms := float64(runtime.Millisecond)
 	r.Min = float64(ls.min) / ms
 	r.Max = float64(ls.max) / ms
 	mean := ls.sum / float64(ls.count)
@@ -127,7 +126,7 @@ func overheadRun(param, bucket, interval, runSecs int64, opts Options) OverheadR
 		b.Add(operator.NewSUnion("su", operator.SUnionConfig{
 			Ports:      1,
 			BucketSize: bucket,
-			Delay:      2 * vtime.Second,
+			Delay:      2 * runtime.Second,
 		}))
 		b.Add(operator.NewSOutput("so"))
 		b.Connect("su", "so", 0)
@@ -151,7 +150,7 @@ func overheadRun(param, bucket, interval, runSecs int64, opts Options) OverheadR
 		ID:               "src1",
 		Stream:           "s1",
 		Rate:             100, // one tuple every 10 ms, as in §7
-		TickInterval:     10 * vtime.Millisecond,
+		TickInterval:     10 * runtime.Millisecond,
 		BoundaryInterval: interval,
 	}
 	if baseline {
@@ -164,7 +163,7 @@ func overheadRun(param, bucket, interval, runSecs int64, opts Options) OverheadR
 	n.Start()
 	src.Start()
 	net.Send("sink", "n1", node.SubscribeMsg{Stream: "t1"})
-	sim.RunFor(runSecs * vtime.Second)
+	sim.RunFor(runSecs * runtime.Second)
 	return ls.row(param)
 }
 

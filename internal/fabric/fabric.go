@@ -30,12 +30,16 @@ type Fabric interface {
 	SetDown(id string, down bool)
 }
 
-// LinkState is the injected fault state of one directed link. The zero
-// value is a healthy link; SetLink with it clears any injected fault.
+// LinkState is the injected fault state of one directed link, as one
+// SetLink call describes it. The zero value is a healthy link.
 type LinkState struct {
 	// Block drops every message on the link — one direction of a network
 	// partition. Messages already in flight are dropped at delivery time,
-	// like a broken connection discarding its socket buffers.
+	// like a broken connection discarding its socket buffers. Blocks are
+	// counted per link: every SetLink with Block set adds one, every
+	// SetLink with it clear releases one (a link with none stays open),
+	// and the link drops while any remain — so two overlapping partitions
+	// of one pair keep it severed until the second heals.
 	Block bool
 	// DelayUS adds a fixed one-way delay (microseconds of the fabric's
 	// clock) to every message on the link.
@@ -48,13 +52,14 @@ type LinkState struct {
 }
 
 // LinkControl is the chaos surface a fabric may expose alongside Fabric:
-// per-directed-link fault injection. Both implementations provide it —
-// netsim so virtual runs and the fuzzer can exercise the same faults, and
-// the TCP transport so the cluster boss can translate the spec's
-// `partition` faults into timed link-block actions on real sockets.
+// per-directed-link fault injection. Both implementations provide it over
+// the one Links table — netsim so virtual runs and the fuzzer can exercise
+// the same faults, and the TCP transport so the cluster boss can translate
+// the spec's `partition` faults into timed link-block actions on real
+// sockets.
 type LinkControl interface {
-	// SetLink installs (or, with the zero LinkState, clears) the injected
-	// fault state of the directed link from → to. Partitioning a pair
-	// means blocking both directions.
+	// SetLink sets the delay and jitter of the directed link from → to
+	// and adds (st.Block) or releases (otherwise) one block. Partitioning
+	// a pair means blocking both directions.
 	SetLink(from, to string, st LinkState)
 }

@@ -4,8 +4,8 @@ import (
 	"math"
 
 	"borealis/internal/node"
+	rtpkg "borealis/internal/runtime"
 	"borealis/internal/scenario"
-	"borealis/internal/vtime"
 )
 
 // permCrashSettleS bounds how long a deployment needs to absorb a
@@ -229,7 +229,7 @@ func Check(s *scenario.Spec, rep *scenario.Report) []Finding {
 	// hold; the progress probe fires orders of magnitude earlier.
 	if quiet {
 		windowS := float64(node.DefaultGrantStallWindow(
-			int64(s.Defaults.KeepAliveMS*float64(vtime.Millisecond)), 0)) / float64(vtime.Second)
+			int64(s.Defaults.KeepAliveMS*float64(rtpkg.Millisecond)), 0)) / float64(rtpkg.Second)
 		boundS := 5*windowS + 5
 		for i := range rep.Nodes {
 			n := &rep.Nodes[i]

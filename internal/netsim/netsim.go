@@ -13,12 +13,10 @@ package netsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"borealis/internal/fabric"
 	"borealis/internal/runtime"
-	"borealis/internal/vtime"
 )
 
 // Handler receives messages addressed to an endpoint.
@@ -31,7 +29,7 @@ var _ fabric.Fabric = (*Net)(nil)
 // DefaultLatency is the one-way delivery latency used for links that have
 // no explicit override. The paper assumes network latency is small compared
 // with the availability bound X.
-const DefaultLatency = 5 * vtime.Millisecond
+const DefaultLatency = 5 * runtime.Millisecond
 
 type pair struct{ a, b string }
 
@@ -40,31 +38,6 @@ func orderedPair(a, b string) pair {
 		a, b = b, a
 	}
 	return pair{a, b}
-}
-
-// dlink is one directed endpoint pair (SetLink state, unlike Partition, is
-// per direction).
-type dlink struct{ from, to string }
-
-// linkRNG is the deterministic splitmix64 jitter stream of one link,
-// seeded from the endpoint names so reordering is reproducible and
-// independent of every other link.
-type linkRNG struct{ state uint64 }
-
-func newLinkRNG(from, to string) *linkRNG {
-	h := fnv.New64a()
-	h.Write([]byte(from))
-	h.Write([]byte{0})
-	h.Write([]byte(to))
-	return &linkRNG{state: h.Sum64()}
-}
-
-func (r *linkRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 type endpoint struct {
@@ -87,13 +60,11 @@ type delivery struct {
 
 // Net is the simulated network fabric.
 type Net struct {
-	clk         runtime.Clock
-	endpoints   map[string]*endpoint
-	latency     map[pair]int64
-	partitioned map[pair]bool
-	links       map[dlink]fabric.LinkState
-	linkRNG     map[dlink]*linkRNG
-	defaultLat  int64
+	clk        runtime.Clock
+	endpoints  map[string]*endpoint
+	latency    map[pair]int64
+	links      fabric.Links // Partition/Heal and SetLink faults, per direction
+	defaultLat int64
 
 	// deliverFn is the shared delivery callback (bound once so Send does
 	// not allocate a closure per message); dfree is the record free list.
@@ -111,13 +82,10 @@ type Net struct {
 // execution (latencies then consume real microseconds).
 func New(clk runtime.Clock) *Net {
 	n := &Net{
-		clk:         clk,
-		endpoints:   make(map[string]*endpoint),
-		latency:     make(map[pair]int64),
-		partitioned: make(map[pair]bool),
-		links:       make(map[dlink]fabric.LinkState),
-		linkRNG:     make(map[dlink]*linkRNG),
-		defaultLat:  DefaultLatency,
+		clk:        clk,
+		endpoints:  make(map[string]*endpoint),
+		latency:    make(map[pair]int64),
+		defaultLat: DefaultLatency,
 	}
 	n.deliverFn = n.deliver
 	return n
@@ -171,12 +139,20 @@ func (n *Net) Latency(a, b string) int64 {
 	return n.defaultLat
 }
 
-// Partition severs communication between a and b in both directions.
-// In-flight messages are dropped at their scheduled delivery time.
-func (n *Net) Partition(a, b string) { n.partitioned[orderedPair(a, b)] = true }
+// Partition severs communication between a and b: one block on each
+// direction of the link table. In-flight messages are dropped at their
+// scheduled delivery time.
+func (n *Net) Partition(a, b string) {
+	n.links.Block(a, b)
+	n.links.Block(b, a)
+}
 
-// Heal restores communication between a and b.
-func (n *Net) Heal(a, b string) { delete(n.partitioned, orderedPair(a, b)) }
+// Heal releases one Partition of a and b; the pair reconnects once every
+// overlapping partition of it has healed.
+func (n *Net) Heal(a, b string) {
+	n.links.Unblock(a, b)
+	n.links.Unblock(b, a)
+}
 
 // PartitionGroups severs every link between the two groups, simulating a
 // network partition that splits the system (§2.2).
@@ -197,32 +173,21 @@ func (n *Net) HealGroups(g1, g2 []string) {
 	}
 }
 
-// Partitioned reports whether a and b cannot currently communicate.
-func (n *Net) Partitioned(a, b string) bool { return n.partitioned[orderedPair(a, b)] }
+// Partitioned reports whether a and b cannot currently communicate in
+// either direction.
+func (n *Net) Partitioned(a, b string) bool {
+	return n.links.Blocked(a, b) && n.links.Blocked(b, a)
+}
 
 var _ fabric.LinkControl = (*Net)(nil)
 
-// SetLink installs (or, with the zero LinkState, clears) the injected
-// fault state of the directed link from → to (fabric.LinkControl). It is
-// the directed, per-link counterpart of Partition/Heal, sharing the fault
-// surface with the TCP transport: Block drops at delivery time like a
-// partition, DelayUS stretches the link latency, and JitterUS draws a
-// deterministic per-message extra delay that bypasses the FIFO clamp —
-// the simulator's only source of reordering.
-func (n *Net) SetLink(from, to string, st fabric.LinkState) {
-	key := dlink{from, to}
-	if st == (fabric.LinkState{}) {
-		delete(n.links, key)
-		return
-	}
-	n.links[key] = st
-	if st.JitterUS > 0 && n.linkRNG[key] == nil {
-		n.linkRNG[key] = newLinkRNG(from, to)
-	}
-}
-
-// linkBlocked reports whether the directed link is blocked by SetLink.
-func (n *Net) linkBlocked(from, to string) bool { return n.links[dlink{from, to}].Block }
+// SetLink is the directed, per-link counterpart of Partition/Heal
+// (fabric.LinkControl), sharing the link table — and so the fault surface
+// — with the TCP transport: Block drops at delivery time like a partition,
+// DelayUS stretches the link latency, and JitterUS draws a deterministic
+// per-message extra delay that bypasses the FIFO clamp — the simulator's
+// only source of reordering.
+func (n *Net) SetLink(from, to string, st fabric.LinkState) { n.links.Set(from, to, st) }
 
 // SetDown marks an endpoint as crashed (true) or recovered (false). A downed
 // endpoint neither sends nor receives; messages in flight to it are dropped.
@@ -256,15 +221,8 @@ func (n *Net) Send(from, to string, msg any) {
 		n.Dropped++
 		return
 	}
-	at := n.clk.Now() + n.Latency(from, to)
-	jittered := false
-	if st, ok := n.links[dlink{from, to}]; ok {
-		at += st.DelayUS
-		if st.JitterUS > 0 {
-			at += int64(n.linkRNG[dlink{from, to}].next() % uint64(st.JitterUS))
-			jittered = true
-		}
-	}
+	extra, jittered := n.links.Delay(from, to)
+	at := n.clk.Now() + n.Latency(from, to) + extra
 	// FIFO: never deliver before a message sent earlier on this link.
 	// A jittered link deliberately skips the clamp — reordering is the
 	// fault being injected.
@@ -295,7 +253,7 @@ func (n *Net) deliver(x any) {
 	// Evaluate failure state at delivery time: a partition that
 	// happened while the message was in flight kills it, like a
 	// broken connection discarding its socket buffers.
-	if dst.down || src.down || n.Partitioned(from, to) || n.linkBlocked(from, to) {
+	if dst.down || src.down || n.links.Blocked(from, to) {
 		n.Dropped++
 		return
 	}
@@ -308,13 +266,13 @@ func (n *Net) deliver(x any) {
 }
 
 // Reachable reports whether a message sent now from a to b would be
-// delivered (both endpoints up and no partition). The failure detectors do
-// NOT use this — they rely on timeouts like the real system — but tests and
-// the failure injector do.
+// delivered (both endpoints up and the a → b link not blocked). The
+// failure detectors do NOT use this — they rely on timeouts like the real
+// system — but tests and the failure injector do.
 func (n *Net) Reachable(a, b string) bool {
 	ea, eb := n.endpoints[a], n.endpoints[b]
 	if ea == nil || eb == nil || ea.down || eb.down {
 		return false
 	}
-	return !n.Partitioned(a, b)
+	return !n.links.Blocked(a, b)
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"borealis/internal/runtime"
-	"borealis/internal/vtime"
 )
 
 // CMConfig parameterizes a Consistency Manager.
@@ -35,16 +34,16 @@ type CMConfig struct {
 
 func (c *CMConfig) normalize() {
 	if c.KeepAlive <= 0 {
-		c.KeepAlive = 100 * vtime.Millisecond
+		c.KeepAlive = 100 * runtime.Millisecond
 	}
 	if c.KeepAliveTimeout <= 0 {
 		c.KeepAliveTimeout = c.KeepAlive*2 + c.KeepAlive/2
 	}
 	if c.RetryInterval <= 0 {
-		c.RetryInterval = 100 * vtime.Millisecond
+		c.RetryInterval = 100 * runtime.Millisecond
 	}
 	if c.GrantTimeout <= 0 {
-		c.GrantTimeout = 120 * vtime.Second
+		c.GrantTimeout = 120 * runtime.Second
 	}
 	if c.GrantStallWindow <= 0 {
 		c.GrantStallWindow = DefaultGrantStallWindow(c.KeepAlive, c.KeepAliveTimeout)
@@ -59,7 +58,7 @@ func (c *CMConfig) normalize() {
 // enforces.
 func DefaultGrantStallWindow(keepAlive, keepAliveTimeout int64) int64 {
 	if keepAlive <= 0 {
-		keepAlive = 100 * vtime.Millisecond
+		keepAlive = 100 * runtime.Millisecond
 	}
 	if keepAliveTimeout <= 0 {
 		keepAliveTimeout = keepAlive*2 + keepAlive/2

@@ -5,12 +5,11 @@ import (
 
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 const (
-	ms  = vtime.Millisecond
-	sec = vtime.Second
+	ms  = runtime.Millisecond
+	sec = runtime.Second
 )
 
 type imHarness struct {

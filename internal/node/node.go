@@ -10,7 +10,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Config parameterizes a processing node.
@@ -109,7 +108,7 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 		return nil, fmt.Errorf("node: empty ID")
 	}
 	if cfg.StallTimeout == 0 {
-		cfg.StallTimeout = 200 * vtime.Millisecond
+		cfg.StallTimeout = 200 * runtime.Millisecond
 	}
 	if cfg.FailurePolicy == operator.PolicyNone {
 		cfg.FailurePolicy = operator.PolicyProcess
@@ -492,7 +491,7 @@ func (n *Node) onReconcileGranted() {
 		// batches: retry shortly (never synchronously — the self-
 		// granted path would recurse).
 		n.cm.finishReconcile()
-		n.clk.After(10*vtime.Millisecond, func() {
+		n.clk.After(10*runtime.Millisecond, func() {
 			if n.state == StateUpFailure && len(n.failed) == 0 && n.needsReconcile() {
 				n.cm.requestReconcileAuth()
 			}

@@ -6,7 +6,6 @@ import (
 
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // DelayPolicy selects what an SUnion does with tuples it cannot yet emit
@@ -50,7 +49,7 @@ const DefaultSafetyFactor = 0.9
 // tentative bucket under PolicyProcess. The paper's implementation does not
 // produce tentative boundaries, so an SUnion cannot know how soon a bucket
 // of tentative tuples is complete; it waits a fixed 300 ms (footnote 5).
-const DefaultTentativeWait = 300 * vtime.Millisecond
+const DefaultTentativeWait = 300 * runtime.Millisecond
 
 // SUnionConfig parameterizes an SUnion.
 type SUnionConfig struct {

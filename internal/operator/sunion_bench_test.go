@@ -5,14 +5,13 @@ import (
 
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // BenchmarkSUnionPump drives the steady-state serialization path: data
 // tuples arriving on two ports followed by the boundaries that stabilize
 // and flush each bucket. This is the per-tuple hot loop of every node.
 func BenchmarkSUnionPump(b *testing.B) {
-	const bucket = 100 * vtime.Millisecond
+	const bucket = 100 * runtime.Millisecond
 	su := NewSUnion("su", SUnionConfig{Ports: 2, BucketSize: bucket})
 	sink := 0
 	env := &Env{
@@ -40,11 +39,11 @@ func BenchmarkSUnionPump(b *testing.B) {
 // with a flush timer re-armed per bucket, the dominant load during the
 // paper's long-failure experiments.
 func BenchmarkSUnionPumpTentative(b *testing.B) {
-	const bucket = 100 * vtime.Millisecond
+	const bucket = 100 * runtime.Millisecond
 	sim := runtime.NewVirtual()
 	su := NewSUnion("su", SUnionConfig{
 		Ports: 1, BucketSize: bucket,
-		Delay: vtime.Millisecond, TentativeWait: 50 * vtime.Millisecond,
+		Delay: runtime.Millisecond, TentativeWait: 50 * runtime.Millisecond,
 	})
 	sink := 0
 	env := &Env{

@@ -15,7 +15,6 @@ import (
 
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 type refBucket struct {
@@ -389,12 +388,12 @@ func TestSUnionMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ports := 1 + rng.Intn(3)
-		bucket := int64(1+rng.Intn(5)) * 10 * vtime.Millisecond
+		bucket := int64(1+rng.Intn(5)) * 10 * runtime.Millisecond
 		cfg := SUnionConfig{
 			Ports:               ports,
 			BucketSize:          bucket,
-			Delay:               int64(rng.Intn(3)) * 100 * vtime.Millisecond,
-			TentativeWait:       int64(1+rng.Intn(4)) * 25 * vtime.Millisecond,
+			Delay:               int64(rng.Intn(3)) * 100 * runtime.Millisecond,
+			TentativeWait:       int64(1+rng.Intn(4)) * 25 * runtime.Millisecond,
 			TentativeBoundaries: rng.Intn(2) == 0,
 		}
 

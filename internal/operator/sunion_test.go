@@ -6,12 +6,11 @@ import (
 
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 const (
-	ms  = vtime.Millisecond
-	sec = vtime.Second
+	ms  = runtime.Millisecond
+	sec = runtime.Second
 )
 
 func newSU(ports int, sim *runtime.VirtualClock) (*SUnion, *collector) {

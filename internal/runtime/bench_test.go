@@ -1,56 +1,31 @@
 package runtime
 
-import (
-	"testing"
+import "testing"
 
-	"borealis/internal/vtime"
-)
-
-// The benchmark guard for the Clock redesign: the PR 1 hot paths schedule
-// through AfterCall/AtCall (netsim deliveries, engine service timers), and
-// the interface seam must not add allocations or measurable latency over
-// calling the simulator directly. Compare:
+// The hot paths schedule through AfterCall/AtCall (netsim deliveries,
+// engine service timers) on the Clock interface, and that seam must stay
+// allocation-free in steady state:
 //
-//	go test ./internal/runtime -bench Dispatch -benchmem
-//
-// BenchmarkDirectSimDispatch is the PR 1 baseline; BenchmarkClockDispatch
-// is the same schedule-and-drain loop through the Clock interface. Both
-// must report 0 B/op in steady state.
+//	go test ./internal/runtime -bench . -benchmem
 
-func benchDirect(b *testing.B, sim *vtime.Sim) {
-	fn := func(any) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.AfterCall(1, fn, nil)
-		sim.Step()
-	}
-}
-
-func benchClock(b *testing.B, clk Clock, step func() bool) {
+// BenchmarkClockDispatch is the schedule-and-fire loop through the Clock
+// interface; it must report 0 B/op.
+func BenchmarkClockDispatch(b *testing.B) {
+	v := NewVirtual()
+	var clk Clock = v
 	fn := func(any) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.AfterCall(1, fn, nil)
-		step()
+		v.Step()
 	}
-}
-
-func BenchmarkDirectSimDispatch(b *testing.B) {
-	benchDirect(b, vtime.New())
-}
-
-func BenchmarkClockDispatch(b *testing.B) {
-	v := NewVirtual()
-	benchClock(b, v, v.Step)
 }
 
 // BenchmarkClockDispatchStopPath exercises the schedule-then-cancel path
 // (SUnion timer re-arms, stall-timer resets) through the interface.
 func BenchmarkClockDispatchStopPath(b *testing.B) {
-	v := NewVirtual()
-	var clk Clock = v
+	var clk Clock = NewVirtual()
 	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,13 +35,47 @@ func BenchmarkClockDispatchStopPath(b *testing.B) {
 	}
 }
 
-func BenchmarkDirectSimStopPath(b *testing.B) {
-	sim := vtime.New()
-	fn := func() {}
+// BenchmarkVirtualSchedule exercises the scheduler's hottest pattern: the
+// SUnion re-arm cycle, where a timer is armed, cancelled, re-armed at a
+// different instant, and finally fired. With the event free list this runs
+// allocation-free in steady state. (BENCH_PR1.json records this loop as
+// BenchmarkVtimeSchedule.)
+func BenchmarkVirtualSchedule(b *testing.B) {
+	s := NewVirtual()
+	noop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm := sim.After(1, fn)
-		tm.Stop()
+		t := s.After(10, noop)
+		t.Stop()
+		s.After(5, noop)
+		s.Step()
+	}
+}
+
+// BenchmarkVirtualScheduleDeep keeps a deeper pending heap, measuring
+// push/pop cost with realistic queue depth.
+func BenchmarkVirtualScheduleDeep(b *testing.B) {
+	s := NewVirtual()
+	noop := func() {}
+	for i := 0; i < 256; i++ {
+		s.After(int64(1_000_000+i), noop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(1, noop)
+		s.Step()
+	}
+}
+
+// BenchmarkScheduleAndRun builds and drains a fresh 1000-event queue.
+func BenchmarkScheduleAndRun(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := NewVirtual()
+		for j := 0; j < 1000; j++ {
+			s.At(int64(j%97), func() {})
+		}
+		s.Run()
 	}
 }

@@ -4,27 +4,35 @@
 // the Clock interface instead of a concrete simulator, so the same code
 // runs on two substrates:
 //
-//   - VirtualClock wraps the deterministic discrete-event simulator
-//     (internal/vtime): time is a counter that jumps from event to event,
-//     a whole hour of traffic replays in milliseconds, and every run is
-//     bit-identical. This is the substrate for tests, golden files and
-//     the paper experiments.
+//   - VirtualClock is the deterministic discrete-event simulator: time
+//     is a counter that jumps from event to event, a whole hour of traffic
+//     replays in milliseconds, and every run is bit-identical. This is the
+//     substrate for tests, golden files and the paper experiments.
 //   - WallClock paces the same event queue against real time, optionally
 //     scaled (speed 100 ⇒ one virtual second takes 10 ms of wall time).
 //     Callbacks fire from a single run loop, so operators keep their
 //     single-threaded execution contract without any locking of their own.
 //
-// Both clocks order simultaneous events by scheduling sequence, so a
+// Both clocks queue events on one heap type (heap.go), ordered by time and
+// then by scheduling sequence, and share one ticker (ticker.go), so a
 // program that is deterministic under VirtualClock keeps the same event
 // ordering under WallClock whenever real-time jitter does not reorder
 // distinct timestamps (see docs/RUNTIME.md for the exact guarantees).
 package runtime
 
-// Timer is a handle to a scheduled callback. Implementations recycle
-// handles after they fire or are stopped — callers must drop their
-// reference at that point (nil the stored field as the first statement of
-// the callback, and right after any Stop call), exactly the vtime.Timer
-// contract.
+// Common durations, in microseconds of clock time.
+const (
+	Microsecond int64 = 1
+	Millisecond int64 = 1000
+	Second      int64 = 1000 * 1000
+)
+
+// Timer is a handle to a scheduled callback. Handles are recycled after
+// they fire or are stopped — callers must drop their reference at that
+// point (nil the stored field as the first statement of the callback, and
+// right after any Stop call). Stop on a dead handle is a no-op only until
+// the event is reused, so stale handles must not be retained across
+// further scheduling.
 type Timer interface {
 	// Stop cancels the callback if it has not fired yet, reporting
 	// whether the call prevented it from firing.

@@ -2,11 +2,11 @@ package runtime
 
 import "sync"
 
-// clockTicker implements Ticker over any Clock by rescheduling a one-shot
-// timer after each tick. Its own mutex makes Stop safe from any goroutine
-// (the WallClock fires callbacks outside its heap lock, so a concurrent
-// Stop could otherwise race the reschedule). Lock order is always
-// ticker → clock, on both the tick and the Stop path.
+// clockTicker is the Ticker of both clocks: it reschedules a one-shot timer
+// on its Clock after each tick. Its own mutex makes Stop safe from any
+// goroutine (the WallClock fires callbacks outside its heap lock, so a
+// concurrent Stop could otherwise race the reschedule). Lock order is
+// always ticker → clock, on both the tick and the Stop path.
 type clockTicker struct {
 	mu       sync.Mutex
 	clk      Clock

@@ -31,9 +31,8 @@ import (
 // be rejected on a real clock; it clamps to now and fires immediately.
 type WallClock struct {
 	mu    sync.Mutex
-	heap  []*wallTimer // binary min-heap on (at, seq)
-	seq   uint64
-	now   int64 // event-anchored clock time, µs
+	q     eventHeap // guarded by mu
+	now   int64     // event-anchored clock time, µs
 	speed float64
 
 	// anchor maps clock time to wall time for the current drive call:
@@ -46,7 +45,7 @@ type WallClock struct {
 	// call may have created an earlier deadline.
 	kick chan struct{}
 
-	// processed counts fired events (parity with vtime.Sim.Processed).
+	// processed counts fired events (parity with VirtualClock.Processed).
 	processed uint64
 }
 
@@ -58,7 +57,9 @@ func NewWall(speed float64) *WallClock {
 	if speed <= 0 {
 		speed = 1
 	}
-	return &WallClock{speed: speed, kick: make(chan struct{}, 1)}
+	c := &WallClock{speed: speed, kick: make(chan struct{}, 1)}
+	c.q.mu = &c.mu
+	return c
 }
 
 // NewWallAt returns a wall-clock runtime whose clock starts at startUS
@@ -87,7 +88,7 @@ func (c *WallClock) Now() int64 {
 func (c *WallClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.heap)
+	return len(c.q.events)
 }
 
 // Processed returns the number of events fired so far.
@@ -97,81 +98,19 @@ func (c *WallClock) Processed() uint64 {
 	return c.processed
 }
 
-// wallTimer is one scheduled event. Fields other than at/seq are guarded
-// by the clock mutex; at and seq are immutable once enqueued.
-type wallTimer struct {
-	clk     *WallClock
-	fn      func()
-	argFn   func(any)
-	arg     any
-	at      int64
-	seq     uint64
-	index   int // heap index, -1 once removed
-	fired   bool
-	stopped bool
-}
-
-// Stop cancels the event if it has not fired yet.
-func (t *wallTimer) Stop() bool {
-	if t == nil {
-		return false
-	}
-	c := t.clk
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	if t.index >= 0 {
-		c.removeLocked(t.index)
-	}
-	t.fn, t.argFn, t.arg = nil, nil, nil
-	return true
-}
-
-// Stopped reports whether Stop prevented the event from firing.
-func (t *wallTimer) Stopped() bool {
-	if t == nil {
-		return false
-	}
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	return t.stopped
-}
-
-// When returns the clock time the event is (or was) scheduled at.
-func (t *wallTimer) When() int64 { return t.at }
-
 // At schedules fn at absolute clock time at (clamped to now).
-func (c *WallClock) At(at int64, fn func()) Timer {
-	if fn == nil {
-		panic("runtime: nil event function")
-	}
-	return c.add(at, false, fn, nil, nil)
-}
+func (c *WallClock) At(at int64, fn func()) Timer { return c.add(at, false, fn, nil, nil) }
 
 // After schedules fn d microseconds from now (negative d = now).
-func (c *WallClock) After(d int64, fn func()) Timer {
-	if fn == nil {
-		panic("runtime: nil event function")
-	}
-	return c.add(d, true, fn, nil, nil)
-}
+func (c *WallClock) After(d int64, fn func()) Timer { return c.add(d, true, fn, nil, nil) }
 
 // AtCall schedules fn(arg) at absolute clock time at.
 func (c *WallClock) AtCall(at int64, fn func(any), arg any) Timer {
-	if fn == nil {
-		panic("runtime: nil event function")
-	}
 	return c.add(at, false, nil, fn, arg)
 }
 
 // AfterCall schedules fn(arg) d microseconds from now.
 func (c *WallClock) AfterCall(d int64, fn func(any), arg any) Timer {
-	if fn == nil {
-		panic("runtime: nil event function")
-	}
 	return c.add(d, true, nil, fn, arg)
 }
 
@@ -183,19 +122,16 @@ func (c *WallClock) NewTicker(interval int64, fn func()) Ticker {
 // add enqueues an event; rel marks the first argument as a delay rather
 // than an absolute time.
 func (c *WallClock) add(at int64, rel bool, fn func(), argFn func(any), arg any) Timer {
-	t := &wallTimer{clk: c, fn: fn, argFn: argFn, arg: arg, index: -1}
+	if fn == nil && argFn == nil {
+		panic("runtime: nil event function")
+	}
 	c.mu.Lock()
 	if rel {
-		if at < 0 {
-			at = 0
-		}
-		at += c.now
+		at = c.now + max(at, 0)
 	} else if at < c.now {
 		at = c.now
 	}
-	c.seq++
-	t.at, t.seq = at, c.seq
-	c.pushLocked(t)
+	e := c.q.add(at, fn, argFn, arg)
 	c.mu.Unlock()
 	// Wake a pacing sleep: the new event may precede what the loop was
 	// waiting for. A spurious kick costs one heap peek.
@@ -203,19 +139,18 @@ func (c *WallClock) add(at int64, rel bool, fn func(), argFn func(any), arg any)
 	case c.kick <- struct{}{}:
 	default:
 	}
-	return t
+	return e
 }
 
 // Run fires events until none remain scheduled.
 func (c *WallClock) Run() {
 	for {
 		c.mu.Lock()
-		if len(c.heap) == 0 {
-			c.mu.Unlock()
+		next, ok := c.q.nextAt()
+		c.mu.Unlock()
+		if !ok {
 			return
 		}
-		next := c.heap[0].at
-		c.mu.Unlock()
 		c.RunUntil(next)
 	}
 }
@@ -243,20 +178,22 @@ func (c *WallClock) RunUntil(t int64) {
 	c.anchorReal = time.Now()
 	c.anchorClock = c.now
 	for {
-		if len(c.heap) > 0 && c.heap[0].at <= t {
-			tm := c.heap[0]
-			if d := c.realWaitLocked(tm.at); d > 0 {
+		if at, ok := c.q.nextAt(); ok && at <= t {
+			if d := c.realWaitLocked(at); d > 0 {
 				c.sleepLocked(d)
 				continue // the heap may have changed while asleep
 			}
-			c.popMinLocked()
-			if tm.at > c.now {
-				c.now = tm.at
+			e := c.q.popMin()
+			if at > c.now {
+				c.now = at
 			}
-			tm.fired = true
+			e.fired = true
 			c.processed++
-			fn, argFn, arg := tm.fn, tm.argFn, tm.arg
-			tm.fn, tm.argFn, tm.arg = nil, nil, nil
+			// A fired event is not recycled here: its handle may be held
+			// by another goroutine, which cannot know it fired and whose
+			// Stop must stay a no-op forever.
+			fn, argFn, arg := e.fn, e.argFn, e.arg
+			e.fn, e.argFn, e.arg = nil, nil, nil
 			c.mu.Unlock()
 			if argFn != nil {
 				argFn(arg)
@@ -298,77 +235,4 @@ func (c *WallClock) sleepLocked(d time.Duration) {
 		tm.Stop()
 	}
 	c.mu.Lock()
-}
-
-// ---- binary min-heap on (at, seq) ----
-
-func (c *WallClock) lessLocked(i, j int) bool {
-	a, b := c.heap[i], c.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (c *WallClock) swapLocked(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.heap[i].index = i
-	c.heap[j].index = j
-}
-
-func (c *WallClock) upLocked(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !c.lessLocked(i, parent) {
-			break
-		}
-		c.swapLocked(i, parent)
-		i = parent
-	}
-}
-
-func (c *WallClock) downLocked(i int) {
-	n := len(c.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && c.lessLocked(r, l) {
-			least = r
-		}
-		if !c.lessLocked(least, i) {
-			break
-		}
-		c.swapLocked(i, least)
-		i = least
-	}
-}
-
-func (c *WallClock) pushLocked(t *wallTimer) {
-	t.index = len(c.heap)
-	c.heap = append(c.heap, t)
-	c.upLocked(t.index)
-}
-
-func (c *WallClock) popMinLocked() *wallTimer {
-	t := c.heap[0]
-	c.removeLocked(0)
-	return t
-}
-
-func (c *WallClock) removeLocked(i int) {
-	t := c.heap[i]
-	last := len(c.heap) - 1
-	if i != last {
-		c.swapLocked(i, last)
-	}
-	c.heap[last] = nil
-	c.heap = c.heap[:last]
-	if i != last {
-		c.downLocked(i)
-		c.upLocked(i)
-	}
-	t.index = -1
 }

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"borealis/internal/vtime"
 )
 
 // TestWallPacing checks that the wall clock actually paces events against
@@ -15,10 +13,10 @@ func TestWallPacing(t *testing.T) {
 	clk := NewWall(1000) // 1 clock second per real millisecond
 	fired := 0
 	for i := int64(1); i <= 10; i++ {
-		clk.At(i*10*vtime.Millisecond, func() { fired++ })
+		clk.At(i*10*Millisecond, func() { fired++ })
 	}
 	start := time.Now()
-	clk.RunFor(100 * vtime.Millisecond)
+	clk.RunFor(100 * Millisecond)
 	elapsed := time.Since(start)
 	if fired != 10 {
 		t.Fatalf("fired %d, want 10", fired)
@@ -51,7 +49,7 @@ func TestWallConcurrentScheduling(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tm := clk.At(int64(i+1)*vtime.Millisecond, count)
+				tm := clk.At(int64(i+1)*Millisecond, count)
 				if i%3 == 0 {
 					tm.Stop() // races the run loop on purpose
 				}
@@ -62,7 +60,7 @@ func TestWallConcurrentScheduling(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		clk.RunUntil((perG + 1) * vtime.Millisecond)
+		clk.RunUntil((perG + 1) * Millisecond)
 	}()
 	wg.Wait()
 	<-done
@@ -86,9 +84,9 @@ func TestWallTickerStopRace(t *testing.T) {
 	clk := NewWall(1e6)
 	var mu sync.Mutex
 	ticks := 0
-	tk := clk.NewTicker(vtime.Millisecond, func() { mu.Lock(); ticks++; mu.Unlock() })
+	tk := clk.NewTicker(Millisecond, func() { mu.Lock(); ticks++; mu.Unlock() })
 	done := make(chan struct{})
-	go func() { defer close(done); clk.RunFor(100 * vtime.Millisecond) }()
+	go func() { defer close(done); clk.RunFor(100 * Millisecond) }()
 	time.Sleep(50 * time.Microsecond)
 	tk.Stop()
 	<-done
@@ -102,11 +100,27 @@ func TestWallTickerStopRace(t *testing.T) {
 func TestWallRunUntilHorizonSleep(t *testing.T) {
 	clk := NewWall(1000)
 	start := time.Now()
-	clk.RunUntil(50 * vtime.Millisecond) // 50 µs of wall time at speed 1000
+	clk.RunUntil(50 * Millisecond) // 50 µs of wall time at speed 1000
 	if e := time.Since(start); e < 25*time.Microsecond {
 		t.Fatalf("empty RunUntil returned after %v; horizon not paced", e)
 	}
-	if clk.Now() != 50*vtime.Millisecond {
-		t.Fatalf("Now() = %d, want %d", clk.Now(), 50*vtime.Millisecond)
+	if clk.Now() != 50*Millisecond {
+		t.Fatalf("Now() = %d, want %d", clk.Now(), 50*Millisecond)
+	}
+}
+
+// TestWallClampsPastScheduling: a real clock cannot reject scheduling into
+// the past the way the simulator does (TestSchedulingInPastPanics); it
+// clamps to now and fires immediately.
+func TestWallClampsPastScheduling(t *testing.T) {
+	clk := NewWall(1e6)
+	clk.RunFor(10 * ms)
+	tm := clk.At(1*ms, func() {}) // in the past: clamps to now
+	if tm.When() != 10*ms {
+		t.Fatalf("When() = %d, want clamp to %d", tm.When(), 10*ms)
+	}
+	clk.Run()
+	if clk.Now() != 10*ms {
+		t.Fatalf("Now() = %d, want %d", clk.Now(), 10*ms)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"borealis/internal/fabric"
 	rtpkg "borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Endpoints enumerates every network endpoint a compiled spec registers, in
@@ -328,7 +327,7 @@ func (p *PartitionRun) WorkerReport(worker string) *WorkerReport {
 			NewTuples:          st.NewTuples,
 			ThroughputTPS:      round3(float64(st.NewTuples) / durS),
 			MaxLatencyS:        secs(st.MaxLatency),
-			MeanLatencyS:       round3(st.MeanLatency / float64(vtime.Second)),
+			MeanLatencyS:       round3(st.MeanLatency / float64(rtpkg.Second)),
 			Tentative:          st.Tentative,
 			MaxTentativeStreak: st.MaxTentativeStreak,
 			Undos:              st.Undos,

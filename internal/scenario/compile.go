@@ -12,7 +12,6 @@ import (
 	rtpkg "borealis/internal/runtime"
 	"borealis/internal/source"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // splitmix64 is the scenario PRNG: tiny, fully deterministic across
@@ -62,7 +61,7 @@ type run struct {
 
 // queueSampleInterval is the fixed virtual-time cadence of the queue-depth
 // time series: one sample per simulated second.
-const queueSampleInterval = vtime.Second
+const queueSampleInterval = rtpkg.Second
 
 // installDepthSampler schedules the queue-depth probe: at every sample
 // instant one event reads each replica's instantaneous service-queue
@@ -470,7 +469,7 @@ func (rt *run) installWorkloads() {
 func (rt *run) installBurst(src *source.Source, ss *SourceSpec, base float64, prng *splitmix64) {
 	period := seconds(ss.Workload.PeriodS)
 	if period <= 0 {
-		period = 5 * vtime.Second
+		period = 5 * rtpkg.Second
 	}
 	factor := ss.Workload.Factor
 	if factor == 0 {
@@ -523,7 +522,7 @@ func (rt *run) installRamp(src *source.Source, ss *SourceSpec, base float64) {
 	}
 	step := millis(ss.Workload.StepMS)
 	if step <= 0 {
-		step = 250 * vtime.Millisecond
+		step = 250 * rtpkg.Millisecond
 	}
 	to := ss.Workload.ToRate
 	end := over

@@ -9,8 +9,8 @@ import (
 
 	"borealis/internal/client"
 	"borealis/internal/node"
+	rtpkg "borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Report is the structured result of one scenario run. Every field derives
@@ -173,7 +173,7 @@ type ConsistencyReport struct {
 
 // secs renders a µs duration in seconds, rounded to the µs so the JSON
 // stays compact and stable.
-func secs(us int64) float64 { return float64(us) / float64(vtime.Second) }
+func secs(us int64) float64 { return float64(us) / float64(rtpkg.Second) }
 
 // round3 keeps derived rates readable without losing determinism.
 func round3(v float64) float64 { return math.Round(v*1e3) / 1e3 }
@@ -219,7 +219,7 @@ func (rt *run) report() *Report {
 			NewTuples:          st.NewTuples,
 			ThroughputTPS:      round3(float64(st.NewTuples) / durS),
 			MaxLatencyS:        secs(st.MaxLatency),
-			MeanLatencyS:       round3(st.MeanLatency / float64(vtime.Second)),
+			MeanLatencyS:       round3(st.MeanLatency / float64(rtpkg.Second)),
 			Tentative:          st.Tentative,
 			MaxTentativeStreak: st.MaxTentativeStreak,
 			Undos:              st.Undos,

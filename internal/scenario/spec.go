@@ -18,7 +18,7 @@ import (
 	"strings"
 
 	"borealis/internal/operator"
-	"borealis/internal/vtime"
+	rtpkg "borealis/internal/runtime"
 )
 
 // Spec is a complete scenario description. All durations are in seconds of
@@ -629,7 +629,7 @@ func (s *Spec) Validate() error {
 }
 
 // seconds converts spec seconds to virtual-time µs.
-func seconds(s float64) int64 { return int64(s * float64(vtime.Second)) }
+func seconds(s float64) int64 { return int64(s * float64(rtpkg.Second)) }
 
 // millis converts spec milliseconds to virtual-time µs.
-func millis(ms float64) int64 { return int64(ms * float64(vtime.Millisecond)) }
+func millis(ms float64) int64 { return int64(ms * float64(rtpkg.Millisecond)) }

@@ -13,7 +13,6 @@ import (
 	"borealis/internal/node"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // Config parameterizes a source.
@@ -75,10 +74,10 @@ type Source struct {
 // producing.
 func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = 10 * vtime.Millisecond
+		cfg.TickInterval = 10 * runtime.Millisecond
 	}
 	if cfg.BoundaryInterval <= 0 {
-		cfg.BoundaryInterval = 100 * vtime.Millisecond
+		cfg.BoundaryInterval = 100 * runtime.Millisecond
 	}
 	if cfg.Payload == nil {
 		var arena tuple.I64Arena
@@ -148,7 +147,7 @@ func (s *Source) ResumeBoundaries() { s.stallBounds = false }
 // tick produces this interval's tuples and flushes subscribers.
 func (s *Source) tick() {
 	now := s.clk.Now()
-	s.acc += s.cfg.Rate * float64(s.cfg.TickInterval) / float64(vtime.Second)
+	s.acc += s.cfg.Rate * float64(s.cfg.TickInterval) / float64(runtime.Second)
 	n := int(s.acc)
 	s.acc -= float64(n)
 	for i := 0; i < n; i++ {

@@ -7,12 +7,11 @@ import (
 	"borealis/internal/node"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 const (
-	ms  = vtime.Millisecond
-	sec = vtime.Second
+	ms  = runtime.Millisecond
+	sec = runtime.Second
 )
 
 type sink struct {

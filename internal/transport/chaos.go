@@ -6,75 +6,19 @@
 
 package transport
 
-import (
-	"hash/fnv"
-
-	"borealis/internal/fabric"
-)
-
-// link is one directed endpoint pair.
-type link struct{ from, to string }
-
-// linkRNG is a splitmix64 stream drawn for jittered links. Seeding from the
-// endpoint names (not a global counter) keeps the draw sequence of every
-// link a pure function of its name, so jitter-induced reordering is
-// reproducible run to run.
-type linkRNG struct{ state uint64 }
-
-func newLinkRNG(from, to string) *linkRNG {
-	h := fnv.New64a()
-	h.Write([]byte(from))
-	h.Write([]byte{0})
-	h.Write([]byte(to))
-	return &linkRNG{state: h.Sum64()}
-}
-
-func (r *linkRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+import "borealis/internal/fabric"
 
 var _ fabric.LinkControl = (*TCP)(nil)
 
-// SetLink installs (or, with the zero LinkState, clears) the fault state of
-// the directed link from → to (fabric.LinkControl). It applies to local
-// deliveries and to both ends of a socket: the sender drops blocked frames
-// before they reach the wire, and the receiver drops frames that arrive on
-// a link it has since blocked — so a partition installed on both sides
-// kills in-flight frames exactly like netsim's delivery-time check.
+// SetLink updates the directed link from → to (fabric.LinkControl) in this
+// fabric's fabric.Links table — the same type netsim holds, so link state
+// and delay draws mean the same thing on both fabrics. The table is
+// enforced on local deliveries and at both ends of a socket: the sender drops blocked frames before they reach
+// the wire, and the receiver drops frames that arrive on a link it has
+// since blocked — so a partition installed on both sides kills in-flight
+// frames exactly like netsim's delivery-time check.
 func (t *TCP) SetLink(from, to string, st fabric.LinkState) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := link{from, to}
-	if st == (fabric.LinkState{}) {
-		delete(t.links, key)
-		return
-	}
-	t.links[key] = st
-	if st.JitterUS > 0 && t.linkRNG[key] == nil {
-		t.linkRNG[key] = newLinkRNG(from, to)
-	}
-}
-
-// linkBlockedLocked reports whether the directed link is blocked. Callers
-// hold t.mu.
-func (t *TCP) linkBlockedLocked(from, to string) bool {
-	return t.links[link{from, to}].Block
-}
-
-// linkDelayLocked returns the injected delivery delay for one message on
-// the directed link, advancing the link's jitter stream. Callers hold t.mu.
-func (t *TCP) linkDelayLocked(from, to string) int64 {
-	st, ok := t.links[link{from, to}]
-	if !ok {
-		return 0
-	}
-	d := st.DelayUS
-	if st.JitterUS > 0 {
-		d += int64(t.linkRNG[link{from, to}].next() % uint64(st.JitterUS))
-	}
-	return d
+	t.links.Set(from, to, st)
 }

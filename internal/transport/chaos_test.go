@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"borealis/internal/fabric"
+	"borealis/internal/netsim"
 	"borealis/internal/node"
 	"borealis/internal/runtime"
-	"borealis/internal/vtime"
 )
 
 // TestTCPLinkBlockLocal checks outbound blocking on a local pair: a blocked
@@ -27,7 +27,7 @@ func TestTCPLinkBlockLocal(t *testing.T) {
 	tr.SetLink("x", "y", fabric.LinkState{Block: true})
 	tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: 1})
 	tr.Send("y", "x", node.AckMsg{Stream: "s", UpToID: 1}) // reverse is one-way open
-	clk.RunFor(vtime.Millisecond)
+	clk.RunFor(runtime.Millisecond)
 	if gotY != 0 {
 		t.Fatalf("blocked link delivered %d frames", gotY)
 	}
@@ -40,7 +40,7 @@ func TestTCPLinkBlockLocal(t *testing.T) {
 
 	tr.SetLink("x", "y", fabric.LinkState{}) // heal
 	tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: 2})
-	clk.RunFor(vtime.Millisecond)
+	clk.RunFor(runtime.Millisecond)
 	if gotY != 1 {
 		t.Fatalf("healed link delivered %d frames, want 1", gotY)
 	}
@@ -73,7 +73,7 @@ func TestTCPLinkBlockInbound(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("receiver never dropped the blocked frame")
 		}
-		clkB.RunFor(vtime.Millisecond)
+		clkB.RunFor(runtime.Millisecond)
 	}
 	if got != 0 {
 		t.Fatalf("blocked inbound link delivered %d frames", got)
@@ -99,10 +99,10 @@ func TestTCPLinkDeliveryTimeBlock(t *testing.T) {
 	tr.Register("y", func(string, any) { got++ })
 
 	// Give the frame 50ms of flight time, then block mid-flight.
-	tr.SetLink("x", "y", fabric.LinkState{DelayUS: int64(50 * vtime.Millisecond)})
+	tr.SetLink("x", "y", fabric.LinkState{DelayUS: int64(50 * runtime.Millisecond)})
 	tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: 1})
 	tr.SetLink("x", "y", fabric.LinkState{Block: true})
-	clk.RunFor(100 * vtime.Millisecond)
+	clk.RunFor(100 * runtime.Millisecond)
 	if got != 0 {
 		t.Fatal("in-flight frame survived a partition that landed before delivery")
 	}
@@ -120,7 +120,7 @@ func TestTCPLinkDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	const delay = int64(30 * vtime.Millisecond)
+	const delay = int64(30 * runtime.Millisecond)
 	var deliveredAt int64 = -1
 	tr.Register("x", func(string, any) {})
 	tr.Register("y", func(string, any) { deliveredAt = clk.Now() })
@@ -128,7 +128,7 @@ func TestTCPLinkDelay(t *testing.T) {
 	tr.SetLink("x", "y", fabric.LinkState{DelayUS: delay})
 	sentAt := clk.Now()
 	tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: 1})
-	clk.RunFor(100 * vtime.Millisecond)
+	clk.RunFor(100 * runtime.Millisecond)
 	if deliveredAt < 0 {
 		t.Fatal("delayed frame never delivered")
 	}
@@ -137,57 +137,95 @@ func TestTCPLinkDelay(t *testing.T) {
 	}
 }
 
-// TestLinkJitterDeterminism checks the jitter stream contract both ways:
-// the raw RNG is a pure function of the link name, and a jittered link
-// actually reorders — identically across two independent fabrics.
-func TestLinkJitterDeterminism(t *testing.T) {
-	r1, r2 := newLinkRNG("a", "b"), newLinkRNG("a", "b")
-	other := newLinkRNG("b", "a")
-	same, diff := true, false
-	for i := 0; i < 64; i++ {
-		v := r1.next()
-		if v != r2.next() {
-			same = false
-		}
-		if v != other.next() {
-			diff = true
-		}
+// TestTCPLinkOverlappingBlocks: two partitions of one link whose windows
+// overlap arrive as block, block, unblock, unblock. The first unblock must
+// not reopen the link while the second fault still holds it.
+func TestTCPLinkOverlappingBlocks(t *testing.T) {
+	clk := runtime.NewWall(1000)
+	tr, err := Listen(clk, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !same {
-		t.Fatal("same link name produced different jitter streams")
-	}
-	if !diff {
-		t.Fatal("distinct links share a jitter stream")
+	defer tr.Close()
+	var got int
+	tr.Register("x", func(string, any) {})
+	tr.Register("y", func(string, any) { got++ })
+	send := func() int {
+		tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: 1})
+		clk.RunFor(runtime.Millisecond)
+		return got
 	}
 
-	run := func() []uint64 {
-		clk := runtime.NewWall(1000)
-		tr, err := Listen(clk, Config{ListenAddr: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		var order []uint64
-		tr.Register("x", func(string, any) {})
-		tr.Register("y", func(_ string, msg any) { order = append(order, msg.(node.AckMsg).UpToID) })
-		tr.SetLink("x", "y", fabric.LinkState{JitterUS: int64(20 * vtime.Millisecond)})
-		const n = 50
-		for i := 0; i < n; i++ {
-			tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: uint64(i)})
-		}
-		clk.RunFor(100 * vtime.Millisecond)
-		if len(order) != n {
-			t.Fatalf("delivered %d of %d jittered frames", len(order), n)
-		}
-		return order
+	tr.SetLink("x", "y", fabric.LinkState{Block: true})
+	tr.SetLink("x", "y", fabric.LinkState{Block: true})
+	tr.SetLink("x", "y", fabric.LinkState{})
+	if send() != 0 {
+		t.Fatal("first unblock reopened a link a second block still holds")
 	}
-	first, second := run(), run()
+	tr.SetLink("x", "y", fabric.LinkState{})
+	if send() != 1 {
+		t.Fatal("link still blocked after every block was released")
+	}
+}
+
+// TestLinkDelayDrawsMatchNetsim is the cross-fabric half of the link-table
+// contract: the same (from, to, LinkState) yields the same per-message
+// delay draws through netsim and through the TCP fabric. Both deliver
+// through their clock at send time + draw (netsim with zero base latency),
+// and Now is event-anchored on both clocks, so each message's delivery
+// time is its draw. The jittered messages must also actually reorder:
+// jitter bypasses the FIFO clamp, reordering is the fault being injected.
+func TestLinkDelayDrawsMatchNetsim(t *testing.T) {
+	const n = 50
+	st := fabric.LinkState{DelayUS: 3 * runtime.Millisecond, JitterUS: 20 * runtime.Millisecond}
+
+	var simAt, tcpAt [n]int64
+	var simOrder []uint64
+
+	vc := runtime.NewVirtual()
+	net := netsim.New(vc)
+	net.SetDefaultLatency(0)
+	net.Register("x", func(string, any) {})
+	net.Register("y", func(_ string, msg any) {
+		id := msg.(node.AckMsg).UpToID
+		simAt[id] = vc.Now()
+		simOrder = append(simOrder, id)
+	})
+	net.SetLink("x", "y", st)
+
+	wc := runtime.NewWall(1000)
+	tr, err := Listen(wc, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	delivered := 0
+	tr.Register("x", func(string, any) {})
+	tr.Register("y", func(_ string, msg any) {
+		tcpAt[msg.(node.AckMsg).UpToID] = wc.Now()
+		delivered++
+	})
+	tr.SetLink("x", "y", st)
+
+	for i := uint64(0); i < n; i++ {
+		net.Send("x", "y", node.AckMsg{Stream: "s", UpToID: i})
+		tr.Send("x", "y", node.AckMsg{Stream: "s", UpToID: i})
+	}
+	vc.Run()
+	wc.RunFor(100 * runtime.Millisecond)
+
+	if len(simOrder) != n || delivered != n {
+		t.Fatalf("delivered %d (netsim) / %d (tcp) of %d jittered messages", len(simOrder), delivered, n)
+	}
+	if simAt != tcpAt {
+		t.Fatalf("delay draws diverge between fabrics:\nnetsim %v\ntcp    %v", simAt, tcpAt)
+	}
 	inOrder := true
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("jitter not deterministic: runs diverge at %d (%d vs %d)", i, first[i], second[i])
+	for i, id := range simOrder {
+		if at := simAt[id]; at < st.DelayUS || at >= st.DelayUS+st.JitterUS {
+			t.Fatalf("message %d drew delay %d outside [%d, %d)", id, at, st.DelayUS, st.DelayUS+st.JitterUS)
 		}
-		if first[i] != uint64(i) {
+		if id != uint64(i) {
 			inOrder = false
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // driveBoth drives two wall clocks in small interleaved increments from the
@@ -24,8 +23,8 @@ func driveBoth(t *testing.T, a, b *runtime.WallClock, d time.Duration, cond func
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached before deadline")
 		}
-		a.RunFor(10 * vtime.Millisecond)
-		b.RunFor(10 * vtime.Millisecond)
+		a.RunFor(10 * runtime.Millisecond)
+		b.RunFor(10 * runtime.Millisecond)
 	}
 }
 
@@ -33,7 +32,7 @@ func grantDiagram(t *testing.T) *diagram.Diagram {
 	t.Helper()
 	b := diagram.NewBuilder()
 	b.Add(operator.NewSUnion("su", operator.SUnionConfig{
-		Ports: 1, BucketSize: 100 * vtime.Millisecond, Delay: vtime.Second,
+		Ports: 1, BucketSize: 100 * runtime.Millisecond, Delay: runtime.Second,
 	}))
 	b.Add(operator.NewSOutput("so"))
 	b.Connect("su", "so", 0)
@@ -110,7 +109,7 @@ func TestTCPGrantRevokedWhenDataPathBlocked(t *testing.T) {
 
 	// b's data feed: fresh tuples from src every 50ms, across the socket.
 	var seq, id uint64
-	feeder := clkA.NewTicker(50*vtime.Millisecond, func() {
+	feeder := clkA.NewTicker(50*runtime.Millisecond, func() {
 		seq++
 		id++
 		tA.Send("src", "b", node.DataMsg{Stream: "in", Seq: seq, Tuples: []tuple.Tuple{

@@ -63,8 +63,7 @@ type TCP struct {
 	local   map[string]*localEndpoint
 	peers   map[string]*peer // keyed by remote address
 	inbound map[net.Conn]struct{}
-	links   map[link]fabric.LinkState
-	linkRNG map[link]*linkRNG
+	links   fabric.Links
 	closed  bool
 
 	conns sync.WaitGroup
@@ -156,8 +155,6 @@ func Listen(clk runtime.Clock, cfg Config) (*TCP, error) {
 		local:   make(map[string]*localEndpoint),
 		peers:   make(map[string]*peer),
 		inbound: make(map[net.Conn]struct{}),
-		links:   make(map[link]fabric.LinkState),
-		linkRNG: make(map[link]*linkRNG),
 	}
 	t.deliverFn = t.deliver
 	t.conns.Add(1)
@@ -256,13 +253,13 @@ func (t *TCP) Send(from, to string, msg any) {
 		t.drop(&t.DroppedDown)
 		return
 	}
-	if t.linkBlockedLocked(from, to) {
+	if t.links.Blocked(from, to) {
 		t.mu.Unlock()
 		t.drop(&t.DroppedLink)
 		return
 	}
 	if _, isLocal := t.local[to]; isLocal {
-		delay := t.linkDelayLocked(from, to)
+		delay, _ := t.links.Delay(from, to)
 		t.mu.Unlock()
 		t.clk.AfterCall(delay, t.deliverFn, &delivery{t: t, from: from, to: to, msg: msg})
 		return
@@ -322,7 +319,7 @@ func (t *TCP) deliver(x any) {
 	if src := t.local[d.from]; src != nil && src.down {
 		h = nil
 	}
-	blocked := t.linkBlockedLocked(d.from, d.to)
+	blocked := t.links.Blocked(d.from, d.to)
 	t.mu.Unlock()
 	if blocked {
 		t.drop(&t.DroppedLink)
@@ -488,10 +485,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		t.mu.Lock()
 		closed := t.closed
-		blocked := t.linkBlockedLocked(from, to)
+		blocked := t.links.Blocked(from, to)
 		var delay int64
 		if !blocked {
-			delay = t.linkDelayLocked(from, to)
+			delay, _ = t.links.Delay(from, to)
 		}
 		t.mu.Unlock()
 		if closed {

@@ -9,7 +9,6 @@ import (
 	"borealis/internal/runtime"
 	"borealis/internal/source"
 	"borealis/internal/tuple"
-	"borealis/internal/vtime"
 )
 
 // driveUntil drives the clock in small increments on the calling goroutine
@@ -22,7 +21,7 @@ func driveUntil(t *testing.T, clk *runtime.WallClock, d time.Duration, cond func
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached before deadline")
 		}
-		clk.RunFor(10 * vtime.Millisecond)
+		clk.RunFor(10 * runtime.Millisecond)
 	}
 }
 
@@ -92,7 +91,7 @@ func TestTCPLocalDelivery(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatal("local delivery was synchronous")
 	}
-	clk.RunFor(vtime.Millisecond)
+	clk.RunFor(runtime.Millisecond)
 	if len(got) != 50 {
 		t.Fatalf("got %d deliveries, want 50", len(got))
 	}
@@ -120,13 +119,13 @@ func TestTCPDownEndpoint(t *testing.T) {
 	tr.SetDown("x", false)
 	tr.SetDown("y", true)
 	tr.Send("x", "y", node.KeepAliveReq{})
-	clk.RunFor(vtime.Millisecond)
+	clk.RunFor(runtime.Millisecond)
 	if got != 0 {
 		t.Fatalf("down endpoint received %d messages", got)
 	}
 	tr.SetDown("y", false)
 	tr.Send("x", "y", node.KeepAliveReq{})
-	clk.RunFor(vtime.Millisecond)
+	clk.RunFor(runtime.Millisecond)
 	if got != 1 {
 		t.Fatalf("recovered endpoint got %d messages, want 1", got)
 	}
@@ -181,7 +180,7 @@ func TestTCPReconnect(t *testing.T) {
 		// Keep sending: frames sent into the dead window are dropped,
 		// exactly like socket buffers lost with a killed process.
 		tA.Send("a", "b", node.KeepAliveReq{})
-		clkB.RunFor(10 * vtime.Millisecond)
+		clkB.RunFor(10 * runtime.Millisecond)
 	}
 }
 
@@ -210,8 +209,8 @@ func TestTCPKeepAliveTimeout(t *testing.T) {
 	src := source.New(clkSrc, tSrc, source.Config{ID: "up", Stream: "s", Rate: 100})
 	cli, err := client.New(clkCli, tCli, client.Config{
 		ID: "client", Stream: "s", Upstreams: []string{"up"},
-		BucketSize: 100 * vtime.Millisecond,
-		Delay:      200 * vtime.Millisecond,
+		BucketSize: 100 * runtime.Millisecond,
+		Delay:      200 * runtime.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestTCPKeepAliveTimeout(t *testing.T) {
 				return
 			default:
 			}
-			clkSrc.RunFor(10 * vtime.Millisecond)
+			clkSrc.RunFor(10 * runtime.Millisecond)
 		}
 	}()
 	defer func() { close(stop); <-done }()
@@ -361,7 +360,7 @@ func TestTCPReconnectAfterRespawn(t *testing.T) {
 			t.Fatal("no delivery after respawn: the route kick did not wake the dialer")
 		}
 		tA.Send("a", "b", node.AckMsg{Stream: "s", UpToID: 3})
-		clkB.RunFor(10 * vtime.Millisecond)
+		clkB.RunFor(10 * runtime.Millisecond)
 	}
 }
 
