@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"borealis/internal/cluster"
-	"borealis/internal/runtime"
 	"borealis/internal/scenario"
 )
 
@@ -102,154 +101,112 @@ func runClusterCmd(args []string) {
 	}
 }
 
-// NetBenchRow is one data-plane measurement of the bench-net subcommand.
-type NetBenchRow struct {
-	Scenario string `json:"scenario"`
-	// Plane is "netsim" (single process, simulated network on a wall
-	// clock) or "tcp" (real worker processes over localhost TCP).
-	Plane     string  `json:"plane"`
+// NetBenchSummary is bench-net's JSON output: one saturating run of the
+// scenario on real worker processes over localhost TCP.
+type NetBenchSummary struct {
+	Scenario  string  `json:"scenario"`
+	Speed     float64 `json:"speed"`
+	Load      float64 `json:"load"`
 	Workers   int     `json:"workers"`
 	Tuples    uint64  `json:"tuples"`
 	WallS     float64 `json:"wall_s"`
 	TuplesSec float64 `json:"tuples_per_sec"`
-}
-
-// NetBenchSummary is bench-net's JSON output (BENCH_PR8.json). The planes
-// may process slightly different tuple totals — the TCP plane's workers
-// stop at the horizon and in-flight stragglers are lost — so the metric is
-// each plane's own tuples/sec, not a differential work check.
-type NetBenchSummary struct {
-	Speed float64       `json:"speed"`
-	Load  float64       `json:"load"`
-	Rows  []NetBenchRow `json:"rows"`
-	// RatioTCPOverNetsim is the over-the-wire throughput as a fraction of
-	// the in-process fabric's — the cost of real frames on real sockets.
-	RatioTCPOverNetsim float64 `json:"ratio_tcp_over_netsim"`
-	// DroppedCtl and CtlStalls sum the tcp plane's control-frame counters
-	// across workers. Flow control may stall a control frame under
-	// saturation (CtlStalls counts those waits) but must never shed one:
-	// a non-zero DroppedCtl under bench load is a flow-control bug, and
+	// DroppedCtl and CtlStalls sum the control-frame counters across
+	// workers. Flow control may stall a control frame under saturation
+	// (CtlStalls counts those waits) but must never shed one: a non-zero
+	// DroppedCtl under bench load is a flow-control bug, and
 	// -fail-on-ctl-drop turns it into a non-zero exit for CI.
 	DroppedCtl uint64 `json:"dropped_ctl"`
 	CtlStalls  uint64 `json:"ctl_stalls"`
 }
 
-// runBenchNet measures engine tuples/sec for the same scenario on the
-// in-process netsim fabric versus a real multi-process TCP cluster. Both
-// planes run on wall clocks at the same speed with the source rates
-// multiplied by -load, so with enough load the run is data-plane bound —
-// the clocks fall behind schedule and never sleep — and the rate measures
-// what each fabric can actually move, not the spec's pacing.
+// runBenchNet is the control-frame correctness gate under saturation: the
+// scenario, fault-free and with its source rates multiplied by -load, on a
+// real multi-process TCP cluster. With enough load the run is data-plane
+// bound — the clocks fall behind schedule and never sleep, data frames shed
+// — and the control class must still lose nothing. (Throughput over the
+// wire is the benchmark's wire_steady workload; see bench/README.md.)
 func runBenchNet(args []string) {
 	fs := flag.NewFlagSet("bench-net", flag.ExitOnError)
-	workers := fs.Int("workers", 2, "worker processes for the tcp plane")
-	speed := fs.Float64("speed", 1, "wall clock time-scale factor for both planes")
+	workers := fs.Int("workers", 2, "worker processes")
+	speed := fs.Float64("speed", 1, "wall clock time-scale factor")
 	load := fs.Float64("load", 100, "source-rate multiplier (high enough to saturate the data plane)")
-	durS := fs.Float64("dur", 3, "benchmark duration in scenario seconds (0 = the spec's)")
-	out := fs.String("out", "", "also write the JSON summary to this file")
-	failOnCtlDrop := fs.Bool("fail-on-ctl-drop", false, "exit non-zero if the tcp plane dropped any control frame")
+	durS := fs.Float64("dur", 3, "run length in scenario seconds (0 = the spec's)")
+	failOnCtlDrop := fs.Bool("fail-on-ctl-drop", false, "exit non-zero if any control frame was dropped")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintf(os.Stderr, "usage: borealis-sim bench-net [-workers N] [-speed N] [-load X] [-dur S] [-out FILE] [-fail-on-ctl-drop] <file.json>\n")
+		fmt.Fprintf(os.Stderr, "usage: borealis-sim bench-net [-workers N] [-speed N] [-load X] [-dur S] [-fail-on-ctl-drop] <file.json>\n")
 		os.Exit(2)
 	}
-	fail := func(err error) {
+	sum, err := benchNet(fs.Arg(0), *workers, *speed, *load, *durS)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "borealis-sim: %v\n", err)
 		os.Exit(1)
 	}
-	spec, err := scenario.Load(fs.Arg(0))
-	if err != nil {
-		fail(err)
-	}
-	// The comparison is about steady-state data-plane cost: strip the
-	// fault schedule, scale the offered load, shorten the horizon.
-	clean := spec.Clone()
-	clean.Faults = nil
-	clean.VerifyConsistency = false
-	for i := range clean.Sources {
-		clean.Sources[i].Rate *= *load
-	}
-	if *durS > 0 {
-		clean.DurationS = *durS
-		clean.QuickDurationS = 0
-	}
-
-	durUS := scenario.DurationUS(clean, false)
-	sum := NetBenchSummary{Speed: *speed, Load: *load}
-
-	dep, err := scenario.Build(clean, scenario.Options{
-		SkipConsistency: true, NoAudit: true,
-		Runtime: runtime.NewWall(*speed),
-	})
-	if err != nil {
-		fail(err)
-	}
-	t0 := time.Now()
-	dep.Start()
-	dep.RunFor(durUS)
-	wall := time.Since(t0).Seconds()
-	var processed uint64
-	for _, group := range dep.Nodes {
-		for _, n := range group {
-			processed += n.Engine().Processed
-		}
-	}
-	sum.Rows = append(sum.Rows, NetBenchRow{
-		Scenario: clean.Name, Plane: "netsim", Workers: 1,
-		Tuples: processed, WallS: wall, TuplesSec: float64(processed) / wall,
-	})
-
-	// Write the stripped spec to a temp file — the workers reload it.
-	tmp, err := os.CreateTemp(".", "bench-net-*.json")
-	if err != nil {
-		fail(err)
-	}
-	defer os.Remove(tmp.Name())
-	b, err := json.Marshal(clean)
-	if err != nil {
-		fail(err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		fail(err)
-	}
-	tmp.Close()
-
-	res, err := cluster.Run(cluster.Options{
-		SpecPath:  tmp.Name(),
-		Workers:   *workers,
-		Speed:     *speed,
-		SkipAudit: true,
-	})
-	if err != nil {
-		fail(err)
-	}
-	var tcpProcessed uint64
-	for _, f := range res.Fragments {
-		if f != nil {
-			tcpProcessed += f.Processed
-			sum.DroppedCtl += f.DroppedCtl
-			sum.CtlStalls += f.CtlStalls
-		}
-	}
-	sum.Rows = append(sum.Rows, NetBenchRow{
-		Scenario: clean.Name, Plane: "tcp", Workers: *workers,
-		Tuples: tcpProcessed, WallS: res.WallS, TuplesSec: float64(tcpProcessed) / res.WallS,
-	})
-	sum.RatioTCPOverNetsim = sum.Rows[1].TuplesSec / sum.Rows[0].TuplesSec
-
 	jb, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
-		fail(err)
+		fmt.Fprintf(os.Stderr, "borealis-sim: %v\n", err)
+		os.Exit(1)
 	}
-	jb = append(jb, '\n')
-	os.Stdout.Write(jb)
-	if *out != "" {
-		if err := os.WriteFile(*out, jb, 0o644); err != nil {
-			fail(err)
-		}
-	}
+	os.Stdout.Write(append(jb, '\n'))
 	if *failOnCtlDrop && sum.DroppedCtl > 0 {
 		fmt.Fprintf(os.Stderr, "borealis-sim: bench-net dropped %d control frames under load\n", sum.DroppedCtl)
 		os.Exit(1)
 	}
+}
+
+// benchNet runs the saturating cluster. It returns rather than exits, so
+// the temp spec the workers reload is removed on every path.
+func benchNet(path string, workers int, speed, load, durS float64) (*NetBenchSummary, error) {
+	spec, err := scenario.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	// Steady-state saturation: strip the fault schedule, scale the offered
+	// load, shorten the horizon.
+	clean := spec.Clone()
+	clean.Faults = nil
+	clean.VerifyConsistency = false
+	for i := range clean.Sources {
+		clean.Sources[i].Rate *= load
+	}
+	if durS > 0 {
+		clean.DurationS = durS
+		clean.QuickDurationS = 0
+	}
+	b, err := json.Marshal(clean)
+	if err != nil {
+		return nil, err
+	}
+	tmp, err := os.CreateTemp(".", "bench-net-*.json")
+	if err != nil {
+		return nil, err
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := cluster.Run(cluster.Options{
+		SpecPath:  tmp.Name(),
+		Workers:   workers,
+		Speed:     speed,
+		SkipAudit: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sum := &NetBenchSummary{Scenario: clean.Name, Speed: speed, Load: load, Workers: workers, WallS: res.WallS}
+	for _, f := range res.Fragments {
+		if f != nil {
+			sum.Tuples += f.Processed
+			sum.DroppedCtl += f.DroppedCtl
+			sum.CtlStalls += f.CtlStalls
+		}
+	}
+	sum.TuplesSec = float64(sum.Tuples) / res.WallS
+	return sum, nil
 }

@@ -666,7 +666,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, "       borealis-sim [-json] [-parallel N] [-seed S] [-batch N] [-batches N] [-budget D] [-mutate DIRS] [-differential] [-checkpoint FILE] [-out DIR] [-fail-on-finding] soak\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim cluster [-workers N] [-speed N] [-quick] [-json] [-fault-mode kill|stop] [-no-audit] <file.json>\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim worker -spec FILE -owned a,b,... [-worker-name W] [-listen ADDR] [-speed N] [-start-us T] [-recover] [-quick]\n")
-	fmt.Fprintf(os.Stderr, "       borealis-sim bench-net [-workers N] [-speed N] [-quick] [-out FILE] <file.json>\n\nexperiments:\n")
+	fmt.Fprintf(os.Stderr, "       borealis-sim bench-net [-workers N] [-speed N] [-load X] [-dur S] [-fail-on-ctl-drop] <file.json>\n\nexperiments:\n")
 	for _, e := range experiments {
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", e.name, e.desc)
 	}

@@ -208,10 +208,7 @@ func Run(opts Options) (*Result, error) {
 	fmt.Fprintf(log, "cluster: %d workers started, running %.0fs of scenario time at speed %g (%s faults)\n",
 		len(parts), float64(durationUS)/1e6, opts.Speed, opts.FaultMode)
 
-	actions, expect, err := b.faultActions(durationUS)
-	if err != nil {
-		return nil, err
-	}
+	actions, expect := b.faultActions()
 	faultsDone := make(chan error, 1)
 	go func() { faultsDone <- b.runFaultSchedule(actions, t0) }()
 
@@ -223,32 +220,20 @@ func Run(opts Options) (*Result, error) {
 
 	frags := make([]*scenario.WorkerReport, len(parts))
 	for i := range parts {
-		p := b.current(i)
 		if !expect[i] {
 			continue
 		}
-		select {
-		case wr := <-p.reportCh:
-			frags[i] = wr
-		case err := <-p.exitCh:
-			return nil, fmt.Errorf("cluster: %s exited without a report: %v", p.part.Name, err)
-		case <-time.After(time.Until(deadline)):
-			return nil, fmt.Errorf("cluster: %s produced no report before the deadline", p.part.Name)
+		if frags[i], err = b.current(i).awaitReport(deadline); err != nil {
+			return nil, err
 		}
 	}
 	wallS := time.Since(t0).Seconds()
 
-	var present []*scenario.WorkerReport
-	for _, f := range frags {
-		if f != nil {
-			present = append(present, f)
-		}
-	}
-	rep := scenario.MergeClusterReports(spec, opts.Quick, present)
+	rep := scenario.MergeClusterReports(spec, opts.Quick, frags)
 	if !opts.SkipAudit {
 		var cli *scenario.WorkerReport
-		for _, f := range present {
-			if f.Client != nil {
+		for _, f := range frags {
+			if f != nil && f.Client != nil {
 				cli = f
 			}
 		}
@@ -274,11 +259,14 @@ type action struct {
 	line string
 }
 
-// faultActions translates the spec's process-level fault schedule into
-// timed signal/respawn actions and its partition faults into timed LINK
-// block/unblock broadcasts, and derives which partitions are expected to be
-// alive — and therefore to report — at the end of the run.
-func (b *boss) faultActions(durationUS int64) ([]action, []bool, error) {
+// faultActions translates the spec's fault timeline into real-time actions
+// — crash and restart events into signals/respawns of the target replica's
+// dedicated worker, block and unblock events into LINK lines (both
+// directions of the pair; one broadcast per fault and instant) — and derives
+// which partitions are expected to be alive, and therefore to report, at the
+// end of the run. Source-level events are not the boss's: the worker hosting
+// the source runs them itself. Events at or past the horizon never happen.
+func (b *boss) faultActions() ([]action, []bool) {
 	partOf := make(map[string]int, len(b.parts))
 	for i, p := range b.parts {
 		if p.Target != "" {
@@ -286,72 +274,46 @@ func (b *boss) faultActions(durationUS int64) ([]action, []bool, error) {
 		}
 	}
 	stop := b.opts.FaultMode == FaultModeStop
+	horizonUS := scenario.DurationUS(b.spec, b.opts.Quick)
+	evs := scenario.Timeline(b.spec, b.opts.Quick)
 	var acts []action
-	add := func(atUS int64, part int, what string) {
-		if atUS < durationUS {
-			acts = append(acts, action{atUS: atUS, part: part, what: what})
-		}
-	}
-	for i := range b.spec.Faults {
-		f := &b.spec.Faults[i]
-		at := int64(f.AtS * 1e6)
-		dur := int64(f.DurationS * 1e6)
-		if at >= durationUS {
+	broadcast := map[[2]int]int{} // (fault, kind) → its LINK action in acts
+	for i, ev := range evs {
+		if ev.AtUS >= horizonUS {
 			continue
 		}
-		if f.Kind == "partition" {
-			block, unblock, err := linkLines(b.spec, f)
-			if err != nil {
-				return nil, nil, err
+		var what string
+		switch ev.Kind {
+		case scenario.EvCrash:
+			// A freeze needs its thaw: a crash whose fault carries no
+			// restart of its own (the next event) is a SIGKILL either way.
+			what = "kill"
+			if stop && i+1 < len(evs) && evs[i+1].Fault == ev.Fault {
+				what = "stop"
 			}
-			acts = append(acts, action{atUS: at, part: -1, what: "link", line: block})
-			if at+dur < durationUS {
-				acts = append(acts, action{atUS: at + dur, part: -1, what: "link", line: unblock})
-			}
-			continue
-		}
-		pi, ok := partOf[faultTarget(f)]
-		if !ok {
-			continue // source-level fault; the owning worker handles it
-		}
-		switch f.Kind {
-		case "crash":
-			if stop && dur > 0 {
-				add(at, pi, "stop")
-				add(at+dur, pi, "cont")
-			} else {
-				add(at, pi, "kill")
-				if dur > 0 {
-					add(at+dur, pi, "respawn")
-				}
-			}
-		case "restart":
+		case scenario.EvRestart:
+			what = "respawn"
 			if stop {
-				add(at, pi, "cont")
+				what = "cont"
+			}
+		case scenario.EvBlock, scenario.EvUnblock:
+			verb := "LINK block "
+			if ev.Kind == scenario.EvUnblock {
+				verb = "LINK unblock "
+			}
+			lines := verb + ev.From + " " + ev.To + "\n" + verb + ev.To + " " + ev.From
+			key := [2]int{ev.Fault, int(ev.Kind)}
+			if ai, ok := broadcast[key]; ok {
+				acts[ai].line += "\n" + lines
 			} else {
-				add(at, pi, "respawn")
+				broadcast[key] = len(acts)
+				acts = append(acts, action{atUS: ev.AtUS, part: -1, what: "link", line: lines})
 			}
-		case "flap":
-			period := int64(f.PeriodS * 1e6)
-			count := f.Count
-			if count <= 0 {
-				count = 3
-			}
-			down := dur
-			if down <= 0 {
-				down = period / 2
-			}
-			for k := 0; k < count; k++ {
-				t := at + int64(k)*period
-				if stop {
-					add(t, pi, "stop")
-					add(t+down, pi, "cont")
-				} else {
-					add(t, pi, "kill")
-					add(t+down, pi, "respawn")
-				}
-			}
+			continue
+		default:
+			continue
 		}
+		acts = append(acts, action{atUS: ev.AtUS, part: partOf[deploy.GroupReplicaID(ev.Node, ev.Replica)], what: what})
 	}
 	sort.SliceStable(acts, func(i, j int) bool { return acts[i].atUS < acts[j].atUS })
 	expect := make([]bool, len(b.parts))
@@ -366,37 +328,7 @@ func (b *boss) faultActions(durationUS int64) ([]action, []bool, error) {
 			expect[a.part] = true
 		}
 	}
-	return acts, expect, nil
-}
-
-func faultTarget(f *scenario.FaultSpec) string {
-	switch f.Kind {
-	case "crash", "restart", "flap":
-		return deploy.GroupReplicaID(f.Node, f.Replica)
-	}
-	return ""
-}
-
-// linkLines renders one partition fault as its LINK block and unblock
-// broadcasts: every (from, to) endpoint pair, both directions, one protocol
-// line per directed link, newline-joined.
-func linkLines(s *scenario.Spec, f *scenario.FaultSpec) (block, unblock string, err error) {
-	from, err := scenario.ExpandEndpoint(s, f.From)
-	if err != nil {
-		return "", "", err
-	}
-	to, err := scenario.ExpandEndpoint(s, f.To)
-	if err != nil {
-		return "", "", err
-	}
-	var blk, unblk []string
-	for _, a := range from {
-		for _, b := range to {
-			blk = append(blk, "LINK block "+a+" "+b, "LINK block "+b+" "+a)
-			unblk = append(unblk, "LINK unblock "+a+" "+b, "LINK unblock "+b+" "+a)
-		}
-	}
-	return strings.Join(blk, "\n"), strings.Join(unblk, "\n"), nil
+	return acts, expect
 }
 
 // runFaultSchedule executes the actions at their scaled real deadlines.
@@ -636,6 +568,27 @@ func awaitReady(p *proc, timeout time.Duration) (string, error) {
 		return "", fmt.Errorf("cluster: %s exited before READY: %v", p.part.Name, err)
 	case <-time.After(timeout):
 		return "", fmt.Errorf("cluster: %s not READY after %s", p.part.Name, timeout)
+	}
+}
+
+// awaitReport waits for the worker's REPORT fragment. pump sends the report
+// before it sends the exit, so a worker that reported and exited cleanly
+// while the boss was still collecting an earlier one has both channels
+// ready and select picks either: an exit counts as a missing report only
+// once the report channel is empty too.
+func (p *proc) awaitReport(deadline time.Time) (*scenario.WorkerReport, error) {
+	select {
+	case wr := <-p.reportCh:
+		return wr, nil
+	case err := <-p.exitCh:
+		select {
+		case wr := <-p.reportCh:
+			return wr, nil
+		default:
+			return nil, fmt.Errorf("cluster: %s exited without a report: %v", p.part.Name, err)
+		}
+	case <-time.After(time.Until(deadline)):
+		return nil, fmt.Errorf("cluster: %s produced no report before the deadline", p.part.Name)
 	}
 }
 

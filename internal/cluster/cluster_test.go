@@ -61,10 +61,7 @@ func TestFaultActionsKillRespawn(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &boss{opts: Options{FaultMode: FaultModeKill}, spec: s, parts: parts}
-	acts, expect, err := b.faultActions(scenario.DurationUS(s, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	acts, expect := b.faultActions()
 	want := []action{
 		{atUS: 1_000_000, part: 1, what: "kill"},
 		{atUS: 2_000_000, part: 1, what: "respawn"},
@@ -82,10 +79,7 @@ func TestFaultActionsKillRespawn(t *testing.T) {
 	}
 
 	b.opts.FaultMode = FaultModeStop
-	acts, _, err = b.faultActions(scenario.DurationUS(s, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	acts, _ = b.faultActions()
 	if acts[0].what != "stop" || acts[1].what != "cont" {
 		t.Fatalf("stop mode should translate crash to stop/cont, got %+v", acts)
 	}
@@ -106,10 +100,7 @@ func TestFaultActionsPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &boss{opts: Options{FaultMode: FaultModeKill}, spec: s, parts: parts}
-	acts, expect, err := b.faultActions(scenario.DurationUS(s, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	acts, expect := b.faultActions()
 	want := []action{
 		{atUS: 1_000_000, part: -1, what: "link", line: "LINK block s n1a\nLINK block n1a s\nLINK block s n1b\nLINK block n1b s"},
 		{atUS: 2_000_000, part: -1, what: "link", line: "LINK unblock s n1a\nLINK unblock n1a s\nLINK unblock s n1b\nLINK unblock n1b s"},
@@ -124,6 +115,84 @@ func TestFaultActionsPartition(t *testing.T) {
 	}
 	if !expect[0] || !expect[1] {
 		t.Fatalf("link faults kill no workers; both must report, got %v", expect)
+	}
+}
+
+// TestFaultActionsFollowTimeline: for the curated partition-overlaps-crash
+// spec the boss's kill/respawn (stop/cont) and LINK instants are exactly the
+// timeline's crash/restart and block/unblock instants, in both fault modes.
+func TestFaultActionsFollowTimeline(t *testing.T) {
+	s, err := scenario.Load("../../scenarios/cluster-partition.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := Plan(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		atUS int64
+		what string
+	}
+	byTime := func(a, b step) int { return int(a.atUS - b.atUS) }
+	for _, mode := range []string{FaultModeKill, FaultModeStop} {
+		down, up := "kill", "respawn"
+		if mode == FaultModeStop {
+			down, up = "stop", "cont"
+		}
+		var want []step
+		for _, ev := range scenario.Timeline(s, false) {
+			switch ev.Kind {
+			case scenario.EvCrash:
+				want = append(want, step{ev.AtUS, down})
+			case scenario.EvRestart:
+				want = append(want, step{ev.AtUS, up})
+			case scenario.EvBlock:
+				want = append(want, step{ev.AtUS, "LINK block " + ev.From + " " + ev.To})
+			case scenario.EvUnblock:
+				want = append(want, step{ev.AtUS, "LINK unblock " + ev.From + " " + ev.To})
+			}
+		}
+		slices.SortStableFunc(want, byTime)
+		acts, _ := (&boss{opts: Options{FaultMode: mode}, spec: s, parts: parts}).faultActions()
+		var got []step
+		for _, a := range acts {
+			what := a.what
+			if what == "link" {
+				// The spec's partition is one endpoint pair: the broadcast's
+				// first line is the event's direction, the second its reverse.
+				what, _, _ = strings.Cut(a.line, "\n")
+			}
+			got = append(got, step{a.atUS, what})
+		}
+		if len(want) != 4 || !slices.Equal(got, want) {
+			t.Errorf("%s mode: boss acts %v, timeline says %v", mode, got, want)
+		}
+	}
+}
+
+// TestAwaitReportPrefersReportOverExit: a worker that printed REPORT and
+// exited cleanly before the boss got to it has both channels ready. The
+// report must win every time — select alone picks at random, which lost
+// about every second cluster-partition run its w1 fragment.
+func TestAwaitReportPrefersReportOverExit(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		p := &proc{
+			part:     Partition{Name: "w1"},
+			reportCh: make(chan *scenario.WorkerReport, 1),
+			exitCh:   make(chan error, 1),
+		}
+		p.reportCh <- &scenario.WorkerReport{Worker: "w1"}
+		p.exitCh <- nil
+		wr, err := p.awaitReport(time.Now().Add(time.Second))
+		if err != nil || wr == nil || wr.Worker != "w1" {
+			t.Fatalf("try %d: got report %v, err %v", i, wr, err)
+		}
+	}
+	p := &proc{part: Partition{Name: "w1"}, reportCh: make(chan *scenario.WorkerReport, 1), exitCh: make(chan error, 1)}
+	p.exitCh <- nil
+	if _, err := p.awaitReport(time.Now().Add(time.Second)); err == nil {
+		t.Fatal("an exit with no report pending must still be an error")
 	}
 }
 
@@ -251,8 +320,8 @@ func TestTwoWorkerPartitionHeal(t *testing.T) {
 	s.Defaults.DelayS = 1
 	s.Defaults.Replicas = 1
 	// The partition rides in the spec (so reference and validation see it);
-	// the inline boss below translates it into LINK lines, exactly like
-	// boss.faultActions.
+	// the inline boss below broadcasts the LINK lines boss.faultActions
+	// translates it into.
 	s.Faults = []scenario.FaultSpec{{Kind: "partition", From: "s2", To: "n1/0", AtS: 2, DurationS: 3}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -273,10 +342,11 @@ func TestTwoWorkerPartitionHeal(t *testing.T) {
 	if !cross {
 		t.Fatalf("partition plan hosts s2 and n1a together; test would not cross a socket: %+v", parts)
 	}
-	block, unblock, err := linkLines(s, &s.Faults[0])
-	if err != nil {
-		t.Fatal(err)
+	acts, _ := (&boss{spec: s, parts: parts}).faultActions()
+	if len(acts) != 2 {
+		t.Fatalf("one partition fault should yield a block and an unblock broadcast, got %+v", acts)
 	}
+	block, unblock := acts[0].line, acts[1].line
 
 	type end struct {
 		in   *io.PipeWriter

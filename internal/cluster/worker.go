@@ -129,17 +129,7 @@ func RunWorker(cfg WorkerConfig, in io.Reader, out io.Writer) error {
 	}
 	clk.RunUntil(pr.DurationUS())
 
-	wr := pr.WorkerReport(cfg.Name)
-	wr.Delivered = tr.Delivered.Load()
-	wr.Dropped = tr.Dropped.Load()
-	wr.DroppedDown = tr.DroppedDown.Load()
-	wr.DroppedQueue = tr.DroppedQueue.Load()
-	wr.DroppedDead = tr.DroppedDead.Load()
-	wr.DroppedWrite = tr.DroppedWrite.Load()
-	wr.DroppedLink = tr.DroppedLink.Load()
-	wr.DroppedCtl = tr.DroppedCtl.Load()
-	wr.CtlStalls = tr.CtlStalls.Load()
-	b, err := json.Marshal(wr)
+	b, err := json.Marshal(pr.WorkerReport(cfg.Name))
 	if err != nil {
 		return err
 	}

@@ -532,34 +532,3 @@ func (d *Deployment) SourceByID(id string) *source.Source {
 	}
 	return d.Sources[i]
 }
-
-// CrashGroup fail-stops a named group's replica at the given time.
-func (d *Deployment) CrashGroup(group string, replica int, at int64) error {
-	n, err := d.replica(group, replica)
-	if err != nil {
-		return err
-	}
-	d.RT.At(at, n.Crash)
-	return nil
-}
-
-// RestartGroup recovers a named group's replica at the given time.
-func (d *Deployment) RestartGroup(group string, replica int, at int64) error {
-	n, err := d.replica(group, replica)
-	if err != nil {
-		return err
-	}
-	d.RT.At(at, n.Restart)
-	return nil
-}
-
-func (d *Deployment) replica(group string, replica int) (*node.Node, error) {
-	row := d.Group(group)
-	if row == nil {
-		return nil, fmt.Errorf("deploy: unknown group %q", group)
-	}
-	if replica < 0 || replica >= len(row) {
-		return nil, fmt.Errorf("deploy: group %q has no replica %d", group, replica)
-	}
-	return row[replica], nil
-}

@@ -87,19 +87,20 @@ func TestGenSpecCoverage(t *testing.T) {
 func TestGenSpecQuietTail(t *testing.T) {
 	for seed := int64(0); seed < 1000; seed++ {
 		s := GenSpec(seed)
+		tail := faultTailOf(s, false)
 		if len(s.Faults) == 0 {
-			if !quietAtEnd(s, s.DurationS) {
+			if !tail.quietAtEnd(s) {
 				t.Fatalf("seed %d: fault-free spec not quiet", seed)
 			}
 			continue
 		}
-		if heal := lastHealS(s, s.DurationS); heal+settleTailS(s) > s.DurationS+1e-9 {
+		if heal := tail.lastHealS; heal+settleTailS(s) > s.DurationS+1e-9 {
 			t.Fatalf("seed %d: last heal %.1fs + tail %.1fs exceeds duration %.1fs",
 				seed, heal, settleTailS(s), s.DurationS)
 		}
 		// quietAtEnd may legitimately be false only for fully crashed
 		// groups, which the generator never produces.
-		if !quietAtEnd(s, s.DurationS) {
+		if !tail.quietAtEnd(s) {
 			t.Fatalf("seed %d: generated schedule not quiet at end", seed)
 		}
 	}

@@ -138,21 +138,6 @@ func genNodes(r *rng, s *scenario.Spec) {
 	}
 }
 
-// expandedInputCount counts the node's SUnion ports (source groups expand
-// to their members).
-func expandedInputCount(s *scenario.Spec, n *scenario.NodeSpec) int {
-	total := 0
-	for _, in := range n.Inputs {
-		total++
-		for i := range s.Sources {
-			if s.Sources[i].Name == in {
-				total += max(s.Sources[i].Count, 1) - 1
-			}
-		}
-	}
-	return total
-}
-
 func genOperators(r *rng, s *scenario.Spec, n *scenario.NodeSpec) {
 	for k := r.intn(3); k > 0; k-- {
 		var op scenario.OperatorSpec
@@ -171,7 +156,7 @@ func genOperators(r *rng, s *scenario.Spec, n *scenario.NodeSpec) {
 				op.SlideMS = op.WindowMS / 2
 			}
 		default:
-			if expandedInputCount(s, n) < 2 {
+			if len(s.ExpandInputs(n)) < 2 {
 				op = scenario.OperatorSpec{Kind: "filter", Modulo: 2}
 			} else {
 				op = scenario.OperatorSpec{Kind: "join", WindowMS: float64(200 + 100*r.intn(4))}
@@ -208,14 +193,14 @@ func genFault(r *rng, s *scenario.Spec, tail float64, permanent map[string]int) 
 	}
 	nodeOf := func() (*scenario.NodeSpec, int) {
 		n := &s.Nodes[r.intn(len(s.Nodes))]
-		return n, r.intn(replicasOf(s, n))
+		return n, r.intn(s.ReplicasOf(n))
 	}
 	switch u := r.f64(); {
 	case u < 0.28: // disconnect, biased toward the D-band
 		member := sourceTarget(r, s)
 		dur := round1(r.rangeF(2, 6))
 		if r.chance(0.4) {
-			d := delayOf(s, &s.Nodes[r.intn(len(s.Nodes))])
+			d := s.DelayOf(&s.Nodes[r.intn(len(s.Nodes))])
 			dur = round1(d * r.rangeF(0.8, 1.05))
 		}
 		at := window(dur)
@@ -225,7 +210,7 @@ func genFault(r *rng, s *scenario.Spec, tail float64, permanent map[string]int) 
 		return &scenario.FaultSpec{Kind: "disconnect", Source: member, AtS: at, DurationS: dur}
 	case u < 0.5: // crash (+restart unless a permanent crash is safe)
 		n, rep := nodeOf()
-		if r.chance(0.12) && permanent[n.Name] < replicasOf(s, n)-1 {
+		if r.chance(0.12) && permanent[n.Name] < s.ReplicasOf(n)-1 {
 			at := window(permCrashSettleS)
 			if at < 0 {
 				return nil
@@ -363,32 +348,10 @@ func endpointTarget(r *rng, s *scenario.Spec) string {
 		return s.Nodes[r.intn(len(s.Nodes))].Name
 	case u < 0.65:
 		n := &s.Nodes[r.intn(len(s.Nodes))]
-		return fmt.Sprintf("%s/%d", n.Name, r.intn(replicasOf(s, n)))
+		return fmt.Sprintf("%s/%d", n.Name, r.intn(s.ReplicasOf(n)))
 	case u < 0.9:
 		return sourceTarget(r, s)
 	default:
 		return "client"
 	}
-}
-
-// replicasOf mirrors the scenario engine's replica resolution.
-func replicasOf(s *scenario.Spec, n *scenario.NodeSpec) int {
-	if n.Replicas != nil {
-		return *n.Replicas
-	}
-	if s.Defaults.Replicas > 0 {
-		return s.Defaults.Replicas
-	}
-	return 2
-}
-
-// delayOf mirrors the scenario engine's availability-bound resolution.
-func delayOf(s *scenario.Spec, n *scenario.NodeSpec) float64 {
-	if n.DelayS != nil {
-		return *n.DelayS
-	}
-	if s.Defaults.DelayS > 0 {
-		return s.Defaults.DelayS
-	}
-	return 2
 }

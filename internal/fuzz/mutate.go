@@ -144,7 +144,7 @@ func dropFault(r *rng, s *scenario.Spec) {
 // the client and its input, lengthening the correction path by one
 // SUnion stage (deeper cascades are where Definition 1 goes to die).
 func insertRelayNode(r *rng, s *scenario.Spec) {
-	target := clientInput(s)
+	target := s.ClientInput()
 	if target == "" {
 		return
 	}
@@ -173,7 +173,7 @@ func bumpReplicas(r *rng, s *scenario.Spec) {
 		return
 	}
 	n := &s.Nodes[r.intn(len(s.Nodes))]
-	rep := replicasOf(s, n)
+	rep := s.ReplicasOf(n)
 	if r.chance(0.5) && rep < 3 {
 		rep++
 	} else if rep > 1 {

@@ -17,80 +17,64 @@ const permCrashSettleS = 10
 
 // settleTailS is how much quiet time a healthy deployment needs after its
 // last fault heals before the oracles may judge end-of-run state: the
-// worst source→client path sum of SUnion delays (suspensions started just
-// before the heal still run to completion, level by level), plus client
-// slack, plus a reconciliation/propagation allowance.
+// worst source→node path sum of SUnion delays over every node (suspensions
+// started just before the heal still run to completion, level by level),
+// plus a client-slack and reconciliation/propagation allowance.
 func settleTailS(s *scenario.Spec) float64 {
-	nodes := map[string]*scenario.NodeSpec{}
-	for i := range s.Nodes {
-		nodes[s.Nodes[i].Name] = &s.Nodes[i]
-	}
-	memo := map[string]float64{}
-	var path func(name string) float64
-	path = func(name string) float64 {
-		if v, ok := memo[name]; ok {
-			return v
-		}
-		n := nodes[name]
-		memo[name] = 0 // cycle guard for unvalidated inputs
-		var worst float64
-		for _, in := range n.Inputs {
-			if nodes[in] != nil {
-				worst = math.Max(worst, path(in))
-			}
-		}
-		sunions := 1.0
-		if n.Cascade && expandedInputCount(s, n) > 2 {
-			sunions = float64(expandedInputCount(s, n) - 1)
-		}
-		v := worst + delayOf(s, n)*sunions
-		memo[name] = v
-		return v
-	}
 	var worst float64
 	for i := range s.Nodes {
-		worst = math.Max(worst, path(s.Nodes[i].Name))
+		worst = math.Max(worst, s.PathDelayS(s.Nodes[i].Name))
 	}
 	return worst + 5
 }
 
-// lastHealS returns the latest instant (in spec seconds) at which the
-// fault schedule stops disturbing the deployment, considering only faults
-// that fire before the horizon. Permanent crashes never heal; they charge
-// permCrashSettleS of switchover settling instead.
-func lastHealS(s *scenario.Spec, horizonS float64) float64 {
-	var last float64
-	for i := range s.Faults {
-		f := &s.Faults[i]
-		if f.AtS >= horizonS {
-			continue
-		}
-		var heal float64
-		switch f.Kind {
-		case "crash":
-			if f.DurationS > 0 {
-				heal = f.AtS + f.DurationS
-			} else {
-				heal = f.AtS + permCrashSettleS
-			}
-		case "restart":
-			heal = f.AtS
-		case "flap":
-			count := f.Count
-			if count <= 0 {
-				count = 3
-			}
-			down := f.DurationS
-			if down <= 0 {
-				down = f.PeriodS / 2
-			}
-			heal = f.AtS + float64(count-1)*f.PeriodS + down
-		default: // disconnect, stall_boundaries, partition
-			heal = f.AtS + f.DurationS
-		}
-		last = math.Max(last, heal)
+// faultTail is what the oracles need to know about a run's fault timeline.
+type faultTail struct {
+	horizonS float64
+	// fires: some fault fires before the horizon.
+	fires bool
+	// lastHealS is the latest instant (in spec seconds) at which the
+	// schedule stops disturbing the deployment: the last healing event, or
+	// a permanent crash's onset plus permCrashSettleS. A heal past the
+	// horizon counts — the run ends disturbed. Event instants are whole µs,
+	// so messages round it (a 18.7s heal is 18.699999).
+	lastHealS float64
+	// permanent counts, per node group, the replicas that crash and are
+	// never restarted inside the horizon.
+	permanent map[string]int
+}
+
+func faultTailOf(s *scenario.Spec, quick bool) faultTail {
+	evs := scenario.Timeline(s, quick)
+	horizonUS := scenario.DurationUS(s, quick)
+	tail := faultTail{
+		horizonS:  float64(horizonUS) / float64(rtpkg.Second),
+		fires:     len(evs) > 0,
+		permanent: map[string]int{},
 	}
-	return last
+	var lastUS int64
+	for _, ev := range evs {
+		if ev.Heals {
+			lastUS = max(lastUS, ev.AtUS)
+		}
+		if ev.Kind != scenario.EvCrash || ev.AtUS >= horizonUS {
+			continue // not a crash, or one that never happens
+		}
+		revived := false
+		for _, r := range evs {
+			if r.Kind == scenario.EvRestart && r.Node == ev.Node && r.Replica == ev.Replica &&
+				r.AtUS > ev.AtUS && r.AtUS < horizonUS {
+				revived = true
+				break
+			}
+		}
+		if !revived {
+			tail.permanent[ev.Node]++
+			lastUS = max(lastUS, ev.AtUS+permCrashSettleS*rtpkg.Second)
+		}
+	}
+	tail.lastHealS = float64(lastUS) / float64(rtpkg.Second)
+	return tail
 }
 
 // quietAtEnd reports whether the fault schedule went quiet early enough —
@@ -98,52 +82,20 @@ func lastHealS(s *scenario.Spec, horizonS float64) float64 {
 // structural state to be judged, and that no node group lost all of its
 // replicas permanently (a fully-crashed group starves its downstream
 // legitimately).
-func quietAtEnd(s *scenario.Spec, horizonS float64) bool {
-	if !anyFaultFires(s, horizonS) {
+func (tail faultTail) quietAtEnd(s *scenario.Spec) bool {
+	if !tail.fires {
 		return true // nothing ever disturbed the run
 	}
-	if lastHealS(s, horizonS)+settleTailS(s) > horizonS+1e-9 {
+	if tail.lastHealS+settleTailS(s) > tail.horizonS+1e-9 {
 		return false
-	}
-	// A crash without a duration is permanent unless a LATER restart
-	// names the same replica (spec.go's contract); count the crashes
-	// that stick.
-	perm := map[string]int{}
-	for i := range s.Faults {
-		f := &s.Faults[i]
-		if f.Kind != "crash" || f.DurationS != 0 || f.AtS >= horizonS {
-			continue
-		}
-		revived := false
-		for j := range s.Faults {
-			r := &s.Faults[j]
-			if r.Kind == "restart" && r.Node == f.Node && r.Replica == f.Replica &&
-				r.AtS > f.AtS && r.AtS < horizonS {
-				revived = true
-				break
-			}
-		}
-		if !revived {
-			perm[f.Node]++
-		}
 	}
 	for i := range s.Nodes {
 		n := &s.Nodes[i]
-		if perm[n.Name] >= replicasOf(s, n) {
+		if tail.permanent[n.Name] >= s.ReplicasOf(n) {
 			return false
 		}
 	}
 	return true
-}
-
-// anyFaultFires reports whether any fault fires before the horizon.
-func anyFaultFires(s *scenario.Spec, horizonS float64) bool {
-	for i := range s.Faults {
-		if s.Faults[i].AtS < horizonS {
-			return true
-		}
-	}
-	return false
 }
 
 // capacityBounded reports whether any node runs with finite capacity: an
@@ -172,7 +124,8 @@ func round3(v float64) float64 { return math.Round(v*1e3) / 1e3 }
 func Check(s *scenario.Spec, rep *scenario.Report) []Finding {
 	var fs []Finding
 	horizon := rep.DurationS
-	quiet := quietAtEnd(s, horizon)
+	tail := faultTailOf(s, rep.Quick)
+	quiet := tail.quietAtEnd(s)
 
 	// Definition 1: the stable output prefix must match the fault-free
 	// reference run.
@@ -209,12 +162,12 @@ func Check(s *scenario.Spec, rep *scenario.Report) []Finding {
 			if n.HoldsTentative {
 				fs = findf(fs, "wedged-sunion",
 					"replica %s still buffers tentative tuples %gs after the last heal",
-					n.Replica, horizon-lastHealS(s, horizon))
+					n.Replica, round3(horizon-tail.lastHealS))
 			}
 			if n.State != "STABLE" {
 				fs = findf(fs, "stuck-state",
 					"replica %s ended in %s %gs after the last heal",
-					n.Replica, n.State, horizon-lastHealS(s, horizon))
+					n.Replica, n.State, round3(horizon-tail.lastHealS))
 			}
 		}
 	}
@@ -250,7 +203,7 @@ func Check(s *scenario.Spec, rep *scenario.Report) []Finding {
 
 	// Availability: with no faults and unbounded capacity, every
 	// new-information delivery must meet the bound D.
-	if !anyFaultFires(s, horizon) && !capacityBounded(s) && rep.Availability.Violations > 0 {
+	if !tail.fires && !capacityBounded(s) && rep.Availability.Violations > 0 {
 		fs = findf(fs, "availability",
 			"fault-free run violated the availability bound %d times (worst excess %gs)",
 			rep.Availability.Violations, rep.Availability.MaxExcessS)

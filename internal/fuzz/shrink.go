@@ -146,7 +146,7 @@ func shrinkNodes(s *scenario.Spec, fails func(*scenario.Spec) bool) *scenario.Sp
 func spliceNode(s *scenario.Spec, i int) *scenario.Spec {
 	c := s.Clone()
 	dead := c.Nodes[i]
-	if clientInput(c) == dead.Name {
+	if c.ClientInput() == dead.Name {
 		retarget := ""
 		for _, in := range dead.Inputs {
 			for j := range c.Nodes {
@@ -369,17 +369,6 @@ func shrinkScalars(s *scenario.Spec, fails func(*scenario.Spec) bool) *scenario.
 		}
 	}
 	return best
-}
-
-// clientInput mirrors the scenario engine's client-input resolution.
-func clientInput(s *scenario.Spec) string {
-	if s.Client.Input != "" {
-		return s.Client.Input
-	}
-	if len(s.Nodes) > 0 {
-		return s.Nodes[len(s.Nodes)-1].Name
-	}
-	return ""
 }
 
 // mentionsEndpoint reports whether a fault's partition endpoints address

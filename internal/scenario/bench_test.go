@@ -72,7 +72,7 @@ func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := compile(rtpkg.NewVirtual(), spec, true, true, false, false, nil)
+		rt, err := compile(rtpkg.NewVirtual(), nil, nil, spec, Options{Quick: true}, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func benchPlane(b *testing.B, perTuple bool) {
 	b.ResetTimer()
 	var processed uint64
 	for i := 0; i < b.N; i++ {
-		rt, err := compile(rtpkg.NewVirtual(), spec, quick, true, perTuple, true, nil)
+		rt, err := compile(rtpkg.NewVirtual(), nil, nil, spec, Options{Quick: quick, PerTuple: perTuple, NoAudit: true}, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,10 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"borealis/internal/deploy"
+	"borealis/internal/fabric"
 	"borealis/internal/node"
 	"borealis/internal/operator"
 	rtpkg "borealis/internal/runtime"
@@ -43,9 +42,6 @@ type run struct {
 	quick      bool
 	durationUS int64
 	boundUS    int64
-	// lastHealUS is the latest instant at which an injected fault heals
-	// (restart, reconnect, partition heal); -1 without faults.
-	lastHealUS int64
 
 	// Per-delivery metrics, collected through the client hook.
 	maxSTime      int64
@@ -174,6 +170,10 @@ func (idx *nameIndex) expandInputs(n *NodeSpec) []string {
 	return out
 }
 
+// ExpandInputs resolves a node's declared inputs into its SUnion ports'
+// stream names, in port order.
+func (s *Spec) ExpandInputs(n *NodeSpec) []string { return s.index().expandInputs(n) }
+
 // compileOperators builds the per-replica operator factory for one node.
 func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 	if len(n.Operators) == 0 {
@@ -264,40 +264,48 @@ func parseBufferMode(s string) node.BufferMode {
 // compile validates nothing (call Validate first); it builds the
 // deployment, installs workload schedules, and — when withFaults is set —
 // the fault timeline. The reference run for the consistency audit compiles
-// with withFaults=false and is otherwise identical.
-func compile(exec rtpkg.Runtime, s *Spec, quick, withFaults, perTuple, noAudit bool, trace node.TraceFn) (*run, error) {
+// with withFaults=false and is otherwise identical. fab and owned are nil
+// for a whole single-process deployment on a fresh netsim; a cluster
+// partition passes both and gets only the endpoints it owns (deploy.buildOn
+// has the same convention).
+func compile(exec rtpkg.Runtime, fab fabric.Fabric, owned map[string]bool, s *Spec, opts Options, withFaults bool) (*run, error) {
 	rt := &run{
 		spec:       s,
-		quick:      quick,
-		durationUS: quickDuration(s, quick),
-		lastHealUS: -1,
+		quick:      opts.Quick,
+		durationUS: quickDuration(s, opts.Quick),
 		maxSTime:   -1,
 	}
 	idx := s.index()
-	dep, err := deploy.BuildTopologyOn(exec, topologySpecOf(s, idx, perTuple, noAudit))
+	top := topologySpecOf(s, idx, opts.PerTuple, opts.NoAudit)
+	var err error
+	if fab == nil {
+		rt.dep, err = deploy.BuildTopologyOn(exec, top)
+	} else {
+		rt.dep, err = deploy.BuildPartitionOn(exec, fab, top, owned)
+	}
 	if err != nil {
 		return nil, err
 	}
-	rt.dep = dep
-	if trace != nil {
-		for _, row := range dep.Nodes {
+	if opts.Trace != nil {
+		for _, row := range rt.dep.Nodes {
 			for _, rep := range row {
-				rep.SetTrace(trace)
+				rep.SetTrace(opts.Trace)
 			}
 		}
-		dep.Client.Proxy().SetTrace(trace)
+		rt.dep.Client.Proxy().SetTrace(opts.Trace)
 	}
-	rt.boundUS = rt.availabilityBound(idx)
+	rt.boundUS = availabilityBoundUS(s, idx)
 	rt.installWorkloads()
 	if withFaults {
-		if err := rt.installFaults(); err != nil {
-			return nil, err
-		}
+		rt.installFaults(owned != nil)
 	}
-	rt.hookClient()
-	if withFaults {
-		// The faultless consistency-reference run (withFaults=false) never
-		// renders a report, so sampling queue depth there is pure overhead.
+	if rt.dep.Client != nil {
+		rt.hookClient()
+	}
+	if withFaults && owned == nil {
+		// The queue-depth series is a probe of the single-process report:
+		// partition fragments carry none, and the faultless reference run
+		// never renders a report.
 		rt.installDepthSampler()
 	}
 	return rt, nil
@@ -319,7 +327,7 @@ func topologySpecOf(s *Spec, idx *nameIndex, perTuple, noAudit bool) deploy.Topo
 		AckInterval:      millis(s.Defaults.AckIntervalMS),
 		PerTuple:         perTuple,
 		Client: deploy.TopologyClient{
-			Stream:              nodeStream(s.clientInput()),
+			Stream:              nodeStream(s.ClientInput()),
 			BucketSize:          millis(s.Client.BucketMS),
 			Delay:               millis(s.Client.DelayMS),
 			TentativeWait:       millis(s.Client.TentativeWaitMS),
@@ -361,8 +369,8 @@ func topologySpecOf(s *Spec, idx *nameIndex, perTuple, noAudit bool) deploy.Topo
 			Name:                n.Name,
 			Output:              nodeStream(n.Name),
 			Inputs:              inputs,
-			Replicas:            s.replicasOf(n),
-			Delay:               seconds(s.delayOf(n)),
+			Replicas:            s.ReplicasOf(n),
+			Delay:               seconds(s.DelayOf(n)),
 			Cascade:             n.Cascade,
 			Operators:           compileOperators(n, len(inputs)),
 			Capacity:            capacity,
@@ -385,28 +393,22 @@ func firstNonEmpty(a, b string) string {
 	return b
 }
 
-// availabilityBound derives the report's bound: the worst source→client
-// path sum of SUnion delays, plus the client's own slack, plus the
-// scenario's processing slack.
-func (rt *run) availabilityBound(idx *nameIndex) int64 {
-	return availabilityBoundUS(rt.spec, idx)
-}
+// PathDelayS is the worst source→node path sum of SUnion delays ending at
+// the named node, in seconds: how long a suspension started at a source can
+// take to drain through to that node's output.
+func (s *Spec) PathDelayS(node string) float64 { return pathDelayS(s, s.index(), node) }
 
-// availabilityBoundUS is the bound computation on the bare spec; the
-// cluster boss uses it to stamp the merged report without compiling a
-// deployment of its own.
-func availabilityBoundUS(s *Spec, idx *nameIndex) int64 {
-	nodes := idx.nodes
+func pathDelayS(s *Spec, idx *nameIndex, node string) float64 {
 	memo := map[string]float64{}
 	var path func(name string) float64
 	path = func(name string) float64 {
 		if v, ok := memo[name]; ok {
 			return v
 		}
-		n := nodes[name]
+		n := idx.nodes[name]
 		var worst float64
 		for _, in := range n.Inputs {
-			if nodes[in] != nil {
+			if idx.nodes[in] != nil {
 				if v := path(in); v > worst {
 					worst = v
 				}
@@ -420,10 +422,17 @@ func availabilityBoundUS(s *Spec, idx *nameIndex) int64 {
 				sunions = float64(k - 1)
 			}
 		}
-		v := worst + s.delayOf(n)*sunions
+		v := worst + s.DelayOf(n)*sunions
 		memo[name] = v
 		return v
 	}
+	return path(node)
+}
+
+// availabilityBoundUS derives the report's bound on the bare spec: the
+// worst source→client path sum of SUnion delays, plus the client's own
+// slack, plus the scenario's processing slack.
+func availabilityBoundUS(s *Spec, idx *nameIndex) int64 {
 	slack := s.AvailabilitySlackS
 	if slack <= 0 {
 		slack = 1
@@ -432,7 +441,7 @@ func availabilityBoundUS(s *Spec, idx *nameIndex) int64 {
 	if clientDelay <= 0 {
 		clientDelay = 0.05
 	}
-	return seconds(path(s.clientInput()) + clientDelay + slack)
+	return seconds(pathDelayS(s, idx, s.ClientInput()) + clientDelay + slack)
 }
 
 // installWorkloads schedules the rate modulation of every source. Each
@@ -544,132 +553,50 @@ func (rt *run) installRamp(src *source.Source, ss *SourceSpec, base float64) {
 	rt.dep.RT.At(end, func() { src.SetRate(rEnd) })
 }
 
-// endpointSet resolves a partition endpoint spec into network endpoints.
-func (rt *run) endpointSet(ep string) ([]string, error) {
-	if ep == "client" {
-		return []string{"client"}, nil
-	}
-	if name, rep, ok := strings.Cut(ep, "/"); ok {
-		r, err := strconv.Atoi(rep)
-		if err != nil {
-			return nil, errf("bad endpoint %q", ep)
+// installFaults schedules the fault timeline on the deployment's runtime,
+// event by event in timeline order.
+func (rt *run) installFaults(partition bool) {
+	for _, ev := range Timeline(rt.spec, rt.quick) {
+		if do := rt.eventAction(ev, partition); do != nil {
+			rt.dep.RT.At(ev.AtUS, do)
 		}
-		row := rt.dep.Group(name)
-		if row == nil || r < 0 || r >= len(row) {
-			return nil, errf("bad endpoint %q", ep)
-		}
-		return []string{deploy.GroupReplicaID(name, r)}, nil
-	}
-	if row := rt.dep.Group(ep); row != nil {
-		eps := make([]string, len(row))
-		for r := range row {
-			eps[r] = deploy.GroupReplicaID(ep, r)
-		}
-		return eps, nil
-	}
-	if ids := rt.sourceIDs(ep); ids != nil {
-		return ids, nil
-	}
-	return nil, errf("unknown endpoint %q", ep)
-}
-
-// sourceIDs resolves a source reference: an expanded member name, or a
-// group name covering every member.
-func (rt *run) sourceIDs(name string) []string {
-	if rt.dep.SourceByID(name) != nil {
-		return []string{name}
-	}
-	for i := range rt.spec.Sources {
-		if rt.spec.Sources[i].Name == name && rt.spec.Sources[i].Count > 1 {
-			return rt.spec.Sources[i].members()
-		}
-	}
-	return nil
-}
-
-// heal records a fault-heal instant for the stabilization metric. Heals
-// scheduled past the run horizon never happen and are ignored.
-func (rt *run) heal(atUS int64) {
-	if atUS <= rt.durationUS && atUS > rt.lastHealUS {
-		rt.lastHealUS = atUS
 	}
 }
 
-// installFaults schedules the timed fault timeline on the simulator.
-func (rt *run) installFaults() error {
-	for i := range rt.spec.Faults {
-		f := &rt.spec.Faults[i]
-		at := seconds(f.AtS)
-		dur := seconds(f.DurationS)
-		if at >= rt.durationUS {
-			continue // beyond the (possibly quick) horizon; never fires
-		}
-		switch f.Kind {
-		case "crash":
-			if err := rt.dep.CrashGroup(f.Node, f.Replica, at); err != nil {
-				return err
-			}
-			if dur > 0 {
-				if err := rt.dep.RestartGroup(f.Node, f.Replica, at+dur); err != nil {
-					return err
-				}
-				rt.heal(at + dur)
-			}
-		case "restart":
-			if err := rt.dep.RestartGroup(f.Node, f.Replica, at); err != nil {
-				return err
-			}
-			rt.heal(at)
-		case "flap":
-			period := seconds(f.PeriodS)
-			count := f.Count
-			if count <= 0 {
-				count = 3
-			}
-			down := dur
-			if down <= 0 {
-				down = period / 2
-			}
-			for k := 0; k < count; k++ {
-				t := at + int64(k)*period
-				if err := rt.dep.CrashGroup(f.Node, f.Replica, t); err != nil {
-					return err
-				}
-				if err := rt.dep.RestartGroup(f.Node, f.Replica, t+down); err != nil {
-					return err
-				}
-				rt.heal(t + down)
-			}
-		case "disconnect":
-			for _, id := range rt.sourceIDs(f.Source) {
-				src := rt.dep.SourceByID(id)
-				rt.dep.RT.At(at, src.Disconnect)
-				rt.dep.RT.At(at+dur, src.Reconnect)
-			}
-			rt.heal(at + dur)
-		case "stall_boundaries":
-			for _, id := range rt.sourceIDs(f.Source) {
-				src := rt.dep.SourceByID(id)
-				rt.dep.RT.At(at, src.StallBoundaries)
-				rt.dep.RT.At(at+dur, src.ResumeBoundaries)
-			}
-			rt.heal(at + dur)
-		case "partition":
-			from, err := rt.endpointSet(f.From)
-			if err != nil {
-				return err
-			}
-			to, err := rt.endpointSet(f.To)
-			if err != nil {
-				return err
-			}
-			for _, a := range from {
-				for _, b := range to {
-					rt.dep.Partition(a, b, at, dur)
-				}
-			}
-			rt.heal(at + dur)
+// eventAction resolves a timeline event to what this run does at its
+// instant, nil when the event is not this run's to execute. A cluster
+// partition executes only the source-level events of sources it hosts:
+// process-level events reach the target replica's dedicated worker as real
+// signals from the boss, and link-level events reach every worker as the
+// boss's timed LINK lines.
+func (rt *run) eventAction(ev Event, partition bool) func() {
+	switch ev.Kind {
+	case EvCrash, EvRestart, EvBlock, EvUnblock:
+		if partition {
+			return nil
 		}
 	}
-	return nil
+	switch ev.Kind {
+	case EvCrash:
+		return rt.dep.Group(ev.Node)[ev.Replica].Crash
+	case EvRestart:
+		return rt.dep.Group(ev.Node)[ev.Replica].Restart
+	case EvBlock:
+		return func() { rt.dep.Net.Partition(ev.From, ev.To) }
+	case EvUnblock:
+		return func() { rt.dep.Net.Heal(ev.From, ev.To) }
+	}
+	src := rt.dep.SourceByID(ev.Source)
+	if src == nil {
+		return nil // hosted by another partition
+	}
+	switch ev.Kind {
+	case EvDisconnect:
+		return src.Disconnect
+	case EvReconnect:
+		return src.Reconnect
+	case EvStall:
+		return src.StallBoundaries
+	}
+	return src.ResumeBoundaries
 }

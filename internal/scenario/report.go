@@ -10,6 +10,7 @@ import (
 	"borealis/internal/client"
 	"borealis/internal/node"
 	rtpkg "borealis/internal/runtime"
+	"borealis/internal/transport"
 	"borealis/internal/tuple"
 )
 
@@ -52,6 +53,34 @@ type TransportReport struct {
 	DroppedLink  uint64 `json:"dropped_link,omitempty"`
 	DroppedCtl   uint64 `json:"dropped_ctl,omitempty"`
 	CtlStalls    uint64 `json:"ctl_stalls,omitempty"`
+}
+
+// add sums another worker's counters in.
+func (t *TransportReport) add(o TransportReport) {
+	t.Delivered += o.Delivered
+	t.Dropped += o.Dropped
+	t.DroppedDown += o.DroppedDown
+	t.DroppedQueue += o.DroppedQueue
+	t.DroppedDead += o.DroppedDead
+	t.DroppedWrite += o.DroppedWrite
+	t.DroppedLink += o.DroppedLink
+	t.DroppedCtl += o.DroppedCtl
+	t.CtlStalls += o.CtlStalls
+}
+
+// transportCounters snapshots a TCP transport's frame counters.
+func transportCounters(tr *transport.TCP) TransportReport {
+	return TransportReport{
+		Delivered:    tr.Delivered.Load(),
+		Dropped:      tr.Dropped.Load(),
+		DroppedDown:  tr.DroppedDown.Load(),
+		DroppedQueue: tr.DroppedQueue.Load(),
+		DroppedDead:  tr.DroppedDead.Load(),
+		DroppedWrite: tr.DroppedWrite.Load(),
+		DroppedLink:  tr.DroppedLink.Load(),
+		DroppedCtl:   tr.DroppedCtl.Load(),
+		CtlStalls:    tr.CtlStalls.Load(),
+	}
 }
 
 // AvailabilityReport checks deliveries against the availability bound D:
@@ -200,58 +229,27 @@ func (rt *run) hookClient() {
 	})
 }
 
-// report assembles the Report after the simulation has run.
-func (rt *run) report() *Report {
-	st := rt.dep.Client.Stats()
-	durS := secs(rt.durationUS)
-	rep := &Report{
-		Scenario:    rt.spec.Name,
-		Description: rt.spec.Description,
-		Seed:        rt.spec.Seed,
-		Quick:       rt.quick,
-		DurationS:   durS,
-		Availability: AvailabilityReport{
-			BoundS:     secs(rt.boundUS),
-			Violations: rt.violations,
-			MaxExcessS: secs(rt.maxExcessUS),
-		},
-		Client: ClientReport{
-			NewTuples:          st.NewTuples,
-			ThroughputTPS:      round3(float64(st.NewTuples) / durS),
-			MaxLatencyS:        secs(st.MaxLatency),
-			MeanLatencyS:       round3(st.MeanLatency / float64(rtpkg.Second)),
-			Tentative:          st.Tentative,
-			MaxTentativeStreak: st.MaxTentativeStreak,
-			Undos:              st.Undos,
-			RecDones:           st.RecDones,
-			StableDuplicates:   st.StableDuplicates,
-		},
+// fragment assembles the rows this run can report after it has run: one per
+// hosted source and replica and, when it hosts the client, the client row
+// and client-hook metrics. Every Report row is built here.
+func (rt *run) fragment() *WorkerReport {
+	wr := &WorkerReport{
+		Sources: make([]SourceReport, 0, len(rt.dep.Sources)),
 	}
-	if st.NewTuples > 0 {
-		rep.Availability.ViolationRate = round3(float64(rt.violations) / float64(st.NewTuples))
-	}
-	if rt.lastHealUS >= 0 {
-		rep.Stabilization.LastFaultHealS = secs(rt.lastHealUS)
-		if rt.lastRecDoneUS > 0 {
-			rep.Stabilization.LastRecDoneS = secs(rt.lastRecDoneUS)
-			if lag := rt.lastRecDoneUS - rt.lastHealUS; lag > 0 {
-				rep.Stabilization.LatencyS = secs(lag)
-			}
-		}
-	}
-	rep.Sources = make([]SourceReport, 0, len(rt.dep.Sources))
 	for _, src := range rt.dep.Sources {
-		rep.Sources = append(rep.Sources, SourceReport{
+		wr.Sources = append(wr.Sources, SourceReport{
 			Name:       src.ID(),
 			Produced:   src.Produced,
 			DroppedLog: src.DroppedLog,
 			FinalRate:  round3(src.Rate()),
 		})
 	}
-	ri := 0
 	for gi, name := range rt.dep.GroupNames() {
-		rep.Nodes = slices.Grow(rep.Nodes, len(rt.dep.Nodes[gi]))
+		wr.Nodes = slices.Grow(wr.Nodes, len(rt.dep.Nodes[gi]))
 		for _, n := range rt.dep.Nodes[gi] {
+			if n == nil {
+				continue // hosted by another partition
+			}
 			nr := NodeReport{
 				Node:            name,
 				Replica:         n.ID(),
@@ -269,21 +267,155 @@ func (rt *run) report() *Report {
 				}
 			}
 			fillGrantReport(&nr, n.CM(), rt.durationUS)
-			if ri < len(rt.depthSeries) {
-				depths := rt.depthSeries[ri]
-				nr.QueueDepthSeries = make([]QueueDepthSample, len(depths))
-				for k, d := range depths {
-					nr.QueueDepthSeries[k] = QueueDepthSample{
-						TS:    secs(int64(k+1) * queueSampleInterval),
-						Depth: d,
-					}
-				}
+			wr.Nodes = append(wr.Nodes, nr)
+			wr.Processed += n.Engine().Processed
+		}
+	}
+	if rt.dep.Client != nil {
+		st := rt.dep.Client.Stats()
+		wr.Client = &ClientReport{
+			NewTuples:          st.NewTuples,
+			ThroughputTPS:      round3(float64(st.NewTuples) / secs(rt.durationUS)),
+			MaxLatencyS:        secs(st.MaxLatency),
+			MeanLatencyS:       round3(st.MeanLatency / float64(rtpkg.Second)),
+			Tentative:          st.Tentative,
+			MaxTentativeStreak: st.MaxTentativeStreak,
+			Undos:              st.Undos,
+			RecDones:           st.RecDones,
+			StableDuplicates:   st.StableDuplicates,
+		}
+		wr.Violations = rt.violations
+		wr.MaxExcessUS = rt.maxExcessUS
+		wr.LastRecDoneUS = rt.lastRecDoneUS
+	}
+	return wr
+}
+
+// report is the single-process Report: the merge of the run's one
+// whole-deployment fragment, plus the queue-depth series only a
+// single-process run samples, minus the transport section only a cluster
+// has.
+func (rt *run) report() *Report {
+	rep := MergeClusterReports(rt.spec, rt.quick, []*WorkerReport{rt.fragment()})
+	rep.Transport = nil
+	// depthSeries and the merged rows share one order: group by group,
+	// then replica.
+	for ri, depths := range rt.depthSeries {
+		series := make([]QueueDepthSample, len(depths))
+		for k, d := range depths {
+			series[k] = QueueDepthSample{TS: secs(int64(k+1) * queueSampleInterval), Depth: d}
+		}
+		rep.Nodes[ri].QueueDepthSeries = series
+	}
+	return rep
+}
+
+// MergeClusterReports folds report fragments into the Report shape, in
+// canonical spec order. Endpoints no fragment covers — a worker SIGKILLed
+// without a later respawn — get synthesized rows: a crashed replica reports
+// FAILURE/down, exactly what its process would say if it could. The
+// consistency section is attached separately by AuditCluster.
+func MergeClusterReports(s *Spec, quick bool, frags []*WorkerReport) *Report {
+	srcByName := make(map[string]SourceReport)
+	nodeByID := make(map[string]NodeReport)
+	var cli *WorkerReport
+	var tp TransportReport
+	for _, f := range frags {
+		if f == nil {
+			continue
+		}
+		for _, sr := range f.Sources {
+			srcByName[sr.Name] = sr
+		}
+		for _, nr := range f.Nodes {
+			nodeByID[nr.Replica] = nr
+		}
+		if f.Client != nil {
+			cli = f
+		}
+		tp.add(f.TransportReport)
+	}
+	rep := &Report{
+		Scenario:    s.Name,
+		Description: s.Description,
+		Seed:        s.Seed,
+		Quick:       quick,
+		DurationS:   secs(quickDuration(s, quick)),
+		Availability: AvailabilityReport{
+			BoundS: secs(availabilityBoundUS(s, s.index())),
+		},
+		Transport: &tp,
+	}
+	for i := range s.Sources {
+		for _, m := range s.Sources[i].members() {
+			sr := srcByName[m] // zero counters when no fragment reports it
+			sr.Name = m
+			rep.Sources = append(rep.Sources, sr)
+		}
+	}
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		for _, id := range s.replicaIDs(n) {
+			nr, ok := nodeByID[id]
+			if !ok {
+				nr = NodeReport{Node: n.Name, Replica: id, State: "FAILURE", Down: true}
 			}
-			ri++
 			rep.Nodes = append(rep.Nodes, nr)
 		}
 	}
+	lastHeal := LastFaultHealUS(s, quick)
+	if lastHeal >= 0 {
+		rep.Stabilization.LastFaultHealS = secs(lastHeal)
+	}
+	if cli == nil {
+		return rep
+	}
+	rep.Client = *cli.Client
+	rep.Availability.Violations = cli.Violations
+	rep.Availability.MaxExcessS = secs(cli.MaxExcessUS)
+	if rep.Client.NewTuples > 0 {
+		rep.Availability.ViolationRate = round3(float64(cli.Violations) / float64(rep.Client.NewTuples))
+	}
+	if lastHeal >= 0 && cli.LastRecDoneUS > 0 {
+		rep.Stabilization.LastRecDoneS = secs(cli.LastRecDoneUS)
+		if lag := cli.LastRecDoneUS - lastHeal; lag > 0 {
+			rep.Stabilization.LatencyS = secs(lag)
+		}
+	}
 	return rep
+}
+
+// referenceView runs the spec fault-free on a private virtual clock and
+// returns the client's delivered view: the Definition 1 yardstick.
+func referenceView(s *Spec, quick, perTuple bool) ([]tuple.Tuple, error) {
+	ref, err := compile(rtpkg.NewVirtual(), nil, nil, s, Options{Quick: quick, PerTuple: perTuple}, false)
+	if err != nil {
+		return nil, err
+	}
+	ref.dep.Start()
+	ref.dep.RunFor(ref.durationUS)
+	return ref.dep.Client.View(), nil
+}
+
+// AuditCluster attaches the Definition 1 consistency section to a report:
+// stable is the audited run's final stable view (in a cluster, from the
+// fragment of the worker hosting the client), ref the fault-free reference
+// view of the same spec.
+func AuditCluster(rep *Report, stable, ref []tuple.Tuple) {
+	res := client.VerifyViews(stable, ref)
+	refStable := 0
+	for _, t := range ref {
+		if t.Type == tuple.Insertion {
+			refStable++
+		}
+	}
+	rep.Consistency = &ConsistencyReport{
+		OK:        res.OK,
+		Compared:  res.Compared,
+		Reason:    res.Reason,
+		GotStable: len(stable),
+		RefStable: refStable,
+	}
 }
 
 // fillGrantReport copies a Consistency Manager's grant-wait samples and

@@ -3,7 +3,6 @@ package scenario
 import (
 	"borealis/internal/deploy"
 	rtpkg "borealis/internal/runtime"
-	"borealis/internal/tuple"
 )
 
 // Options tunes a scenario run.
@@ -79,7 +78,7 @@ func runValidated(s *Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := compile(exec, s, opts.Quick, true, opts.PerTuple, opts.NoAudit, opts.Trace)
+	rt, err := compile(exec, nil, nil, s, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -87,27 +86,11 @@ func runValidated(s *Spec, opts Options) (*Report, error) {
 	rt.dep.RunFor(rt.durationUS)
 	rep := rt.report()
 	if s.VerifyConsistency && !opts.SkipConsistency && !opts.NoAudit {
-		ref, err := compile(rtpkg.NewVirtual(), s, opts.Quick, false, opts.PerTuple, false, nil)
+		ref, err := referenceView(s, opts.Quick, opts.PerTuple)
 		if err != nil {
 			return nil, err
 		}
-		ref.dep.Start()
-		ref.dep.RunFor(ref.durationUS)
-		refView := ref.dep.Client.View()
-		audit := rt.dep.Client.VerifyEventualConsistency(refView)
-		refStable := 0
-		for _, t := range refView {
-			if t.Type == tuple.Insertion {
-				refStable++
-			}
-		}
-		rep.Consistency = &ConsistencyReport{
-			OK:        audit.OK,
-			Compared:  audit.Compared,
-			Reason:    audit.Reason,
-			GotStable: len(rt.dep.Client.StableView()),
-			RefStable: refStable,
-		}
+		AuditCluster(rep, rt.dep.Client.StableView(), ref)
 	}
 	return rep, nil
 }
@@ -123,7 +106,7 @@ func Build(s *Spec, opts Options) (*deploy.Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := compile(exec, s, opts.Quick, true, opts.PerTuple, opts.NoAudit, opts.Trace)
+	rt, err := compile(exec, nil, nil, s, opts, true)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"borealis/internal/operator"
 	rtpkg "borealis/internal/runtime"
@@ -290,8 +288,8 @@ func (ss *SourceSpec) members() []string {
 	return out
 }
 
-// replicasOf resolves a node's replica count against the defaults.
-func (s *Spec) replicasOf(n *NodeSpec) int {
+// ReplicasOf resolves a node's replica count against the defaults.
+func (s *Spec) ReplicasOf(n *NodeSpec) int {
 	if n.Replicas != nil {
 		return *n.Replicas
 	}
@@ -301,8 +299,8 @@ func (s *Spec) replicasOf(n *NodeSpec) int {
 	return 2
 }
 
-// delayOf resolves a node's availability bound D, in seconds.
-func (s *Spec) delayOf(n *NodeSpec) float64 {
+// DelayOf resolves a node's availability bound D, in seconds.
+func (s *Spec) DelayOf(n *NodeSpec) float64 {
 	if n.DelayS != nil {
 		return *n.DelayS
 	}
@@ -312,8 +310,8 @@ func (s *Spec) delayOf(n *NodeSpec) float64 {
 	return 2
 }
 
-// clientInput resolves the node the client consumes.
-func (s *Spec) clientInput() string {
+// ClientInput resolves the node the client consumes.
+func (s *Spec) ClientInput() string {
 	if s.Client.Input != "" {
 		return s.Client.Input
 	}
@@ -479,10 +477,10 @@ func (s *Spec) Validate() error {
 				return errf("node %q: unknown input %q", n.Name, in)
 			}
 		}
-		if s.replicasOf(n) < 1 || s.replicasOf(n) > 26 {
+		if s.ReplicasOf(n) < 1 || s.ReplicasOf(n) > 26 {
 			return errf("node %q: replicas must be in 1..26", n.Name)
 		}
-		if s.delayOf(n) < 0 {
+		if s.DelayOf(n) < 0 {
 			return errf("node %q: delay_s must not be negative", n.Name)
 		}
 		if n.Capacity != nil && *n.Capacity < 0 {
@@ -566,27 +564,12 @@ func (s *Spec) Validate() error {
 		}
 	}
 
-	ci := s.clientInput()
+	ci := s.ClientInput()
 	if nodes[ci] == nil {
 		return errf("client input %q is not a node", ci)
 	}
 
 	// Fault targets.
-	resolvesEndpoint := func(ep string) bool {
-		if ep == "client" {
-			return true
-		}
-		name, rep, hasRep := strings.Cut(ep, "/")
-		if hasRep {
-			n := nodes[name]
-			if n == nil {
-				return false
-			}
-			r, err := strconv.Atoi(rep)
-			return err == nil && r >= 0 && r < s.replicasOf(n)
-		}
-		return nodes[ep] != nil || sourceGroups[ep] != nil || streams[ep]
-	}
 	for i := range s.Faults {
 		f := &s.Faults[i]
 		if f.AtS < 0 || f.DurationS < 0 {
@@ -598,7 +581,7 @@ func (s *Spec) Validate() error {
 			if n == nil {
 				return errf("fault %d (%s): unknown node %q", i, f.Kind, f.Node)
 			}
-			if f.Replica < 0 || f.Replica >= s.replicasOf(n) {
+			if f.Replica < 0 || f.Replica >= s.ReplicasOf(n) {
 				return errf("fault %d (%s): node %q has no replica %d", i, f.Kind, f.Node, f.Replica)
 			}
 			if f.Kind == "flap" && f.PeriodS <= 0 {
@@ -612,10 +595,10 @@ func (s *Spec) Validate() error {
 				return errf("fault %d (%s): duration_s must be positive", i, f.Kind)
 			}
 		case "partition":
-			if !resolvesEndpoint(f.From) {
+			if s.endpointIDs(f.From) == nil {
 				return errf("fault %d (partition): unknown endpoint %q", i, f.From)
 			}
-			if !resolvesEndpoint(f.To) {
+			if s.endpointIDs(f.To) == nil {
 				return errf("fault %d (partition): unknown endpoint %q", i, f.To)
 			}
 			if f.DurationS <= 0 {
