@@ -1,8 +1,9 @@
 package operator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"borealis/internal/tuple"
 )
@@ -108,18 +109,57 @@ func (a *aggAcc) value(fn AggFunc) int64 {
 type Aggregate struct {
 	Base
 	cfg AggregateConfig
-	// windows maps window start → group → accumulator.
-	windows map[int64]map[int64]*aggAcc
+	// ring holds the open windows — those that received at least one
+	// tuple — ascending by start at ring positions head .. head+n-1
+	// (len(ring) is zero or a power of two). Windows open at the new end
+	// and close from the old end; the slots outside the live range keep
+	// their group slice and index for the next window to reuse.
+	ring    []aggWindow
+	head, n int
 	// watermark is the highest stime evidence seen; closedThrough is the
 	// highest window end already closed and emitted.
 	watermark     int64
 	closedThrough int64
 	sentBound     int64
 
-	// Reusable scratch for windowStarts and advance — allocation reuse
-	// only, never checkpointed.
-	startsScratch []int64
-	keysScratch   []int64
+	// out is the scratch frame one ProcessBatch call stages its emissions
+	// in and loans downstream; arena carves output payloads. Allocation
+	// reuse only, never checkpointed.
+	out   []tuple.Tuple
+	arena tuple.I64Arena
+}
+
+// aggWindow is one open window: its groups in first-seen order (sorted by
+// key once, when the window closes) and the key → position index over them.
+type aggWindow struct {
+	start  int64
+	groups []aggGroup
+	index  map[int64]int32
+}
+
+type aggGroup struct {
+	Key int64
+	aggAcc
+}
+
+// acc returns the accumulator of the given group, adding the group if new.
+func (w *aggWindow) acc(key int64) *aggAcc {
+	i, ok := w.index[key]
+	if !ok {
+		if w.index == nil {
+			w.index = make(map[int64]int32)
+		}
+		i = int32(len(w.groups))
+		w.index[key] = i
+		w.groups = append(w.groups, aggGroup{Key: key})
+	}
+	return &w.groups[i].aggAcc
+}
+
+// reset empties the window, keeping both buffers for the slot's next use.
+func (w *aggWindow) reset() {
+	w.groups = w.groups[:0]
+	clear(w.index)
 }
 
 // NewAggregate builds an aggregate operator.
@@ -133,7 +173,6 @@ func NewAggregate(name string, cfg AggregateConfig) *Aggregate {
 	return &Aggregate{
 		Base:          NewBase(name),
 		cfg:           cfg,
-		windows:       make(map[int64]map[int64]*aggAcc),
 		watermark:     -1,
 		closedThrough: -1,
 		sentBound:     -1,
@@ -145,142 +184,183 @@ func (a *Aggregate) Inputs() int { return 1 }
 
 // OpenWindows reports the number of currently open windows (for tests and
 // the convergent-capable buffer-sizing logic of §8.1).
-func (a *Aggregate) OpenWindows() int { return len(a.windows) }
+func (a *Aggregate) OpenWindows() int { return a.n }
 
-// windowStarts returns the starts of every window containing stime.
-func (a *Aggregate) windowStarts(stime int64) []int64 {
-	first := stime - a.cfg.Size + 1
-	// Align the first window start at or above `first` to the slide grid.
-	start := (first / a.cfg.Slide) * a.cfg.Slide
-	if start < first {
-		start += a.cfg.Slide
-	}
-	// Guard against negative stimes rounding the wrong way.
-	for start > stime {
-		start -= a.cfg.Slide
-	}
-	out := a.startsScratch[:0]
-	for s := start; s <= stime; s += a.cfg.Slide {
-		out = append(out, s)
-	}
-	a.startsScratch = out
-	return out
+// at returns the i-th open window, oldest first; at(n) is the spare slot
+// the next window opens in.
+func (a *Aggregate) at(i int) *aggWindow { return &a.ring[(a.head+i)&(len(a.ring)-1)] }
+
+// Process consumes one tuple: ProcessBatch on a one-tuple frame.
+func (a *Aggregate) Process(port int, t tuple.Tuple) {
+	one := [1]tuple.Tuple{t}
+	a.ProcessBatch(port, one[:])
 }
 
-// Process consumes one tuple.
-func (a *Aggregate) Process(_ int, t tuple.Tuple) {
-	switch {
-	case t.IsData():
-		group := int64(0)
-		if a.cfg.GroupField >= 0 {
-			group = t.Field(a.cfg.GroupField)
-		}
-		v := t.Field(a.cfg.ValueField)
-		for _, ws := range a.windowStarts(t.STime) {
-			if ws+a.cfg.Size-1 <= a.closedThrough {
-				continue // late for an already-closed window; dropped
+// ProcessBatch consumes a frame, staging every emission — closed windows,
+// forwarded boundaries, UNDO and REC_DONE, in stream order — in the scratch
+// frame and loaning it downstream once. It never declines, and it is
+// deliberately not CleanPreserving: a clean frame can close a window whose
+// accumulators took tentative tuples during an earlier failure, so the
+// staged dispatcher must rescan what the aggregate emits. The input frame
+// is only read.
+func (a *Aggregate) ProcessBatch(_ int, ts []tuple.Tuple) bool {
+	out := a.out[:0]
+	for i := range ts {
+		t := &ts[i]
+		switch {
+		case t.IsData():
+			a.add(t)
+			out = a.advance(out, t.STime, t.Type == tuple.Tentative)
+		case t.Type == tuple.Boundary:
+			out = a.advance(out, t.STime, false)
+			if t.STime > a.sentBound {
+				a.sentBound = t.STime
+				out = append(out, *t)
 			}
-			g := a.windows[ws]
-			if g == nil {
-				g = make(map[int64]*aggAcc)
-				a.windows[ws] = g
-			}
-			acc := g[group]
-			if acc == nil {
-				acc = &aggAcc{}
-				g[group] = acc
-			}
-			acc.add(v, t.Type == tuple.Tentative)
+		default:
+			out = append(out, *t) // UNDO / REC_DONE pass through
 		}
-		a.advance(t.STime, t.Type == tuple.Tentative)
-	case t.Type == tuple.Boundary:
-		a.advance(t.STime, false)
-		if t.STime > a.sentBound {
-			a.sentBound = t.STime
-			a.Emit(t)
+	}
+	a.out = out
+	if len(out) > 0 {
+		a.EmitLoan(out)
+	}
+	return true
+}
+
+// add accumulates a data tuple into every window containing its stime, the
+// newest first: the grid point at or below stime, then each earlier one
+// still above stime-Size. (With Slide > Size a tuple can fall between
+// windows; it then counts toward the window starting at that grid point.)
+// Windows already closed drop the tuple, and once one is, every older one
+// is too. The cursor pos walks the ring downward alongside, so a tuple
+// costs one step per window it belongs to.
+func (a *Aggregate) add(t *tuple.Tuple) {
+	group := int64(0)
+	if a.cfg.GroupField >= 0 {
+		group = t.Field(a.cfg.GroupField)
+	}
+	v := t.Field(a.cfg.ValueField)
+	size, slide := a.cfg.Size, a.cfg.Slide
+	ws := t.STime / slide * slide
+	if ws > t.STime {
+		ws -= slide // division truncates toward zero; the grid needs floor
+	}
+	first, pos := t.STime-size+1, a.n
+	for {
+		if ws+size-1 <= a.closedThrough {
+			return // late for an already-closed window; dropped
 		}
-	default:
-		a.Emit(t) // UNDO / REC_DONE pass through
+		for pos > 0 && a.at(pos-1).start > ws {
+			pos--
+		}
+		var w *aggWindow
+		if pos > 0 && a.at(pos-1).start == ws {
+			pos--
+			w = a.at(pos)
+		} else {
+			w = a.open(pos, ws)
+		}
+		w.acc(group).add(v, t.Type == tuple.Tentative)
+		if ws -= slide; ws < first {
+			return
+		}
 	}
 }
 
-// advance moves the watermark and closes every window whose end has passed.
-// A window "ends" at start+Size-1; it closes when the watermark reaches or
-// exceeds start+Size (evidence that no further tuple belongs to it).
-func (a *Aggregate) advance(stime int64, tentativeEvidence bool) {
+// open inserts an empty window starting at ws at position pos of the ring
+// (pos == n, the new end, on any stime-ordered stream), reusing the spare
+// slot's buffers.
+func (a *Aggregate) open(pos int, ws int64) *aggWindow {
+	if a.n == len(a.ring) {
+		ring := make([]aggWindow, max(4, 2*len(a.ring)))
+		for i := 0; i < a.n; i++ {
+			ring[i] = *a.at(i)
+		}
+		a.ring, a.head = ring, 0
+	}
+	spare := *a.at(a.n)
+	for i := a.n; i > pos; i-- {
+		*a.at(i) = *a.at(i - 1)
+	}
+	w := a.at(pos)
+	*w = spare
+	w.start = ws
+	a.n++
+	return w
+}
+
+// advance moves the watermark and closes every window whose end has passed,
+// appending the results to out in window-start, then group order. A window
+// "ends" at start+Size-1; it closes when the watermark reaches or exceeds
+// start+Size (evidence that no further tuple belongs to it).
+func (a *Aggregate) advance(out []tuple.Tuple, stime int64, tentativeEvidence bool) []tuple.Tuple {
 	if stime <= a.watermark {
-		return
+		return out
 	}
 	a.watermark = stime
-	// Collect closable windows in deterministic (start) order. advance is
-	// not reentered through Emit (diagrams are acyclic), so the scratch
-	// slices cannot be aliased mid-loop.
-	starts := a.keysScratch[:0]
-	for ws := range a.windows {
-		if ws+a.cfg.Size <= a.watermark {
-			starts = append(starts, ws)
+	for a.n > 0 {
+		w := a.at(0)
+		if w.start+a.cfg.Size > a.watermark {
+			break
 		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, ws := range starts {
-		groups := a.windows[ws]
-		keys := make([]int64, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		end := ws + a.cfg.Size - 1
-		for _, k := range keys {
-			acc := groups[k]
-			out := tuple.Tuple{
-				Type:  tuple.Insertion,
-				STime: end,
-				Data:  []int64{k, acc.value(a.cfg.Fn)},
+		slices.SortFunc(w.groups, func(x, y aggGroup) int { return cmp.Compare(x.Key, y.Key) })
+		end := w.start + a.cfg.Size - 1
+		for i := range w.groups {
+			g := &w.groups[i]
+			o := tuple.Tuple{Type: tuple.Insertion, STime: end}
+			if g.Tentative || tentativeEvidence {
+				o.Type = tuple.Tentative
 			}
-			if acc.Tentative || tentativeEvidence {
-				out.Type = tuple.Tentative
-			}
-			a.Emit(out)
+			o.Data = a.arena.Alloc(2)
+			o.Data[0], o.Data[1] = g.Key, g.value(a.cfg.Fn)
+			out = append(out, o)
 		}
 		if end > a.closedThrough {
 			a.closedThrough = end
 		}
-		delete(a.windows, ws)
+		w.reset()
+		a.head = (a.head + 1) & (len(a.ring) - 1)
+		a.n--
 	}
-	a.keysScratch = starts[:0]
+	return out
 }
 
 type aggState struct {
-	Windows       map[int64]map[int64]aggAcc
+	Windows       []aggWindowState // ascending by start
 	Watermark     int64
 	ClosedThrough int64
 	SentBound     int64
 }
 
+type aggWindowState struct {
+	Start  int64
+	Groups []aggGroup
+}
+
 // Checkpoint deep-copies the open windows and watermarks.
 func (a *Aggregate) Checkpoint() any {
-	ws := make(map[int64]map[int64]aggAcc, len(a.windows))
-	for s, groups := range a.windows {
-		g := make(map[int64]aggAcc, len(groups))
-		for k, acc := range groups {
-			g[k] = *acc
-		}
-		ws[s] = g
+	ws := make([]aggWindowState, a.n)
+	for i := range ws {
+		w := a.at(i)
+		ws[i] = aggWindowState{Start: w.start, Groups: slices.Clone(w.groups)}
 	}
 	return aggState{Windows: ws, Watermark: a.watermark, ClosedThrough: a.closedThrough, SentBound: a.sentBound}
 }
 
-// Restore reinstates a snapshot.
+// Restore reinstates a snapshot; the group indexes are derived state,
+// rebuilt here.
 func (a *Aggregate) Restore(s any) {
 	st := s.(aggState)
-	a.windows = make(map[int64]map[int64]*aggAcc, len(st.Windows))
-	for ws, groups := range st.Windows {
-		g := make(map[int64]*aggAcc, len(groups))
-		for k, acc := range groups {
-			cp := acc
-			g[k] = &cp
+	for i := 0; i < a.n; i++ {
+		a.at(i).reset()
+	}
+	a.n = 0
+	for _, sw := range st.Windows {
+		w := a.open(a.n, sw.Start)
+		for _, g := range sw.Groups {
+			*w.acc(g.Key) = g.aggAcc
 		}
-		a.windows[ws] = g
 	}
 	a.watermark = st.Watermark
 	a.closedThrough = st.ClosedThrough

@@ -1,6 +1,10 @@
 package operator
 
-import "borealis/internal/tuple"
+import (
+	"math/bits"
+
+	"borealis/internal/tuple"
+)
 
 // JoinConfig parameterizes an SJoin.
 type JoinConfig struct {
@@ -24,17 +28,18 @@ type JoinConfig struct {
 type SJoin struct {
 	Base
 	cfg JoinConfig
-	// left and right hold buffered tuples in arrival (stime) order,
-	// pruned as the watermark advances past usefulness.
-	left, right []tuple.Tuple
+	// left and right buffer each side's tuples in arrival order, pruned
+	// from the old end as the watermark advances past usefulness.
+	left, right joinWindow
 	watermark   int64
 	sentBound   int64
 
-	// matchScratch is the reusable candidate buffer of match(); arena
-	// carves output payloads. Both are pure allocation reuse — neither is
-	// operator state, so neither is checkpointed.
-	matchScratch []tuple.Tuple
-	arena        tuple.I64Arena
+	// out is the scratch frame one ProcessBatch call stages its emissions
+	// in and loans downstream; arena carves output payloads. Both are pure
+	// allocation reuse — neither is operator state, so neither is
+	// checkpointed.
+	out   []tuple.Tuple
+	arena tuple.I64Arena
 }
 
 // NewSJoin builds an SJoin.
@@ -53,76 +58,91 @@ func (j *SJoin) Inputs() int { return 1 }
 
 // StateSize reports the number of buffered tuples (the paper sizes this
 // join's state at 100 tuples in the Table III / Fig. 13 experiments).
-func (j *SJoin) StateSize() int { return len(j.left) + len(j.right) }
+func (j *SJoin) StateSize() int { return j.left.n + j.right.n }
 
-// Process consumes one tuple from the serialized stream.
-func (j *SJoin) Process(_ int, t tuple.Tuple) {
-	switch {
-	case t.IsData():
-		if j.cfg.IsLeft(t.Src) {
-			j.match(t, j.right, j.cfg.LeftKey, j.cfg.RightKey, true)
-			j.left = append(j.left, t)
-		} else {
-			j.match(t, j.left, j.cfg.RightKey, j.cfg.LeftKey, false)
-			j.right = append(j.right, t)
-		}
-		if t.STime > j.watermark {
-			j.watermark = t.STime
-			j.prune()
-		}
-	case t.Type == tuple.Boundary:
-		if t.STime > j.watermark {
-			j.watermark = t.STime
-			j.prune()
-		}
-		if t.STime > j.sentBound {
-			j.sentBound = t.STime
-			j.Emit(t)
-		}
-	default:
-		j.Emit(t) // UNDO / REC_DONE pass through
-	}
+// Process consumes one tuple from the serialized stream: ProcessBatch on a
+// one-tuple frame.
+func (j *SJoin) Process(port int, t tuple.Tuple) {
+	one := [1]tuple.Tuple{t}
+	j.ProcessBatch(port, one[:])
 }
 
-// match scans the opposite buffer (newest first, stopping once outside the
-// window) and emits joined tuples. Output payload is left.Data ++ right.Data
-// and output stime is the later of the pair.
-func (j *SJoin) match(t tuple.Tuple, opposite []tuple.Tuple, myKey, otherKey int, tIsLeft bool) {
-	key := t.Field(myKey)
-	// Walk backwards: buffers are stime-ordered, so we can stop at the
-	// first tuple older than the window allows.
-	matches := j.matchScratch[:0]
-	for i := len(opposite) - 1; i >= 0; i-- {
-		o := opposite[i]
-		if o.STime < t.STime-j.cfg.Window {
-			break
-		}
-		if o.STime > t.STime+j.cfg.Window {
-			continue
-		}
-		if o.Field(otherKey) == key {
-			matches = append(matches, o)
+// ProcessBatch consumes a frame of the serialized stream, staging every
+// emission — joined tuples, forwarded boundaries, UNDO and REC_DONE, in
+// stream order — in the scratch frame and loaning it downstream once. It
+// never declines, and it is deliberately not CleanPreserving: a clean frame
+// can still produce a TENTATIVE output when the opposite window holds
+// tentative tuples buffered during an earlier failure, so the staged
+// dispatcher must rescan what the join emits. The input frame is only read.
+func (j *SJoin) ProcessBatch(_ int, ts []tuple.Tuple) bool {
+	out := j.out[:0]
+	for i := range ts {
+		t := &ts[i]
+		switch {
+		case t.IsData():
+			if j.cfg.IsLeft(t.Src) {
+				key := t.Field(j.cfg.LeftKey)
+				out = j.match(out, t, key, &j.right, true)
+				j.left.push(*t, key)
+			} else {
+				key := t.Field(j.cfg.RightKey)
+				out = j.match(out, t, key, &j.left, false)
+				j.right.push(*t, key)
+			}
+			if t.STime > j.watermark {
+				j.watermark = t.STime
+				j.prune()
+			}
+		case t.Type == tuple.Boundary:
+			if t.STime > j.watermark {
+				j.watermark = t.STime
+				j.prune()
+			}
+			if t.STime > j.sentBound {
+				j.sentBound = t.STime
+				out = append(out, *t)
+			}
+		default:
+			out = append(out, *t) // UNDO / REC_DONE pass through
 		}
 	}
-	// Emit in buffer (stime) order for determinism.
-	for i := len(matches) - 1; i >= 0; i-- {
-		o := matches[i]
-		l, r := t, o
-		if !tIsLeft {
-			l, r = o, t
+	j.out = out
+	if len(out) > 0 {
+		j.EmitLoan(out)
+	}
+	return true
+}
+
+// match appends to out the join of t with every tuple of the opposite
+// window that carries the same key and lies within Window of t.STime,
+// oldest first. Output payload is left.Data ++ right.Data and output stime
+// is the later of the pair.
+func (j *SJoin) match(out []tuple.Tuple, t *tuple.Tuple, key int64, opposite *joinWindow, tIsLeft bool) []tuple.Tuple {
+	if opposite.n == 0 {
+		return out
+	}
+	lo, hi := t.STime-j.cfg.Window, t.STime+j.cfg.Window
+	for seq := opposite.chains[opposite.bucket(key)].first; seq != 0; {
+		e := &opposite.slots[seq&opposite.mask]
+		seq = e.next
+		if e.key != key || e.t.STime < lo || e.t.STime > hi {
+			continue
 		}
-		out := tuple.Tuple{Type: tuple.Insertion, STime: maxI64(l.STime, r.STime)}
+		l, r := t, &e.t
+		if !tIsLeft {
+			l, r = r, l
+		}
+		o := tuple.Tuple{Type: tuple.Insertion, STime: max(l.STime, r.STime)}
 		if l.Type == tuple.Tentative || r.Type == tuple.Tentative {
-			out.Type = tuple.Tentative
+			o.Type = tuple.Tentative
 		}
 		data := j.arena.Alloc(len(l.Data) + len(r.Data))
 		n := copy(data, l.Data)
 		copy(data[n:], r.Data)
-		out.Data = data
-		j.Emit(out)
+		o.Data = data
+		out = append(out, o)
 	}
-	clear(matches)
-	j.matchScratch = matches[:0]
+	return out
 }
 
 // prune drops buffered tuples too old to match anything at or beyond the
@@ -130,26 +150,117 @@ func (j *SJoin) match(t tuple.Tuple, opposite []tuple.Tuple, myKey, otherKey int
 // watermark-Window are dead.
 func (j *SJoin) prune() {
 	cut := j.watermark - j.cfg.Window
-	j.left = pruneBefore(j.left, cut)
-	j.right = pruneBefore(j.right, cut)
+	j.left.popBefore(cut)
+	j.right.popBefore(cut)
 }
 
-func pruneBefore(ts []tuple.Tuple, cut int64) []tuple.Tuple {
-	i := 0
-	for i < len(ts) && ts[i].STime < cut {
-		i++
-	}
-	if i == 0 {
-		return ts
-	}
-	return append(ts[:0:0], ts[i:]...)
+// joinWindow is one side's buffered tuples: a growable ring in arrival order
+// with a hash index threaded through it. Entries are addressed by arrival
+// sequence number (seq & mask is the slot), so links survive growth; seq 0
+// is never issued and stands for "none". Every entry hangs on the chain of
+// its key's hash bucket, oldest first, so a probe walks only the entries
+// that share the arriving key (plus hash collisions, told apart by the
+// stored key) and the ring head — the oldest entry overall — is always the
+// first entry of its chain, which makes eviction a prefix pop on both.
+type joinWindow struct {
+	slots  []joinSlot  // len is zero or a power of two
+	chains []joinChain // hash buckets; len(chains) == len(slots)
+	mask   uint64
+	shift  uint   // 64 - log2(len(chains))
+	head   uint64 // seq of the oldest live entry
+	n      int    // live entries: seqs head .. head+n-1
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+type joinSlot struct {
+	t    tuple.Tuple
+	key  int64
+	next uint64 // seq of the next-newer entry on the same chain, 0 at the tail
+}
+
+type joinChain struct{ first, last uint64 }
+
+// bucket is the Fibonacci hash of key into chains.
+func (w *joinWindow) bucket(key int64) uint64 {
+	return (uint64(key) * 0x9E3779B97F4A7C15) >> w.shift
+}
+
+// push appends t as the newest entry.
+func (w *joinWindow) push(t tuple.Tuple, key int64) {
+	if w.n == len(w.slots) {
+		w.grow()
 	}
-	return b
+	seq := w.head + uint64(w.n)
+	w.slots[seq&w.mask] = joinSlot{t: t, key: key}
+	w.link(seq, key)
+	w.n++
+}
+
+// link hangs the entry at seq on the tail of its key's chain.
+func (w *joinWindow) link(seq uint64, key int64) {
+	c := &w.chains[w.bucket(key)]
+	if c.first == 0 {
+		c.first = seq
+	} else {
+		w.slots[c.last&w.mask].next = seq
+	}
+	c.last = seq
+}
+
+// popBefore evicts the prefix of entries with stime below cut — a prefix
+// pop in arrival order, never a filter — zeroing each slot so its payload
+// is not retained.
+func (w *joinWindow) popBefore(cut int64) {
+	for w.n > 0 {
+		e := &w.slots[w.head&w.mask]
+		if e.t.STime >= cut {
+			return
+		}
+		c := &w.chains[w.bucket(e.key)]
+		if c.first = e.next; c.first == 0 {
+			c.last = 0
+		}
+		*e = joinSlot{}
+		w.head++
+		w.n--
+	}
+}
+
+// grow doubles the ring (16 slots on first use) and re-threads the chains
+// over the wider bucket array.
+func (w *joinWindow) grow() {
+	old, oldMask := w.slots, w.mask
+	size := max(16, 2*len(old))
+	w.slots, w.chains = make([]joinSlot, size), make([]joinChain, size)
+	w.mask, w.shift = uint64(size-1), uint(64-bits.TrailingZeros(uint(size)))
+	if w.head == 0 {
+		w.head = 1
+	}
+	for seq := w.head; seq < w.head+uint64(w.n); seq++ {
+		e := old[seq&oldMask]
+		e.next = 0
+		w.slots[seq&w.mask] = e
+		w.link(seq, e.key)
+	}
+}
+
+// tuples deep-copies the buffered tuples in arrival order.
+func (w *joinWindow) tuples() []tuple.Tuple {
+	out := make([]tuple.Tuple, w.n)
+	for i := range out {
+		out[i] = w.slots[(w.head+uint64(i))&w.mask].t.Clone()
+	}
+	return out
+}
+
+// load replaces the window's content with deep copies of ts, re-deriving
+// each entry's key from the given payload field.
+func (w *joinWindow) load(ts []tuple.Tuple, keyField int) {
+	clear(w.slots)
+	clear(w.chains)
+	w.n = 0
+	for i := range ts {
+		w.push(ts[i].Clone(), ts[i].Field(keyField))
+	}
 }
 
 type joinState struct {
@@ -158,11 +269,12 @@ type joinState struct {
 	SentBound   int64
 }
 
-// Checkpoint deep-copies the join buffers.
+// Checkpoint deep-copies the join buffers. The key index is derived state:
+// Restore rebuilds it from the tuples.
 func (j *SJoin) Checkpoint() any {
 	return joinState{
-		Left:      cloneTuples(j.left),
-		Right:     cloneTuples(j.right),
+		Left:      j.left.tuples(),
+		Right:     j.right.tuples(),
 		Watermark: j.watermark,
 		SentBound: j.sentBound,
 	}
@@ -171,8 +283,8 @@ func (j *SJoin) Checkpoint() any {
 // Restore reinstates a snapshot.
 func (j *SJoin) Restore(s any) {
 	st := s.(joinState)
-	j.left = cloneTuples(st.Left)
-	j.right = cloneTuples(st.Right)
+	j.left.load(st.Left, j.cfg.LeftKey)
+	j.right.load(st.Right, j.cfg.RightKey)
 	j.watermark = st.Watermark
 	j.sentBound = st.SentBound
 }

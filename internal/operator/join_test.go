@@ -60,6 +60,20 @@ func TestJoinRespectsWindowAndKey(t *testing.T) {
 	}
 }
 
+func TestJoinWindowBoundsBothDirections(t *testing.T) {
+	// Off the SUnion contract a buffered tuple can be newer than the
+	// arrival; |Δstime| ≤ Window still decides, in both directions.
+	j := newJoin(10)
+	c := attach(j, nil)
+	j.Process(0, leftT(50, 1))
+	j.Process(0, rightT(45, 1)) // the watermark stays at 50: nothing pruned
+	j.Process(0, rightT(40, 1)) // |40-50| = 10: match
+	j.Process(0, rightT(39, 1)) // |39-50| = 11: no match
+	if got := c.data(); len(got) != 2 || got[0].STime != 50 || got[1].STime != 50 {
+		t.Fatalf("want exactly the two in-window matches stamped 50: %v", got)
+	}
+}
+
 func TestJoinMultipleMatchesDeterministicOrder(t *testing.T) {
 	j := newJoin(100)
 	c := attach(j, nil)

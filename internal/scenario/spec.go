@@ -525,6 +525,18 @@ func (s *Spec) Validate() error {
 				if op.LeftInputs < 0 {
 					return errf("node %q operator %d: left_inputs must not be negative", n.Name, oi)
 				}
+				// A join emits only when both sides receive tuples: sides
+				// are SUnion input ports, split at left_inputs.
+				ports := len(s.ExpandInputs(n))
+				if ports < 2 {
+					return errf("node %q operator %d: join needs at least 2 inputs (one per side), node has %d", n.Name, oi, ports)
+				}
+				if op.LeftInputs >= ports {
+					return errf("node %q operator %d: left_inputs %d leaves no right side among %d inputs", n.Name, oi, op.LeftInputs, ports)
+				}
+				if op.LeftKey < 0 || op.RightKey < 0 {
+					return errf("node %q operator %d: left_key and right_key must not be negative", n.Name, oi)
+				}
 			default:
 				return errf("node %q operator %d: unknown kind %q (want filter|map|aggregate|join)", n.Name, oi, op.Kind)
 			}

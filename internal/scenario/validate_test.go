@@ -119,6 +119,25 @@ func TestValidateErrors(t *testing.T) {
 		{"join negative left inputs", func(s *Spec) {
 			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100, LeftInputs: -1}}
 		}, "left_inputs"},
+		{"join on a single input", func(s *Spec) {
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100}}
+		}, "operator 0: join needs at least 2 inputs"},
+		{"join on a one-member group", func(s *Spec) {
+			s.Sources[0].Count = 1
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100}}
+		}, "join needs at least 2 inputs"},
+		{"join with every input on the left", func(s *Spec) {
+			s.Sources[0].Count = 3
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "map"}, {Kind: "join", WindowMS: 100, LeftInputs: 3}}
+		}, `node "n1" operator 1: left_inputs 3 leaves no right side among 3 inputs`},
+		{"join negative left key", func(s *Spec) {
+			s.Sources[0].Count = 2
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100, LeftKey: -1}}
+		}, "left_key and right_key must not be negative"},
+		{"join negative right key", func(s *Spec) {
+			s.Sources[0].Count = 2
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100, RightKey: -2}}
+		}, "left_key and right_key must not be negative"},
 		{"unknown operator", func(s *Spec) {
 			s.Nodes[0].Operators = []OperatorSpec{{Kind: "sort"}}
 		}, "unknown kind"},
@@ -214,6 +233,13 @@ func TestValidateAcceptsEdgeValues(t *testing.T) {
 	d := 0.0
 	s.Nodes[0].DelayS = &d // zero delay is legal (no suspension slack)
 	s.Nodes[0].Operators = []OperatorSpec{{Kind: "aggregate", WindowMS: 0.001}}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A join over a source group: the group's members are the ports, and
+	// left_inputs may leave a single one on the right.
+	s.Sources[0].Count = 3
+	s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 0.001, LeftInputs: 2}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
