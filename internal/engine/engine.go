@@ -229,9 +229,7 @@ func (e *Engine) wire() {
 			to := cons[0]
 			emit = func(t tuple.Tuple) {
 				if e.collectOp == op {
-					if e.collectBuf == nil {
-						e.collectBuf = e.frames.Get()
-					}
+					e.collectRoom(1)
 					e.collectBuf = append(e.collectBuf, t)
 					return
 				}
@@ -243,9 +241,7 @@ func (e *Engine) wire() {
 		} else {
 			emit = func(t tuple.Tuple) {
 				if e.collectOp == op {
-					if e.collectBuf == nil {
-						e.collectBuf = e.frames.Get()
-					}
+					e.collectRoom(1)
 					e.collectBuf = append(e.collectBuf, t)
 					return
 				}
@@ -268,9 +264,7 @@ func (e *Engine) wire() {
 				if len(ts) == 0 {
 					return
 				}
-				if e.collectBuf == nil {
-					e.collectBuf = e.frames.Get()
-				}
+				e.collectRoom(len(ts))
 				e.collectBuf = append(e.collectBuf, ts...)
 				return
 			}
@@ -292,6 +286,7 @@ func (e *Engine) wire() {
 					e.collectLoan = true
 					return true
 				}
+				e.collectRoom(len(ts))
 				e.collectBuf = append(e.collectBuf, ts...)
 				return false
 			}
@@ -474,18 +469,38 @@ func (e *Engine) svcDone(any) {
 	e.kick()
 }
 
+// stagedPass bounds the input tuples one staged pass runs through a chain.
+// A long replay (a whole failure's arrival log is one batch) then moves
+// through the diagram in passes, so stage frames stay near this size instead
+// of growing to the replay's.
+const stagedPass = 2048
+
 // dispatch pushes a serviced batch through the diagram: along the staged
-// batch plane when the safety gates hold, per-tuple otherwise.
+// batch plane while the safety gates hold, per-tuple otherwise.
+//
+// The staged plane runs a batch in passes of at most stagedPass tuples.
+// dispatchStaged's equivalence argument holds for any clean batch, so it
+// holds for each piece of one, and the per-tuple loop over the whole batch
+// is the per-tuple loops over its pieces in turn. Gate B was proven for the
+// whole batch at entry and holds for every piece; only Gate A — a policy
+// the previous pass may have changed through a signal — is re-checked
+// between passes, and once it fails the rest of the batch runs per-tuple.
+// The service timer charged the whole batch at once in kick, so the
+// capacity model does not see the passes.
 func (e *Engine) dispatch(batch work) {
 	in, ok := e.inBind[batch.stream]
 	if !ok {
 		return
 	}
 	ts := batch.tuples
-	if !e.cfg.PerTuple {
-		if ch := e.chains[batch.stream]; ch != nil && e.stageable(ts) {
-			e.dispatchStaged(ch, ts)
-			return
+	if ch := e.chains[batch.stream]; ch != nil && !e.cfg.PerTuple && e.policiesStageable() && cleanBatch(ts) {
+		for {
+			n := min(len(ts), stagedPass)
+			e.dispatchStaged(ch, ts[:n])
+			ts = ts[n:]
+			if len(ts) == 0 || !e.policiesStageable() {
+				break
+			}
 		}
 	}
 	for i := range ts {
@@ -494,19 +509,20 @@ func (e *Engine) dispatch(batch work) {
 	}
 }
 
-// stageable is the staged plane's entry gate. Gate A: every SUnion must be
-// under PolicyNone or PolicySuspend — the tentative-emitting policies arm
-// flush timers whose heap order depends on per-tuple interleaving, which
-// operator-at-a-time execution would reorder. Gate B (entry half): the
-// batch must hold only stable traffic; anything else takes the reference
-// path, whose ordering around undo/reconciliation is the spec.
-func (e *Engine) stageable(ts []tuple.Tuple) bool {
+// policiesStageable is Gate A, checked at the staged plane's entry and
+// between passes: every SUnion must be under PolicyNone or PolicySuspend —
+// the tentative-emitting policies arm flush timers whose heap order depends
+// on per-tuple interleaving, which operator-at-a-time execution would
+// reorder. The entry gate's other half is Gate B (cleanBatch): the batch
+// must hold only stable traffic; anything else takes the reference path,
+// whose ordering around undo/reconciliation is the spec.
+func (e *Engine) policiesStageable() bool {
 	for _, su := range e.sunions {
 		if p := su.Policy(); p != operator.PolicyNone && p != operator.PolicySuspend {
 			return false
 		}
 	}
-	return cleanBatch(ts)
+	return true
 }
 
 // cleanBatch reports whether ts carries only stable traffic: insertions and
@@ -614,6 +630,21 @@ func (e *Engine) collectStage(st stage, ts []tuple.Tuple) ([]tuple.Tuple, bool, 
 	e.collectBuf = nil
 	e.collectLoan = false
 	return out, pooled, fast
+}
+
+// collectRoom readies the running stage's frame for n more tuples: a pool
+// frame on the first emission. A loaned operator array is appended to only
+// within its capacity; before an append would outgrow it the loan moves into
+// a pool frame, since growing the loan would leave the bigger array to the
+// garbage collector rather than to the pool.
+func (e *Engine) collectRoom(n int) {
+	switch {
+	case e.collectBuf == nil:
+		e.collectBuf = e.frames.Get()
+	case e.collectLoan && len(e.collectBuf)+n > cap(e.collectBuf):
+		e.collectBuf = append(e.frames.Get(), e.collectBuf...)
+		e.collectLoan = false
+	}
 }
 
 // publishStaged delivers a terminal output operator's collected emissions.

@@ -25,6 +25,14 @@ const (
 	BufferSlide
 )
 
+// obSegSize is the length, in tuples, of one segment of an OutputBuffer's
+// log (24 KiB at 48 bytes a tuple). A power of two, so a log position splits
+// into segment and slot with a shift and a mask.
+const obSegSize = 512
+
+// obSegment is one fixed-size block of an OutputBuffer's log.
+type obSegment [obSegSize]tuple.Tuple
+
 // OutputBuffer is the Data Path's per-output-stream buffer. It retains, in
 // emission order, every data tuple (stable and tentative) and interleaved
 // boundary, so that any replica of any downstream neighbor can subscribe at
@@ -39,12 +47,19 @@ type OutputBuffer struct {
 	mode   BufferMode
 	cap    int
 
-	// buf[head:] is the live buffer contents. Truncation (acks, slide
-	// mode) advances head in O(1); dead prefix space is reclaimed in
-	// place the next time the buffer needs room, so a full slide buffer
-	// never recopies itself per published tuple.
-	buf  []tuple.Tuple
+	// The contents are a segmented log: live tuple i sits at log position
+	// head+i, counted from the first slot of segs[0]. Every segment but the
+	// last is full and head < obSegSize, so appending fills the tail segment
+	// and never recopies anything, however long an unacknowledged buffer
+	// grows. Every slot outside the live range is zero: truncation (acks,
+	// slide mode, undo) clears the slots it drops and moves each segment it
+	// empties onto free, where the next append takes it back — an
+	// acknowledged buffer in steady state allocates nothing and holds no
+	// more than its own high-water mark.
+	segs []*obSegment
 	head int
+	n    int
+	free []*obSegment
 	subs map[string]*obSub
 
 	// acks maps downstream endpoints to the highest stable tuple id they
@@ -55,11 +70,9 @@ type OutputBuffer struct {
 
 	// pending batches emissions of the same instant into one DataMsg.
 	// flush hands the filled slice to the network layer, where it is
-	// shared by every subscriber's in-flight message, so each flush needs
-	// a fresh array; pendHint remembers the high-water flush size so that
-	// array is allocated once at full size instead of grown per append.
+	// shared by every subscriber's in-flight message, so each flush starts
+	// a fresh array, sized by what the instant actually publishes.
 	pending    []tuple.Tuple
-	pendHint   int
 	flushTimer runtime.Timer
 	flushFn    func() // bound once; scheduling a flush allocates no closure
 	clk        runtime.Clock
@@ -79,6 +92,7 @@ type obSub struct {
 }
 
 // NewOutputBuffer builds a buffer for one output stream of endpoint self.
+// The log's first segment is made on the first append.
 func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, mode BufferMode, capTuples int, expected []string) *OutputBuffer {
 	ob := &OutputBuffer{
 		net:      net,
@@ -96,66 +110,118 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 }
 
 // Len returns the number of buffered tuples.
-func (ob *OutputBuffer) Len() int { return len(ob.buf) - ob.head }
+func (ob *OutputBuffer) Len() int { return ob.n }
 
-// live returns the current buffer contents.
-func (ob *OutputBuffer) live() []tuple.Tuple { return ob.buf[ob.head:] }
-
-// drop discards the n oldest live tuples, clearing their slots so the
-// buffer does not pin emitted payloads.
-func (ob *OutputBuffer) drop(n int) {
-	clear(ob.buf[ob.head : ob.head+n])
-	ob.head += n
-	ob.Truncated += uint64(n)
+// at returns live tuple i.
+func (ob *OutputBuffer) at(i int) *tuple.Tuple {
+	p := ob.head + i
+	return &ob.segs[p/obSegSize][p%obSegSize]
 }
 
-// appendBuf adds one tuple, reclaiming dead head space in place when the
-// backing array fills, and doubling it only when more than half is live.
-func (ob *OutputBuffer) appendBuf(t tuple.Tuple) {
-	if len(ob.buf) == cap(ob.buf) {
-		live := len(ob.buf) - ob.head
-		if ob.head > 0 && live <= cap(ob.buf)/2 {
-			copy(ob.buf, ob.buf[ob.head:])
-			clear(ob.buf[live:])
-			ob.buf = ob.buf[:live]
+// tail returns the slots free in the tail segment, taking a new segment
+// when the tail is full (or there is none yet).
+func (ob *OutputBuffer) tail() []tuple.Tuple {
+	p := ob.head + ob.n
+	if p == len(ob.segs)*obSegSize {
+		var s *obSegment
+		if k := len(ob.free); k > 0 {
+			s = ob.free[k-1]
+			ob.free[k-1] = nil
+			ob.free = ob.free[:k-1]
 		} else {
-			nc := 2 * live
-			if nc < 64 {
-				nc = 64
-			}
-			nb := make([]tuple.Tuple, live, nc)
-			copy(nb, ob.buf[ob.head:])
-			ob.buf = nb
+			s = new(obSegment)
 		}
-		ob.head = 0
+		ob.segs = append(ob.segs, s)
 	}
-	ob.buf = append(ob.buf, t)
+	return ob.segs[p/obSegSize][p%obSegSize:]
 }
 
-// reserve makes room for n more tuples with appendBuf's policy applied
-// once for the whole batch: dead head space is reclaimed in place when no
-// more than half the array stays live, otherwise the array grows to twice
-// the post-append live size.
-func (ob *OutputBuffer) reserve(n int) {
-	if len(ob.buf)+n <= cap(ob.buf) {
+// push appends one tuple to the log.
+func (ob *OutputBuffer) push(t tuple.Tuple) {
+	ob.tail()[0] = t
+	ob.n++
+}
+
+// pushAll appends a batch to the log, one copy per segment it reaches.
+func (ob *OutputBuffer) pushAll(ts []tuple.Tuple) {
+	for len(ts) > 0 {
+		k := copy(ob.tail(), ts)
+		ob.n += k
+		ts = ts[k:]
+	}
+}
+
+// copyOut copies live tuples i, i+1, … into dst until dst is full.
+func (ob *OutputBuffer) copyOut(dst []tuple.Tuple, i int) {
+	for p := ob.head + i; len(dst) > 0; {
+		k := copy(dst, ob.segs[p/obSegSize][p%obSegSize:])
+		dst = dst[k:]
+		p += k
+	}
+}
+
+// clearLive zeroes live slots [i, j), so dropped tuples do not pin their
+// payloads.
+func (ob *OutputBuffer) clearLive(i, j int) {
+	for p, end := ob.head+i, ob.head+j; p < end; {
+		lo := p % obSegSize
+		hi := min(obSegSize, lo+end-p)
+		clear(ob.segs[p/obSegSize][lo:hi])
+		p += hi - lo
+	}
+}
+
+// recycle moves segs[from:to] — segments with no live slot, already
+// cleared — onto the free list and closes the gap in segs.
+func (ob *OutputBuffer) recycle(from, to int) {
+	ob.free = append(ob.free, ob.segs[from:to]...)
+	m := from + copy(ob.segs[from:], ob.segs[to:])
+	clear(ob.segs[m:])
+	ob.segs = ob.segs[:m]
+}
+
+// drop discards the k oldest live tuples.
+func (ob *OutputBuffer) drop(k int) {
+	ob.clearLive(0, k)
+	ob.head += k
+	ob.n -= k
+	ob.Truncated += uint64(k)
+	if full := ob.head / obSegSize; full > 0 {
+		ob.recycle(0, full)
+		ob.head -= full * obSegSize
+	}
+}
+
+// truncate keeps the k oldest live tuples and deletes the rest.
+func (ob *OutputBuffer) truncate(k int) {
+	ob.clearLive(k, ob.n)
+	ob.n = k
+	ob.recycle((ob.head+k+obSegSize-1)/obSegSize, len(ob.segs))
+}
+
+// undo compacts the log for an UNDO with the given last-good id, with
+// tuple.ApplyUndo's semantics: keep everything up to the last stable
+// Insertion carrying the id; without one, keep nothing for id 0 and strip
+// the tentative tuples otherwise.
+func (ob *OutputBuffer) undo(lastGoodID uint64) {
+	for i := ob.n - 1; i >= 0; i-- {
+		if t := ob.at(i); t.ID == lastGoodID && t.Type == tuple.Insertion {
+			ob.truncate(i + 1)
+			return
+		}
+	}
+	if lastGoodID == 0 {
+		ob.truncate(0)
 		return
 	}
-	live := len(ob.buf) - ob.head
-	if ob.head > 0 && live <= cap(ob.buf)/2 && live+n <= cap(ob.buf) {
-		copy(ob.buf, ob.buf[ob.head:])
-		clear(ob.buf[live:])
-		ob.buf = ob.buf[:live]
-		ob.head = 0
-		return
+	kept := 0
+	for i := 0; i < ob.n; i++ {
+		if t := ob.at(i); t.Type != tuple.Tentative {
+			*ob.at(kept) = *t
+			kept++
+		}
 	}
-	nc := 2 * (live + n)
-	if nc < 64 {
-		nc = 64
-	}
-	nb := make([]tuple.Tuple, live, nc)
-	copy(nb, ob.buf[ob.head:])
-	ob.buf = nb
-	ob.head = 0
+	ob.truncate(kept)
 }
 
 // Reset clears the buffer, subscriptions, and acknowledgments: crash
@@ -163,8 +229,10 @@ func (ob *OutputBuffer) reserve(n int) {
 // pre-crash subscribers must re-subscribe (their sequence tracking detects
 // the reset).
 func (ob *OutputBuffer) Reset() {
-	ob.buf = nil
+	ob.segs = nil
 	ob.head = 0
+	ob.n = 0
+	ob.free = nil
 	ob.subs = make(map[string]*obSub)
 	ob.subsSorted = nil
 	ob.acks = make(map[string]uint64)
@@ -197,24 +265,21 @@ func (ob *OutputBuffer) Subscribers() []string {
 func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 	switch {
 	case t.IsData(), t.Type == tuple.Boundary:
-		if ob.cap > 0 && ob.Len() >= ob.cap {
+		if ob.cap > 0 && ob.n >= ob.cap {
 			switch ob.mode {
 			case BufferBlock:
 				ob.Blocked = true
 				return false
 			case BufferSlide:
-				ob.drop(ob.Len() - ob.cap + 1)
+				ob.drop(ob.n - ob.cap + 1)
 			}
 		}
-		ob.appendBuf(t)
+		ob.push(t)
 	case t.Type == tuple.Undo:
 		// Compact: delete the revoked tentative suffix. Replays from
 		// now on reflect the corrected stream; live subscribers get
 		// the undo itself.
-		live := ob.live()
-		kept := tuple.ApplyUndo(live, t.ID)
-		clear(live[len(kept):])
-		ob.buf = ob.buf[:ob.head+len(kept)]
+		ob.undo(t.ID)
 	case t.Type == tuple.RecDone:
 		// Not buffered: a late subscriber sees only corrected data.
 	}
@@ -232,7 +297,7 @@ func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 // equivalent. Anything else — undo compaction, capacity pressure —
 // takes the per-tuple loop.
 func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
-	bulk := ob.cap <= 0 || ob.Len()+len(ts) <= ob.cap
+	bulk := ob.cap <= 0 || ob.n+len(ts) <= ob.cap
 	if bulk {
 		for i := range ts {
 			if !ts[i].IsData() && ts[i].Type != tuple.Boundary {
@@ -250,16 +315,12 @@ func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
 		}
 		return ok
 	}
-	ob.reserve(len(ts))
-	ob.buf = append(ob.buf, ts...)
+	ob.pushAll(ts)
 	if len(ob.subs) > 0 {
 		if ob.pending == nil {
-			// One bulk publish usually carries the instant's whole
-			// flush, so size the message array exactly: a boundary-only
-			// instant then allocates a couple of slots, not the
-			// high-water mark a bucket flush once reached (pendHint
-			// stays in use on the per-tuple send path, where growing
-			// one append at a time would thrash).
+			// The first bulk publish of an instant sizes the message
+			// array exactly: usually it carries the whole flush (a long
+			// replay arrives in several, one per staged pass).
 			ob.pending = make([]tuple.Tuple, 0, len(ts))
 		}
 		ob.pending = append(ob.pending, ts...)
@@ -271,13 +332,12 @@ func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
 }
 
 // send queues the tuple for delivery to all subscribers, coalescing
-// same-instant emissions into one network message per subscriber.
+// same-instant emissions into one network message per subscriber. Each
+// instant's array grows from empty: presizing it from earlier flushes would
+// make every one-tuple flush after a long replay allocate the replay's size.
 func (ob *OutputBuffer) send(t tuple.Tuple) {
 	if len(ob.subs) == 0 {
 		return
-	}
-	if ob.pending == nil && ob.pendHint > 0 {
-		ob.pending = make([]tuple.Tuple, 0, ob.pendHint)
 	}
 	ob.pending = append(ob.pending, t)
 	if ob.flushTimer == nil {
@@ -292,9 +352,6 @@ func (ob *OutputBuffer) flush() {
 	}
 	batch := ob.pending
 	ob.pending = nil
-	if len(batch) > ob.pendHint {
-		ob.pendHint = len(batch)
-	}
 	for _, ep := range ob.Subscribers() {
 		sub := ob.subs[ep]
 		sub.seq++
@@ -327,18 +384,17 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 // after returns the buffered suffix following the data tuple with the given
 // id (everything, if id is 0 or unknown because it was truncated).
 func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
-	live := ob.live()
 	start := 0
 	if id > 0 {
-		for i := len(live) - 1; i >= 0; i-- {
-			if live[i].IsData() && live[i].ID == id {
+		for i := ob.n - 1; i >= 0; i-- {
+			if t := ob.at(i); t.IsData() && t.ID == id {
 				start = i + 1
 				break
 			}
 		}
 	}
-	out := make([]tuple.Tuple, len(live)-start)
-	copy(out, live[start:])
+	out := make([]tuple.Tuple, ob.n-start)
+	ob.copyOut(out, start)
 	return out
 }
 
@@ -371,10 +427,9 @@ func (ob *OutputBuffer) Ack(from string, upTo uint64) {
 	if min == 0 {
 		return
 	}
-	live := ob.live()
 	cut := 0
-	for i := range live {
-		t := &live[i]
+	for i := 0; i < ob.n; i++ {
+		t := ob.at(i)
 		if t.IsData() && t.ID <= min && t.Type == tuple.Insertion {
 			cut = i + 1
 		}
@@ -384,7 +439,7 @@ func (ob *OutputBuffer) Ack(from string, upTo uint64) {
 	}
 	if cut > 0 {
 		ob.drop(cut)
-		if ob.Blocked && (ob.cap <= 0 || ob.Len() < ob.cap) {
+		if ob.Blocked && (ob.cap <= 0 || ob.n < ob.cap) {
 			ob.Blocked = false
 		}
 	}

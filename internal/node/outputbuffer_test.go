@@ -1,6 +1,7 @@
 package node
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"borealis/internal/netsim"
@@ -236,7 +237,7 @@ func TestOutputBufferPublishBatchMatchesPublish(t *testing.T) {
 			}
 		}
 		sim.Run()
-		buffered := append([]tuple.Tuple(nil), ob.live()...)
+		buffered := ob.after(0)
 		return buffered, *boxes["d1"]
 	}
 
@@ -288,5 +289,41 @@ func TestOutputBufferPublishBatchUndoTakesPerTuplePath(t *testing.T) {
 	got := *boxes["d1"]
 	if len(got) != 4 || got[3].Type != tuple.Undo {
 		t.Fatalf("live subscriber must still see the undo: %v", got)
+	}
+}
+
+func TestOutputBufferFlushArraySizedByItsInstant(t *testing.T) {
+	// A long replay flush must not size the message arrays of the
+	// one-tuple flushes after it.
+	sim := runtime.NewVirtual()
+	net := netsim.New(sim)
+	net.Register("up", func(string, any) {})
+	net.Register("d1", func(string, any) {})
+	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, nil)
+	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
+	replay := make([]tuple.Tuple, 10000)
+	for i := range replay {
+		replay[i] = ins(uint64(i+1), int64(i+1))
+	}
+	ob.PublishBatch(replay)
+	sim.Run()
+	for i := 0; i < 10000; i++ {
+		ob.Publish(ins(uint64(10001+i), 20000))
+	}
+	sim.Run()
+
+	const rounds = 200
+	next := uint64(20001)
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)})
+		next++
+		sim.Run()
+	}
+	goruntime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 1024 {
+		t.Fatalf("a one-tuple Publish + flush allocates %d B after a 10 000-tuple flush, want < 1 KB", per)
 	}
 }

@@ -174,10 +174,16 @@ func (s *Source) tick() {
 }
 
 // append adds a tuple to the persistent log, evicting under LogCap.
+// Eviction only moves the log's start past a dead prefix, in O(1); the
+// prefix stays in the backing array, untouched, until the array is full and
+// the append moves the live log into a fresh, larger one (tuple.Append's
+// growth: at least a quarter of LogCap appends per copy, O(1) amortized).
+// The live log is never compacted in place: batches already handed to flush
+// alias the array.
 func (s *Source) append(t tuple.Tuple) {
 	if s.cfg.LogCap > 0 && len(s.log) >= s.cfg.LogCap {
 		drop := len(s.log) - s.cfg.LogCap + 1
-		s.log = append(s.log[:0:0], s.log[drop:]...)
+		s.log = s.log[drop:]
 		s.logBase += drop
 		s.DroppedLog += uint64(drop)
 		for _, sub := range s.subs {
@@ -191,8 +197,9 @@ func (s *Source) append(t tuple.Tuple) {
 
 // flush sends each subscriber everything it has not yet received, in
 // deterministic (sorted endpoint) order. Batches alias the log rather than
-// copying it: the aliased region is immutable (appends write past it, and
-// LogCap eviction reallocates, leaving in-flight views intact).
+// copying it: the aliased region is immutable (appends write past it,
+// LogCap eviction writes nothing, and growth copies into a fresh array,
+// leaving in-flight views intact).
 func (s *Source) flush() {
 	end := s.logBase + len(s.log)
 	if s.subsSorted == nil && len(s.subs) > 0 {

@@ -1,6 +1,7 @@
 package source
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"borealis/internal/netsim"
@@ -209,4 +210,97 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// logTuple is the i-th data tuple appended by the bounded-log tests.
+func logTuple(i int) tuple.Tuple {
+	return tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}
+}
+
+func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
+	// A full capped log once recopied itself on every append: 100 000
+	// appends at LogCap 1 000 moved 10^8 tuples (~5 GB).
+	_, _, s, _ := setup(Config{LogCap: 1000})
+	const n = 100000
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		s.append(logTuple(i))
+	}
+	goruntime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 512 {
+		t.Fatalf("an append to a full capped log allocates %d B on average, want O(1) (≤ 512 B)", per)
+	}
+	if s.LogLen() != 1000 || s.DroppedLog != n-1000 {
+		t.Fatalf("LogLen %d, DroppedLog %d; want 1000, %d", s.LogLen(), s.DroppedLog, n-1000)
+	}
+	for i, tp := range s.log {
+		if want := uint64(n - 1000 + 1 + i); tp.ID != want {
+			t.Fatalf("log[%d] = id %d, want %d", i, tp.ID, want)
+		}
+	}
+}
+
+func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
+	// flush sends views of the log; eviction and growth must leave every
+	// batch already handed out exactly as it was sent.
+	sim, net, s, _ := setup(Config{LogCap: 64})
+	var held [][]tuple.Tuple
+	var want [][]tuple.Tuple
+	net.Register("dn", func(_ string, msg any) {
+		if dm, ok := msg.(node.DataMsg); ok {
+			held = append(held, dm.Tuples)
+			want = append(want, append([]tuple.Tuple(nil), dm.Tuples...))
+		}
+	})
+	subscribe(net, sim, 0)
+	for i := 1; i <= 2000; i++ {
+		s.append(logTuple(i))
+		if i%7 == 0 {
+			s.flush()
+			sim.RunFor(ms)
+		}
+	}
+	if len(held) < 200 {
+		t.Fatalf("only %d batches sent", len(held))
+	}
+	for b := range held {
+		for i := range held[b] {
+			if !tuple.Equal(held[b][i], want[b][i]) {
+				t.Fatalf("batch %d slot %d changed after sending: %v, sent %v", b, i, held[b][i], want[b][i])
+			}
+		}
+	}
+}
+
+func TestSourceBoundedLogPositionsAndReplay(t *testing.T) {
+	sim, net, s, k := setup(Config{LogCap: 100})
+	// A subscriber that falls behind the horizon resumes at the oldest
+	// tuple still logged, gap-free from there.
+	subscribe(net, sim, 0)
+	s.Disconnect()
+	for i := 1; i <= 1000; i++ {
+		s.append(logTuple(i))
+	}
+	if s.DroppedLog != 900 || s.LogLen() != 100 {
+		t.Fatalf("DroppedLog %d, LogLen %d; want 900, 100", s.DroppedLog, s.LogLen())
+	}
+	s.Reconnect()
+	s.flush()
+	sim.RunFor(10 * ms)
+	if len(k.tuples) != 100 || k.tuples[0].ID != 901 || k.tuples[99].ID != 1000 {
+		t.Fatalf("lagging subscriber got %d tuples from id %d", len(k.tuples), k.tuples[0].ID)
+	}
+	// FromID inside the window replays after it; FromID behind the horizon
+	// (evicted) replays the whole window.
+	for _, c := range []struct{ from, first uint64 }{{950, 951}, {1000, 0}, {500, 901}, {0, 901}} {
+		k.tuples = nil
+		subscribe(net, sim, c.from)
+		switch {
+		case c.first == 0 && len(k.tuples) != 0:
+			t.Fatalf("FromID %d: want nothing, got %d tuples", c.from, len(k.tuples))
+		case c.first != 0 && (len(k.tuples) == 0 || k.tuples[0].ID != c.first || k.tuples[len(k.tuples)-1].ID != 1000):
+			t.Fatalf("FromID %d: replay %v, want %d..1000", c.from, k.tuples, c.first)
+		}
+	}
 }

@@ -51,11 +51,15 @@ func (t Type) IsData() bool { return t == Insertion || t == Tentative }
 // tuple entered through when several logical streams are serialized into one
 // ordered stream by SUnion; operators such as SJoin use it to route tuples
 // internally.
+//
+// Src sits next to Type so both share one word: a Tuple is 48 bytes, and
+// every frame, log, buffer and message array is sized in Tuples. Nothing
+// depends on the field order — the wire codec encodes each field explicitly.
 type Tuple struct {
 	Type  Type
+	Src   int32
 	ID    uint64
 	STime int64
-	Src   int32
 	Data  []int64
 }
 

@@ -4,7 +4,17 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+func TestTupleIs48Bytes(t *testing.T) {
+	// Every frame, log and buffer array is sized in Tuples; a field
+	// reordering that reopens the padding hole after STime costs them all
+	// a seventh more memory.
+	if sz := unsafe.Sizeof(Tuple{}); sz != 48 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatalf("sizeof(Tuple) = %d, want 48", sz)
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
