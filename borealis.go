@@ -384,14 +384,6 @@ func SweepRepeat(base *Scenario, sw SweepSpec, repeat int, opts ScenarioOptions)
 
 // Crash-consistency fuzzing (see docs/FUZZING.md).
 type (
-	// FuzzOptions tunes a fuzzing campaign (master seed, run count,
-	// parallelism, shrinking).
-	FuzzOptions = fuzz.Options
-	// FuzzSummary is a campaign's deterministic result.
-	FuzzSummary = fuzz.Summary
-	// FuzzFailure is one failing generated scenario with its findings
-	// and minimized reproducer.
-	FuzzFailure = fuzz.Failure
 	// FuzzFinding is one oracle violation.
 	FuzzFinding = fuzz.Finding
 	// ShrinkResult is a minimized failing spec with its findings.
@@ -409,11 +401,6 @@ func FuzzSpec(seed int64) *Scenario { return fuzz.GenSpec(seed) }
 // the report came from.
 func FuzzCheck(s *Scenario, rep *ScenarioReport) []FuzzFinding { return fuzz.Check(s, rep) }
 
-// Fuzz runs a fuzzing campaign: generate, execute through the RunMany
-// pool with the Definition 1 audit, oracle-check, and shrink failures.
-// Same options ⇒ byte-identical summary, for any parallelism.
-func Fuzz(opts FuzzOptions) (*FuzzSummary, error) { return fuzz.Campaign(opts) }
-
 // Shrink minimizes a spec that fails the named oracle by deterministic
 // greedy reduction, re-running the oracle at every step; maxRuns bounds
 // the reduction budget (0 = default).
@@ -421,7 +408,8 @@ func Shrink(s *Scenario, oracle string, maxRuns int) ShrinkResult {
 	return fuzz.Shrink(s, oracle, maxRuns)
 }
 
-// Soak campaigns: the fuzzer's long-running, resumable form.
+// Soak campaigns: the fuzzer's one campaign runner, from a fixed batch of
+// generated specs to long-running, resumable hunts.
 type (
 	// SoakOptions tunes a soak campaign (seed, batch size, wall budget,
 	// mutation pool, checkpoint file).
@@ -434,10 +422,12 @@ type (
 	SoakFinding = fuzz.SoakFinding
 )
 
-// Soak runs a time-budgeted, checkpointed fuzzing campaign: batches of
-// fresh generations interleaved with corpus mutants, failures shrunk
-// and deduplicated, state rewritten to disk after every batch so an
-// interrupted soak resumes with byte-identical results.
+// Soak runs a fuzzing campaign: batches of fresh generations (interleaved
+// with corpus mutants when given a pool) executed through the RunMany pool
+// with the Definition 1 audit, oracle-checked, failures shrunk and
+// deduplicated, state rewritten to disk after every batch so an
+// interrupted soak resumes with byte-identical results. Same options ⇒
+// byte-identical state, for any parallelism.
 func Soak(opts SoakOptions) (*SoakState, error) { return fuzz.Soak(opts) }
 
 // FuzzMutate derives a new valid scenario from a base spec by applying

@@ -13,7 +13,6 @@
 //	borealis-sim [-quick] [-json] [-no-audit] [-parallel N] -field F -from A -to B [-steps N] sweep <file.json>
 //	borealis-sim ... -field F -from A -to B -field2 G -from2 C -to2 D [-steps2 M] [-metric M] sweep <file.json>
 //	borealis-sim ... -field F -from A -to B [-steps N] -repeat R [-metric M] sweep <file.json>
-//	borealis-sim [-json] [-parallel N] [-seed S] [-runs N] [-out DIR] [-no-shrink] [-fail-on-finding] fuzz
 //	borealis-sim [-json] [-parallel N] [-seed S] [-batch N] [-batches N] [-budget D] [-mutate DIRS] [-differential] [-checkpoint FILE] [-out DIR] [-fail-on-finding] soak
 //
 // Adding -field2 turns a sweep into a two-dimensional grid (Steps ×
@@ -24,23 +23,22 @@
 // -parallel worker goroutines with byte-identical output regardless of
 // worker count.
 //
-// The fuzz subcommand turns the simulator into a crash-consistency
-// fuzzer: it generates -runs random scenarios from -seed (topology DAGs,
+// The soak subcommand turns the simulator into a crash-consistency
+// fuzzer: it generates random scenarios from -seed (topology DAGs,
 // workload shapes, fault schedules), runs each through the Definition 1
 // audit plus the structural oracles of internal/fuzz, shrinks every
-// failing spec to a minimal reproducer, and prints a deterministic
-// findings summary (identical across repetitions and -parallel counts).
-// With -out, minimized specs are written there as JSON for triage; the
-// keepers graduate into scenarios/corpus/. See docs/FUZZING.md.
-//
-// The soak subcommand is the fuzzer's long-running form: time-budgeted
-// (-budget) or batch-capped (-batches) campaigns that interleave fresh
-// generations with mutants of the regression corpus and curated specs
-// (-mutate), optionally replay every clean run under the differential
-// oracles (-differential), deduplicate findings by oracle class +
-// shrunk-spec hash, and checkpoint state after every batch (-checkpoint)
+// failing spec to a minimal reproducer, deduplicates findings by oracle
+// class + shrunk-spec hash, and prints a deterministic summary (identical
+// across repetitions and -parallel counts). `-batch N -batches 1` is one
+// fixed campaign of N generated specs. Longer campaigns are time-budgeted
+// (-budget) or batch-capped (-batches), interleave fresh generations with
+// mutants of the regression corpus and curated specs (-mutate),
+// optionally replay every clean run under the differential oracles
+// (-differential), and checkpoint state after every batch (-checkpoint)
 // so an interrupted soak resumes deterministically: the resumed
-// campaign's state is byte-identical to an uninterrupted one.
+// campaign's state is byte-identical to an uninterrupted one. With -out,
+// minimized specs are written there as JSON for triage; the keepers
+// graduate into scenarios/corpus/. See docs/FUZZING.md.
 //
 // Experiments: fig11a fig11b table3 fig13 fig15 fig16 fig18 fig19 fig20
 // table4 table5 switchover ablate-buffers ablate-tb
@@ -126,22 +124,19 @@ func main() {
 	to2 := flag.String("to2", "", "grid mode: second-field range end")
 	steps2 := flag.Int("steps2", 4, "grid mode: second-field point count")
 	metric := flag.String("metric", "tentative", "grid/repeat mode: report metric rendered")
-	parallel := flag.Int("parallel", 1, "sweep/grid/fuzz: concurrent virtual runs (0 = one per core, 1 = serial)")
+	parallel := flag.Int("parallel", 1, "sweep/grid/soak: concurrent virtual runs (0 = one per core, 1 = serial)")
 	repeat := flag.Int("repeat", 1, "sweep mode: run each value N times with derived seeds (min/mean/max per metric)")
-	seed := flag.Int64("seed", 1, "fuzz mode: master seed for scenario generation")
-	runs := flag.Int("runs", 100, "fuzz mode: number of generated scenarios")
-	outDir := flag.String("out", "", "fuzz mode: directory for minimized failing specs")
-	noShrink := flag.Bool("no-shrink", false, "fuzz mode: report raw failing specs without minimizing")
+	seed := flag.Int64("seed", 1, "soak mode: master seed for scenario generation")
+	outDir := flag.String("out", "", "soak mode: directory for minimized failing specs")
 	tracePath := flag.String("trace", "", "scenario mode: write the per-replica protocol event trace to FILE (- = stderr)")
 	genSeed := flag.Int64("gen-seed", 0, "scenario mode: run the fuzzer-generated spec for this spec seed instead of a file")
-	failOnFinding := flag.Bool("fail-on-finding", false, "fuzz/soak mode: exit non-zero when any finding is reported")
+	failOnFinding := flag.Bool("fail-on-finding", false, "soak mode: exit non-zero when any finding is reported")
 	budget := flag.Duration("budget", 0, "soak mode: wall-clock budget (e.g. 10m); 0 = -batches decides")
 	batchRuns := flag.Int("batch", 32, "soak mode: specs per batch (the checkpoint granularity)")
 	batches := flag.Int("batches", 0, "soak mode: total batch cap, counting checkpointed batches (0 = -budget decides)")
 	checkpoint := flag.String("checkpoint", "", "soak mode: campaign state file for interrupt/resume")
 	mutateDirs := flag.String("mutate", "", "soak mode: comma-separated spec directories to mutate (e.g. scenarios/corpus,scenarios)")
 	differential := flag.Bool("differential", false, "soak mode: also run the differential oracles on runs the normal oracles pass")
-	perTuple := flag.Bool("per-tuple", false, "run on the reference per-tuple data plane instead of the staged batch plane (identical output, slower)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -165,7 +160,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "       borealis-sim ... [-trace FILE] -gen-seed S scenario\n")
 			os.Exit(2)
 		}
-		opts := scenario.Options{Quick: *quick, SkipConsistency: *noAudit, PerTuple: *perTuple}
+		opts := scenario.Options{Quick: *quick, SkipConsistency: *noAudit}
 		closeTrace := installTrace(&opts, *tracePath)
 		runScenarios(args[1:], *genSeed, opts, *asJSON, nil)
 		closeTrace()
@@ -176,14 +171,14 @@ func main() {
 			os.Exit(2)
 		}
 		mk := func() runtime.Runtime { return runtime.NewWall(*speed) }
-		runScenarios(args[1:], 0, scenario.Options{Quick: *quick, SkipConsistency: *noAudit, PerTuple: *perTuple}, *asJSON, mk)
+		runScenarios(args[1:], 0, scenario.Options{Quick: *quick, SkipConsistency: *noAudit}, *asJSON, mk)
 		return
 	case "sweep":
 		if len(args) != 2 || *field == "" || *from == "" || *to == "" {
 			fmt.Fprintf(os.Stderr, "usage: borealis-sim [-quick] [-json] [-no-audit] [-parallel N] -field F -from A -to B [-steps N] [-field2 G -from2 C -to2 D [-steps2 M] [-metric M]] [-repeat R] sweep <file.json>\n")
 			os.Exit(2)
 		}
-		opts := scenario.Options{Quick: *quick, SkipConsistency: *noAudit, Parallelism: *parallel, PerTuple: *perTuple}
+		opts := scenario.Options{Quick: *quick, SkipConsistency: *noAudit, Parallelism: *parallel}
 		if *field2 != "" {
 			if *from2 == "" || *to2 == "" {
 				fmt.Fprintf(os.Stderr, "borealis-sim: -field2 needs -from2 and -to2\n")
@@ -205,18 +200,6 @@ func main() {
 		}
 		runSweep(args[1], *field, *from, *to, *steps, opts, *asJSON)
 		return
-	case "fuzz":
-		if len(args) != 1 {
-			fmt.Fprintf(os.Stderr, "usage: borealis-sim [-json] [-parallel N] [-seed S] [-runs N] [-out DIR] [-no-shrink] fuzz\n")
-			os.Exit(2)
-		}
-		runFuzz(fuzz.Options{
-			Seed:        *seed,
-			Runs:        *runs,
-			Parallelism: *parallel,
-			NoShrink:    *noShrink,
-		}, *outDir, *asJSON, *failOnFinding)
-		return
 	case "soak":
 		if len(args) != 1 {
 			fmt.Fprintf(os.Stderr, "usage: borealis-sim [-json] [-parallel N] [-seed S] [-batch N] [-batches N] [-budget D] [-mutate DIRS] [-differential] [-checkpoint FILE] [-out DIR] [-fail-on-finding] soak\n")
@@ -233,7 +216,7 @@ func main() {
 		}, *mutateDirs, *outDir, *asJSON, *failOnFinding)
 		return
 	}
-	opts := experiment.Options{Quick: *quick, PerTuple: *perTuple}
+	opts := experiment.Options{Quick: *quick}
 	want := map[string]bool{}
 	for _, a := range args {
 		if a == "all" {
@@ -470,61 +453,13 @@ func runSweepRepeat(path, field, fromS, toS string, steps, repeat int, metric st
 	}
 }
 
-// runFuzz runs a fuzzing campaign and renders its deterministic summary.
-// By default findings do not fail the invocation — fuzzing is
-// exploration, and CI compares two invocations' output for determinism —
-// but -fail-on-finding turns any finding into a non-zero exit now that a
-// clean protocol is the expected state. A campaign that cannot run at
-// all always fails.
-func runFuzz(opts fuzz.Options, outDir string, asJSON, failOnFinding bool) {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "borealis-sim: %v\n", err)
-		os.Exit(1)
-	}
-	start := time.Now()
-	sum, err := fuzz.Campaign(opts)
-	if err != nil {
-		fail(err)
-	}
-	if outDir != "" && len(sum.Failures) > 0 {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fail(err)
-		}
-		for i := range sum.Failures {
-			f := &sum.Failures[i]
-			spec := f.Shrunk
-			if spec == nil {
-				spec = f.Spec
-			}
-			b, err := json.MarshalIndent(spec, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			name := fmt.Sprintf("fuzz-%03d-%s.json", f.Run, f.Findings[0].Oracle)
-			if err := os.WriteFile(filepath.Join(outDir, name), append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if asJSON {
-		b, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(append(b, '\n'))
-	} else {
-		sum.Print(os.Stdout)
-		fmt.Printf("(%d runs in %.1fs wall time)\n", sum.Runs, time.Since(start).Seconds())
-	}
-	if failOnFinding && len(sum.Failures) > 0 {
-		fmt.Fprintf(os.Stderr, "borealis-sim: %d failing runs (-fail-on-finding)\n", len(sum.Failures))
-		os.Exit(1)
-	}
-}
-
-// runSoak runs a checkpointed soak campaign: the resumable, corpus-
-// mutating big sibling of runFuzz. The mutation pool is loaded from
-// -mutate's directories; minimized unique findings land in -out.
+// runSoak runs a soak campaign and renders its deterministic summary. The
+// mutation pool is loaded from -mutate's directories; minimized unique
+// findings land in -out. By default findings do not fail the invocation —
+// fuzzing is exploration, and CI compares two invocations' output for
+// determinism — but -fail-on-finding turns any finding into a non-zero
+// exit now that a clean protocol is the expected state. A campaign that
+// cannot run at all always fails.
 func runSoak(opts fuzz.SoakOptions, mutateDirs, outDir string, asJSON, failOnFinding bool) {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "borealis-sim: %v\n", err)
@@ -662,7 +597,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, "       borealis-sim [-quick] [-json] [-no-audit] [-parallel N] -field F -from A -to B [-steps N] sweep <file.json>\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim ... -field F -from A -to B -field2 G -from2 C -to2 D [-steps2 M] [-metric M] sweep <file.json>\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim ... -field F -from A -to B [-steps N] -repeat R [-metric M] sweep <file.json>\n")
-	fmt.Fprintf(os.Stderr, "       borealis-sim [-json] [-parallel N] [-seed S] [-runs N] [-out DIR] [-no-shrink] [-fail-on-finding] fuzz\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim [-json] [-parallel N] [-seed S] [-batch N] [-batches N] [-budget D] [-mutate DIRS] [-differential] [-checkpoint FILE] [-out DIR] [-fail-on-finding] soak\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim cluster [-workers N] [-speed N] [-quick] [-json] [-fault-mode kill|stop] [-no-audit] <file.json>\n")
 	fmt.Fprintf(os.Stderr, "       borealis-sim worker -spec FILE -owned a,b,... [-worker-name W] [-listen ADDR] [-speed N] [-start-us T] [-recover] [-quick]\n")

@@ -8,7 +8,7 @@ import (
 
 // TestFuzzFacade drives the fuzzing surface end to end through the public
 // API: generate a spec, run it with the audit, oracle-check the report,
-// and run a tiny deterministic campaign.
+// and run a tiny deterministic campaign of generated specs.
 func TestFuzzFacade(t *testing.T) {
 	spec := borealis.FuzzSpec(7)
 	if err := spec.Validate(); err != nil {
@@ -23,12 +23,12 @@ func TestFuzzFacade(t *testing.T) {
 	}
 	_ = borealis.FuzzCheck(spec, rep) // findings are data, not errors
 
-	sum, err := borealis.Fuzz(borealis.FuzzOptions{Seed: 3, Runs: 4, Parallelism: 1, NoShrink: true})
+	st, err := borealis.Soak(borealis.SoakOptions{Seed: 3, BatchRuns: 4, MaxBatches: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Runs != 4 || sum.Seed != 3 {
-		t.Fatalf("summary echo wrong: %+v", sum)
+	if st.Runs != 4 || st.Seed != 3 || st.Mutated != 0 {
+		t.Fatalf("state echo wrong: %+v", st)
 	}
 }
 

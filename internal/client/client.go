@@ -60,9 +60,6 @@ type Config struct {
 	// zero. Benchmark harnesses only — every correctness path keeps the
 	// audit on.
 	NoAudit bool
-	// PerTuple runs the proxy node's engine on the reference per-tuple
-	// data plane instead of the staged batch plane.
-	PerTuple bool
 }
 
 // Delivery is one recorded delivery.
@@ -157,7 +154,6 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 		StallTimeout: cfg.StallTimeout,
 		CM:           cfg.CM,
 		AckInterval:  cfg.AckInterval,
-		PerTuple:     cfg.PerTuple,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)

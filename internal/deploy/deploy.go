@@ -64,8 +64,6 @@ type ChainSpec struct {
 	FineGrained bool
 	// RecordClient keeps the client's delivery trace.
 	RecordClient bool
-	// PerTuple runs every node on the reference per-tuple data plane.
-	PerTuple bool
 }
 
 func (s *ChainSpec) normalize() error {
@@ -161,7 +159,6 @@ func BuildChain(spec ChainSpec) (*Deployment, error) {
 		StallTimeout:     spec.StallTimeout,
 		KeepAlive:        spec.KeepAlive,
 		AckInterval:      spec.AckInterval,
-		PerTuple:         spec.PerTuple,
 		Client: TopologyClient{
 			Stream:              levelStream(spec.Depth),
 			BucketSize:          spec.BucketSize,
@@ -254,6 +251,23 @@ func (d *Deployment) Start() {
 	}
 }
 
+// UseReferencePlane moves every built replica and the client proxy onto
+// the per-tuple reference data plane (engine.UseReferencePlane) — the
+// differential oracle's switch, thrown after build and before Start. A
+// crash-restart keeps its engine, so the switch survives it.
+func (d *Deployment) UseReferencePlane() {
+	for _, row := range d.Nodes {
+		for _, n := range row {
+			if n != nil {
+				n.Engine().UseReferencePlane()
+			}
+		}
+	}
+	if d.Client != nil {
+		d.Client.Proxy().Engine().UseReferencePlane()
+	}
+}
+
 // RunFor drives the deployment's runtime for dur microseconds: virtual
 // time on a simulator, scaled wall time on a wall clock.
 func (d *Deployment) RunFor(dur int64) { d.RT.RunFor(dur) }
@@ -304,7 +318,6 @@ type SUnionTreeSpec struct {
 	FailurePolicy, StabilizationPolicy         operator.DelayPolicy
 	StallTimeout                               int64
 	RecordClient                               bool
-	PerTuple                                   bool
 }
 
 // BuildSUnionTree assembles the Fig. 10/11 deployment as a preset over
@@ -328,7 +341,6 @@ func BuildSUnionTree(spec SUnionTreeSpec) (*Deployment, error) {
 		BoundaryInterval: spec.BoundaryInterval,
 		TickInterval:     spec.TickInterval,
 		StallTimeout:     spec.StallTimeout,
-		PerTuple:         spec.PerTuple,
 		Client: TopologyClient{
 			Stream: "t1",
 			Delay:  50 * runtime.Millisecond,

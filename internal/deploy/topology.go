@@ -100,9 +100,6 @@ type TopologySpec struct {
 	// StallTimeout / KeepAlive / AckInterval tune failure detection and
 	// output-buffer truncation on every node and the client.
 	StallTimeout, KeepAlive, AckInterval int64
-	// PerTuple runs every node and the client proxy on the reference
-	// per-tuple data plane instead of the staged batch plane.
-	PerTuple bool
 }
 
 func (s *TopologySpec) normalize() error {
@@ -465,7 +462,6 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 				FineGrained:         g.FineGrained,
 				CM:                  node.CMConfig{KeepAlive: spec.KeepAlive},
 				AckInterval:         spec.AckInterval,
-				PerTuple:            spec.PerTuple,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("deploy: group %q replica %d: %w", g.Name, r, err)
@@ -492,7 +488,6 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 		TentativeBoundaries: spec.Client.TentativeBoundaries,
 		Record:              spec.Client.Record,
 		NoAudit:             spec.Client.NoAudit,
-		PerTuple:            spec.PerTuple,
 	})
 	if err != nil {
 		return nil, err

@@ -32,12 +32,22 @@ func chainDiagram(t *testing.T) *diagram.Diagram {
 	return d
 }
 
+// newPlane builds an engine on the staged plane, or on the per-tuple
+// reference plane when perTuple is set.
+func newPlane(clk runtime.Clock, d *diagram.Diagram, perTuple bool) *Engine {
+	e := New(clk, d, Config{})
+	if perTuple {
+		e.UseReferencePlane()
+	}
+	return e
+}
+
 // runChain feeds the same input through one plane and returns the full
 // output sequence.
 func runChain(t *testing.T, perTuple bool, batches [][]tuple.Tuple) []tuple.Tuple {
 	t.Helper()
 	sim := runtime.NewVirtual()
-	e := New(sim, chainDiagram(t), Config{PerTuple: perTuple})
+	e := newPlane(sim, chainDiagram(t), perTuple)
 	var c capture
 	c.bind(sim, e)
 	for _, b := range batches {

@@ -41,12 +41,6 @@ type Config struct {
 	// Zero means infinitely fast (tuples are dispatched immediately),
 	// which is convenient for protocol unit tests.
 	Capacity float64
-	// PerTuple disables the staged batch data plane and dispatches every
-	// tuple through the diagram one at a time — the reference
-	// implementation the batch path is differentially tested against.
-	// Both planes produce byte-identical output; the batch plane is the
-	// default because it is substantially faster on stable traffic.
-	PerTuple bool
 }
 
 type work struct {
@@ -76,20 +70,15 @@ type stage struct {
 
 // chain is the wire-time precomputed path a batch takes from one external
 // input binding through the diagram, following single-consumer non-output
-// edges. The staged batch plane runs it operator-at-a-time: every tuple of
-// the batch through stage 0, the collected emissions through stage 1, and
-// so on — the iterator-composition shape, without per-tuple virtual
-// dispatch through the whole diagram per tuple.
-//
-// A chain ends either at a pure output operator (outStream non-empty; its
-// collected emissions are published as one batch) or at the first operator
-// with fan-out or an output-with-consumers (truncated: that operator runs
-// per-tuple through its normal emit closure, which routes the rest of the
-// diagram exactly as the reference plane does).
+// edges to a pure output operator, whose collected emissions are published
+// as one batch on outStream. The staged batch plane runs it
+// operator-at-a-time: every tuple of the batch through stage 0, the
+// collected emissions through stage 1, and so on — the
+// iterator-composition shape, without per-tuple virtual dispatch through
+// the whole diagram per tuple.
 type chain struct {
 	stages    []stage
 	outStream string
-	truncated bool
 	// copyInput is set when the first stage may rewrite its input frame in
 	// place (operator.MutatesBatch): the ingested batch belongs to the
 	// caller, so the dispatcher hands such a stage a pool copy instead.
@@ -117,9 +106,10 @@ type Engine struct {
 
 	// Staged batch plane. chains precomputes, per external input stream,
 	// the linear operator path a batch can be run through
-	// operator-at-a-time. While a stage runs, collectOp names it and the
-	// stage's emissions are captured in collectBuf instead of being routed
-	// downstream; frames recycles the capture buffers.
+	// operator-at-a-time; an input without one runs per-tuple (Gate C).
+	// While a stage runs, collectOp names it and the stage's emissions are
+	// captured in collectBuf instead of being routed downstream; frames
+	// recycles the capture buffers.
 	chains     map[string]*chain
 	collectOp  operator.Operator
 	collectBuf []tuple.Tuple
@@ -257,25 +247,12 @@ func (e *Engine) wire() {
 			}
 		}
 		// The bulk path a ProcessBatch implementation hands its staged
-		// output to: a single append when the staged plane is collecting
-		// this operator, the reference per-tuple chain otherwise.
-		emitBatch := func(ts []tuple.Tuple) {
-			if e.collectOp == op {
-				if len(ts) == 0 {
-					return
-				}
-				e.collectRoom(len(ts))
-				e.collectBuf = append(e.collectBuf, ts...)
-				return
-			}
-			for i := range ts {
-				emit(ts[i])
-			}
-		}
-		// The zero-copy variant: when this operator is the running stage
-		// and nothing has been collected yet, the loaned array becomes
-		// the stage frame outright — the usual case for a ProcessBatch
-		// that stages its whole output in a scratch buffer.
+		// output to: when this operator is the running stage and nothing
+		// has been collected yet, the loaned array becomes the stage frame
+		// outright — the usual case for a ProcessBatch that stages its
+		// whole output in a scratch buffer; otherwise a single append, or
+		// the reference per-tuple chain when the staged plane is not
+		// collecting this operator.
 		emitLoan := func(ts []tuple.Tuple) bool {
 			if e.collectOp == op {
 				if len(ts) == 0 {
@@ -296,11 +273,10 @@ func (e *Engine) wire() {
 			return false
 		}
 		env := &operator.Env{
-			Now:       e.clk.Now,
-			After:     e.clk.After,
-			Emit:      emit,
-			EmitBatch: emitBatch,
-			EmitLoan:  emitLoan,
+			Now:      e.clk.Now,
+			After:    e.clk.After,
+			Emit:     emit,
+			EmitLoan: emitLoan,
 			Signal: func(s operator.Signal) {
 				if e.onSignal != nil {
 					e.onSignal(s)
@@ -325,18 +301,27 @@ func (e *Engine) wire() {
 	}
 	e.chains = make(map[string]*chain)
 	for _, in := range e.d.Inputs() {
-		ch := e.buildChain(in.Op, in.Port, outputOf)
-		// A single truncated stage degenerates to exactly the per-tuple
-		// loop; skip the gate scans and dispatch it directly.
-		if len(ch.stages) > 1 || !ch.truncated {
+		if ch := e.buildChain(in.Op, in.Port, outputOf); ch != nil {
 			e.chains[in.Stream] = ch
 		}
 	}
 }
 
+// UseReferencePlane drops the staged batch plane's chains, so every batch
+// from now on takes the per-tuple loop of dispatch — the reference the
+// staged plane is proven byte-identical against. It is the differential
+// oracle's switch, thrown after the engine is built; the engine keeps it
+// across checkpoint restores and crash-restart resets.
+func (e *Engine) UseReferencePlane() { e.chains = nil }
+
 // buildChain walks the diagram from an input binding along single-consumer
 // non-output edges, producing the linear path the staged batch plane runs
-// operator-at-a-time. Diagrams are acyclic, so the walk terminates.
+// operator-at-a-time. The walk must end at a pure output operator: a
+// fan-out, an output that also has consumers, or a dead end yields no
+// chain, and that input runs per-tuple. Every diagram deploy and client
+// build is linear per input (TestDeployedDiagramsAreLinear), so no
+// deployment meets the nil case. Diagrams are acyclic, so the walk
+// terminates.
 func (e *Engine) buildChain(opName string, port int, outputOf map[string]string) *chain {
 	ch := &chain{}
 	name := opName
@@ -359,12 +344,7 @@ func (e *Engine) buildChain(opName string, port int, outputOf map[string]string)
 			name = edges[0].To
 			port = edges[0].Port
 		default:
-			// Fan-out, an output that also has consumers, or a dead end:
-			// this operator runs per-tuple through its normal emit
-			// closure, which routes the rest of the diagram exactly as
-			// the reference plane does.
-			ch.truncated = true
-			return ch
+			return nil
 		}
 	}
 }
@@ -493,7 +473,7 @@ func (e *Engine) dispatch(batch work) {
 		return
 	}
 	ts := batch.tuples
-	if ch := e.chains[batch.stream]; ch != nil && !e.cfg.PerTuple && e.policiesStageable() && cleanBatch(ts) {
+	if ch := e.chains[batch.stream]; ch != nil && e.policiesStageable() && cleanBatch(ts) {
 		for {
 			n := min(len(ts), stagedPass)
 			e.dispatchStaged(ch, ts[:n])
@@ -564,14 +544,6 @@ func (e *Engine) dispatchStaged(ch *chain, ts []tuple.Tuple) {
 	for si := range ch.stages {
 		st := ch.stages[si]
 		last := si == len(ch.stages)-1
-		if last && ch.truncated {
-			// Truncated tail: the fan-out (or consumed-output) operator
-			// routes the rest of the diagram through its normal closures.
-			for i := range cur {
-				st.op.Process(st.port, cur[i])
-			}
-			break
-		}
 		out, pooled, fast := e.collectStage(st, cur)
 		if len(out) > 0 && len(cur) > 0 && &out[0] == &cur[0] {
 			// The stage re-emitted its input frame in place (a self-loan,

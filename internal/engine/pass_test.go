@@ -20,7 +20,7 @@ type passRun struct {
 
 func newPassRun(t *testing.T, perTuple bool) *passRun {
 	r := &passRun{sim: runtime.NewVirtual()}
-	r.e = New(r.sim, chainDiagram(t), Config{PerTuple: perTuple})
+	r.e = newPlane(r.sim, chainDiagram(t), perTuple)
 	r.e.OnOutput(func(_ string, tp tuple.Tuple) { r.out = append(r.out, tp) })
 	r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { r.out = append(r.out, ts...) })
 	return r

@@ -74,7 +74,7 @@ func TestEngineStagedPlaneRescansStatefulStages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(perTuple bool) []tuple.Tuple {
 				sim := runtime.NewVirtual()
-				e := New(sim, statefulDiagram(t, tc.op()), Config{PerTuple: perTuple})
+				e := newPlane(sim, statefulDiagram(t, tc.op()), perTuple)
 				var c capture
 				c.bind(sim, e)
 				// Failure: only l delivers, and PolicyProcess releases its

@@ -64,14 +64,10 @@ func bufferRun(name string, mode node.BufferMode, capTuples int, failSecs int64,
 		Delay:      2 * runtime.Second,
 		BufferMode: mode,
 		BufferCap:  capTuples,
-		PerTuple:   opts.PerTuple,
 		// No acks: the buffer can only grow during the failure, which
 		// is exactly the §8.1 stress.
 	}
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const failAt = 10 * runtime.Second
 	fail := failSecs * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
@@ -82,15 +78,10 @@ func bufferRun(name string, mode node.BufferMode, capTuples int, failSecs int64,
 	duringFailure := dep.Client.Stats().NewTuples - before
 	dep.RunFor(3*fail + 30*runtime.Second)
 
-	ref, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
-	ref.Start()
-	ref.RunFor(failAt + fail + 3*fail + 30*runtime.Second)
-
-	full := dep.Client.VerifyEventualConsistency(ref.Client.View())
-	recent := dep.Client.VerifyRecentWindow(ref.Client.View(), 500)
+	ref := opts.deployed(deploy.BuildChain(spec))
+	view := referenceView(ref, failAt+fail+3*fail+30*runtime.Second)
+	full := dep.Client.VerifyEventualConsistency(view)
+	recent := dep.Client.VerifyRecentWindow(view, 500)
 	var truncated uint64
 	for _, n := range dep.Nodes[0] {
 		truncated += n.Output("t1").Truncated

@@ -51,12 +51,8 @@ func tbRun(depth int, tb bool, opts Options) (float64, uint64) {
 		StabilizationPolicy: operator.PolicyProcess,
 		TentativeBoundaries: tb,
 		AckInterval:         runtime.Second,
-		PerTuple:            opts.PerTuple,
 	}
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const failAt = 10 * runtime.Second
 	fail := int64(30 * runtime.Second)
 	dep.StallSourceBoundaries(0, failAt, fail)

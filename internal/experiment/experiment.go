@@ -10,19 +10,43 @@ import (
 	"fmt"
 	"io"
 
+	"borealis/internal/deploy"
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
+	"borealis/internal/tuple"
 )
 
 // Options tunes experiment scale.
 type Options struct {
 	// Quick shrinks duration sweeps for use inside `go test -bench`.
 	Quick bool
-	// PerTuple runs every deployment on the reference per-tuple data
-	// plane instead of the staged batch plane. Metrics are identical
-	// either way (the experiment tests pin both); the knob exists for
-	// differential benchmarking.
+	// PerTuple runs every deployment on the per-tuple reference plane
+	// instead of the staged batch plane. Metrics are identical either
+	// way; TestExperimentsBothPlanes pins that.
 	PerTuple bool
+}
+
+// deployed finishes building an experiment deployment: a build error
+// aborts the experiment, and under PerTuple every replica and the client
+// proxy move onto the reference plane before anything runs. Every
+// deployment an experiment measures or audits against comes through here.
+func (o Options) deployed(dep *deploy.Deployment, err error) *deploy.Deployment {
+	if err != nil {
+		panic(err)
+	}
+	if o.PerTuple {
+		dep.UseReferencePlane()
+	}
+	return dep
+}
+
+// referenceView runs ref, the fault-free twin of an experiment's
+// deployment, for dur and returns the stream its client delivered: the
+// yardstick every experiment audits against.
+func referenceView(ref *deploy.Deployment, dur int64) []tuple.Tuple {
+	ref.Start()
+	ref.RunFor(dur)
+	return ref.Client.View()
 }
 
 // Seconds renders a µs virtual duration in seconds.

@@ -34,11 +34,8 @@ type Fig11Result struct {
 
 // Fig11 runs scenario (a) when overlap is true, else scenario (b).
 func Fig11(overlap bool, opts Options) Fig11Result {
-	spec := deploy.SUnionTreeSpec{Rate: 400, Delay: 2 * runtime.Second, RecordClient: true, PerTuple: opts.PerTuple}
-	dep, err := deploy.BuildSUnionTree(spec)
-	if err != nil {
-		panic(err)
-	}
+	spec := deploy.SUnionTreeSpec{Rate: 400, Delay: 2 * runtime.Second, RecordClient: true}
+	dep := opts.deployed(deploy.BuildSUnionTree(spec))
 	const (
 		f1Start = 5 * runtime.Second
 		sec     = runtime.Second
@@ -92,13 +89,8 @@ func Fig11(overlap bool, opts Options) Fig11Result {
 	st := dep.Client.Stats()
 	res.Corrections = st.NewTuples // informational
 
-	ref, err := deploy.BuildSUnionTree(deploy.SUnionTreeSpec{Rate: spec.Rate, Delay: spec.Delay, PerTuple: spec.PerTuple})
-	if err != nil {
-		panic(err)
-	}
-	ref.Start()
-	ref.RunFor(30 * runtime.Second)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	ref := opts.deployed(deploy.BuildSUnionTree(deploy.SUnionTreeSpec{Rate: spec.Rate, Delay: spec.Delay}))
+	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, 30*runtime.Second))
 	res.ConsistencyOK = audit.OK
 	res.AuditReason = audit.Reason
 	return res

@@ -64,13 +64,9 @@ func fig13Run(v Variant, failSecs int64, opts Options) (float64, uint64) {
 		FailurePolicy:       v.Failure,
 		StabilizationPolicy: v.Stabilization,
 		AckInterval:         runtime.Second,
-		PerTuple:            opts.PerTuple,
 	}
 	fail := failSecs * runtime.Second
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const failAt = 10 * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
 	dep.Start()

@@ -33,12 +33,8 @@ func chainRun(depth int, fp, sp operator.DelayPolicy, failSecs int64, delayOverr
 		FailurePolicy:       fp,
 		StabilizationPolicy: sp,
 		AckInterval:         runtime.Second,
-		PerTuple:            opts.PerTuple,
 	}
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const failAt = 10 * runtime.Second
 	fail := failSecs * runtime.Second
 	// Fig. 14/15: the failure stops one input stream's boundary tuples

@@ -36,12 +36,8 @@ func Switchover(opts Options) SwitchoverResult {
 		Rate:        500,
 		Delay:       2 * runtime.Second,
 		AckInterval: runtime.Second,
-		PerTuple:    opts.PerTuple,
 	}
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const crashAt = 10 * runtime.Second
 	var last, steadyGap, crashGap int64
 	dep.Client.OnDeliver(func(d client.Delivery) {
@@ -65,13 +61,8 @@ func Switchover(opts Options) SwitchoverResult {
 	dep.RunFor(20 * runtime.Second)
 	st := dep.Client.Stats()
 
-	ref, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
-	ref.Start()
-	ref.RunFor(20 * runtime.Second)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	ref := opts.deployed(deploy.BuildChain(spec))
+	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, 20*runtime.Second))
 
 	ms := float64(runtime.Millisecond)
 	return SwitchoverResult{

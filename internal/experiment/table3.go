@@ -52,10 +52,7 @@ func Table3(opts Options) Table3Result {
 func table3Run(failSecs int64, opts Options) (float64, bool) {
 	spec := table3Spec()
 	fail := failSecs * runtime.Second
-	dep, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
+	dep := opts.deployed(deploy.BuildChain(spec))
 	const failAt = 10 * runtime.Second
 	dep.DisconnectSource(1, failAt, fail)
 	dep.Start()
@@ -69,13 +66,8 @@ func table3Run(failSecs int64, opts Options) (float64, bool) {
 	st := dep.Client.Stats()
 
 	// Audit against a clean run of the same length.
-	ref, err := deploy.BuildChain(spec)
-	if err != nil {
-		panic(err)
-	}
-	ref.Start()
-	ref.RunFor(failAt + fail + recovery)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	ref := opts.deployed(deploy.BuildChain(spec))
+	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, failAt+fail+recovery))
 	return Seconds(st.MaxLatency), audit.OK
 }
 

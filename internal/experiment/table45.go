@@ -141,10 +141,12 @@ func overheadRun(param, bucket, interval, runSecs int64, opts Options) OverheadR
 		ID:           "n1",
 		Upstreams:    map[string][]string{"s1": {"src1"}},
 		StallTimeout: 1 << 60, // no failures in the overhead runs
-		PerTuple:     opts.PerTuple,
 	})
 	if err != nil {
 		panic(err)
+	}
+	if opts.PerTuple {
+		n.Engine().UseReferencePlane()
 	}
 	srcCfg := source.Config{
 		ID:               "src1",

@@ -106,15 +106,19 @@ func TestGenSpecQuietTail(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterministic: the same master seed yields a byte-identical
-// summary across repetitions and worker counts.
+// TestCampaignDeterministic: a fixed campaign — one soak batch of 20
+// generated specs, no mutation pool — yields a byte-identical state across
+// repetitions and worker counts.
 func TestCampaignDeterministic(t *testing.T) {
 	render := func(parallelism int) []byte {
-		sum, err := Campaign(Options{Seed: 11, Runs: 20, Parallelism: parallelism, NoShrink: true})
+		st, err := Soak(SoakOptions{Seed: 11, BatchRuns: 20, MaxBatches: 1, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(sum)
+		if st.Runs != 20 || st.Mutated != 0 {
+			t.Fatalf("want 20 generated runs, got %d (%d mutated)", st.Runs, st.Mutated)
+		}
+		b, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +126,12 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 	serial := render(1)
 	again := render(1)
-	pooled := render(4)
+	pooled := render(0)
 	if string(serial) != string(again) {
-		t.Fatal("same seed produced different campaign summaries")
+		t.Fatal("same seed produced different campaign states")
 	}
 	if string(serial) != string(pooled) {
-		t.Fatal("worker count changed the campaign summary")
+		t.Fatal("worker count changed the campaign state")
 	}
 }
 

@@ -75,6 +75,13 @@ type SoakFinding struct {
 	ShrinkRuns     int            `json:"shrink_runs,omitempty"`
 }
 
+// OracleCount is one oracle's failure tally, for the deterministic
+// summary rendering (maps iterate in random order; reports must not).
+type OracleCount struct {
+	Oracle string `json:"oracle"`
+	Count  int    `json:"count"`
+}
+
 // SoakState is a soak campaign's complete progress: the checkpoint
 // written to disk, the value Soak returns, and the summary the CLI
 // renders are all this one structure. It contains no clocks or
@@ -175,9 +182,11 @@ func soakBatch(opts *SoakOptions, st *SoakState) error {
 	reports, err := scenario.RunMany(specs, scenario.Options{Parallelism: opts.Parallelism})
 	var runErrs []error
 	if err != nil {
-		// Same contract as Campaign: one broken spec becomes a
-		// "run-error" finding via a deterministic serial fallback, not a
-		// dead campaign.
+		// One broken spec must become a "run-error" finding — the exact
+		// event the fuzzer exists to report — not a dead campaign: fall
+		// back to serial execution, capturing per-spec errors. The serial
+		// pass is deterministic, so the state stays a pure function of
+		// the options.
 		reports = make([]*scenario.Report, len(specs))
 		runErrs = make([]error, len(specs))
 		for i, s := range specs {

@@ -50,10 +50,6 @@ type Config struct {
 	// AckInterval paces acknowledgment messages to upstream neighbors
 	// (0 disables acks).
 	AckInterval int64
-	// PerTuple disables the engine's staged batch data plane and runs the
-	// reference per-tuple dispatch instead (differential testing and
-	// benchmarking; output is byte-identical either way).
-	PerTuple bool
 }
 
 // Node is one DPC processing node: engine + data path + input managers +
@@ -127,7 +123,7 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 		failed:  make(map[string]bool),
 		state:   StateStable,
 	}
-	n.eng = engine.New(clk, d, engine.Config{Capacity: cfg.Capacity, PerTuple: cfg.PerTuple})
+	n.eng = engine.New(clk, d, engine.Config{Capacity: cfg.Capacity})
 	n.eng.OnOutput(n.publish)
 	n.eng.OnOutputBatch(n.publishBatch)
 	n.eng.OnSignal(n.onSignal)

@@ -7,7 +7,7 @@ import (
 	"borealis/internal/tuple"
 )
 
-// loanCollector is a collector whose env offers the bulk emission paths,
+// loanCollector is a collector whose env offers the bulk emission path,
 // with EmitLoan accepting or declining loans on command. It records every
 // loaned slice so tests can assert aliasing.
 type loanCollector struct {
@@ -20,7 +20,6 @@ func attachLoan(op Operator, sim *runtime.VirtualClock, takeLoans bool) *loanCol
 	c := &loanCollector{takeLoans: takeLoans}
 	c.sim = sim
 	e := c.env()
-	e.EmitBatch = func(ts []tuple.Tuple) { c.out = append(c.out, ts...) }
 	e.EmitLoan = func(ts []tuple.Tuple) bool {
 		c.out = append(c.out, ts...)
 		if c.takeLoans {

@@ -63,20 +63,22 @@ type Signal struct {
 // which case SOutput labels everything tentative.
 type Env struct {
 	Emit func(tuple.Tuple)
-	// EmitBatch, when non-nil, sends a whole batch downstream in one
-	// call with the same semantics as emitting each tuple in order. The
-	// engine's staged batch plane provides it so ProcessBatch
-	// implementations skip the per-tuple emission chain. The caller
-	// keeps ownership of the slice and may reuse it immediately.
+	// EmitBatch is never called: every ProcessBatch emits through
+	// EmitLoan.
+	//
+	// Deprecated: kept only so environments that still set it compile.
 	EmitBatch func([]tuple.Tuple)
-	// EmitLoan is EmitBatch with the backing array loaned out: the
-	// receiver may alias ts as its staging frame instead of copying,
-	// reporting true when it did. After a taken loan the caller must not
-	// write to the array (directly or by reslice-and-append) until its
-	// next Process/ProcessBatch call begins — a reused scratch buffer
-	// qualifies unconditionally; a pooled buffer that may be refilled
-	// within the same call must be parked until that next call (see
-	// SUnion's deferred bucket free).
+	// EmitLoan, when non-nil, sends a whole batch downstream in one call
+	// with the same semantics as emitting each tuple in order, with the
+	// backing array loaned out: the engine's staged batch plane provides
+	// it so ProcessBatch implementations skip the per-tuple emission
+	// chain. The receiver may alias ts as its staging frame instead of
+	// copying, reporting true when it did. After a taken loan the caller
+	// must not write to the array (directly or by reslice-and-append)
+	// until its next Process/ProcessBatch call begins — a reused scratch
+	// buffer qualifies unconditionally; a pooled buffer that may be
+	// refilled within the same call must be parked until that next call
+	// (see SUnion's deferred bucket free).
 	EmitLoan func([]tuple.Tuple) bool
 	Now      func() int64
 	After    func(d int64, fn func()) runtime.Timer
@@ -130,20 +132,6 @@ func (b *Base) Env() *Env { return b.env }
 
 // Emit sends a tuple downstream.
 func (b *Base) Emit(t tuple.Tuple) { b.env.emit(t) }
-
-// EmitBatch sends a batch downstream in one call when the environment
-// offers a bulk path, falling back to in-order per-tuple emission
-// otherwise. The caller keeps ownership of ts and may reuse it after the
-// call returns.
-func (b *Base) EmitBatch(ts []tuple.Tuple) {
-	if b.env != nil && b.env.EmitBatch != nil {
-		b.env.EmitBatch(ts)
-		return
-	}
-	for i := range ts {
-		b.env.emit(ts[i])
-	}
-}
 
 // EmitLoan sends a batch downstream, loaning out the backing array (see
 // Env.EmitLoan for the aliasing contract); it reports whether the loan was

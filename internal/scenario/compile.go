@@ -276,7 +276,7 @@ func compile(exec rtpkg.Runtime, fab fabric.Fabric, owned map[string]bool, s *Sp
 		maxSTime:   -1,
 	}
 	idx := s.index()
-	top := topologySpecOf(s, idx, opts.PerTuple, opts.NoAudit)
+	top := topologySpecOf(s, idx, opts.NoAudit)
 	var err error
 	if fab == nil {
 		rt.dep, err = deploy.BuildTopologyOn(exec, top)
@@ -285,6 +285,9 @@ func compile(exec rtpkg.Runtime, fab fabric.Fabric, owned map[string]bool, s *Sp
 	}
 	if err != nil {
 		return nil, err
+	}
+	if opts.PerTuple {
+		rt.dep.UseReferencePlane()
 	}
 	if opts.Trace != nil {
 		for _, row := range rt.dep.Nodes {
@@ -317,7 +320,7 @@ func compile(exec rtpkg.Runtime, fab fabric.Fabric, owned map[string]bool, s *Sp
 // it and agree on the exact same wiring (the payload closure derives from
 // the spec listing index i, keeping cross-partition stream content
 // deterministic).
-func topologySpecOf(s *Spec, idx *nameIndex, perTuple, noAudit bool) deploy.TopologySpec {
+func topologySpecOf(s *Spec, idx *nameIndex, noAudit bool) deploy.TopologySpec {
 	top := deploy.TopologySpec{
 		BucketSize:       millis(s.Defaults.BucketMS),
 		BoundaryInterval: millis(s.Defaults.BoundaryMS),
@@ -325,7 +328,6 @@ func topologySpecOf(s *Spec, idx *nameIndex, perTuple, noAudit bool) deploy.Topo
 		StallTimeout:     millis(s.Defaults.StallTimeoutMS),
 		KeepAlive:        millis(s.Defaults.KeepAliveMS),
 		AckInterval:      millis(s.Defaults.AckIntervalMS),
-		PerTuple:         perTuple,
 		Client: deploy.TopologyClient{
 			Stream:              nodeStream(s.ClientInput()),
 			BucketSize:          millis(s.Client.BucketMS),

@@ -38,9 +38,10 @@ type Options struct {
 	// consistency reference run is never traced. See node.TraceFn.
 	Trace func(atUS int64, replica, event, detail string)
 	// PerTuple runs every node (and the consistency reference, so both
-	// executions share one data plane) on the reference per-tuple dispatch
-	// instead of the staged batch plane. Reports are byte-identical either
-	// way — the batch-vs-tuple differential oracle enforces it.
+	// executions share one data plane) on the per-tuple reference plane
+	// (deploy.Deployment.UseReferencePlane) instead of the staged batch
+	// plane. It exists for the differential oracles and the plane tests:
+	// reports are byte-identical either way, and they enforce it.
 	PerTuple bool
 }
 
