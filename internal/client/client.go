@@ -17,8 +17,10 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"borealis/internal/diagram"
 	"borealis/internal/fabric"
@@ -54,7 +56,7 @@ type Config struct {
 	// Record keeps a per-delivery trace (time, tuple) for figure series.
 	Record bool
 	// NoAudit disables the consistency-audit instrumentation: the
-	// undo-compacted view and the stable-duplicate tracking map, whose
+	// undo-compacted view and the stable-duplicate tracking set, whose
 	// per-tuple hashing and retention dominate a throughput measurement.
 	// View/StableView return nothing and Stats.StableDuplicates stays
 	// zero. Benchmark harnesses only — every correctness path keeps the
@@ -114,7 +116,7 @@ type Client struct {
 	undos     uint64
 	recDones  uint64
 
-	stableSeen map[stableID]bool
+	stableSeen stableSet
 	stableDups uint64
 
 	trace []Delivery
@@ -159,12 +161,11 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	c := &Client{
-		cfg:        cfg,
-		clk:        clk,
-		proxy:      proxy,
-		maxSTime:   -1,
-		latMin:     math.MaxInt64,
-		stableSeen: make(map[stableID]bool),
+		cfg:      cfg,
+		clk:      clk,
+		proxy:    proxy,
+		maxSTime: -1,
+		latMin:   math.MaxInt64,
 	}
 	proxy.OnDeliver(func(_ string, t tuple.Tuple) { c.consume(t) })
 	return c, nil
@@ -207,11 +208,9 @@ func (c *Client) consume(t tuple.Tuple) {
 		} else {
 			c.streak = 0
 			if !c.cfg.NoAudit {
-				key := stableKey(t)
-				if c.stableSeen[key] {
+				if c.stableSeen.add(stableKey(t)) {
 					c.stableDups++
 				}
-				c.stableSeen[key] = true
 			}
 		}
 		if t.STime > c.maxSTime {
@@ -253,6 +252,69 @@ func stableKey(t tuple.Tuple) stableID {
 		}
 	}
 	return stableID{stime: t.STime, hash: h}
+}
+
+func compareStableID(a, b stableID) int {
+	if c := cmp.Compare(a.stime, b.stime); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.hash, b.hash)
+}
+
+// stableSet is the exact set of stable keys delivered so far, laid out for
+// the order they arrive in. The proxy's SUnion emits sorted buckets, so
+// stable tuples reach the client in non-decreasing stime: keys[:sealed]
+// holds every key older than the newest stime, sorted by (stime, hash), and
+// keys[sealed:] the newest stime's keys in arrival order, indexed by hash in
+// cur. An in-order key costs one lookup in a map of one stime's keys plus
+// one append; a newer stime sorts the previous one's keys into the sealed
+// prefix. An older key is looked up in the sealed prefix and in late, the
+// map of older keys that arrived after a newer stime: any earlier copy of
+// it is in one of the two. When new, it joins late, so a stream of
+// redelivered old tuples costs a search and a map insert each, never a
+// shift of the sorted slice. Unlike one map of every key of the run, the
+// hot structures stay the size of one stime.
+type stableSet struct {
+	keys   []stableID
+	sealed int
+	cur    map[uint64]struct{}
+	late   map[stableID]struct{}
+}
+
+// add inserts k and reports whether it was already present.
+func (s *stableSet) add(k stableID) bool {
+	if s.sealed < len(s.keys) && k.stime < s.keys[s.sealed].stime {
+		if _, found := slices.BinarySearchFunc(s.keys[:s.sealed], k, compareStableID); found {
+			return true
+		}
+		if _, found := s.late[k]; found {
+			return true
+		}
+		if s.late == nil {
+			s.late = make(map[stableID]struct{})
+		}
+		s.late[k] = struct{}{}
+		return false
+	}
+	if s.sealed == len(s.keys) || k.stime > s.keys[s.sealed].stime {
+		slices.SortFunc(s.keys[s.sealed:], compareStableID)
+		s.sealed = len(s.keys)
+		if s.cur == nil {
+			s.cur = make(map[uint64]struct{})
+		}
+		clear(s.cur)
+	}
+	if _, ok := s.cur[k.hash]; ok {
+		return true
+	}
+	s.cur[k.hash] = struct{}{}
+	if len(s.keys) == cap(s.keys) && len(s.keys) >= 1024 {
+		// Double like tuple.Append: the set reaches millions of keys, and
+		// append's gentler growth would recopy it several times more.
+		s.keys = append(make([]stableID, 0, 2*cap(s.keys)), s.keys...)
+	}
+	s.keys = append(s.keys, k)
+	return false
 }
 
 // Stats returns the metrics accumulated so far.

@@ -7,6 +7,7 @@
 package source
 
 import (
+	"math/bits"
 	"sort"
 
 	"borealis/internal/fabric"
@@ -36,7 +37,7 @@ type Config struct {
 }
 
 type subscriber struct {
-	pos    int // index into log of the next tuple to send
+	pos    int // log position of the next tuple to send
 	seq    uint64
 	paused bool
 }
@@ -47,9 +48,16 @@ type Source struct {
 	clk runtime.Clock
 	net fabric.Fabric
 
-	log     []tuple.Tuple
-	logBase int // sequence index of log[0] after truncation
-	subs    map[string]*subscriber
+	// The persistent log, addressed by position: the i-th tuple ever
+	// logged is at position i. Live positions are [logBase, logEnd); they
+	// sit in segs, fixed arrays of 1<<segShift tuples, with position
+	// segBase at segs[0][0].
+	segs     [][]tuple.Tuple
+	segShift uint
+	segBase  int
+	logBase  int
+	logEnd   int
+	subs     map[string]*subscriber
 	// subsSorted caches the deterministic flush order; rebuilt when the
 	// subscription set changes.
 	subsSorted []string
@@ -87,7 +95,12 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 			return p
 		}
 	}
-	s := &Source{cfg: cfg, clk: clk, net: net, subs: make(map[string]*subscriber)}
+	segLen := logSegment
+	if cfg.LogCap > 0 && cfg.LogCap < segLen {
+		segLen = cfg.LogCap
+	}
+	s := &Source{cfg: cfg, clk: clk, net: net, subs: make(map[string]*subscriber),
+		segShift: uint(bits.Len(uint(segLen - 1)))}
 	net.Register(cfg.ID, s.handle)
 	return s
 }
@@ -99,7 +112,7 @@ func (s *Source) ID() string { return s.cfg.ID }
 func (s *Source) Stream() string { return s.cfg.Stream }
 
 // LogLen returns the persistent log length.
-func (s *Source) LogLen() int { return len(s.log) }
+func (s *Source) LogLen() int { return s.logEnd - s.logBase }
 
 // Start begins ticking.
 func (s *Source) Start() {
@@ -173,17 +186,31 @@ func (s *Source) tick() {
 	}
 }
 
-// append adds a tuple to the persistent log, evicting under LogCap.
-// Eviction only moves the log's start past a dead prefix, in O(1); the
-// prefix stays in the backing array, untouched, until the array is full and
-// the append moves the live log into a fresh, larger one (tuple.Append's
-// growth: at least a quarter of LogCap appends per copy, O(1) amortized).
-// The live log is never compacted in place: batches already handed to flush
-// alias the array.
+// logSegment is the tuple count of one persistent-log segment. A log
+// bounded below it uses the smallest power of two that holds LogCap, so a
+// small bounded source keeps a small log.
+const logSegment = 4096
+
+// seg splits log position i into its segment and its offset there.
+func (s *Source) seg(i int) (int, int) {
+	i -= s.segBase
+	return i >> s.segShift, i & (1<<s.segShift - 1)
+}
+
+// at returns the tuple at live log position i.
+func (s *Source) at(i int) tuple.Tuple {
+	g, o := s.seg(i)
+	return s.segs[g][o]
+}
+
+// append adds a tuple to the persistent log, evicting under LogCap. The
+// log grows a segment at a time and never recopies, and a written slot is
+// never written again. Eviction moves the log's start past a dead prefix in
+// O(1) and releases segments once they hold no live tuple; their contents
+// stay untouched, because batches already handed to flush may alias them.
 func (s *Source) append(t tuple.Tuple) {
-	if s.cfg.LogCap > 0 && len(s.log) >= s.cfg.LogCap {
-		drop := len(s.log) - s.cfg.LogCap + 1
-		s.log = s.log[drop:]
+	if s.cfg.LogCap > 0 && s.LogLen() >= s.cfg.LogCap {
+		drop := s.LogLen() - s.cfg.LogCap + 1
 		s.logBase += drop
 		s.DroppedLog += uint64(drop)
 		for _, sub := range s.subs {
@@ -191,17 +218,43 @@ func (s *Source) append(t tuple.Tuple) {
 				sub.pos = s.logBase
 			}
 		}
+		for s.logBase-s.segBase >= 1<<s.segShift {
+			s.segs[0] = nil
+			s.segs = s.segs[1:]
+			s.segBase += 1 << s.segShift
+		}
 	}
-	s.log = tuple.Append(s.log, t)
+	g, o := s.seg(s.logEnd)
+	if g == len(s.segs) {
+		s.segs = append(s.segs, make([]tuple.Tuple, 1<<s.segShift))
+	}
+	s.segs[g][o] = t
+	s.logEnd++
+}
+
+// span returns the logged tuples at positions [lo, hi). A range inside one
+// segment is aliased — its slots are never written again, and the capacity
+// is clipped so the receiver cannot append into the slots after it. A range
+// crossing segments (a reconnect replay, or a tick's batch straddling a
+// boundary) is copied into a fresh array.
+func (s *Source) span(lo, hi int) []tuple.Tuple {
+	ga, oa := s.seg(lo)
+	gb, ob := s.seg(hi - 1)
+	if ga == gb {
+		return s.segs[ga][oa : ob+1 : ob+1]
+	}
+	out := make([]tuple.Tuple, 0, hi-lo)
+	out = append(out, s.segs[ga][oa:]...)
+	for g := ga + 1; g < gb; g++ {
+		out = append(out, s.segs[g]...)
+	}
+	return append(out, s.segs[gb][:ob+1]...)
 }
 
 // flush sends each subscriber everything it has not yet received, in
-// deterministic (sorted endpoint) order. Batches alias the log rather than
-// copying it: the aliased region is immutable (appends write past it,
-// LogCap eviction writes nothing, and growth copies into a fresh array,
-// leaving in-flight views intact).
+// deterministic (sorted endpoint) order.
 func (s *Source) flush() {
-	end := s.logBase + len(s.log)
+	end := s.logEnd
 	if s.subsSorted == nil && len(s.subs) > 0 {
 		eps := make([]string, 0, len(s.subs))
 		for ep := range s.subs {
@@ -215,8 +268,7 @@ func (s *Source) flush() {
 		if sub.paused || sub.pos >= end {
 			continue
 		}
-		lo := sub.pos - s.logBase
-		batch := s.log[lo:len(s.log):len(s.log)]
+		batch := s.span(sub.pos, end)
 		sub.pos = end
 		sub.seq++
 		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: batch})
@@ -234,9 +286,9 @@ func (s *Source) handle(from string, msg any) {
 		}
 		pos := s.logBase
 		if m.FromID > 0 {
-			for i := len(s.log) - 1; i >= 0; i-- {
-				if s.log[i].IsData() && s.log[i].ID == m.FromID {
-					pos = s.logBase + i + 1
+			for i := s.logEnd - 1; i >= s.logBase; i-- {
+				if t := s.at(i); t.IsData() && t.ID == m.FromID {
+					pos = i + 1
 					break
 				}
 			}

@@ -3,6 +3,7 @@ package source
 import (
 	goruntime "runtime"
 	"testing"
+	"unsafe"
 
 	"borealis/internal/netsim"
 	"borealis/internal/node"
@@ -234,42 +235,142 @@ func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
 	if s.LogLen() != 1000 || s.DroppedLog != n-1000 {
 		t.Fatalf("LogLen %d, DroppedLog %d; want 1000, %d", s.LogLen(), s.DroppedLog, n-1000)
 	}
-	for i, tp := range s.log {
-		if want := uint64(n - 1000 + 1 + i); tp.ID != want {
+	for i := 0; i < s.LogLen(); i++ {
+		if tp, want := s.at(s.logBase+i), uint64(n-1000+1+i); tp.ID != want {
 			t.Fatalf("log[%d] = id %d, want %d", i, tp.ID, want)
 		}
+	}
+	if len(s.segs) > 2 {
+		t.Fatalf("%d segments live for a 1000-tuple window; evicted segments must be released", len(s.segs))
+	}
+}
+
+func TestSourceSmallLogCapKeepsSmallSegments(t *testing.T) {
+	// A log bounded below one full segment must not pin one: at LogCap 64
+	// the live log sits in at most two 64-tuple segments.
+	_, _, s, _ := setup(Config{LogCap: 64})
+	for i := 1; i <= 10000; i++ {
+		s.append(logTuple(i))
+		if len(s.segs) > 2 || len(s.segs[len(s.segs)-1]) != 64 {
+			t.Fatalf("after %d appends: %d segments of %d tuples, want ≤ 2 of 64", i, len(s.segs), len(s.segs[len(s.segs)-1]))
+		}
+	}
+	if s.LogLen() != 64 || s.at(s.logBase).ID != 10000-63 {
+		t.Fatalf("LogLen %d, oldest id %d", s.LogLen(), s.at(s.logBase).ID)
 	}
 }
 
 func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
-	// flush sends views of the log; eviction and growth must leave every
-	// batch already handed out exactly as it was sent.
-	sim, net, s, _ := setup(Config{LogCap: 64})
-	var held [][]tuple.Tuple
-	var want [][]tuple.Tuple
-	net.Register("dn", func(_ string, msg any) {
-		if dm, ok := msg.(node.DataMsg); ok {
-			held = append(held, dm.Tuples)
-			want = append(want, append([]tuple.Tuple(nil), dm.Tuples...))
-		}
-	})
-	subscribe(net, sim, 0)
-	for i := 1; i <= 2000; i++ {
-		s.append(logTuple(i))
-		if i%7 == 0 {
-			s.flush()
-			sim.RunFor(ms)
-		}
-	}
-	if len(held) < 200 {
-		t.Fatalf("only %d batches sent", len(held))
-	}
-	for b := range held {
-		for i := range held[b] {
-			if !tuple.Equal(held[b][i], want[b][i]) {
-				t.Fatalf("batch %d slot %d changed after sending: %v, sent %v", b, i, held[b][i], want[b][i])
+	// flush sends views of the log; later appends, segment crossings and
+	// eviction must leave every batch already handed out exactly as it was
+	// sent, and every batch must hold the tuples logged at its positions.
+	for _, logCap := range []int{64, logSegment + 100, 0} {
+		sim, net, s, _ := setup(Config{LogCap: logCap})
+		var held [][]tuple.Tuple
+		var want [][]tuple.Tuple
+		net.Register("dn", func(_ string, msg any) {
+			if dm, ok := msg.(node.DataMsg); ok {
+				held = append(held, dm.Tuples)
+				want = append(want, append([]tuple.Tuple(nil), dm.Tuples...))
+			}
+		})
+		subscribe(net, sim, 0)
+		// Flushing every 61 appends keeps the subscriber inside even the
+		// 64-tuple window, and batches straddle segment boundaries.
+		const n = 3*logSegment + 500
+		for i := 1; i <= n; i++ {
+			s.append(logTuple(i))
+			if i%61 == 0 || i == n {
+				s.flush()
+				sim.RunFor(ms)
 			}
 		}
+		sim.RunFor(10 * ms) // deliver the batches still in flight
+		if len(held) < n/61 {
+			t.Fatalf("LogCap %d: only %d batches sent", logCap, len(held))
+		}
+		next := uint64(1)
+		for b := range held {
+			for i := range held[b] {
+				if !tuple.Equal(held[b][i], want[b][i]) {
+					t.Fatalf("LogCap %d: batch %d slot %d changed after sending: %v, sent %v",
+						logCap, b, i, held[b][i], want[b][i])
+				}
+			}
+			// A subscriber never behind the horizon receives every
+			// position exactly once, in order.
+			for _, tp := range held[b] {
+				if tp.ID != next {
+					t.Fatalf("LogCap %d: batch %d holds id %d, want %d", logCap, b, tp.ID, next)
+				}
+				next++
+			}
+		}
+		if next != n+1 {
+			t.Fatalf("LogCap %d: %d tuples delivered, want %d", logCap, next-1, n)
+		}
+	}
+}
+
+func TestSourceFlushSpanningSegments(t *testing.T) {
+	// A reconnect replay covers several segments; the batch must equal the
+	// logged tuples, and appending into its spare capacity must not reach
+	// the log.
+	sim, net, s, k := setup(Config{})
+	subscribe(net, sim, 0)
+	s.Disconnect()
+	const n = 2*logSegment + logSegment/2
+	for i := 1; i <= n; i++ {
+		s.append(logTuple(i))
+	}
+	s.Reconnect()
+	s.flush()
+	sim.RunFor(10 * ms)
+	if len(k.tuples) != n {
+		t.Fatalf("replay delivered %d tuples, want %d", len(k.tuples), n)
+	}
+	for i, tp := range k.tuples {
+		if !tuple.Equal(tp, logTuple(i+1)) || !tuple.Equal(tp, s.at(i)) {
+			t.Fatalf("replay[%d] = %v, want %v", i, tp, logTuple(i+1))
+		}
+	}
+	// A tail batch aliased inside one segment is clipped to its length.
+	for i := n + 1; i <= n+10; i++ {
+		s.append(logTuple(i))
+	}
+	batch := s.span(n, n+10)
+	if cap(batch) != len(batch) {
+		t.Fatalf("aliased batch has spare capacity %d", cap(batch)-len(batch))
+	}
+	_ = append(batch, logTuple(-1))
+	s.append(logTuple(n + 11))
+	if got := s.at(n + 10); got.ID != uint64(n+11) {
+		t.Fatalf("log slot after a batch was written through the batch: %v", got)
+	}
+}
+
+func TestSourceUnboundedLogNeverRecopies(t *testing.T) {
+	// An unbounded log grows a segment at a time: 100 000 appends allocate
+	// about the tuples' own bytes, and the first segment never moves.
+	_, _, s, _ := setup(Config{})
+	const n = 100000
+	s.append(logTuple(1))
+	first := &s.segs[0][0]
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 2; i <= n; i++ {
+		s.append(logTuple(i))
+	}
+	goruntime.ReadMemStats(&after)
+	own := float64(n) * float64(unsafe.Sizeof(tuple.Tuple{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*own {
+		t.Fatalf("%d appends allocated %.0f B, want ≤ 1.1 × %.0f B", n, got, own)
+	}
+	if &s.segs[0][0] != first {
+		t.Fatal("the first segment was recopied")
+	}
+	if s.LogLen() != n || s.at(n-1).ID != n {
+		t.Fatalf("LogLen %d, last id %d", s.LogLen(), s.at(n-1).ID)
 	}
 }
 

@@ -187,10 +187,30 @@ func appendTuple(dst []byte, t tuple.Tuple) []byte {
 
 // reader is a bounds-checked cursor over one frame body. Every read
 // returns ok=false past the end instead of panicking: the decoder must
-// survive arbitrary bytes from the network.
+// survive arbitrary bytes from the network. Decoded values never alias b:
+// strings and tuple payloads are copied out, so the caller may reuse the
+// body buffer for the next frame.
 type reader struct {
-	b   []byte
-	pos int
+	b    []byte
+	pos  int
+	slab []int64 // the frame's payload slab (see payload)
+}
+
+// payload returns a zeroed n-element slice for one decoded tuple's Data,
+// with tuplesLeft tuples (this one included) still to decode. It is carved
+// from a slab sized for the rest of the frame — the remaining tuples at
+// this tuple's width, capped by the body bytes left, since every value
+// takes at least one — so a frame of uniform tuples costs one allocation
+// instead of one per tuple. A carved slice is never handed out again, so a
+// tuple its receiver keeps stays intact. n is at most the bytes left
+// (decodeTuple checks), so the slab always fits this tuple.
+func (r *reader) payload(n int, tuplesLeft uint64) []int64 {
+	if len(r.slab) < n {
+		r.slab = make([]int64, min(uint64(n)*tuplesLeft, uint64(len(r.b)-r.pos)))
+	}
+	p := r.slab[:n:n]
+	r.slab = r.slab[n:]
+	return p
 }
 
 func (r *reader) byte() (byte, bool) {
@@ -244,6 +264,7 @@ var errMalformed = fmt.Errorf("transport: malformed frame")
 // prefix) into its addressing and message. It never panics on malformed
 // input; every syntactically invalid body — truncation, unknown tags or
 // flag bits, out-of-range enum values, trailing garbage — returns an error.
+// The result does not alias body.
 func DecodeFrame(body []byte) (from, to string, msg any, err error) {
 	r := &reader{b: body}
 	ver, ok := r.byte()
@@ -287,7 +308,7 @@ func DecodeFrame(body []byte) (from, to string, msg any, err error) {
 			m.Tuples = make([]tuple.Tuple, 0, n)
 		}
 		for i := uint64(0); i < n; i++ {
-			t, ok := decodeTuple(r)
+			t, ok := decodeTuple(r, n-i)
 			if !ok {
 				return "", "", nil, errMalformed
 			}
@@ -413,7 +434,7 @@ func DecodeFrame(body []byte) (from, to string, msg any, err error) {
 	return from, to, msg, nil
 }
 
-func decodeTuple(r *reader) (tuple.Tuple, bool) {
+func decodeTuple(r *reader, tuplesLeft uint64) (tuple.Tuple, bool) {
 	var t tuple.Tuple
 	c, ok := r.byte()
 	if !ok || c > byte(tuple.RecDone) {
@@ -436,7 +457,7 @@ func decodeTuple(r *reader) (tuple.Tuple, bool) {
 		return t, false
 	}
 	if n > 0 {
-		t.Data = make([]int64, n)
+		t.Data = r.payload(int(n), tuplesLeft)
 	}
 	for i := range t.Data {
 		if t.Data[i], ok = r.varint(); !ok {

@@ -91,6 +91,68 @@ func TestCodecAppendsInPlace(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameDoesNotAliasBody decodes two DataMsg frames through one
+// reused body buffer — as a connection's reader does — then overwrites the
+// buffer: both decoded messages, payloads and strings included, must be
+// unchanged. A decode that aliased the body would see the overwrite.
+func TestDecodeFrameDoesNotAliasBody(t *testing.T) {
+	mk := func(base int64) node.DataMsg {
+		ts := make([]tuple.Tuple, 64)
+		for i := range ts {
+			v := base + int64(i)
+			ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(v), STime: v * 10, Data: []int64{v, -v}}
+		}
+		return node.DataMsg{Stream: "stream", Seq: uint64(base), Tuples: ts}
+	}
+	var body []byte
+	decode := func(m node.DataMsg) node.DataMsg {
+		enc, err := AppendFrame(nil, "from", "to", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body[:0], enc[4:]...)
+		from, to, got, err := DecodeFrame(body)
+		if err != nil || from != "from" || to != "to" {
+			t.Fatalf("decode: (%q, %q) %v", from, to, err)
+		}
+		return got.(node.DataMsg)
+	}
+	m1, m2 := mk(1), mk(1000)
+	got1 := decode(m1)
+	got2 := decode(m2)
+	for i := range body {
+		body[i] = 0xff
+	}
+	if !reflect.DeepEqual(got1, m1) {
+		t.Fatalf("first message changed after the body buffer was reused:\n got %v\nwant %v", got1, m1)
+	}
+	if !reflect.DeepEqual(got2, m2) {
+		t.Fatalf("second message changed after the body buffer was overwritten:\n got %v\nwant %v", got2, m2)
+	}
+}
+
+// TestDecodeFrameAllocatesPerFrame pins that decoding a DataMsg costs a
+// fixed handful of allocations — addressing strings, the tuple array, one
+// payload slab, the boxed message — however many tuples it carries.
+func TestDecodeFrameAllocatesPerFrame(t *testing.T) {
+	ts := make([]tuple.Tuple, 256)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i), Data: []int64{int64(i), 7, -3}}
+	}
+	enc, err := AppendFrame(nil, "from", "to", node.DataMsg{Stream: "s", Seq: 1, Tuples: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, _, err := DecodeFrame(enc[4:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("decoding a %d-tuple frame allocated %.0f times, want at most 8", len(ts), allocs)
+	}
+}
+
 func TestCodecRejectsUnknownType(t *testing.T) {
 	if _, err := AppendFrame(nil, "a", "b", struct{ X int }{1}); err == nil {
 		t.Fatal("encoding a non-wire type should fail")

@@ -102,7 +102,7 @@ func (w *flowWindow) signal() {
 // sendCtl enqueues one control-class frame, blocking with backoff while the
 // peer's window or queue is full. Returns only after the frame is queued or
 // the stall outlived CtlTimeout (the frame is then dropped and counted).
-func (t *TCP) sendCtl(p *peer, frame []byte) {
+func (t *TCP) sendCtl(p *peer, frame *outFrame) {
 	deadline := time.Now().Add(t.cfg.CtlTimeout)
 	stalled := false
 	for {
@@ -122,10 +122,12 @@ func (t *TCP) sendCtl(p *peer, frame []byte) {
 		closed := t.closed
 		t.mu.Unlock()
 		if closed {
+			putFrame(frame)
 			t.drop(&t.DroppedDead)
 			return
 		}
 		if time.Now().After(deadline) {
+			putFrame(frame)
 			t.drop(&t.DroppedCtl)
 			return
 		}
@@ -133,6 +135,7 @@ func (t *TCP) sendCtl(p *peer, frame []byte) {
 		case <-p.flow.credit:
 		case <-time.After(t.cfg.CtlBackoff):
 		case <-t.done:
+			putFrame(frame)
 			t.drop(&t.DroppedDead)
 			return
 		}

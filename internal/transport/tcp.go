@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,11 +115,33 @@ type localEndpoint struct {
 // order — a single ordered byte stream.
 type peer struct {
 	addr  string
-	queue chan []byte
+	queue chan *outFrame
 	// kick interrupts a mid-backoff dial sleep when the route to this
 	// address is re-announced (the peer process respawned).
 	kick chan struct{}
 	flow *flowWindow
+}
+
+// outFrame is one encoded frame on its way to a peer's writer. Send takes
+// it from framePool and the writer puts it back once the frame is written
+// or lost, so steady traffic reuses a handful of buffers instead of
+// allocating and regrowing one per frame.
+type outFrame struct {
+	b []byte
+}
+
+// maxPooledFrame bounds the buffers framePool keeps and a connection's
+// reader retains: one replay frame of megabytes must not stay pinned behind
+// traffic that needs kilobytes.
+const maxPooledFrame = 1 << 20
+
+var framePool = sync.Pool{New: func() any { return new(outFrame) }}
+
+func putFrame(f *outFrame) {
+	if cap(f.b) > maxPooledFrame {
+		f.b = nil
+	}
+	framePool.Put(f)
 }
 
 type delivery struct {
@@ -278,7 +303,7 @@ func (t *TCP) Send(from, to string, msg any) {
 		}
 		p = &peer{
 			addr:  addr,
-			queue: make(chan []byte, t.cfg.QueueLen),
+			queue: make(chan *outFrame, t.cfg.QueueLen),
 			kick:  make(chan struct{}, 1),
 			flow:  newFlowWindow(),
 		}
@@ -287,7 +312,9 @@ func (t *TCP) Send(from, to string, msg any) {
 		go t.writeLoop(p)
 	}
 	t.mu.Unlock()
-	frame, err := AppendFrame(nil, from, to, msg)
+	frame := framePool.Get().(*outFrame)
+	var err error
+	frame.b, err = AppendFrame(frame.b[:0], from, to, msg)
 	if err != nil {
 		panic(err) // non-wire message type on the fabric: programming error
 	}
@@ -298,6 +325,7 @@ func (t *TCP) Send(from, to string, msg any) {
 	select {
 	case p.queue <- frame:
 	default:
+		putFrame(frame)
 		t.drop(&t.DroppedQueue)
 	}
 }
@@ -334,10 +362,11 @@ func (t *TCP) deliver(x any) {
 }
 
 // writeLoop drains one peer's queue onto its connection, dialing with
-// backoff and reconnecting after errors. Frames that fail to write are
-// dropped — the peer sees a gap, exactly what its protocol expects from a
-// broken connection. Each live connection gets a companion ackLoop reading
-// the receiver's flow-control credits off the reverse direction.
+// backoff and reconnecting after errors, and returns each written frame's
+// buffer to framePool. Frames that fail to write are dropped — the peer
+// sees a gap, exactly what its protocol expects from a broken connection.
+// Each live connection gets a companion ackLoop reading the receiver's
+// flow-control credits off the reverse direction.
 func (t *TCP) writeLoop(p *peer) {
 	defer t.conns.Done()
 	var conn net.Conn
@@ -347,7 +376,7 @@ func (t *TCP) writeLoop(p *peer) {
 		}
 	}()
 	for {
-		var frame []byte
+		var frame *outFrame
 		select {
 		case frame = <-p.queue:
 		case <-t.done:
@@ -379,7 +408,9 @@ func (t *TCP) writeLoop(p *peer) {
 		if frame == nil {
 			return
 		}
-		if _, err := conn.Write(frame); err != nil {
+		_, err := conn.Write(frame.b)
+		putFrame(frame)
+		if err != nil {
 			conn.Close()
 			conn = nil
 			t.drop(&t.DroppedWrite)
@@ -394,17 +425,10 @@ func (t *TCP) writeLoop(p *peer) {
 // goroutine can still be woken.
 func (t *TCP) ackLoop(p *peer, conn net.Conn) {
 	defer t.conns.Done()
-	var hdr [4]byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > MaxFrameSize {
-			return
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		body, err := fr.next()
+		if err != nil {
 			return
 		}
 		_, _, msg, err := DecodeFrame(body)
@@ -454,19 +478,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	var hdr [4]byte
+	fr := newFrameReader(conn)
 	var ackBuf []byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > MaxFrameSize {
-			return // corrupt peer; drop the connection
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
+		body, err := fr.next()
+		if err != nil {
+			return // closed, truncated or oversized frame; drop the connection
 		}
 		from, to, msg, err := DecodeFrame(body)
 		if err != nil {
@@ -500,4 +517,51 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		t.clk.AfterCall(delay, t.deliverFn, &delivery{t: t, from: from, to: to, msg: msg})
 	}
+}
+
+// readStep bounds how far one read grows a connection's body buffer past
+// the bytes already received. A length prefix is only a claim: a garbled or
+// hostile one must not allocate up to MaxFrameSize before the body arrives.
+const readStep = 64 << 10
+
+var errFrameSize = errors.New("transport: frame exceeds MaxFrameSize")
+
+// frameReader reads length-prefixed frames off one connection through a
+// buffered reader into one reused body buffer.
+type frameReader struct {
+	r    *bufio.Reader
+	hdr  [4]byte
+	body []byte
+}
+
+func newFrameReader(conn net.Conn) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(conn, readStep)}
+}
+
+// next returns the next frame's body. The slice is valid until the next
+// call: it is overwritten by the following frame.
+func (fr *frameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
+	if n > MaxFrameSize {
+		return nil, errFrameSize
+	}
+	if cap(fr.body) > maxPooledFrame {
+		fr.body = nil // the last frame was a large replay; don't pin it
+	}
+	b := fr.body[:0]
+	for len(b) < n {
+		step := min(n-len(b), readStep)
+		b = slices.Grow(b, step)
+		m, err := io.ReadFull(fr.r, b[len(b):len(b)+step])
+		b = b[:len(b)+m]
+		if err != nil {
+			fr.body = b
+			return nil, err
+		}
+	}
+	fr.body = b
+	return b, nil
 }

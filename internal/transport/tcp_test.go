@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
+	"io"
+	"net"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -361,6 +365,119 @@ func TestTCPReconnectAfterRespawn(t *testing.T) {
 		}
 		tA.Send("a", "b", node.AckMsg{Stream: "s", UpToID: 3})
 		clkB.RunFor(10 * runtime.Millisecond)
+	}
+}
+
+// TestTCPQueuedPairsKeepOrder queues frames of several (from, to) pairs
+// while the writer cannot write (its peer is not listening yet), so that
+// the writer drains a full queue of pooled frames once it connects: every
+// frame must arrive, in send order, with its own payload.
+func TestTCPQueuedPairsKeepOrder(t *testing.T) {
+	clkA, clkB := runtime.NewWall(1000), runtime.NewWall(1000)
+	tB, err := Listen(clkB, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tB.Addr()
+	tB.Close() // nothing listens: the writer fails its dial and parks
+	tA, err := Listen(clkA, Config{
+		ListenAddr:  "127.0.0.1:0",
+		Routes:      map[string]string{"b1": addr, "b2": addr},
+		DialBackoff: time.Hour, // only the route kick below wakes it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tA.Close()
+	tA.Register("a1", func(string, any) {})
+	tA.Register("a2", func(string, any) {})
+
+	pairs := [][2]string{{"a1", "b1"}, {"a2", "b1"}, {"a1", "b2"}, {"a2", "b2"}}
+	const n = 327
+	for i := 0; i < n; i++ {
+		p := pairs[i%len(pairs)]
+		tA.Send(p[0], p[1], node.DataMsg{Stream: "s", Seq: uint64(i), Tuples: []tuple.Tuple{
+			{Type: tuple.Insertion, ID: uint64(i), STime: int64(i), Data: []int64{int64(i)}}}})
+	}
+
+	tB2, err := Listen(clkB, Config{ListenAddr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tB2.Close()
+	type arrival struct {
+		from, to string
+		seq      uint64
+	}
+	var got []arrival
+	for _, to := range []string{"b1", "b2"} {
+		tB2.Register(to, func(from string, msg any) {
+			m := msg.(node.DataMsg)
+			if m.Tuples[0].Data[0] != int64(m.Seq) {
+				t.Errorf("frame %d: payload %v", m.Seq, m.Tuples)
+			}
+			got = append(got, arrival{from, to, m.Seq})
+		})
+	}
+	tA.AddRoute("b1", addr)
+	driveUntil(t, clkB, 10*time.Second, func() bool { return len(got) == n })
+	for i, a := range got {
+		if p := pairs[i%len(pairs)]; a.seq != uint64(i) || a.from != p[0] || a.to != p[1] {
+			t.Fatalf("arrival %d: %+v, want seq %d on %s→%s", i, a, i, p[0], p[1])
+		}
+	}
+	if d := tA.Dropped.Load(); d != 0 {
+		t.Fatalf("%d frames dropped", d)
+	}
+}
+
+// TestTCPGarbledLengthPrefix sends a header claiming a MaxFrameSize body
+// followed by ten bytes and a close: the reader must drop the connection
+// without allocating the claimed size, growing its buffer only as bytes
+// arrive.
+func TestTCPGarbledLengthPrefix(t *testing.T) {
+	clk := runtime.NewWall(1000)
+	tr, err := Listen(clk, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	msg := binary.BigEndian.AppendUint32(nil, MaxFrameSize)
+	msg = append(msg, make([]byte, 10)...)
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The reader drops the connection: our read sees its close.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection not dropped: read %d bytes, %v", n, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tr.mu.Lock()
+		open := len(tr.inbound)
+		tr.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reader never released the connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a %d-byte length claim over 10 body bytes allocated %d B, want < 1 MiB", MaxFrameSize, grew)
 	}
 }
 
