@@ -2,7 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -252,46 +258,87 @@ func TestPrintersProduceOutput(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the experiment golden files")
+
+// result is what every experiment returns: a printable table or series.
+type result interface{ Print(io.Writer) }
+
+// golden renders a result as its golden-file text: the Print output, then
+// the SHA-256 of the JSON-rendered result. The hash pins every field —
+// including Fig. 11's series of more than 10 000 points, which the file
+// does not spell out.
+func golden(r result) ([]byte, error) {
+	js, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	r.Print(&buf)
+	fmt.Fprintf(&buf, "json sha256 %x\n", sha256.Sum256(js))
+	return buf.Bytes(), nil
+}
+
 // TestExperimentsBothPlanes pins every experiment's full result struct
-// across the two data planes: the staged batch plane and the per-tuple
-// reference must produce byte-identical metrics (JSON-rendered) for the
-// whole evaluation suite. This is the experiment-level analogue of the
-// scenario golden proof — any batch-plane shortcut that changed a single
-// delivered tuple, latency, or counter anywhere in §5-§8 would show here.
+// across the two data planes and against its golden file: the staged batch
+// plane and the per-tuple reference must both reproduce
+// testdata/<name>.golden byte for byte (the Print text plus the SHA-256 of
+// the JSON result). This is the experiment-level analogue of the scenario
+// golden proof — any change that moved a single delivered tuple, latency,
+// or counter anywhere in §5-§8 would show here. The golden files are not
+// regenerated when the way an experiment builds its deployment changes:
+// the numbers must not move. After an intentional behaviour change:
+//
+//	go test ./internal/experiment -run TestExperimentsBothPlanes -update
 func TestExperimentsBothPlanes(t *testing.T) {
 	t.Parallel()
 	batch := Options{Quick: true}
 	ref := Options{Quick: true, PerTuple: true}
 	for _, tc := range []struct {
 		name string
-		run  func(Options) any
+		run  func(Options) result
 	}{
-		{"fig11a", func(o Options) any { return Fig11(true, o) }},
-		{"fig11b", func(o Options) any { return Fig11(false, o) }},
-		{"table3", func(o Options) any { return Table3(o) }},
-		{"fig13", func(o Options) any { return Fig13(o) }},
-		{"fig15", func(o Options) any { return Fig15(o) }},
-		{"fig16", func(o Options) any { return Fig16(o, 5) }},
-		{"fig19", func(o Options) any { return Fig19(o) }},
-		{"table4", func(o Options) any { return Table4(o) }},
-		{"table5", func(o Options) any { return Table5(o) }},
-		{"switchover", func(o Options) any { return Switchover(o) }},
-		{"ablate-buffers", func(o Options) any { return AblateBuffers(o) }},
-		{"ablate-tb", func(o Options) any { return AblateTentativeBoundaries(o) }},
+		{"fig11a", func(o Options) result { return Fig11(true, o) }},
+		{"fig11b", func(o Options) result { return Fig11(false, o) }},
+		{"table3", func(o Options) result { return Table3(o) }},
+		{"fig13", func(o Options) result { return Fig13(o) }},
+		{"fig15", func(o Options) result { return Fig15(o) }},
+		{"fig16", func(o Options) result { return Fig16(o, 5) }},
+		{"fig19", func(o Options) result { return Fig19(o) }},
+		{"table4", func(o Options) result { return Table4(o) }},
+		{"table5", func(o Options) result { return Table5(o) }},
+		{"switchover", func(o Options) result { return Switchover(o) }},
+		{"ablate-buffers", func(o Options) result { return AblateBuffers(o) }},
+		{"ablate-tb", func(o Options) result { return AblateTentativeBoundaries(o) }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			b, err := json.Marshal(tc.run(batch))
+			b, err := golden(tc.run(batch))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := json.Marshal(tc.run(ref))
+			path := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to regenerate)", err)
+			}
+			if !bytes.Equal(b, want) {
+				t.Fatalf("batch plane drifted from %s\n--- got ---\n%s--- want ---\n%s", path, b, want)
+			}
+			p, err := golden(tc.run(ref))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(b, p) {
-				t.Fatalf("experiment diverges across data planes\nbatch:     %s\nper-tuple: %s", b, p)
+			if !bytes.Equal(p, want) {
+				t.Fatalf("per-tuple plane drifted from %s\n--- got ---\n%s--- want ---\n%s", path, p, want)
 			}
 		})
 	}
