@@ -16,18 +16,24 @@
 //
 // # Quick start
 //
-//	dep, err := borealis.BuildChain(borealis.ChainSpec{
-//		Depth:    1,
-//		Replicas: 2,
-//		Sources:  3,
-//		Rate:     500,
-//		Delay:    2 * borealis.Second, // availability bound D
-//	})
+// A run is described by a scenario spec (docs/SCENARIOS.md): the topology,
+// the workload and a timed fault schedule.
+//
+//	spec, err := borealis.ParseScenario([]byte(`{
+//	  "name": "quickstart", "duration_s": 60,
+//	  "defaults": {"delay_s": 2, "replicas": 2},
+//	  "sources": [{"name": "s", "count": 3, "rate": 500}],
+//	  "nodes": [{"name": "n1", "inputs": ["s"]}],
+//	  "faults": [{"kind": "disconnect", "source": "s2", "at_s": 10, "duration_s": 5}]
+//	}`))
 //	if err != nil { ... }
-//	dep.DisconnectSource(1, 10*borealis.Second, 5*borealis.Second)
+//	dep, err := borealis.BuildScenario(spec, borealis.ScenarioOptions{})
+//	if err != nil { ... }
 //	dep.Start()
 //	dep.RunFor(60 * borealis.Second)
 //	fmt.Printf("%+v\n", dep.Client.Stats())
+//
+// RunScenario runs the same spec and returns its metrics report instead.
 //
 // Custom query diagrams are assembled with NewDiagramBuilder and executed
 // on processing nodes via NewNode; see examples/ for complete programs.
@@ -255,10 +261,6 @@ func NewClientOn(clk Clock, net *Net, cfg ClientConfig) (*Client, error) {
 
 // Deployments.
 type (
-	// ChainSpec describes a replicated chain deployment (Figs. 12, 14).
-	ChainSpec = deploy.ChainSpec
-	// SUnionTreeSpec describes the Fig. 10 single-node SUnion tree.
-	SUnionTreeSpec = deploy.SUnionTreeSpec
 	// Deployment is a running system: sources, nodes, client.
 	Deployment = deploy.Deployment
 	// TopologySpec describes an arbitrary-DAG deployment: sources, a
@@ -272,16 +274,9 @@ type (
 	TopologyClient = deploy.TopologyClient
 )
 
-// BuildChain assembles a replicated chain deployment.
-func BuildChain(spec ChainSpec) (*Deployment, error) { return deploy.BuildChain(spec) }
-
-// BuildSUnionTree assembles the Fig. 10/11 deployment.
-func BuildSUnionTree(spec SUnionTreeSpec) (*Deployment, error) {
-	return deploy.BuildSUnionTree(spec)
-}
-
 // BuildTopology assembles a deployment over an arbitrary DAG of replicated
-// node groups; BuildChain and BuildSUnionTree are presets over it.
+// node groups, with Go operator factories a scenario spec cannot express;
+// BuildScenario compiles a scenario spec to it.
 func BuildTopology(spec TopologySpec) (*Deployment, error) { return deploy.BuildTopology(spec) }
 
 // GroupReplicaID names replica r of a logical node: ("n2", 1) → "n2b".

@@ -10,17 +10,20 @@ import (
 
 // TestFacadeQuickstart exercises the high-level deployment API end to end.
 func TestFacadeQuickstart(t *testing.T) {
-	dep, err := borealis.BuildChain(borealis.ChainSpec{
-		Depth:    1,
-		Replicas: 2,
-		Sources:  3,
-		Rate:     300,
-		Delay:    2 * borealis.Second,
-	})
+	spec, err := borealis.ParseScenario([]byte(`{
+	  "name": "facade-quickstart", "duration_s": 25,
+	  "defaults": {"delay_s": 2, "replicas": 2},
+	  "sources": [{"name": "s", "count": 3, "rate": 300}],
+	  "nodes": [{"name": "n1", "inputs": ["s"]}],
+	  "faults": [{"kind": "disconnect", "source": "s2", "at_s": 5, "duration_s": 4}]
+	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep.DisconnectSource(1, 5*borealis.Second, 4*borealis.Second)
+	dep, err := borealis.BuildScenario(spec, borealis.ScenarioOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dep.Start()
 	dep.RunFor(25 * borealis.Second)
 	st := dep.Client.Stats()
@@ -104,15 +107,19 @@ func TestFacadeDPCWrap(t *testing.T) {
 	}
 }
 
-// ExampleBuildChain demonstrates the quickstart flow for godoc.
-func ExampleBuildChain() {
-	dep, err := borealis.BuildChain(borealis.ChainSpec{
-		Depth:    1,
-		Replicas: 2,
-		Sources:  3,
-		Rate:     100,
-		Delay:    2 * borealis.Second,
-	})
+// ExampleBuildScenario demonstrates the quickstart flow for godoc: a
+// replicated node over three sources, described as a scenario spec.
+func ExampleBuildScenario() {
+	spec, err := borealis.ParseScenario([]byte(`{
+	  "name": "example", "duration_s": 5,
+	  "defaults": {"delay_s": 2, "replicas": 2},
+	  "sources": [{"name": "s", "count": 3, "rate": 100}],
+	  "nodes": [{"name": "n1", "inputs": ["s"]}]
+	}`))
+	if err != nil {
+		panic(err)
+	}
+	dep, err := borealis.BuildScenario(spec, borealis.ScenarioOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -123,29 +130,46 @@ func ExampleBuildChain() {
 	// Output: 0 0
 }
 
-// ExampleBuildChain_quickstart is the former examples/quickstart program:
-// a replicated DPC deployment surviving an input failure. Three data
-// sources feed a replicated processing node whose output a DPC client
+// runFaultFree builds spec without its fault schedule, runs it for its
+// whole length and returns the client's delivered view: the failure-free
+// reference of the eventual-consistency audit.
+func runFaultFree(spec *borealis.Scenario) []borealis.Tuple {
+	clean := *spec
+	clean.Faults = nil
+	ref, err := borealis.BuildScenario(&clean, borealis.ScenarioOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ref.Start()
+	ref.RunFor(int64(clean.DurationS) * borealis.Second)
+	return ref.Client.View()
+}
+
+// ExampleBuildScenario_quickstart is the former examples/quickstart
+// program: a replicated DPC deployment surviving an input failure. Three
+// data sources feed a replicated processing node whose output a DPC client
 // consumes. One source disconnects for five seconds; the client keeps
 // receiving results within the availability bound (tentative ones while
 // the failure lasts), and after it heals the node reconciles its state and
 // the client receives the corrected, stable stream.
-func ExampleBuildChain_quickstart() {
-	spec := borealis.ChainSpec{
-		Depth:    1,                   // one level of processing nodes
-		Replicas: 2,                   // each node runs as a replica pair
-		Sources:  3,                   // three input streams
-		Rate:     500,                 // aggregate tuples/second
-		Delay:    2 * borealis.Second, // availability bound D
-	}
-	dep, err := borealis.BuildChain(spec)
+func ExampleBuildScenario_quickstart() {
+	spec, err := borealis.ParseScenario([]byte(`{
+	  "name": "quickstart", "duration_s": 40,
+	  "defaults": {"delay_s": 2, "replicas": 2},
+	  "sources": [{"name": "s", "count": 3, "rate": 500}],
+	  "nodes": [{"name": "n1", "inputs": ["s"]}],
+	  "faults": [{"kind": "disconnect", "source": "s2", "at_s": 10, "duration_s": 5}]
+	}`))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Disconnect source 1 at t=10s for 5s. The source keeps producing
-	// and logging; on reconnect it replays everything subscribers missed.
-	dep.DisconnectSource(1, 10*borealis.Second, 5*borealis.Second)
+	// delay_s is the availability bound D; each node runs as a replica
+	// pair. Source s2 disconnects at t=10s for 5s: it keeps producing and
+	// logging, and on reconnect it replays everything subscribers missed.
+	dep, err := borealis.BuildScenario(spec, borealis.ScenarioOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	dep.Start()
 	dep.RunFor(40 * borealis.Second) // virtual time: finishes in milliseconds
@@ -157,13 +181,7 @@ func ExampleBuildChain_quickstart() {
 	fmt.Printf("stable duplicates: %d\n", st.StableDuplicates)
 
 	// Eventual consistency: compare against a failure-free run.
-	ref, err := borealis.BuildChain(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ref.Start()
-	ref.RunFor(40 * borealis.Second)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	audit := dep.Client.VerifyEventualConsistency(runFaultFree(spec))
 	fmt.Printf("eventually consistent: %v\n", audit.OK)
 	// Output:
 	// max processing latency under bound 2s+slack: true
@@ -173,32 +191,39 @@ func ExampleBuildChain_quickstart() {
 	// eventually consistent: true
 }
 
-// ExampleBuildChain_failover is the former examples/chainfailover program:
-// a four-level replicated chain surviving a node crash and a network
-// partition at once (§2.2: DPC handles multiple failures overlapping in
-// time). At t=10s the level-2 primary crashes; at t=12s a partition cuts
-// the level-3 primary from its upstreams for six seconds. Downstream
-// consistency managers detect both through keep-alive timeouts and missing
-// boundaries, switch to the surviving replicas (Table II), and the client
-// keeps receiving results.
-func ExampleBuildChain_failover() {
-	spec := borealis.ChainSpec{
-		Depth:    4,
-		Replicas: 2,
-		Sources:  3,
-		Rate:     500,
-		Delay:    2 * borealis.Second,
-	}
-	dep, err := borealis.BuildChain(spec)
+// ExampleBuildScenario_failover is the former examples/chainfailover
+// program: a four-level replicated chain surviving a node crash and a
+// network partition at once (§2.2: DPC handles multiple failures
+// overlapping in time). At t=10s the level-2 primary crashes; at t=12s a
+// partition cuts the level-3 primary from its upstreams for six seconds.
+// Downstream consistency managers detect both through keep-alive timeouts
+// and missing boundaries, switch to the surviving replicas (Table II), and
+// the client keeps receiving results.
+func ExampleBuildScenario_failover() {
+	spec, err := borealis.ParseScenario([]byte(`{
+	  "name": "failover", "duration_s": 60,
+	  "defaults": {"delay_s": 2, "replicas": 2},
+	  "sources": [{"name": "s", "count": 3, "rate": 500}],
+	  "nodes": [
+	    {"name": "n1", "inputs": ["s"]},
+	    {"name": "n2", "inputs": ["n1"]},
+	    {"name": "n3", "inputs": ["n2"]},
+	    {"name": "n4", "inputs": ["n3"]}
+	  ],
+	  "faults": [
+	    {"kind": "crash", "node": "n2", "replica": 0, "at_s": 10},
+	    {"kind": "partition", "from": "n3/0", "to": "n2", "at_s": 12, "duration_s": 6}
+	  ]
+	}`))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Crash the level-2 primary ("n2a").
-	dep.CrashNode(2, 0, 10*borealis.Second)
-	// Partition the level-3 primary from both level-2 replicas.
-	dep.Partition("n3a", "n2a", 12*borealis.Second, 6*borealis.Second)
-	dep.Partition("n3a", "n2b", 12*borealis.Second, 6*borealis.Second)
+	// The level-2 primary ("n2a") crashes for good; the level-3 primary
+	// is partitioned from both level-2 replicas.
+	dep, err := borealis.BuildScenario(spec, borealis.ScenarioOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	dep.Start()
 	dep.RunFor(60 * borealis.Second)
@@ -214,13 +239,7 @@ func ExampleBuildChain_failover() {
 		}
 	}
 
-	ref, err := borealis.BuildChain(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ref.Start()
-	ref.RunFor(60 * borealis.Second)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	audit := dep.Client.VerifyEventualConsistency(runFaultFree(spec))
 	fmt.Printf("eventually consistent: %v\n", audit.OK)
 	// Output:
 	// level 1 n1a: STABLE switches=0

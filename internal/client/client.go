@@ -53,8 +53,6 @@ type Config struct {
 	// AckInterval paces acknowledgments to the upstream replicas,
 	// enabling their output-buffer truncation (§8.1).
 	AckInterval int64
-	// Record keeps a per-delivery trace (time, tuple) for figure series.
-	Record bool
 	// NoAudit disables the consistency-audit instrumentation: the
 	// undo-compacted view and the stable-duplicate tracking set, whose
 	// per-tuple hashing and retention dominate a throughput measurement.
@@ -64,7 +62,7 @@ type Config struct {
 	NoAudit bool
 }
 
-// Delivery is one recorded delivery.
+// Delivery is one tuple delivered to the client, with its arrival time.
 type Delivery struct {
 	At    int64
 	Tuple tuple.Tuple
@@ -72,7 +70,10 @@ type Delivery struct {
 
 // Stats summarizes what the client observed.
 type Stats struct {
-	// NewTuples counts deliveries that carried new information.
+	// NewTuples counts the deliveries that raised the client's stime
+	// high-water mark — the ones Procnew is measured over. Every tuple of
+	// one source tick shares an stime, so this is one count per distinct
+	// stime, not one per tuple. ResetLatency restarts the count.
 	NewTuples uint64
 	// MaxLatency is Procnew·(the maximum now−stime over new tuples).
 	MaxLatency int64
@@ -118,8 +119,6 @@ type Client struct {
 
 	stableSeen stableSet
 	stableDups uint64
-
-	trace []Delivery
 
 	onDeliver func(Delivery)
 }
@@ -177,20 +176,13 @@ func (c *Client) Start() { c.proxy.Start() }
 // Proxy exposes the underlying proxy node.
 func (c *Client) Proxy() *node.Node { return c.proxy }
 
-// OnDeliver registers a per-delivery callback (figure series capture).
+// OnDeliver registers the per-delivery callback (figure series capture),
+// replacing any earlier one.
 func (c *Client) OnDeliver(fn func(Delivery)) { c.onDeliver = fn }
 
 // consume processes one tuple delivered by the proxy.
 func (c *Client) consume(t tuple.Tuple) {
 	now := c.clk.Now()
-	if c.cfg.Record {
-		if len(c.trace) == cap(c.trace) && len(c.trace) >= 1024 {
-			nt := make([]Delivery, len(c.trace), 2*cap(c.trace))
-			copy(nt, c.trace)
-			c.trace = nt
-		}
-		c.trace = append(c.trace, Delivery{At: now, Tuple: t})
-	}
 	if c.onDeliver != nil {
 		c.onDeliver(Delivery{At: now, Tuple: t})
 	}
@@ -344,9 +336,6 @@ func (c *Client) ResetLatency() {
 	c.latSum, c.latSumSq, c.latCount = 0, 0, 0
 	c.latMin, c.latMax = math.MaxInt64, 0
 }
-
-// Trace returns the recorded deliveries (Record must be on).
-func (c *Client) Trace() []Delivery { return c.trace }
 
 // View returns the undo-compacted delivered stream.
 func (c *Client) View() []tuple.Tuple { return append([]tuple.Tuple(nil), c.view...) }

@@ -58,7 +58,6 @@ func setup(t *testing.T) (*runtime.VirtualClock, *fakeUpstream, *Client) {
 		Stream:    "out",
 		Upstreams: []string{"n1"},
 		Delay:     50 * ms,
-		Record:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +173,15 @@ func TestClientResetLatency(t *testing.T) {
 	}
 }
 
+// TestClientTraceRecords: a figure series is recorded through OnDeliver,
+// which sees every delivery with its arrival time.
 func TestClientTraceRecords(t *testing.T) {
 	sim, up, c := setup(t)
+	var tr []Delivery
+	c.OnDeliver(func(d Delivery) { tr = append(tr, d) })
 	now := sim.Now()
 	up.push(stable(1, now, 1), tuple.NewBoundary(now+100*ms))
 	sim.RunFor(1 * sec)
-	tr := c.Trace()
 	if len(tr) == 0 {
 		t.Fatal("trace empty")
 	}

@@ -1,11 +1,13 @@
-package deploy
+package deploy_test
 
 import (
+	"fmt"
 	"testing"
 
+	"borealis/internal/deploy"
 	"borealis/internal/node"
-	"borealis/internal/operator"
 	"borealis/internal/runtime"
+	"borealis/internal/scenario"
 	"borealis/internal/tuple"
 )
 
@@ -14,34 +16,61 @@ const (
 	sec = runtime.Second
 )
 
-func pairSpec() ChainSpec {
-	return ChainSpec{
-		Depth:    1,
-		Replicas: 2,
-		Sources:  3,
-		Rate:     300,
-		Delay:    2 * sec,
+// chain is the tests' base deployment: depth levels n1…nN of replica
+// pairs, level 1 fed by three sources s1–s3 at 300 tuples/s in total, with
+// D = 2 s per node, run for durationS seconds.
+func chain(depth int, durationS float64) *scenario.Spec {
+	s := &scenario.Spec{
+		Name:      "chain",
+		DurationS: durationS,
+		Defaults:  scenario.Defaults{DelayS: 2, Replicas: 2},
+		Sources:   []scenario.SourceSpec{{Name: "s", Count: 3, Rate: 300}},
 	}
+	input := "s"
+	for level := 1; level <= depth; level++ {
+		name := fmt.Sprintf("n%d", level)
+		s.Nodes = append(s.Nodes, scenario.NodeSpec{Name: name, Inputs: []string{input}})
+		input = name
+	}
+	return s
 }
 
-// runClean runs a failure-free copy of the spec and returns the client's
-// delivered view as the reference stream for the consistency audit.
-func runClean(t *testing.T, spec ChainSpec, dur int64) []tuple.Tuple {
+// build compiles s, faults installed; call Start to begin.
+func build(t *testing.T, s *scenario.Spec) *deploy.Deployment {
 	t.Helper()
-	dep, err := BuildChain(spec)
+	dep, err := scenario.Build(s, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep.Start()
-	dep.RunFor(dur)
-	return dep.Client.View()
+	return dep
+}
+
+// runClean runs s failure-free for its whole length and returns the
+// client's delivered view as the reference stream for the consistency
+// audit.
+func runClean(t *testing.T, s *scenario.Spec) []tuple.Tuple {
+	t.Helper()
+	view, err := scenario.ClusterReference(s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// disconnect cuts source src off at atS for durS seconds; it reconnects
+// with full replay.
+func disconnect(src string, atS, durS float64) scenario.FaultSpec {
+	return scenario.FaultSpec{Kind: "disconnect", Source: src, AtS: atS, DurationS: durS}
+}
+
+// stall stops source src's boundary tuples at atS for durS seconds while
+// its data keeps flowing.
+func stall(src string, atS, durS float64) scenario.FaultSpec {
+	return scenario.FaultSpec{Kind: "stall_boundaries", Source: src, AtS: atS, DurationS: durS}
 }
 
 func TestStableFlowEndToEnd(t *testing.T) {
-	dep, err := BuildChain(pairSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := build(t, chain(1, 5))
 	dep.Start()
 	dep.RunFor(5 * sec)
 	st := dep.Client.Stats()
@@ -68,10 +97,7 @@ func TestStableFlowEndToEnd(t *testing.T) {
 }
 
 func TestBothReplicasProduceIdenticalStableStreams(t *testing.T) {
-	dep, err := BuildChain(pairSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := build(t, chain(1, 5))
 	var a, b []tuple.Tuple
 	dep.Nodes[0][0].OnDeliver(func(_ string, tp tuple.Tuple) {
 		if tp.IsData() {
@@ -105,19 +131,16 @@ func TestBothReplicasProduceIdenticalStableStreams(t *testing.T) {
 func TestMaskedFailureProducesNoTentative(t *testing.T) {
 	// Failure (1s) shorter than the 0.9·D = 1.8s suspension: fully
 	// masked (§6.1).
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 1*sec)
+	s := chain(1, 15)
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 1)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(15 * sec)
 	st := dep.Client.Stats()
 	if st.Tentative != 0 {
 		t.Fatalf("masked failure produced %d tentative tuples", st.Tentative)
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 15*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
@@ -127,12 +150,9 @@ func TestMaskedFailureProducesNoTentative(t *testing.T) {
 }
 
 func TestFailureProducesTentativeThenCorrects(t *testing.T) {
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 6*sec) // 6s failure > 1.8s suspension
+	s := chain(1, 25)
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 6)} // 6s failure > 1.8s suspension
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(25 * sec)
 	st := dep.Client.Stats()
@@ -145,7 +165,7 @@ func TestFailureProducesTentativeThenCorrects(t *testing.T) {
 	if st.RecDones == 0 {
 		t.Fatal("rec_done must reach the client")
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 25*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
@@ -168,12 +188,9 @@ func TestFailureProducesTentativeThenCorrects(t *testing.T) {
 func TestAvailabilityBoundHeldDuringFailure(t *testing.T) {
 	// Process & Process with D=2s: Procnew stays ≈ 0.9·D + overheads
 	// regardless of failure duration (Table III).
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 8*sec)
+	s := chain(1, 25)
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 8)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(4 * sec)
 	dep.Client.ResetLatency()
@@ -191,14 +208,11 @@ func TestAvailabilityBoundHeldDuringFailure(t *testing.T) {
 func TestSuspendVariantTradesLatencyForConsistency(t *testing.T) {
 	// Suspend during failure AND stabilization (no stagger): zero
 	// tentative tuples, but latency grows with the failure duration.
-	spec := pairSpec()
-	spec.FailurePolicy = operator.PolicySuspend
-	spec.StabilizationPolicy = operator.PolicySuspend
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 4*sec)
+	s := chain(1, 20)
+	s.Defaults.FailurePolicy = "suspend"
+	s.Defaults.Stabilization = "suspend"
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 4)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(20 * sec)
 	st := dep.Client.Stats()
@@ -208,19 +222,17 @@ func TestSuspendVariantTradesLatencyForConsistency(t *testing.T) {
 	if st.MaxLatency < 3900*ms {
 		t.Fatalf("suspend latency should reflect the 4s failure, got %d ms", st.MaxLatency/ms)
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 20*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
 }
 
 func TestCrashFailoverToReplica(t *testing.T) {
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.CrashNode(1, 0, 5*sec) // crash n1a, the client's first upstream
+	s := chain(1, 15)
+	// Crash n1a, the client's first upstream, for good.
+	s.Faults = []scenario.FaultSpec{{Kind: "crash", Node: "n1", Replica: 0, AtS: 5}}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(4 * sec)
 	dep.Client.ResetLatency()
@@ -247,14 +259,12 @@ func TestCrashRecoveryRebuildsReplica(t *testing.T) {
 	// §4.5: n1a crashes and later restarts; it must rebuild state from
 	// the source logs, return to STABLE, and be a usable failover target
 	// when the surviving replica crashes in turn.
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
+	s := chain(1, 60)
+	s.Faults = []scenario.FaultSpec{
+		{Kind: "crash", Node: "n1", Replica: 0, AtS: 5, DurationS: 10}, // restarts at 15s
+		{Kind: "crash", Node: "n1", Replica: 1, AtS: 40},               // after n1a recovered, kill n1b
 	}
-	dep.CrashNode(1, 0, 5*sec)
-	dep.RestartNode(1, 0, 15*sec)
-	dep.CrashNode(1, 1, 40*sec) // after n1a recovered, kill n1b
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(30 * sec)
 	n1a := dep.Nodes[0][0]
@@ -269,7 +279,7 @@ func TestCrashRecoveryRebuildsReplica(t *testing.T) {
 	if st.Tentative != 0 {
 		t.Fatalf("failover to a recovered replica should be clean, got %d tentative", st.Tentative)
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 60*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
@@ -279,20 +289,16 @@ func TestCrashRecoveryRebuildsReplica(t *testing.T) {
 }
 
 func TestChainDepth2StallFailure(t *testing.T) {
-	spec := pairSpec()
-	spec.Depth = 2
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.StallSourceBoundaries(0, 5*sec, 5*sec)
+	s := chain(2, 25)
+	s.Faults = []scenario.FaultSpec{stall("s1", 5, 5)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(25 * sec)
 	st := dep.Client.Stats()
 	if st.Tentative == 0 {
 		t.Fatal("stall failure must produce tentative output")
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 25*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
@@ -307,17 +313,15 @@ func TestChainDepth2StallFailure(t *testing.T) {
 }
 
 func TestJoinPipelineSurvivesFailure(t *testing.T) {
-	spec := pairSpec()
-	spec.WithJoin = true
-	spec.Rate = 300
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(2, 5*sec, 4*sec)
+	s := chain(1, 20)
+	// The Fig. 12 SJoin, its window holding ≈ 100 tuples of the
+	// 300 tuples/s input.
+	s.Nodes[0].Operators = []scenario.OperatorSpec{{Kind: "join", WindowMS: 100.0 / 300 * 1000}}
+	s.Faults = []scenario.FaultSpec{disconnect("s3", 5, 4)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(20 * sec)
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 20*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("join pipeline audit failed: %s", audit.Reason)
 	}
@@ -327,15 +331,12 @@ func TestJoinPipelineSurvivesFailure(t *testing.T) {
 }
 
 func TestAckTruncationBoundsOutputBuffers(t *testing.T) {
-	spec := pairSpec()
-	spec.AckInterval = 500 * ms
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := chain(1, 20)
+	s.Defaults.AckIntervalMS = 500
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(20 * sec)
-	ob := dep.Nodes[0][0].Output("t1")
+	ob := dep.Nodes[0][0].Output("n1.out")
 	if ob.Truncated == 0 {
 		t.Fatal("acks never truncated the output buffer")
 	}
@@ -345,19 +346,30 @@ func TestAckTruncationBoundsOutputBuffers(t *testing.T) {
 	}
 }
 
+// sunionTree is the Fig. 10 deployment: one unreplicated node running the
+// left-deep cascade of SUnions over four sources s1–s4 at 400 tuples/s in
+// total, D = 2 s, stabilizing with Suspend.
+func sunionTree(durationS float64) *scenario.Spec {
+	one := 1
+	return &scenario.Spec{
+		Name:      "sunion-tree",
+		DurationS: durationS,
+		Defaults:  scenario.Defaults{DelayS: 2, Stabilization: "suspend"},
+		Sources:   []scenario.SourceSpec{{Name: "s", Count: 4, Rate: 400}},
+		Nodes:     []scenario.NodeSpec{{Name: "n1", Inputs: []string{"s"}, Replicas: &one, Cascade: true}},
+	}
+}
+
 func TestSUnionTreeOverlappingFailures(t *testing.T) {
 	// Fig. 11(a): failures on inputs 1 and 3 overlap; corrections happen
 	// once, after both heal.
-	spec := SUnionTreeSpec{Rate: 400, Delay: 2 * sec, RecordClient: true}
-	dep, err := BuildSUnionTree(spec)
-	if err != nil {
-		t.Fatal(err)
+	s := sunionTree(25)
+	s.Faults = []scenario.FaultSpec{
+		disconnect("s1", 5, 6), // failure 1 heals first, at 11s
+		disconnect("s3", 8, 6),
 	}
+	dep := build(t, s)
 	n := dep.Nodes[0][0]
-	dep.Sim.At(5*sec, dep.Sources[0].Disconnect)
-	dep.Sim.At(8*sec, dep.Sources[2].Disconnect)
-	dep.Sim.At(11*sec, dep.Sources[0].Reconnect) // failure 1 heals first
-	dep.Sim.At(14*sec, dep.Sources[2].Reconnect)
 	dep.Start()
 	dep.RunFor(25 * sec)
 	if n.Reconciliations != 1 {
@@ -368,13 +380,7 @@ func TestSUnionTreeOverlappingFailures(t *testing.T) {
 		t.Fatalf("expected tentative output and a rec_done: %+v", st)
 	}
 	// Reference: same tree without failures.
-	ref, err := BuildSUnionTree(SUnionTreeSpec{Rate: 400, Delay: 2 * sec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Start()
-	ref.RunFor(25 * sec)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
@@ -384,18 +390,13 @@ func TestSUnionTreeFailureDuringRecovery(t *testing.T) {
 	// Fig. 11(b): failure 2 strikes as failure 1 heals; each correction
 	// sequence ends with its own REC_DONE and only the second failure's
 	// tentative tuples are corrected the second time.
-	spec := SUnionTreeSpec{Rate: 400, Delay: 2 * sec, RecordClient: true}
-	dep, err := BuildSUnionTree(spec)
-	if err != nil {
-		t.Fatal(err)
+	s := sunionTree(30)
+	s.Faults = []scenario.FaultSpec{
+		disconnect("s1", 5, 5),
+		disconnect("s3", 10, 6), // strikes right at heal time
 	}
+	dep := build(t, s)
 	n := dep.Nodes[0][0]
-	dep.Sim.At(5*sec, dep.Sources[0].Disconnect)
-	dep.Sim.At(10*sec, func() {
-		dep.Sources[0].Reconnect()
-		dep.Sources[2].Disconnect() // strikes right at heal time
-	})
-	dep.Sim.At(16*sec, dep.Sources[2].Reconnect)
 	dep.Start()
 	dep.RunFor(30 * sec)
 	if n.Reconciliations != 2 {
@@ -405,39 +406,54 @@ func TestSUnionTreeFailureDuringRecovery(t *testing.T) {
 	if st.RecDones < 2 {
 		t.Fatalf("want ≥ 2 rec_done markers, got %d", st.RecDones)
 	}
-	ref, err := BuildSUnionTree(SUnionTreeSpec{Rate: 400, Delay: 2 * sec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Start()
-	ref.RunFor(30 * sec)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("consistency audit failed: %s", audit.Reason)
 	}
 }
 
 func TestDelayPolicyReducesTentativeCount(t *testing.T) {
-	run := func(fp, sp operator.DelayPolicy) uint64 {
-		spec := pairSpec()
-		spec.Rate = 600
-		spec.FailurePolicy = fp
-		spec.StabilizationPolicy = sp
-		dep, err := BuildChain(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dep.DisconnectSource(1, 5*sec, 6*sec)
+	run := func(policy string) uint64 {
+		s := chain(1, 25)
+		s.Sources[0].Rate = 600
+		s.Defaults.FailurePolicy = policy
+		s.Defaults.Stabilization = policy
+		s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 6)}
+		dep := build(t, s)
 		dep.Start()
 		dep.RunFor(25 * sec)
 		return dep.Client.Stats().Tentative
 	}
-	pp := run(operator.PolicyProcess, operator.PolicyProcess)
-	dd := run(operator.PolicyDelay, operator.PolicyDelay)
+	pp := run("process")
+	dd := run("delay")
 	if pp == 0 {
 		t.Fatal("process&process produced no tentative tuples")
 	}
 	if dd >= pp {
 		t.Fatalf("delay&delay (%d) must beat process&process (%d)", dd, pp)
+	}
+}
+
+// TestChainPresetEquivalence: a chain built from a scenario spec has the
+// exact shape the experiments rely on — level/replica naming, per-level
+// streams, and the generalized topology behind it.
+func TestChainPresetEquivalence(t *testing.T) {
+	s := chain(2, 10)
+	s.Sources[0] = scenario.SourceSpec{Name: "s", Count: 2, Rate: 200}
+	dep := build(t, s)
+	if dep.Topology == nil {
+		t.Fatal("chain scenario did not go through BuildTopology")
+	}
+	if got := dep.Nodes[0][0].ID(); got != "n1a" {
+		t.Fatalf("node ID = %q, want n1a", got)
+	}
+	if got := dep.Nodes[1][1].ID(); got != "n2b" {
+		t.Fatalf("node ID = %q, want n2b", got)
+	}
+	if dep.Group("n2")[0] != dep.Nodes[1][0] {
+		t.Fatal("Group(n2) does not match Nodes[1]")
+	}
+	if got := dep.Topology.Client.Stream; got != "n2.out" {
+		t.Fatalf("client stream = %q, want n2.out", got)
 	}
 }

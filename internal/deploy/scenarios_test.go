@@ -1,24 +1,23 @@
-package deploy
+package deploy_test
 
 import (
 	"testing"
 
 	"borealis/internal/client"
 	"borealis/internal/node"
-	"borealis/internal/operator"
+	"borealis/internal/scenario"
 	"borealis/internal/tuple"
 )
 
 // TestTwoSimultaneousSourceFailures: DPC handles multiple concurrent
 // failures (§2.2); corrections happen once, after both heal.
 func TestTwoSimultaneousSourceFailures(t *testing.T) {
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
+	s := chain(1, 30)
+	s.Faults = []scenario.FaultSpec{
+		disconnect("s1", 5, 8),
+		disconnect("s3", 7, 4), // overlaps, heals first
 	}
-	dep.DisconnectSource(0, 5*sec, 8*sec)
-	dep.DisconnectSource(2, 7*sec, 4*sec) // overlaps, heals first
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(30 * sec)
 	for _, n := range dep.Nodes[0] {
@@ -26,7 +25,7 @@ func TestTwoSimultaneousSourceFailures(t *testing.T) {
 			t.Fatalf("%s reconciliations = %d, want 1 (after all failures heal)", n.ID(), n.Reconciliations)
 		}
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 30*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -37,21 +36,16 @@ func TestTwoSimultaneousSourceFailures(t *testing.T) {
 // silence that follows carries no availability obligation (Property 1 needs
 // available inputs), and everything is corrected on heal.
 func TestAllSourcesFail(t *testing.T) {
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < spec.Sources; i++ {
-		dep.DisconnectSource(i, 5*sec, 5*sec)
-	}
+	s := chain(1, 25)
+	s.Faults = []scenario.FaultSpec{disconnect("s", 5, 5)} // every member of s
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(25 * sec)
 	st := dep.Client.Stats()
-	if st.Tentative > uint64(spec.Rate) {
+	if st.Tentative > uint64(s.Sources[0].Rate) {
 		t.Fatalf("only the in-flight partial buckets may go tentative, got %d", st.Tentative)
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 25*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -60,20 +54,16 @@ func TestAllSourcesFail(t *testing.T) {
 // TestDepth4ChainLongStall exercises the full Fig. 14 topology through a
 // failure longer than the pipeline delay.
 func TestDepth4ChainLongStall(t *testing.T) {
-	spec := pairSpec()
-	spec.Depth = 4
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.StallSourceBoundaries(1, 5*sec, 15*sec)
+	s := chain(4, 60)
+	s.Faults = []scenario.FaultSpec{stall("s2", 5, 15)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(60 * sec)
 	st := dep.Client.Stats()
 	if st.Tentative == 0 {
 		t.Fatal("long stall must produce tentative output")
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 60*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -89,20 +79,19 @@ func TestDepth4ChainLongStall(t *testing.T) {
 // TestTentativeBoundariesChainConsistency: the footnote-5 extension must
 // not affect the corrected stream, only latency.
 func TestTentativeBoundariesChainConsistency(t *testing.T) {
-	spec := pairSpec()
-	spec.Depth = 3
-	spec.TentativeBoundaries = true
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
+	s := chain(3, 30)
+	for i := range s.Nodes {
+		s.Nodes[i].TentativeBoundaries = true
 	}
-	dep.StallSourceBoundaries(0, 5*sec, 6*sec)
+	s.Client.TentativeBoundaries = true
+	s.Faults = []scenario.FaultSpec{stall("s1", 5, 6)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(30 * sec)
 	if dep.Client.Stats().Tentative == 0 {
 		t.Fatal("expected tentative output")
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 30*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -112,18 +101,15 @@ func TestTentativeBoundariesChainConsistency(t *testing.T) {
 // disjoint paths advertises per-stream states, so a failure on one input
 // leaves the other path's consumers untouched.
 func TestFineGrainedKeepsUnaffectedStreamStable(t *testing.T) {
-	spec := pairSpec()
-	spec.FineGrained = true
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 4*sec)
+	s := chain(1, 25)
+	s.Nodes[0].FineGrained = true
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 4)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(25 * sec)
 	// The single output is affected here (all inputs merge), so this
 	// checks that fine-grained mode at least matches whole-node results.
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 25*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("fine-grained audit: %s", audit.Reason)
 	}
@@ -133,20 +119,15 @@ func TestFineGrainedKeepsUnaffectedStreamStable(t *testing.T) {
 // detected by boundary silence plus keep-alive timeouts and healed with a
 // resubscription replay.
 func TestPartitionBetweenLevels(t *testing.T) {
-	spec := pairSpec()
-	spec.Depth = 2
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := chain(2, 30)
 	// Cut n2a from both level-1 replicas: n2a must fail over... to
 	// nothing (both upstreams unreachable), stall, then recover when the
 	// partition heals. Meanwhile the client can switch to n2b.
-	dep.Partition("n2a", "n1a", 6*sec, 5*sec)
-	dep.Partition("n2a", "n1b", 6*sec, 5*sec)
+	s.Faults = []scenario.FaultSpec{{Kind: "partition", From: "n2/0", To: "n1", AtS: 6, DurationS: 5}}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(30 * sec)
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 30*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -158,13 +139,9 @@ func TestPartitionBetweenLevels(t *testing.T) {
 // TestRepeatedFailuresOnSameStream: failure → recovery → failure again,
 // exercising checkpoint-epoch turnover.
 func TestRepeatedFailuresOnSameStream(t *testing.T) {
-	spec := pairSpec()
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.DisconnectSource(1, 5*sec, 4*sec)
-	dep.DisconnectSource(1, 25*sec, 4*sec)
+	s := chain(1, 50)
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 4), disconnect("s2", 25, 4)}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(50 * sec)
 	for _, n := range dep.Nodes[0] {
@@ -172,7 +149,7 @@ func TestRepeatedFailuresOnSameStream(t *testing.T) {
 			t.Fatalf("%s reconciliations = %d, want 2", n.ID(), n.Reconciliations)
 		}
 	}
-	audit := dep.Client.VerifyEventualConsistency(runClean(t, spec, 50*sec))
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("audit: %s", audit.Reason)
 	}
@@ -181,13 +158,11 @@ func TestRepeatedFailuresOnSameStream(t *testing.T) {
 // TestSuspendStabilizationSkipsStagger: with PolicySuspend both replicas
 // reconcile simultaneously — no replica stays available.
 func TestSuspendStabilizationSkipsStagger(t *testing.T) {
-	spec := pairSpec()
-	spec.Capacity = 1000 // finite: stabilization takes observable time
-	spec.StabilizationPolicy = operator.PolicySuspend
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := chain(1, 30)
+	s.Defaults.Capacity = 1000 // finite: stabilization takes observable time
+	s.Defaults.Stabilization = "suspend"
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 6)}
+	dep := build(t, s)
 	var aStart, bStart int64
 	dep.Sim.NewTicker(10*ms, func() {
 		if aStart == 0 && dep.Nodes[0][0].State() == node.StateStabilization {
@@ -197,7 +172,6 @@ func TestSuspendStabilizationSkipsStagger(t *testing.T) {
 			bStart = dep.Sim.Now()
 		}
 	})
-	dep.DisconnectSource(1, 5*sec, 6*sec)
 	dep.Start()
 	dep.RunFor(30 * sec)
 	if aStart == 0 || bStart == 0 {
@@ -215,13 +189,11 @@ func TestSuspendStabilizationSkipsStagger(t *testing.T) {
 // TestStaggeredStabilizationKeepsOneReplicaUp: with Process, the replicas
 // must NOT overlap in STABILIZATION.
 func TestStaggeredStabilizationKeepsOneReplicaUp(t *testing.T) {
-	spec := pairSpec()
-	spec.Rate = 900
-	spec.Capacity = 2500 // finite: stabilization takes observable time
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := chain(1, 40)
+	s.Sources[0].Rate = 900
+	s.Defaults.Capacity = 2500 // finite: stabilization takes observable time
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 8)}
+	dep := build(t, s)
 	overlap := false
 	dep.Sim.NewTicker(10*ms, func() {
 		a := dep.Nodes[0][0].State() == node.StateStabilization
@@ -230,7 +202,6 @@ func TestStaggeredStabilizationKeepsOneReplicaUp(t *testing.T) {
 			overlap = true
 		}
 	})
-	dep.DisconnectSource(1, 5*sec, 8*sec)
 	dep.Start()
 	dep.RunFor(40 * sec)
 	if overlap {
@@ -245,13 +216,11 @@ func TestStaggeredStabilizationKeepsOneReplicaUp(t *testing.T) {
 // mechanics end to end: during one replica's stabilization the client keeps
 // receiving fresh (tentative) data from the other.
 func TestClientFollowsCorrectionsThroughDualConnection(t *testing.T) {
-	spec := pairSpec()
-	spec.Rate = 600
-	spec.Capacity = 1500 // finite: stabilization takes observable time
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := chain(1, 40)
+	s.Sources[0].Rate = 600
+	s.Defaults.Capacity = 1500 // finite: stabilization takes observable time
+	s.Faults = []scenario.FaultSpec{disconnect("s2", 5, 10)}
+	dep := build(t, s)
 	// Track what arrives while either replica stabilizes.
 	var freshDuringStab int
 	stabActive := func() bool {
@@ -263,7 +232,6 @@ func TestClientFollowsCorrectionsThroughDualConnection(t *testing.T) {
 			freshDuringStab++
 		}
 	})
-	dep.DisconnectSource(1, 5*sec, 10*sec)
 	dep.Start()
 	dep.RunFor(40 * sec)
 	if freshDuringStab == 0 {

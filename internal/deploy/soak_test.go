@@ -1,4 +1,4 @@
-package deploy
+package deploy_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"borealis/internal/node"
+	"borealis/internal/scenario"
 )
 
 // TestRandomFaultSoak drives a replicated chain through randomized fault
@@ -24,48 +25,48 @@ func TestRandomFaultSoak(t *testing.T) {
 
 func runSoak(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	spec := pairSpec()
-	spec.Depth = 1 + rng.Intn(3)
-	spec.Rate = 300 + float64(rng.Intn(3))*150
-	dep, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const (
+		horizon  = 40 * sec
+		settle   = 30 * sec // extra time for any late reconciliations
+		sources  = 3
+		replicas = 2
+	)
+	depth := 1 + rng.Intn(3)
+	s := chain(depth, float64((horizon+settle)/sec))
+	s.Sources[0].Rate = 300 + float64(rng.Intn(3))*150
 
-	const horizon = 40 * sec
 	// 2-4 fault events, all healing well before the horizon.
 	events := 2 + rng.Intn(3)
 	for i := 0; i < events; i++ {
-		at := (5 + int64(rng.Intn(15))) * sec
-		dur := (2 + int64(rng.Intn(6))) * sec
+		at := float64(5 + rng.Intn(15))
+		dur := float64(2 + rng.Intn(6))
 		switch rng.Intn(4) {
 		case 0:
-			dep.DisconnectSource(rng.Intn(spec.Sources), at, dur)
+			s.Faults = append(s.Faults, disconnect(fmt.Sprintf("s%d", 1+rng.Intn(sources)), at, dur))
 		case 1:
-			dep.StallSourceBoundaries(rng.Intn(spec.Sources), at, dur)
+			s.Faults = append(s.Faults, stall(fmt.Sprintf("s%d", 1+rng.Intn(sources)), at, dur))
 		case 2:
-			level := 1 + rng.Intn(spec.Depth)
-			replica := rng.Intn(spec.Replicas)
-			dep.CrashNode(level, replica, at)
-			dep.RestartNode(level, replica, at+dur)
+			level := 1 + rng.Intn(depth)
+			replica := rng.Intn(replicas)
+			s.Faults = append(s.Faults, scenario.FaultSpec{
+				Kind: "crash", Node: fmt.Sprintf("n%d", level), Replica: replica, AtS: at, DurationS: dur,
+			})
 		case 3:
-			level := 1 + rng.Intn(spec.Depth)
-			target := []string{"n1a", "n1b"}
+			// One replica of a level cut off from everything upstream:
+			// the previous level's replicas, or source s1 at level 1.
+			level := 1 + rng.Intn(depth)
+			to := "s1"
 			if level > 1 {
-				target = []string{nodeID(level-1, 0), nodeID(level-1, 1)}
-			} else {
-				target = []string{"src1"}
+				to = fmt.Sprintf("n%d", level-1)
 			}
-			from := nodeID(level, rng.Intn(spec.Replicas))
-			for _, to := range target {
-				dep.Partition(from, to, at, dur)
-			}
+			from := fmt.Sprintf("n%d/%d", level, rng.Intn(replicas))
+			s.Faults = append(s.Faults, scenario.FaultSpec{Kind: "partition", From: from, To: to, AtS: at, DurationS: dur})
 		}
 	}
+	dep := build(t, s)
 	dep.Start()
 	dep.RunFor(horizon)
-	// Extra settling time for any late reconciliations.
-	dep.RunFor(30 * sec)
+	dep.RunFor(settle)
 
 	// Every surviving node must be stable again.
 	for li, row := range dep.Nodes {
@@ -80,13 +81,7 @@ func runSoak(t *testing.T, seed int64) {
 		}
 	}
 	// The corrected stream must match a failure-free run.
-	ref, err := BuildChain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Start()
-	ref.RunFor(horizon + 30*sec)
-	audit := dep.Client.VerifyEventualConsistency(ref.Client.View())
+	audit := dep.Client.VerifyEventualConsistency(runClean(t, s))
 	if !audit.OK {
 		t.Fatalf("seed %d: consistency audit failed: %s", seed, audit.Reason)
 	}

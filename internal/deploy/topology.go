@@ -1,8 +1,7 @@
 // Topology builder: assembles deployments over arbitrary loop-free graphs
-// of replicated node groups. The paper's fixed evaluation topologies
-// (BuildChain, BuildSUnionTree) are thin presets over BuildTopology; the
-// scenario engine (internal/scenario) compiles declarative specs into
-// TopologySpec values and drives the result on the simulator.
+// of replicated node groups. The scenario engine (internal/scenario)
+// compiles declarative specs — the paper's evaluation topologies among
+// them — into TopologySpec values and drives the result on the simulator.
 package deploy
 
 import (
@@ -26,8 +25,9 @@ type TopologySource struct {
 	ID, Stream string
 	// Rate is the production rate in tuples/second.
 	Rate float64
-	// TickInterval / BoundaryInterval override the topology defaults.
-	TickInterval, BoundaryInterval int64
+	// BoundaryInterval overrides the topology default; sources tick at
+	// the topology's TickInterval.
+	BoundaryInterval int64
 	// Payload builds tuple payloads (nil = [seq]).
 	Payload func(seq uint64) []int64
 	// LogCap bounds the source's persistent log (0 = unbounded).
@@ -81,8 +81,6 @@ type TopologyClient struct {
 	BucketSize, Delay, TentativeWait int64
 	// TentativeBoundaries enables the footnote-5 extension at the proxy.
 	TentativeBoundaries bool
-	// Record keeps the per-delivery trace.
-	Record bool
 	// NoAudit strips the client's consistency-audit instrumentation
 	// (throughput benchmarks only; see client.Config.NoAudit).
 	NoAudit bool
@@ -128,9 +126,6 @@ func (s *TopologySpec) normalize() error {
 		}
 		if src.Rate <= 0 {
 			return fmt.Errorf("deploy: source %q has non-positive rate", src.ID)
-		}
-		if src.TickInterval <= 0 {
-			src.TickInterval = s.TickInterval
 		}
 		if src.BoundaryInterval <= 0 {
 			src.BoundaryInterval = s.BoundaryInterval
@@ -387,7 +382,7 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 			ID:               ss.ID,
 			Stream:           ss.Stream,
 			Rate:             ss.Rate,
-			TickInterval:     ss.TickInterval,
+			TickInterval:     spec.TickInterval,
 			BoundaryInterval: ss.BoundaryInterval,
 			Payload:          payload,
 			LogCap:           ss.LogCap,
@@ -486,7 +481,6 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 		CM:                  node.CMConfig{KeepAlive: spec.KeepAlive},
 		AckInterval:         spec.AckInterval,
 		TentativeBoundaries: spec.Client.TentativeBoundaries,
-		Record:              spec.Client.Record,
 		NoAudit:             spec.Client.NoAudit,
 	})
 	if err != nil {
@@ -505,9 +499,7 @@ func (d *Deployment) Group(name string) []*node.Node {
 	return d.Nodes[gi]
 }
 
-// GroupNames returns the logical node names in build order (empty for
-// preset deployments built before generalization — all presets now route
-// through BuildTopology, so it is populated everywhere).
+// GroupNames returns the logical node names in build order.
 func (d *Deployment) GroupNames() []string {
 	if d.Topology == nil {
 		return nil

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,8 +38,8 @@ func diamondSpec() TopologySpec {
 }
 
 // TestTopologyDiamond runs a diamond (fan-out + fan-in) deployment — a
-// shape the chain and SUnion-tree presets cannot express — through a
-// partition and checks output and recovery.
+// shape neither a chain nor the SUnion tree has — through a partition and
+// checks output and recovery.
 func TestTopologyDiamond(t *testing.T) {
 	dep, err := BuildTopology(diamondSpec())
 	if err != nil {
@@ -54,10 +55,10 @@ func TestTopologyDiamond(t *testing.T) {
 		t.Fatal("SourceByID(src) = nil")
 	}
 	// Cut branch b from its upstream for a while.
-	dep.Partition("ba", "aa", 5*runtime.Second, 3*runtime.Second)
-	dep.Partition("ba", "ab", 5*runtime.Second, 3*runtime.Second)
-	dep.Partition("bb", "aa", 5*runtime.Second, 3*runtime.Second)
-	dep.Partition("bb", "ab", 5*runtime.Second, 3*runtime.Second)
+	for _, pair := range [][2]string{{"ba", "aa"}, {"ba", "ab"}, {"bb", "aa"}, {"bb", "ab"}} {
+		dep.RT.At(5*runtime.Second, func() { dep.Net.Partition(pair[0], pair[1]) })
+		dep.RT.At(8*runtime.Second, func() { dep.Net.Heal(pair[0], pair[1]) })
+	}
 	dep.Start()
 	dep.RunFor(20 * runtime.Second)
 	st := dep.Client.Stats()
@@ -119,35 +120,16 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestChainPresetEquivalence: the chain preset still produces the exact
-// shape the experiments rely on — level/replica naming, per-level streams,
-// and a working failure path.
-func TestChainPresetEquivalence(t *testing.T) {
-	dep, err := BuildChain(ChainSpec{Depth: 2, Replicas: 2, Sources: 2, Rate: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Topology == nil {
-		t.Fatal("chain preset did not go through BuildTopology")
-	}
-	if got := dep.Nodes[0][0].ID(); got != "n1a" {
-		t.Fatalf("node ID = %q, want n1a", got)
-	}
-	if got := dep.Nodes[1][1].ID(); got != "n2b" {
-		t.Fatalf("node ID = %q, want n2b", got)
-	}
-	if dep.Group("n2")[0] != dep.Nodes[1][0] {
-		t.Fatal("Group(n2) does not match Nodes[1]")
-	}
-	if got := dep.Topology.Client.Stream; got != "t2" {
-		t.Fatalf("client stream = %q, want t2", got)
-	}
-}
-
-// TestCascadeMatchesSUnionTree: the tree preset builds the Fig. 10 cascade
-// (three two-port SUnions) on a single node.
+// TestCascadeMatchesSUnionTree: a Cascade group builds the Fig. 10 SUnion
+// tree (three two-port SUnions) on a single node.
 func TestCascadeMatchesSUnionTree(t *testing.T) {
-	dep, err := BuildSUnionTree(SUnionTreeSpec{Rate: 200})
+	spec := TopologySpec{Groups: []NodeGroup{{Name: "n1", Cascade: true, Delay: 2 * runtime.Second}}}
+	for i := 1; i <= 4; i++ {
+		id := fmt.Sprintf("s%d", i)
+		spec.Sources = append(spec.Sources, TopologySource{ID: id, Rate: 50})
+		spec.Groups[0].Inputs = append(spec.Groups[0].Inputs, id)
+	}
+	dep, err := BuildTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package experiment
 
-import (
-	"io"
-
-	"borealis/internal/deploy"
-	"borealis/internal/node"
-	"borealis/internal/runtime"
-)
+import "io"
 
 // BufferAblationRow is one §8.1 buffer-management strategy under a long
 // failure.
@@ -41,13 +35,12 @@ func AblateBuffers(opts Options) BufferAblationResult {
 	}
 	res := BufferAblationResult{FailureSecs: failSecs, Cap: 2000}
 	cases := []struct {
-		name string
-		mode node.BufferMode
-		cap  int
+		name, mode string
+		cap        int
 	}{
-		{"unbounded", node.BufferUnbounded, 0},
-		{"slide-on-full (convergent)", node.BufferSlide, res.Cap},
-		{"block-on-full", node.BufferBlock, res.Cap},
+		{"unbounded", "unbounded", 0},
+		{"slide-on-full (convergent)", "slide", res.Cap},
+		{"block-on-full", "block", res.Cap},
 	}
 	for _, tc := range cases {
 		res.Rows = append(res.Rows, bufferRun(tc.name, tc.mode, tc.cap, failSecs, opts))
@@ -55,40 +48,22 @@ func AblateBuffers(opts Options) BufferAblationResult {
 	return res
 }
 
-func bufferRun(name string, mode node.BufferMode, capTuples int, failSecs int64, opts Options) BufferAblationRow {
-	spec := deploy.ChainSpec{
-		Depth:      1,
-		Replicas:   2,
-		Sources:    3,
-		Rate:       500,
-		Delay:      2 * runtime.Second,
-		BufferMode: mode,
-		BufferCap:  capTuples,
-		// No acks: the buffer can only grow during the failure, which
-		// is exactly the §8.1 stress.
-	}
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const failAt = 10 * runtime.Second
-	fail := failSecs * runtime.Second
-	dep.DisconnectSource(1, failAt, fail)
-	dep.Start()
-	dep.RunFor(failAt)
-	before := dep.Client.Stats().NewTuples
-	dep.RunFor(fail)
-	duringFailure := dep.Client.Stats().NewTuples - before
-	dep.RunFor(3*fail + 30*runtime.Second)
+func bufferRun(name, mode string, capTuples int, failSecs int64, opts Options) BufferAblationRow {
+	// No acks: the buffer can only grow during the failure, which is
+	// exactly the §8.1 stress.
+	s := chain{depth: 1, rate: 500, delayS: 2, buffer: mode, bufferCap: capTuples}.spec("ablate-buffers")
+	dep, healed := faultRun(s, disconnect(failSecs), 3*float64(failSecs)+30, opts)
 
-	ref := opts.deployed(deploy.BuildChain(spec))
-	view := referenceView(ref, failAt+fail+3*fail+30*runtime.Second)
+	view := reference(s)
 	full := dep.Client.VerifyEventualConsistency(view)
 	recent := dep.Client.VerifyRecentWindow(view, 500)
 	var truncated uint64
 	for _, n := range dep.Nodes[0] {
-		truncated += n.Output("t1").Truncated
+		truncated += n.Output("n1.out").Truncated
 	}
 	return BufferAblationRow{
 		Name:             name,
-		NewDuringFailure: duringFailure,
+		NewDuringFailure: healed.NewTuples,
 		Truncated:        truncated,
 		FullConsistency:  full.OK,
 		RecentWindowOK:   recent.OK,

@@ -1,12 +1,6 @@
 package experiment
 
-import (
-	"io"
-
-	"borealis/internal/deploy"
-	"borealis/internal/operator"
-	"borealis/internal/runtime"
-)
+import "io"
 
 // TBAblationResult compares chain latency with and without tentative
 // boundaries (footnote 5): without them, every SUnion waits a fixed
@@ -40,26 +34,9 @@ func AblateTentativeBoundaries(opts Options) TBAblationResult {
 }
 
 func tbRun(depth int, tb bool, opts Options) (float64, uint64) {
-	spec := deploy.ChainSpec{
-		Depth:               depth,
-		Replicas:            2,
-		Sources:             3,
-		Rate:                500,
-		Delay:               2 * runtime.Second,
-		Capacity:            16500,
-		FailurePolicy:       operator.PolicyProcess,
-		StabilizationPolicy: operator.PolicyProcess,
-		TentativeBoundaries: tb,
-		AckInterval:         runtime.Second,
-	}
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const failAt = 10 * runtime.Second
-	fail := int64(30 * runtime.Second)
-	dep.StallSourceBoundaries(0, failAt, fail)
-	dep.Start()
-	dep.RunFor(failAt)
-	dep.Client.ResetLatency()
-	dep.RunFor(fail + 60*runtime.Second)
+	c := fig14(depth, processProcess, 2)
+	c.tentativeBoundaries = tb
+	dep, _ := faultRun(c.spec("ablate-tb"), boundaryStall(30), 60, opts)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative
 }

@@ -3,8 +3,9 @@ package experiment
 import (
 	"io"
 
-	"borealis/internal/deploy"
+	"borealis/internal/client"
 	"borealis/internal/runtime"
+	"borealis/internal/scenario"
 	"borealis/internal/tuple"
 )
 
@@ -32,35 +33,41 @@ type Fig11Result struct {
 	AuditReason   string
 }
 
+// sunionTree is the Fig. 10 deployment, run for 30 s without faults: one
+// unreplicated node whose diagram is the left-deep cascade of three SUnions
+// (D = 2 s, stabilizing with Suspend) over four 100 tuples/s sources s1–s4.
+func sunionTree() *scenario.Spec {
+	one := 1
+	return &scenario.Spec{
+		Name:      "fig11",
+		DurationS: 30,
+		Defaults:  scenario.Defaults{DelayS: 2, Stabilization: "suspend"},
+		Sources:   []scenario.SourceSpec{{Name: "s", Count: 4, Rate: 400}},
+		Nodes:     []scenario.NodeSpec{{Name: "n1", Inputs: []string{"s"}, Replicas: &one, Cascade: true}},
+	}
+}
+
 // Fig11 runs scenario (a) when overlap is true, else scenario (b).
 func Fig11(overlap bool, opts Options) Fig11Result {
-	spec := deploy.SUnionTreeSpec{Rate: 400, Delay: 2 * runtime.Second, RecordClient: true}
-	dep := opts.deployed(deploy.BuildSUnionTree(spec))
-	const (
-		f1Start = 5 * runtime.Second
-		sec     = runtime.Second
-	)
+	s := sunionTree()
 	if overlap {
 		// Fig. 11(a): failure 2 begins while failure 1 is active.
-		dep.Sim.At(f1Start, dep.Sources[0].Disconnect)
-		dep.Sim.At(f1Start+3*sec, dep.Sources[2].Disconnect)
-		dep.Sim.At(f1Start+6*sec, dep.Sources[0].Reconnect)
-		dep.Sim.At(f1Start+9*sec, dep.Sources[2].Reconnect)
+		s.Faults = []scenario.FaultSpec{
+			{Kind: "disconnect", Source: "s1", AtS: 5, DurationS: 6},
+			{Kind: "disconnect", Source: "s3", AtS: 8, DurationS: 6},
+		}
 	} else {
 		// Fig. 11(b): failure 2 begins exactly as failure 1 heals.
-		dep.Sim.At(f1Start, dep.Sources[0].Disconnect)
-		dep.Sim.At(f1Start+5*sec, func() {
-			dep.Sources[0].Reconnect()
-			dep.Sources[2].Disconnect()
-		})
-		dep.Sim.At(f1Start+11*sec, dep.Sources[2].Reconnect)
+		s.Faults = []scenario.FaultSpec{
+			{Kind: "disconnect", Source: "s1", AtS: 5, DurationS: 5},
+			{Kind: "disconnect", Source: "s3", AtS: 10, DurationS: 6},
+		}
 	}
-	dep.Start()
-	dep.RunFor(30 * runtime.Second)
+	dep := opts.build(s)
 
 	res := Fig11Result{Overlap: overlap}
 	var stableSeq, shown int64
-	for _, d := range dep.Client.Trace() {
+	dep.Client.OnDeliver(func(d client.Delivery) {
 		p := Fig11Point{TimeMs: float64(d.At) / float64(runtime.Millisecond), Type: d.Tuple.Type}
 		switch d.Tuple.Type {
 		case tuple.Insertion:
@@ -76,21 +83,23 @@ func Fig11(overlap bool, opts Options) Fig11Result {
 			// Roll the displayed sequence back to the stable prefix,
 			// like the paper's plots do implicitly.
 			shown = stableSeq
-			continue
+			return
 		case tuple.RecDone:
 			res.RecDones++
 			p.Seq = 0 // plotted on the x-axis
 		default:
-			continue
+			return
 		}
 		res.Series = append(res.Series, p)
-	}
+	})
+	dep.Start()
+	dep.RunFor(int64(s.DurationS) * runtime.Second)
+
 	res.Reconciliations = dep.Nodes[0][0].Reconciliations
 	st := dep.Client.Stats()
 	res.Corrections = st.NewTuples // informational
 
-	ref := opts.deployed(deploy.BuildSUnionTree(deploy.SUnionTreeSpec{Rate: spec.Rate, Delay: spec.Delay}))
-	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, 30*runtime.Second))
+	audit := dep.Client.VerifyEventualConsistency(reference(s))
 	res.ConsistencyOK = audit.OK
 	res.AuditReason = audit.Reason
 	return res

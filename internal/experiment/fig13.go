@@ -3,7 +3,6 @@ package experiment
 import (
 	"io"
 
-	"borealis/internal/deploy"
 	"borealis/internal/runtime"
 )
 
@@ -54,26 +53,8 @@ func Fig13(opts Options) Fig13Result {
 }
 
 func fig13Run(v Variant, failSecs int64, opts Options) (float64, uint64) {
-	spec := deploy.ChainSpec{
-		Depth:               1,
-		Replicas:            2,
-		Sources:             3,
-		Rate:                4500,
-		Delay:               3 * runtime.Second,
-		Capacity:            16500,
-		FailurePolicy:       v.Failure,
-		StabilizationPolicy: v.Stabilization,
-		AckInterval:         runtime.Second,
-	}
-	fail := failSecs * runtime.Second
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const failAt = 10 * runtime.Second
-	dep.DisconnectSource(1, failAt, fail)
-	dep.Start()
-	dep.RunFor(failAt)
-	dep.Client.ResetLatency()
-	recovery := 3*fail + 20*runtime.Second
-	dep.RunFor(fail + recovery)
+	c := chain{depth: 1, rate: 4500, delayS: 3, variant: v, capacity: 16500, acks: true}
+	dep, _ := faultRun(c.spec("fig13"), disconnect(failSecs), 3*float64(failSecs)+20, opts)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative
 }

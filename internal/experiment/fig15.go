@@ -3,9 +3,9 @@ package experiment
 import (
 	"io"
 
-	"borealis/internal/deploy"
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
+	"borealis/internal/scenario"
 )
 
 // ChainResult holds one chain-experiment series: a value per chain depth
@@ -19,31 +19,30 @@ type ChainResult struct {
 	PerNodeDelay int64
 }
 
-// chainRun runs one chain configuration and returns (Procnew seconds,
-// Ntentative tuples) measured at the client from failure start onward.
-func chainRun(depth int, fp, sp operator.DelayPolicy, failSecs int64, delayOverride func(int) int64, perNodeDelay int64, opts Options) (float64, uint64) {
-	spec := deploy.ChainSpec{
-		Depth:               depth,
-		Replicas:            2,
-		Sources:             3,
-		Rate:                500,
-		Delay:               perNodeDelay,
-		DelayOverride:       delayOverride,
-		Capacity:            16500,
-		FailurePolicy:       fp,
-		StabilizationPolicy: sp,
-		AckInterval:         runtime.Second,
-	}
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const failAt = 10 * runtime.Second
-	fail := failSecs * runtime.Second
-	// Fig. 14/15: the failure stops one input stream's boundary tuples
-	// without stopping its data, keeping the output rate unchanged.
-	dep.StallSourceBoundaries(0, failAt, fail)
-	dep.Start()
-	dep.RunFor(failAt)
-	dep.Client.ResetLatency()
-	dep.RunFor(fail + 3*fail + 30*runtime.Second)
+// The two §6.2 techniques the chain figures compare.
+var (
+	delayDelay     = Variant{"Delay & Delay", operator.PolicyDelay, operator.PolicyDelay}
+	processProcess = Variant{"Process & Process", operator.PolicyProcess, operator.PolicyProcess}
+)
+
+// fig14 is the Fig. 14 chain: depth replica pairs over a 500 tuples/s
+// input, D = delayS on every node, the §6.1 variant v.
+func fig14(depth int, v Variant, delayS float64) chain {
+	return chain{depth: depth, rate: 500, delayS: delayS, variant: v, capacity: 16500, acks: true}
+}
+
+// boundaryStall is the Fig. 14/15 failure: s1 stops sending boundary
+// tuples for secs without stopping its data, keeping the output rate
+// unchanged.
+func boundaryStall(secs int64) scenario.FaultSpec {
+	return scenario.FaultSpec{Kind: "stall_boundaries", Source: "s1", DurationS: float64(secs)}
+}
+
+// chainRun runs one chain configuration through a boundary stall of
+// failSecs and returns (Procnew seconds, Ntentative tuples) measured at the
+// client from failure start onward.
+func chainRun(c chain, failSecs int64, opts Options) (float64, uint64) {
+	dep, _ := faultRun(c.spec("fig14"), boundaryStall(failSecs), 3*float64(failSecs)+30, opts)
 	st := dep.Client.Stats()
 	return Seconds(st.MaxLatency), st.Tentative
 }
@@ -65,9 +64,9 @@ func Fig15(opts Options) ChainResult {
 		PerNodeDelay: 2 * runtime.Second,
 	}
 	for _, d := range depths {
-		p, _ := chainRun(d, operator.PolicyDelay, operator.PolicyDelay, res.FailureSecs, nil, res.PerNodeDelay, opts)
+		p, _ := chainRun(fig14(d, delayDelay, Seconds(res.PerNodeDelay)), res.FailureSecs, opts)
 		res.DelayDelay = append(res.DelayDelay, p)
-		p, _ = chainRun(d, operator.PolicyProcess, operator.PolicyProcess, res.FailureSecs, nil, res.PerNodeDelay, opts)
+		p, _ = chainRun(fig14(d, processProcess, Seconds(res.PerNodeDelay)), res.FailureSecs, opts)
 		res.ProcProc = append(res.ProcProc, p)
 	}
 	return res
@@ -102,9 +101,9 @@ func Fig16(opts Options, durations ...int64) Fig16Result {
 			PerNodeDelay: 2 * runtime.Second,
 		}
 		for _, d := range depths {
-			_, n := chainRun(d, operator.PolicyDelay, operator.PolicyDelay, f, nil, panel.PerNodeDelay, opts)
+			_, n := chainRun(fig14(d, delayDelay, Seconds(panel.PerNodeDelay)), f, opts)
 			panel.DelayDelay = append(panel.DelayDelay, float64(n))
-			_, n = chainRun(d, operator.PolicyProcess, operator.PolicyProcess, f, nil, panel.PerNodeDelay, opts)
+			_, n = chainRun(fig14(d, processProcess, Seconds(panel.PerNodeDelay)), f, opts)
 			panel.ProcProc = append(panel.ProcProc, float64(n))
 		}
 		res.Panels = append(res.Panels, panel)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"io"
 
-	"borealis/internal/operator"
 	"borealis/internal/runtime"
 )
 
@@ -47,15 +46,15 @@ func Fig19(opts Options) Fig19Result {
 		Depth:       4,
 		FailureSecs: durations,
 	}
-	whole := func(int) int64 { return res.WholeDelay }
+	uniform := Seconds(res.X) / float64(res.Depth)
 	for _, f := range durations {
-		p, n := chainRun(res.Depth, operator.PolicyDelay, operator.PolicyDelay, f, nil, 2*runtime.Second, opts)
+		p, n := chainRun(fig14(res.Depth, delayDelay, uniform), f, opts)
 		res.ProcUniformDD = append(res.ProcUniformDD, p)
 		res.TentUniformDD = append(res.TentUniformDD, n)
-		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, nil, 2*runtime.Second, opts)
+		p, n = chainRun(fig14(res.Depth, processProcess, uniform), f, opts)
 		res.ProcUniformPP = append(res.ProcUniformPP, p)
 		res.TentUniformPP = append(res.TentUniformPP, n)
-		p, n = chainRun(res.Depth, operator.PolicyProcess, operator.PolicyProcess, f, whole, 2*runtime.Second, opts)
+		p, n = chainRun(fig14(res.Depth, processProcess, Seconds(res.WholeDelay)), f, opts)
 		res.ProcWholePP = append(res.ProcWholePP, p)
 		res.TentWholePP = append(res.TentWholePP, n)
 	}

@@ -4,8 +4,8 @@ import (
 	"io"
 
 	"borealis/internal/client"
-	"borealis/internal/deploy"
 	"borealis/internal/runtime"
+	"borealis/internal/scenario"
 )
 
 // SwitchoverResult reproduces the §5.1 measurement: how long a downstream
@@ -29,16 +29,13 @@ type SwitchoverResult struct {
 // Switchover crashes the client's current upstream replica and measures
 // the delivery gap.
 func Switchover(opts Options) SwitchoverResult {
-	spec := deploy.ChainSpec{
-		Depth:       1,
-		Replicas:    2,
-		Sources:     3,
-		Rate:        500,
-		Delay:       2 * runtime.Second,
-		AckInterval: runtime.Second,
-	}
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const crashAt = 10 * runtime.Second
+	// n1a, the client's first upstream, crashes for good.
+	const runS = 20
+	s := chain{depth: 1, rate: 500, delayS: 2, acks: true}.spec("switchover")
+	s.DurationS = runS
+	s.Faults = []scenario.FaultSpec{{Kind: "crash", Node: "n1", Replica: 0, AtS: failAtS}}
+	dep := opts.build(s)
+	const crashAt = failAtS * runtime.Second
 	var last, steadyGap, crashGap int64
 	dep.Client.OnDeliver(func(d client.Delivery) {
 		if !d.Tuple.IsData() {
@@ -56,13 +53,10 @@ func Switchover(opts Options) SwitchoverResult {
 		}
 		last = d.At
 	})
-	dep.CrashNode(1, 0, crashAt)
 	dep.Start()
-	dep.RunFor(20 * runtime.Second)
+	dep.RunFor(runS * runtime.Second)
 	st := dep.Client.Stats()
-
-	ref := opts.deployed(deploy.BuildChain(spec))
-	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, 20*runtime.Second))
+	audit := dep.Client.VerifyEventualConsistency(reference(s))
 
 	ms := float64(runtime.Millisecond)
 	return SwitchoverResult{

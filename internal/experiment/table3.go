@@ -3,7 +3,6 @@ package experiment
 import (
 	"io"
 
-	"borealis/internal/deploy"
 	"borealis/internal/runtime"
 )
 
@@ -18,20 +17,6 @@ type Table3Result struct {
 	Procnew   []float64 // seconds
 	// ConsistencyOK reports the eventual-consistency audit per run.
 	ConsistencyOK []bool
-}
-
-// table3Spec is the Fig. 12 deployment.
-func table3Spec() deploy.ChainSpec {
-	return deploy.ChainSpec{
-		Depth:       1,
-		Replicas:    2,
-		Sources:     3,
-		Rate:        1500,
-		Delay:       3 * runtime.Second,
-		WithJoin:    true,
-		Capacity:    16500,
-		AckInterval: runtime.Second,
-	}
 }
 
 // Table3 runs the Table III sweep.
@@ -50,24 +35,14 @@ func Table3(opts Options) Table3Result {
 }
 
 func table3Run(failSecs int64, opts Options) (float64, bool) {
-	spec := table3Spec()
-	fail := failSecs * runtime.Second
-	dep := opts.deployed(deploy.BuildChain(spec))
-	const failAt = 10 * runtime.Second
-	dep.DisconnectSource(1, failAt, fail)
-	dep.Start()
-	// Measure Procnew from failure start through recovery.
-	dep.RunFor(failAt)
-	dep.Client.ResetLatency()
-	// Recovery needs reconciliation time ≈ fail·rate/(cap−rate) per
-	// replica, plus slack.
-	recovery := 3*fail + 20*runtime.Second
-	dep.RunFor(fail + recovery)
+	// The Fig. 12 deployment.
+	s := chain{depth: 1, rate: 1500, delayS: 3, join: true, capacity: 16500, acks: true}.spec("table3")
+	// Procnew is measured from failure start through recovery, which
+	// needs reconciliation time ≈ fail·rate/(cap−rate) per replica, plus
+	// slack.
+	dep, _ := faultRun(s, disconnect(failSecs), 3*float64(failSecs)+20, opts)
 	st := dep.Client.Stats()
-
-	// Audit against a clean run of the same length.
-	ref := opts.deployed(deploy.BuildChain(spec))
-	audit := dep.Client.VerifyEventualConsistency(referenceView(ref, failAt+fail+recovery))
+	audit := dep.Client.VerifyEventualConsistency(reference(s))
 	return Seconds(st.MaxLatency), audit.OK
 }
 

@@ -93,9 +93,12 @@ func (p *PartitionRun) WorkerReport(worker string) *WorkerReport {
 	return wr
 }
 
-// ClusterReference runs the spec fault-free on a private virtual clock and
-// returns the client's delivered view — the Definition 1 yardstick a merged
-// cluster run is audited against (see AuditCluster).
+// ClusterReference runs the spec fault-free on a private virtual clock for
+// its full (or quick) length and returns the client's delivered view: the
+// Definition 1 yardstick for any run of the spec — a merged cluster run
+// (see AuditCluster), a wall-clock run, or a deployment from Build that the
+// caller drove itself, as the paper's experiments do. The name predates
+// that wider use.
 func ClusterReference(s *Spec, quick bool) ([]tuple.Tuple, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -96,6 +96,8 @@ type AvailabilityReport struct {
 
 // ClientReport summarizes what the client observed (§2.3 metrics).
 type ClientReport struct {
+	// NewTuples is client.Stats.NewTuples: one count per distinct stime
+	// delivered, not one per tuple; ThroughputTPS is it per second of run.
 	NewTuples          uint64  `json:"new_tuples"`
 	ThroughputTPS      float64 `json:"throughput_tps"`
 	MaxLatencyS        float64 `json:"max_latency_s"`

@@ -97,8 +97,10 @@ func runValidated(s *Spec, opts Options) (*Report, error) {
 }
 
 // Build compiles a spec into a deployment without running it, for callers
-// that want to drive the simulation themselves (custom probes, tracing).
-// Workloads and faults are installed; call Start on the result.
+// that want to drive the simulation themselves (the paper's experiments,
+// custom probes, tracing). Workloads and faults are installed; call Start
+// on the result. Quick shrinks the horizon, and faults past it are never
+// installed.
 func Build(s *Spec, opts Options) (*deploy.Deployment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
