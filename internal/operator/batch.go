@@ -144,27 +144,11 @@ func (s *SUnion) pumpNeeded() bool {
 
 // ProcessBatch filters a batch in one call, compacting the surviving
 // tuples toward the front of the frame itself and loaning the shortened
-// frame downstream — zero copies, zero staging. The write index never
-// passes the read index, so the compaction is safe, and slots are only
-// rewritten once a gap exists. Filter is type-agnostic — control tuples
-// pass through exactly as in Process — so no state precondition gates the
-// fast path.
+// frame downstream — zero copies, zero staging. Filter is type-agnostic —
+// control tuples pass through exactly as in Process — so no state
+// precondition gates the fast path.
 func (f *Filter) ProcessBatch(_ int, ts []tuple.Tuple) bool {
-	j := 0
-	for i := range ts {
-		t := ts[i]
-		if t.IsData() {
-			if !f.pred(t) {
-				continue
-			}
-			f.passed++
-		}
-		if j != i {
-			ts[j] = t
-		}
-		j++
-	}
-	f.EmitLoan(ts[:j])
+	f.EmitLoan(ts[:f.compact(ts)])
 	return true
 }
 
@@ -176,21 +160,19 @@ func (f *Filter) CleanPreserving() {}
 
 // ProcessBatch maps a batch in one call by retargeting each data tuple's
 // payload pointer in the frame itself and loaning the frame downstream —
-// no copy, no staging. The payloads are never written through (fn returns
-// a fresh slice), so tuples sharing payload arrays with logs or buffers
-// upstream are unaffected. Map is stateless and type-agnostic, so no
-// precondition gates the fast path.
+// no copy, no staging. A copying map never writes through a payload (it
+// points the tuple at a fresh slice), so tuples sharing payload arrays with
+// logs or buffers upstream are unaffected; an in-place kernel writes only
+// payloads its node owns (NewFieldMap). Map is stateless and type-agnostic,
+// so no precondition gates the fast path.
 func (m *Map) ProcessBatch(_ int, ts []tuple.Tuple) bool {
-	for i := range ts {
-		if ts[i].IsData() {
-			ts[i].Data = m.fn(ts[i].Data)
-		}
-	}
+	m.apply(ts)
 	m.EmitLoan(ts)
 	return true
 }
 
-// MutatesBatch: ProcessBatch rewrites payload pointers in the input frame.
+// MutatesBatch: ProcessBatch rewrites payload pointers (or, in place, the
+// payloads) in the input frame.
 func (m *Map) MutatesBatch() {}
 
 // CleanPreserving: Map never changes a tuple's type.

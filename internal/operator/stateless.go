@@ -6,9 +6,15 @@ import "borealis/internal/tuple"
 // that pass. Control tuples (boundaries, undo, rec-done) pass through
 // unconditionally so that punctuation and recovery markers are never lost.
 // Filter is stateless and therefore convergent-capable (§8.1).
+//
+// The predicate is either a Go closure (NewFilter) or the scenario spec's
+// divisibility kernel (NewFieldFilter), which reads the field in place
+// instead of copying every tuple into a call.
 type Filter struct {
 	Base
-	pred func(tuple.Tuple) bool
+	pred   func(tuple.Tuple) bool // nil for the kernel
+	field  int
+	modulo int64
 	// passed counts forwarded data tuples; checkpointed so that a
 	// restored operator reports consistent statistics.
 	passed uint64
@@ -23,19 +29,59 @@ func NewFilter(name string, pred func(tuple.Tuple) bool) *Filter {
 	return &Filter{Base: NewBase(name), pred: pred}
 }
 
+// NewFieldFilter builds the kernel filter that keeps a data tuple when its
+// payload field is divisible by modulo, with Go's % semantics. A payload
+// too short to hold the field reads 0, so such a tuple is kept.
+func NewFieldFilter(name string, field int, modulo int64) *Filter {
+	if field < 0 || modulo == 0 {
+		panic("operator: field filter needs field ≥ 0 and a non-zero modulo")
+	}
+	return &Filter{Base: NewBase(name), field: field, modulo: modulo}
+}
+
 // Inputs returns 1.
 func (f *Filter) Inputs() int { return 1 }
 
 // Process forwards data tuples that satisfy the predicate.
 func (f *Filter) Process(_ int, t tuple.Tuple) {
-	if !t.IsData() {
-		f.Emit(t)
-		return
+	one := [1]tuple.Tuple{t}
+	if f.compact(one[:]) == 1 {
+		f.Emit(one[0])
 	}
-	if f.pred(t) {
-		f.passed++
-		f.Emit(t)
+}
+
+// compact moves the tuples that pass — every control tuple and each data
+// tuple the predicate keeps — to the front of ts in order and returns how
+// many passed. It is the one per-tuple step of Process, on a one-tuple
+// frame, and of ProcessBatch. The write index never passes the read index,
+// and slots are only rewritten once a gap exists.
+func (f *Filter) compact(ts []tuple.Tuple) int {
+	pred, field, modulo, passed := f.pred, f.field, f.modulo, f.passed
+	j := 0
+	for i := range ts {
+		if t := &ts[i]; t.IsData() {
+			var keep bool
+			if pred != nil {
+				keep = pred(*t)
+			} else {
+				var v int64 // a payload too short for the field reads 0
+				if uint(field) < uint(len(t.Data)) {
+					v = t.Data[field]
+				}
+				keep = v%modulo == 0
+			}
+			if !keep {
+				continue
+			}
+			passed++
+		}
+		if j != i {
+			ts[j] = ts[i]
+		}
+		j++
 	}
+	f.passed = passed
+	return j
 }
 
 // Passed returns the number of data tuples forwarded so far.
@@ -49,12 +95,23 @@ func (f *Filter) Checkpoint() any { return filterState{Passed: f.passed} }
 // Restore reinstates a snapshot.
 func (f *Filter) Restore(s any) { f.passed = s.(filterState).Passed }
 
-// Map transforms each data tuple's payload with a pure function, leaving
-// type, timestamp and identity intact. Map is stateless and therefore
-// convergent-capable (§8.1).
+// Map transforms each data tuple's payload, leaving type, timestamp and
+// identity intact. Map is stateless and therefore convergent-capable
+// (§8.1).
+//
+// The transformation is either a pure Go function (NewMap) or the scenario
+// spec's scaling kernel (NewFieldMap).
 type Map struct {
 	Base
-	fn func([]int64) []int64
+	fn      func([]int64) []int64 // nil for the kernel
+	field   int
+	scale   int64
+	inPlace bool
+	// arena carves the kernel's fresh payloads: they live exactly as long
+	// as any other payload (logs, buffers), and chunk-carving keeps
+	// millions of tiny []int64 from individually burdening the GC. The
+	// operator is single-threaded, so the arena needs no locking.
+	arena tuple.I64Arena
 }
 
 // NewMap builds a map operator from a pure payload transformation.
@@ -65,15 +122,60 @@ func NewMap(name string, fn func([]int64) []int64) *Map {
 	return &Map{Base: NewBase(name), fn: fn}
 }
 
+// NewFieldMap builds the kernel map that multiplies a data tuple's payload
+// field by scale, with Go's wrapping *. A payload too short to hold the
+// field is left unchanged.
+//
+// By default the kernel writes a fresh copy of each payload, since payloads
+// arriving from an SUnion alias upstream logs and buffers. inPlace scales
+// the payload where it lies instead; it is sound only when no one else can
+// hold that payload, such as a payload an upstream kernel map of the same
+// node just copied, with only filters in between.
+func NewFieldMap(name string, field int, scale int64, inPlace bool) *Map {
+	if field < 0 {
+		panic("operator: field map needs field ≥ 0")
+	}
+	return &Map{Base: NewBase(name), field: field, scale: scale, inPlace: inPlace}
+}
+
 // Inputs returns 1.
 func (m *Map) Inputs() int { return 1 }
 
 // Process transforms data tuples and forwards control tuples untouched.
 func (m *Map) Process(_ int, t tuple.Tuple) {
-	if t.IsData() {
-		t.Data = m.fn(t.Data)
+	one := [1]tuple.Tuple{t}
+	m.apply(one[:])
+	m.Emit(one[0])
+}
+
+// apply transforms every data tuple of ts where it lies in the frame: the
+// one per-tuple step of Process, on a one-tuple frame, and of
+// ProcessBatch. The arena is carved through a local copy, stored back
+// once per frame rather than once per tuple.
+func (m *Map) apply(ts []tuple.Tuple) {
+	fn, field, scale, inPlace, arena := m.fn, m.field, m.scale, m.inPlace, m.arena
+	for i := range ts {
+		t := &ts[i]
+		if !t.IsData() {
+			continue
+		}
+		if fn != nil {
+			t.Data = fn(t.Data)
+			continue
+		}
+		d := t.Data
+		if !inPlace {
+			c := arena.Alloc(len(d))
+			for k, v := range d { // a few values: cheaper than copy's memmove call
+				c[k] = v
+			}
+			d, t.Data = c, c
+		}
+		if uint(field) < uint(len(d)) {
+			d[field] *= scale
+		}
 	}
-	m.Emit(t)
+	m.arena = arena
 }
 
 // Checkpoint returns nil: Map is stateless.

@@ -86,6 +86,47 @@ func TestMapPreservesTentative(t *testing.T) {
 	}
 }
 
+func TestFieldKernelsRejectBadArguments(t *testing.T) {
+	for name, build := range map[string]func(){
+		"filter negative field": func() { NewFieldFilter("f", -1, 2) },
+		"filter zero modulo":    func() { NewFieldFilter("f", 0, 0) },
+		"map negative field":    func() { NewFieldMap("m", -1, 2, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+func TestFieldMapCopiesUnlessInPlace(t *testing.T) {
+	for _, inPlace := range []bool{false, true} {
+		m := NewFieldMap("m", 1, 3, inPlace)
+		c := attach(m, nil)
+		in := []tuple.Tuple{tuple.NewInsertion(1, 5, 7), tuple.NewInsertion(2, 5), tuple.NewBoundary(3)}
+		m.Process(0, in[0])
+		if !m.ProcessBatch(0, in[1:]) {
+			t.Fatal("map declined a batch")
+		}
+		if got := c.out[0].Data; !eqI64(got, []int64{5, 21}) {
+			t.Fatalf("inPlace=%v: scaled payload %v, want [5 21]", inPlace, got)
+		}
+		if got := c.out[1].Data; !eqI64(got, []int64{5}) {
+			t.Fatalf("inPlace=%v: short payload %v, want [5] unchanged", inPlace, got)
+		}
+		if len(c.ofType(tuple.Boundary)) != 1 {
+			t.Fatal("map must forward boundaries")
+		}
+		if want := map[bool]int64{false: 7, true: 21}[inPlace]; in[0].Data[1] != want {
+			t.Fatalf("inPlace=%v: input payload field = %d, want %d", inPlace, in[0].Data[1], want)
+		}
+	}
+}
+
 func TestUnionMergesAndTags(t *testing.T) {
 	u := NewUnion("u", 2)
 	c := attach(u, nil)

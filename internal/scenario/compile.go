@@ -10,7 +10,6 @@ import (
 	"borealis/internal/operator"
 	rtpkg "borealis/internal/runtime"
 	"borealis/internal/source"
-	"borealis/internal/tuple"
 )
 
 // splitmix64 is the scenario PRNG: tiny, fully deterministic across
@@ -175,6 +174,13 @@ func (idx *nameIndex) expandInputs(n *NodeSpec) []string {
 func (s *Spec) ExpandInputs(n *NodeSpec) []string { return s.index().expandInputs(n) }
 
 // compileOperators builds the per-replica operator factory for one node.
+//
+// A spec map scales in place when the nearest payload-writing operator
+// before it is a spec map with only filters in between: that map carved
+// the payload fresh from its own arena, the node runs its operators as one
+// linear chain after its SUnion, and a filter keeps no tuple, so nothing
+// else holds the payload. Every other map copies, since payloads coming
+// out of the SUnion alias upstream logs and buffers.
 func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 	if len(n.Operators) == 0 {
 		return nil
@@ -182,38 +188,25 @@ func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 	specs := append([]OperatorSpec(nil), n.Operators...)
 	return func() []operator.Operator {
 		ops := make([]operator.Operator, 0, len(specs))
+		owned := false // the payload in flight was written by a spec map
 		for i, op := range specs {
 			name := fmt.Sprintf("%s%d", op.Kind, i+1)
 			switch op.Kind {
 			case "filter":
-				field, mod := op.Field, op.Modulo
+				mod := op.Modulo
 				if mod == 0 {
 					mod = 2
 				}
-				ops = append(ops, operator.NewFilter(name, func(t tuple.Tuple) bool {
-					return t.Field(field)%mod == 0
-				}))
+				ops = append(ops, operator.NewFieldFilter(name, op.Field, mod))
 			case "map":
-				field, scale := op.Field, op.Scale
+				scale := op.Scale
 				if scale == 0 {
 					scale = 2
 				}
-				// Payloads come from a per-operator arena: map output
-				// lives exactly as long as any other payload (logs,
-				// buffers), and chunk-carving keeps millions of tiny
-				// []int64 from individually burdening the GC. The
-				// operator is single-threaded, so the arena needs no
-				// locking; slices are immutable downstream.
-				var arena tuple.I64Arena
-				ops = append(ops, operator.NewMap(name, func(d []int64) []int64 {
-					out := arena.Alloc(len(d))
-					copy(out, d)
-					if field < len(out) {
-						out[field] *= scale
-					}
-					return out
-				}))
+				ops = append(ops, operator.NewFieldMap(name, op.Field, scale, owned))
+				owned = true
 			case "aggregate":
+				owned = false
 				fn := operator.AggCount
 				if op.Fn != "" {
 					fn, _ = parseAggFn(op.Fn)
@@ -234,6 +227,7 @@ func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 					GroupField: group,
 				}))
 			case "join":
+				owned = false
 				left := op.LeftInputs
 				if left <= 0 {
 					left = inputCount / 2

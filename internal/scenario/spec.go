@@ -107,7 +107,8 @@ type OperatorSpec struct {
 	// Kind: "filter", "map", "aggregate" or "join".
 	Kind string `json:"kind"`
 	// Field indexes the payload attribute the operator reads (filter,
-	// map, aggregate value field).
+	// map, aggregate value field); ≥ 0 for filter and map, and a payload
+	// too short to hold it reads 0 (the map leaves it unchanged).
 	Field int `json:"field,omitempty"`
 	// Filter keeps tuples whose Field is divisible by Modulo (default 2).
 	Modulo int64 `json:"modulo,omitempty"`
@@ -506,6 +507,9 @@ func (s *Spec) Validate() error {
 		for oi, op := range n.Operators {
 			switch op.Kind {
 			case "filter", "map":
+				if op.Field < 0 {
+					return errf("node %q operator %d: %s field must not be negative", n.Name, oi, op.Kind)
+				}
 			case "aggregate":
 				if op.WindowMS < 0.001 {
 					return errf("node %q operator %d: aggregate needs window_ms ≥ 0.001", n.Name, oi)

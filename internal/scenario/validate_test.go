@@ -138,6 +138,12 @@ func TestValidateErrors(t *testing.T) {
 			s.Sources[0].Count = 2
 			s.Nodes[0].Operators = []OperatorSpec{{Kind: "join", WindowMS: 100, RightKey: -2}}
 		}, "left_key and right_key must not be negative"},
+		{"filter negative field", func(s *Spec) {
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "filter", Field: -1}}
+		}, `node "n1" operator 0: filter field must not be negative`},
+		{"map negative field", func(s *Spec) {
+			s.Nodes[0].Operators = []OperatorSpec{{Kind: "filter"}, {Kind: "map", Field: -1, Scale: 3}}
+		}, `node "n1" operator 1: map field must not be negative`},
 		{"unknown operator", func(s *Spec) {
 			s.Nodes[0].Operators = []OperatorSpec{{Kind: "sort"}}
 		}, "unknown kind"},
