@@ -17,10 +17,8 @@
 package client
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"borealis/internal/diagram"
 	"borealis/internal/fabric"
@@ -54,11 +52,11 @@ type Config struct {
 	// enabling their output-buffer truncation (§8.1).
 	AckInterval int64
 	// NoAudit disables the consistency-audit instrumentation: the
-	// undo-compacted view and the stable-duplicate tracking set, whose
-	// per-tuple hashing and retention dominate a throughput measurement.
-	// View/StableView return nothing and Stats.StableDuplicates stays
-	// zero. Benchmark harnesses only — every correctness path keeps the
-	// audit on.
+	// undo-compacted view (48 B per delivered data tuple) and the
+	// stable-duplicate set (16 B and a hash per stable tuple), both kept
+	// for the whole run in fixed segments. View/StableView return nothing
+	// and Stats.StableDuplicates stays zero. Benchmark harnesses only —
+	// every correctness path keeps the audit on.
 	NoAudit bool
 }
 
@@ -101,7 +99,7 @@ type Client struct {
 	proxy *node.Node
 
 	// Undo-compacted view of the delivered stream.
-	view []tuple.Tuple
+	view node.TupleLog
 
 	// Newness watermark.
 	maxSTime int64
@@ -155,6 +153,7 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 		StallTimeout: cfg.StallTimeout,
 		CM:           cfg.CM,
 		AckInterval:  cfg.AckInterval,
+		TapOnly:      true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
@@ -189,7 +188,7 @@ func (c *Client) consume(t tuple.Tuple) {
 	switch {
 	case t.IsData():
 		if !c.cfg.NoAudit {
-			c.view = tuple.Append(c.view, t)
+			c.view.Append(t)
 		}
 		if t.Type == tuple.Tentative {
 			c.tentative++
@@ -221,7 +220,7 @@ func (c *Client) consume(t tuple.Tuple) {
 	case t.Type == tuple.Undo:
 		c.undos++
 		if !c.cfg.NoAudit {
-			c.view = tuple.ApplyUndo(c.view, t.ID)
+			c.view.Undo(t.ID)
 		}
 	case t.Type == tuple.RecDone:
 		c.recDones++
@@ -246,37 +245,38 @@ func stableKey(t tuple.Tuple) stableID {
 	return stableID{stime: t.STime, hash: h}
 }
 
-func compareStableID(a, b stableID) int {
-	if c := cmp.Compare(a.stime, b.stime); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.hash, b.hash)
-}
+// stableSegSize is the length, in keys, of one segment of a stableSet's log
+// (16 KiB at 16 bytes a key).
+const stableSegSize = 1024
 
 // stableSet is the exact set of stable keys delivered so far, laid out for
 // the order they arrive in. The proxy's SUnion emits sorted buckets, so
-// stable tuples reach the client in non-decreasing stime: keys[:sealed]
-// holds every key older than the newest stime, sorted by (stime, hash), and
-// keys[sealed:] the newest stime's keys in arrival order, indexed by hash in
-// cur. An in-order key costs one lookup in a map of one stime's keys plus
-// one append; a newer stime sorts the previous one's keys into the sealed
-// prefix. An older key is looked up in the sealed prefix and in late, the
-// map of older keys that arrived after a newer stime: any earlier copy of
-// it is in one of the two. When new, it joins late, so a stream of
-// redelivered old tuples costs a search and a map insert each, never a
-// shift of the sorted slice. Unlike one map of every key of the run, the
-// hot structures stay the size of one stime.
+// stable tuples reach the client in non-decreasing stime. Every key at or
+// past the newest stime is appended to a log of fixed segments, which is
+// therefore in stime order and never recopied, and the newest stime's
+// hashes are indexed in cur: an in-order key costs one lookup in a map of
+// one stime's keys plus one append, and a newer stime only clears cur. An
+// older key binary-searches the log for its stime, scans that stime's keys,
+// and looks in late, the map of older keys that arrived after a newer
+// stime: any earlier copy of it is in one of the two. When new, it joins
+// late, so a stream of redelivered old tuples never shifts the log. Unlike
+// one map of every key of the run, the hot structures stay the size of one
+// stime.
 type stableSet struct {
-	keys   []stableID
-	sealed int
+	segs   []*[stableSegSize]stableID
+	n      int   // keys in the log
+	newest int64 // stime of the log's last key, when n > 0
 	cur    map[uint64]struct{}
 	late   map[stableID]struct{}
 }
 
+// at returns log key i.
+func (s *stableSet) at(i int) stableID { return s.segs[i/stableSegSize][i%stableSegSize] }
+
 // add inserts k and reports whether it was already present.
 func (s *stableSet) add(k stableID) bool {
-	if s.sealed < len(s.keys) && k.stime < s.keys[s.sealed].stime {
-		if _, found := slices.BinarySearchFunc(s.keys[:s.sealed], k, compareStableID); found {
+	if s.n > 0 && k.stime < s.newest {
+		if s.logged(k) {
 			return true
 		}
 		if _, found := s.late[k]; found {
@@ -288,9 +288,8 @@ func (s *stableSet) add(k stableID) bool {
 		s.late[k] = struct{}{}
 		return false
 	}
-	if s.sealed == len(s.keys) || k.stime > s.keys[s.sealed].stime {
-		slices.SortFunc(s.keys[s.sealed:], compareStableID)
-		s.sealed = len(s.keys)
+	if s.n == 0 || k.stime > s.newest {
+		s.newest = k.stime
 		if s.cur == nil {
 			s.cur = make(map[uint64]struct{})
 		}
@@ -300,12 +299,35 @@ func (s *stableSet) add(k stableID) bool {
 		return true
 	}
 	s.cur[k.hash] = struct{}{}
-	if len(s.keys) == cap(s.keys) && len(s.keys) >= 1024 {
-		// Double like tuple.Append: the set reaches millions of keys, and
-		// append's gentler growth would recopy it several times more.
-		s.keys = append(make([]stableID, 0, 2*cap(s.keys)), s.keys...)
+	if s.n == len(s.segs)*stableSegSize {
+		s.segs = append(s.segs, new([stableSegSize]stableID))
 	}
-	s.keys = append(s.keys, k)
+	s.segs[s.n/stableSegSize][s.n%stableSegSize] = k
+	s.n++
+	return false
+}
+
+// logged reports whether the log holds k: a binary search for the first key
+// of k's stime, then a scan of that stime's keys.
+func (s *stableSet) logged(k stableID) bool {
+	lo, hi := 0, s.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.at(m).stime < k.stime {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for i := lo; i < s.n; i++ {
+		x := s.at(i)
+		if x.stime != k.stime {
+			return false
+		}
+		if x.hash == k.hash {
+			return true
+		}
+	}
 	return false
 }
 
@@ -337,18 +359,39 @@ func (c *Client) ResetLatency() {
 	c.latMin, c.latMax = math.MaxInt64, 0
 }
 
-// View returns the undo-compacted delivered stream.
-func (c *Client) View() []tuple.Tuple { return append([]tuple.Tuple(nil), c.view...) }
+// View returns the undo-compacted delivered stream (nil when empty).
+func (c *Client) View() []tuple.Tuple {
+	if c.view.Len() == 0 {
+		return nil
+	}
+	out := make([]tuple.Tuple, 0, c.view.Len())
+	c.view.Chunks(func(ts []tuple.Tuple) { out = append(out, ts...) })
+	return out
+}
 
 // StableView returns only the stable prefix content of the delivered
-// stream (tentative tuples excluded): what Definition 1 compares.
+// stream (tentative tuples excluded): what Definition 1 compares. It counts
+// the stable tuples first and allocates once (nil when there are none).
 func (c *Client) StableView() []tuple.Tuple {
-	var out []tuple.Tuple
-	for _, t := range c.view {
-		if t.Type == tuple.Insertion {
-			out = append(out, t)
+	n := 0
+	c.view.Chunks(func(ts []tuple.Tuple) {
+		for i := range ts {
+			if ts[i].Type == tuple.Insertion {
+				n++
+			}
 		}
+	})
+	if n == 0 {
+		return nil
 	}
+	out := make([]tuple.Tuple, 0, n)
+	c.view.Chunks(func(ts []tuple.Tuple) {
+		for i := range ts {
+			if ts[i].Type == tuple.Insertion {
+				out = append(out, ts[i])
+			}
+		}
+	})
 	return out
 }
 

@@ -60,6 +60,7 @@ func TestStableSetMatchesMap(t *testing.T) {
 		{"one-per-stime-with-old", 1, 0.1},
 		{"old-duplicates-and-out-of-order", 200, 0.05},
 		{"mostly-out-of-order", 20, 0.6},
+		{"crowded-stimes-with-old", 6000, 0.05},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -81,7 +82,7 @@ func TestStableSetMatchesMap(t *testing.T) {
 			if want == 0 {
 				t.Fatalf("%s seed %d: the sequence holds no duplicate", c.name, seed)
 			}
-			if held := len(set.keys) + len(set.late); held != len(ref) {
+			if held := set.n + len(set.late); held != len(ref) {
 				t.Fatalf("%s seed %d: %d keys held, reference %d", c.name, seed, held, len(ref))
 			}
 		}
@@ -90,15 +91,15 @@ func TestStableSetMatchesMap(t *testing.T) {
 
 // TestStableSetOldKeysLeaveSortedPrefix redelivers a run's worth of old
 // stimes — new keys and duplicates — after a newer stime has been seen:
-// the sorted prefix must not move or grow, so each old key costs a search
-// and a map insert rather than a shift of every newer key.
+// the stime-ordered log must not move or grow, so each old key costs a
+// search and a map insert rather than a shift of every newer key.
 func TestStableSetOldKeysLeaveSortedPrefix(t *testing.T) {
 	var set stableSet
 	const n = 100000
 	for i := 0; i < n; i++ {
 		set.add(stableID{stime: int64(i / 100), hash: uint64(i % 100)})
 	}
-	sealed, first := set.sealed, &set.keys[0]
+	first, last := &set.segs[0][0], set.segs[len(set.segs)-1]
 	dups := 0
 	for i := 0; i < n; i++ {
 		k := stableID{stime: int64(i / 200), hash: uint64(i%200) + 50}
@@ -111,11 +112,87 @@ func TestStableSetOldKeysLeaveSortedPrefix(t *testing.T) {
 	if want := n / 4; dups != want {
 		t.Fatalf("%d duplicates among redelivered keys, want %d", dups, want)
 	}
-	if set.sealed != sealed || &set.keys[0] != first || len(set.keys) != n {
-		t.Fatalf("old keys moved the sorted prefix: sealed %d→%d, %d keys", sealed, set.sealed, len(set.keys))
+	if &set.segs[0][0] != first || set.segs[len(set.segs)-1] != last || set.n != n {
+		t.Fatalf("old keys moved the log: %d keys in %d segments", set.n, len(set.segs))
 	}
 	if len(set.late) != n-n/4 {
 		t.Fatalf("late holds %d keys, want %d", len(set.late), n-n/4)
+	}
+}
+
+// TestStableSetLateKeysInCrowdedStimes fills stimes of 5 000 to 7 000 keys —
+// each spans several segments — then sends keys older than the newest
+// stime: duplicates and new keys in the first stime, the last full one, one
+// whose keys straddle a segment boundary (probed at the keys just before and
+// after it), stimes with no keys, and stimes before the first. The set must
+// agree with the map reference on every key.
+func TestStableSetLateKeysInCrowdedStimes(t *testing.T) {
+	var set stableSet
+	ref := mapStableSet{}
+	check := func(what string, k stableID) {
+		t.Helper()
+		if got, want := set.add(k), ref.add(k); got != want {
+			t.Fatalf("%s %+v: duplicate %v, reference %v", what, k, got, want)
+		}
+	}
+	sizes := []int{5000, 7000, 6000, 5500}
+	var logged []stableID
+	for g, size := range sizes {
+		for j := 0; j < size; j++ {
+			k := stableID{stime: int64(10 * (g + 1)), hash: uint64(j*7919) % 100003}
+			check("in order", k)
+			logged = append(logged, k)
+		}
+	}
+	check("newer stime", stableID{stime: 100, hash: 1})
+	if set.n != len(logged)+1 {
+		t.Fatalf("log holds %d keys, want %d", set.n, len(logged)+1)
+	}
+	// Keys around every segment boundary, both sides, redelivered.
+	for b := stableSegSize; b < len(logged); b += stableSegSize {
+		check("boundary duplicate", logged[b-1])
+		check("boundary duplicate", logged[b])
+		check("boundary stime, new", stableID{stime: logged[b].stime, hash: 200000 + uint64(b)})
+	}
+	last := len(sizes) - 1
+	for _, g := range []int{0, last} {
+		stime := int64(10 * (g + 1))
+		check("group duplicate", stableID{stime: stime, hash: 0})
+		check("group new", stableID{stime: stime, hash: 100003})
+		check("group new again", stableID{stime: stime, hash: 100003})
+	}
+	for _, stime := range []int64{5, 15, 45, 99} {
+		check("empty stime", stableID{stime: stime, hash: 0})
+		check("empty stime again", stableID{stime: stime, hash: 0})
+	}
+}
+
+// BenchmarkStableSetAdd times in-order keys, 16 to a stime, and asserts
+// that they allocate nothing beyond their share of a segment: adding one
+// segment's worth of keys costs one allocation, the segment itself.
+func BenchmarkStableSetAdd(b *testing.B) {
+	var set stableSet
+	next := 0
+	add := func() {
+		set.add(stableID{stime: int64(next / 16), hash: uint64(next % 16)})
+		next++
+	}
+	for i := 0; i < 4*stableSegSize; i++ {
+		add()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add()
+	}
+	b.StopTimer()
+	segment := func() {
+		for i := 0; i < stableSegSize; i++ {
+			add()
+		}
+	}
+	if a := testing.AllocsPerRun(100, segment); a > 1 {
+		b.Fatalf("%d in-order keys allocate %.2f times, want at most 1 (their segment)", stableSegSize, a)
 	}
 }
 

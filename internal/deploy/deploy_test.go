@@ -346,6 +346,42 @@ func TestAckTruncationBoundsOutputBuffers(t *testing.T) {
 	}
 }
 
+// TestClientProxyKeepsNoOutputBuffer: the client proxy hands its output only
+// to the application, so it buffers none of it and ignores a subscription
+// to it, and a crash-restart of the proxy still catches up and delivers.
+func TestClientProxyKeepsNoOutputBuffer(t *testing.T) {
+	dep := build(t, chain(1, 10))
+	dep.Start()
+	dep.RunFor(3 * sec)
+	proxy := dep.Client.Proxy()
+	outs := proxy.Engine().Diagram().Outputs()
+	if len(outs) != 1 {
+		t.Fatalf("proxy has %d output streams, want 1", len(outs))
+	}
+	out := outs[0].Stream
+	if ob := proxy.Output(out); ob != nil {
+		t.Fatalf("the proxy buffers its output: %d tuples held on %s", ob.Len(), out)
+	}
+	got := 0
+	dep.Net.Register("spy", func(string, any) { got++ })
+	proxy.HandleMessage("spy", node.SubscribeMsg{Stream: out})
+	dep.RunFor(1 * sec)
+	if got != 0 {
+		t.Fatalf("a subscription to %s drew %d messages", out, got)
+	}
+	before := dep.Client.Stats().NewTuples
+	proxy.Crash()
+	dep.RunFor(1 * sec)
+	proxy.Restart()
+	dep.RunFor(5 * sec)
+	if proxy.Recovering() || proxy.Down() {
+		t.Fatalf("the restarted proxy never caught up (recovering %v, down %v)", proxy.Recovering(), proxy.Down())
+	}
+	if after := dep.Client.Stats().NewTuples; after <= before {
+		t.Fatalf("no new tuples after the proxy restarted (%d before, %d after)", before, after)
+	}
+}
+
 // sunionTree is the Fig. 10 deployment: one unreplicated node running the
 // left-deep cascade of SUnions over four sources s1–s4 at 400 tuples/s in
 // total, D = 2 s, stabilizing with Suspend.

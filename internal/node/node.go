@@ -50,6 +50,11 @@ type Config struct {
 	// AckInterval paces acknowledgment messages to upstream neighbors
 	// (0 disables acks).
 	AckInterval int64
+	// TapOnly builds no OutputBuffer: the node's output reaches only its
+	// OnDeliver tap, and subscriptions and acks for it are ignored. A
+	// client proxy hands its output to the application alone (§2.2), so
+	// nothing would ever drain or truncate a buffer there.
+	TapOnly bool
 }
 
 // Node is one DPC processing node: engine + data path + input managers +
@@ -146,7 +151,9 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 	for _, out := range d.Outputs() {
 		stream := out.Stream
 		n.outOrder = append(n.outOrder, stream)
-		n.outputs[stream] = NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
+		if !cfg.TapOnly {
+			n.outputs[stream] = NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
+		}
 	}
 	sort.Strings(n.outOrder)
 	n.cm = newCM(n, cfg.CM)
@@ -176,7 +183,7 @@ func (n *Node) ReconcileDurations() []int64 { return n.reconDurations }
 // Input returns the manager of an input stream.
 func (n *Node) Input(stream string) *InputManager { return n.inputs[stream] }
 
-// Output returns the buffer of an output stream.
+// Output returns the buffer of an output stream (nil on a TapOnly node).
 func (n *Node) Output(stream string) *OutputBuffer { return n.outputs[stream] }
 
 // FailedInputs returns the currently failed input streams, sorted.
@@ -660,7 +667,9 @@ func (n *Node) Restart() {
 		n.inputs[stream].Reset()
 	}
 	for _, stream := range n.outOrder {
-		n.outputs[stream].Reset()
+		if ob := n.outputs[stream]; ob != nil {
+			ob.Reset()
+		}
 	}
 	n.cm.reset()
 	n.Start()

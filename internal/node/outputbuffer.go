@@ -25,14 +25,6 @@ const (
 	BufferSlide
 )
 
-// obSegSize is the length, in tuples, of one segment of an OutputBuffer's
-// log (24 KiB at 48 bytes a tuple). A power of two, so a log position splits
-// into segment and slot with a shift and a mask.
-const obSegSize = 512
-
-// obSegment is one fixed-size block of an OutputBuffer's log.
-type obSegment [obSegSize]tuple.Tuple
-
 // OutputBuffer is the Data Path's per-output-stream buffer. It retains, in
 // emission order, every data tuple (stable and tentative) and interleaved
 // boundary, so that any replica of any downstream neighbor can subscribe at
@@ -47,19 +39,12 @@ type OutputBuffer struct {
 	mode   BufferMode
 	cap    int
 
-	// The contents are a segmented log: live tuple i sits at log position
-	// head+i, counted from the first slot of segs[0]. Every segment but the
-	// last is full and head < obSegSize, so appending fills the tail segment
-	// and never recopies anything, however long an unacknowledged buffer
-	// grows. Every slot outside the live range is zero: truncation (acks,
-	// slide mode, undo) clears the slots it drops and moves each segment it
-	// empties onto free, where the next append takes it back — an
-	// acknowledged buffer in steady state allocates nothing and holds no
-	// more than its own high-water mark.
-	segs []*obSegment
-	head int
-	n    int
-	free []*obSegment
+	// The contents are a segmented log: appending never recopies, however
+	// long an unacknowledged buffer grows, and truncation (acks, slide mode,
+	// undo) recycles every segment it empties, so an acknowledged buffer in
+	// steady state allocates nothing and holds no more than its own
+	// high-water mark.
+	segLog
 	subs map[string]*obSub
 
 	// acks maps downstream endpoints to the highest stable tuple id they
@@ -112,116 +97,10 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 // Len returns the number of buffered tuples.
 func (ob *OutputBuffer) Len() int { return ob.n }
 
-// at returns live tuple i.
-func (ob *OutputBuffer) at(i int) *tuple.Tuple {
-	p := ob.head + i
-	return &ob.segs[p/obSegSize][p%obSegSize]
-}
-
-// tail returns the slots free in the tail segment, taking a new segment
-// when the tail is full (or there is none yet).
-func (ob *OutputBuffer) tail() []tuple.Tuple {
-	p := ob.head + ob.n
-	if p == len(ob.segs)*obSegSize {
-		var s *obSegment
-		if k := len(ob.free); k > 0 {
-			s = ob.free[k-1]
-			ob.free[k-1] = nil
-			ob.free = ob.free[:k-1]
-		} else {
-			s = new(obSegment)
-		}
-		ob.segs = append(ob.segs, s)
-	}
-	return ob.segs[p/obSegSize][p%obSegSize:]
-}
-
-// push appends one tuple to the log.
-func (ob *OutputBuffer) push(t tuple.Tuple) {
-	ob.tail()[0] = t
-	ob.n++
-}
-
-// pushAll appends a batch to the log, one copy per segment it reaches.
-func (ob *OutputBuffer) pushAll(ts []tuple.Tuple) {
-	for len(ts) > 0 {
-		k := copy(ob.tail(), ts)
-		ob.n += k
-		ts = ts[k:]
-	}
-}
-
-// copyOut copies live tuples i, i+1, … into dst until dst is full.
-func (ob *OutputBuffer) copyOut(dst []tuple.Tuple, i int) {
-	for p := ob.head + i; len(dst) > 0; {
-		k := copy(dst, ob.segs[p/obSegSize][p%obSegSize:])
-		dst = dst[k:]
-		p += k
-	}
-}
-
-// clearLive zeroes live slots [i, j), so dropped tuples do not pin their
-// payloads.
-func (ob *OutputBuffer) clearLive(i, j int) {
-	for p, end := ob.head+i, ob.head+j; p < end; {
-		lo := p % obSegSize
-		hi := min(obSegSize, lo+end-p)
-		clear(ob.segs[p/obSegSize][lo:hi])
-		p += hi - lo
-	}
-}
-
-// recycle moves segs[from:to] — segments with no live slot, already
-// cleared — onto the free list and closes the gap in segs.
-func (ob *OutputBuffer) recycle(from, to int) {
-	ob.free = append(ob.free, ob.segs[from:to]...)
-	m := from + copy(ob.segs[from:], ob.segs[to:])
-	clear(ob.segs[m:])
-	ob.segs = ob.segs[:m]
-}
-
-// drop discards the k oldest live tuples.
+// drop discards the k oldest live tuples, counting them as truncated.
 func (ob *OutputBuffer) drop(k int) {
-	ob.clearLive(0, k)
-	ob.head += k
-	ob.n -= k
+	ob.dropHead(k)
 	ob.Truncated += uint64(k)
-	if full := ob.head / obSegSize; full > 0 {
-		ob.recycle(0, full)
-		ob.head -= full * obSegSize
-	}
-}
-
-// truncate keeps the k oldest live tuples and deletes the rest.
-func (ob *OutputBuffer) truncate(k int) {
-	ob.clearLive(k, ob.n)
-	ob.n = k
-	ob.recycle((ob.head+k+obSegSize-1)/obSegSize, len(ob.segs))
-}
-
-// undo compacts the log for an UNDO with the given last-good id, with
-// tuple.ApplyUndo's semantics: keep everything up to the last stable
-// Insertion carrying the id; without one, keep nothing for id 0 and strip
-// the tentative tuples otherwise.
-func (ob *OutputBuffer) undo(lastGoodID uint64) {
-	for i := ob.n - 1; i >= 0; i-- {
-		if t := ob.at(i); t.ID == lastGoodID && t.Type == tuple.Insertion {
-			ob.truncate(i + 1)
-			return
-		}
-	}
-	if lastGoodID == 0 {
-		ob.truncate(0)
-		return
-	}
-	kept := 0
-	for i := 0; i < ob.n; i++ {
-		if t := ob.at(i); t.Type != tuple.Tentative {
-			*ob.at(kept) = *t
-			kept++
-		}
-	}
-	ob.truncate(kept)
 }
 
 // Reset clears the buffer, subscriptions, and acknowledgments: crash
@@ -229,10 +108,7 @@ func (ob *OutputBuffer) undo(lastGoodID uint64) {
 // pre-crash subscribers must re-subscribe (their sequence tracking detects
 // the reset).
 func (ob *OutputBuffer) Reset() {
-	ob.segs = nil
-	ob.head = 0
-	ob.n = 0
-	ob.free = nil
+	ob.segLog = segLog{}
 	ob.subs = make(map[string]*obSub)
 	ob.subsSorted = nil
 	ob.acks = make(map[string]uint64)

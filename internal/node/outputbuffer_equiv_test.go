@@ -303,10 +303,16 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 }
 
 // TestOutputBufferSegmentBoundaries pins acks, slides and undos that land
-// exactly on, just before and just after segment boundaries.
+// exactly on, just before and just after segment boundaries, and the same
+// pattern at half-segment points, which lands mid-segment.
 func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	const total = 4*obSegSize + 100
-	for _, cut := range []int{1, obSegSize - 1, obSegSize, obSegSize + 1, 2 * obSegSize, 3*obSegSize - 1, 3 * obSegSize, total} {
+	const half = obSegSize / 2
+	cuts := []int{
+		1, half - 1, half, half + 1, obSegSize - 1, obSegSize, obSegSize + 1,
+		3*half - 1, 3 * half, 2 * obSegSize, 4*half + 100, 3*obSegSize - 1, 3 * obSegSize, total,
+	}
+	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("ack=%d", cut), func(t *testing.T) {
 			w := newOBTwin(t, BufferUnbounded, 0, []string{"d1"})
 			w.subscribe("d1", SubscribeMsg{Stream: "s"})
