@@ -47,6 +47,9 @@ type work struct {
 	seq    uint64
 	stream string
 	tuples []tuple.Tuple
+	// lent is the pool tuples was lent from, if any: svcDone returns the
+	// array after dispatch, and a batch Restore drops keeps it.
+	lent *tuple.LoanPool
 }
 
 // consumer is one pre-resolved downstream edge: the operator map lookups
@@ -350,7 +353,14 @@ func (e *Engine) buildChain(opName string, port int, outputOf map[string]string)
 }
 
 // Ingest queues a batch of tuples arriving on an external input stream.
-func (e *Engine) Ingest(stream string, ts []tuple.Tuple) {
+func (e *Engine) Ingest(stream string, ts []tuple.Tuple) { e.IngestLent(stream, ts, nil) }
+
+// IngestLent is Ingest for an array lent from pool: the engine returns it
+// to pool right after the batch's dispatch, the first moment nothing reads
+// it — HoldsTentative and kick's FreshCount read queued and in-service
+// batches. A batch Restore discards is never returned. An empty batch is
+// not queued and stays with the caller.
+func (e *Engine) IngestLent(stream string, ts []tuple.Tuple, pool *tuple.LoanPool) {
 	if len(ts) == 0 {
 		return
 	}
@@ -358,7 +368,7 @@ func (e *Engine) Ingest(stream string, ts []tuple.Tuple) {
 		panic(fmt.Sprintf("engine: unknown input stream %q", stream))
 	}
 	e.nextSeq++
-	e.pushWork(work{seq: e.nextSeq, stream: stream, tuples: ts})
+	e.pushWork(work{seq: e.nextSeq, stream: stream, tuples: ts, lent: pool})
 	e.kick()
 }
 
@@ -425,6 +435,7 @@ func (e *Engine) kick() {
 	}
 	e.busy = true
 	batch := e.popWork()
+	tuple.CheckNotReturned("Engine.kick", batch.tuples)
 	svc := int64(0)
 	if e.cfg.Capacity > 0 {
 		n := len(batch.tuples)
@@ -446,6 +457,7 @@ func (e *Engine) svcDone(any) {
 	batch := e.inService
 	e.inService = work{}
 	e.dispatch(batch)
+	batch.lent.Return(batch.tuples)
 	e.kick()
 }
 
@@ -473,6 +485,7 @@ func (e *Engine) dispatch(batch work) {
 		return
 	}
 	ts := batch.tuples
+	tuple.CheckNotReturned("Engine.dispatch", ts)
 	if ch := e.chains[batch.stream]; ch != nil && e.policiesStageable() && cleanBatch(ts) {
 		for {
 			n := min(len(ts), stagedPass)
@@ -797,7 +810,9 @@ func (e *Engine) HoldsTentative() bool {
 	// (found by the scenario fuzzer: a partition heal during an
 	// upstream's stabilization).
 	for i := 0; i < e.qlen; i++ {
-		for _, t := range e.queue[(e.qhead+i)%len(e.queue)].tuples {
+		ts := e.queue[(e.qhead+i)%len(e.queue)].tuples
+		tuple.CheckNotReturned("Engine.HoldsTentative", ts)
+		for _, t := range ts {
 			if t.Type == tuple.Tentative {
 				return true
 			}
@@ -809,6 +824,7 @@ func (e *Engine) HoldsTentative() bool {
 	// heals the input sits exactly here when the heal decision is made
 	// (found by the scenario fuzzer: an upstream's resubscription replay
 	// serving tuples it produced between its own heal and its restore).
+	tuple.CheckNotReturned("Engine.HoldsTentative", e.inService.tuples)
 	for _, t := range e.inService.tuples {
 		if t.Type == tuple.Tentative {
 			return true

@@ -279,6 +279,7 @@ func (im *InputManager) SetConnections(live, corr string, seamless bool) {
 // restore discards the just-queued live copy and the replay (which includes
 // this batch, logged above) again delivers it exactly once.
 func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
+	tuple.CheckNotReturned("InputManager.Handle", ts)
 	fromCorr := im.corr != "" && from == im.corr
 	if !fromCorr && from != im.live {
 		return // stale connection we already unsubscribed from

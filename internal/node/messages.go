@@ -50,6 +50,11 @@ type DataMsg struct {
 	Stream string
 	Seq    uint64
 	Tuples []tuple.Tuple
+	// Pool, when set, lent Tuples to this message: the receiving node
+	// returns the array to it once nothing reads it any more (the TCP
+	// fabric decodes into lent arrays). Senders leave it nil, and the
+	// codec does not carry it.
+	Pool *tuple.LoanPool
 }
 
 // SubscribeMsg asks an upstream endpoint to start (or resume) sending a

@@ -87,6 +87,12 @@ type Node struct {
 	cpSeq, cpWant uint64
 	cpRequested   bool
 
+	// loanPool and loanTs are the lent array of the DataMsg being handled
+	// (DataMsg.Pool) until the engine takes it with the batch or
+	// handleData returns it.
+	loanPool *tuple.LoanPool
+	loanTs   []tuple.Tuple
+
 	ackTicker runtime.Ticker
 	down      bool
 	onDeliver func(stream string, t tuple.Tuple)
@@ -142,7 +148,7 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 			onBroken: func(s, from string) { n.cm.onConnBroken(s, from) },
 			forward: func(s string, ts []tuple.Tuple) {
 				if !n.down {
-					n.eng.Ingest(s, ts)
+					n.eng.IngestLent(s, ts, n.takeLoan(ts))
 				}
 			},
 		})
@@ -222,6 +228,10 @@ func (n *Node) send(to string, msg any) {
 
 // handle dispatches incoming network messages.
 func (n *Node) handle(from string, msg any) {
+	if m, ok := msg.(DataMsg); ok {
+		n.handleData(from, m)
+		return
+	}
 	if n.down {
 		return
 	}
@@ -229,22 +239,12 @@ func (n *Node) handle(from string, msg any) {
 		// A recovering node consumes data and keep-alive responses to
 		// rebuild its state but answers no requests (§4.5): nobody
 		// must mistake it for a live replica yet.
-		switch m := msg.(type) {
-		case DataMsg:
-			if im := n.inputs[m.Stream]; im != nil {
-				im.Handle(from, m.Seq, m.Tuples)
-			}
-			n.maybeFinishRecovery()
-		case KeepAliveResp:
+		if m, ok := msg.(KeepAliveResp); ok {
 			n.cm.onKeepAlive(from, m)
 		}
 		return
 	}
 	switch m := msg.(type) {
-	case DataMsg:
-		if im := n.inputs[m.Stream]; im != nil {
-			im.Handle(from, m.Seq, m.Tuples)
-		}
 	case SubscribeMsg:
 		if ob := n.outputs[m.Stream]; ob != nil {
 			ob.Subscribe(from, m)
@@ -268,6 +268,41 @@ func (n *Node) handle(from string, msg any) {
 	case ReconcileDone:
 		n.cm.onReconcileDone(from)
 	}
+}
+
+// handleData hands a batch to its input manager; a recovering node consumes
+// data too, to rebuild its state. A lent array (m.Pool set) goes back to its
+// pool before handleData returns, unless the manager forwarded the array
+// itself into the engine, which then returns it after dispatch: a batch the
+// manager copied or dropped, or one reaching a crashed node or an unknown
+// stream, is read by nobody once Handle is done.
+func (n *Node) handleData(from string, m DataMsg) {
+	im := n.inputs[m.Stream]
+	if im == nil || n.down {
+		m.Pool.Return(m.Tuples)
+		return
+	}
+	n.loanPool, n.loanTs = m.Pool, m.Tuples
+	im.Handle(from, m.Seq, m.Tuples)
+	if n.loanPool != nil { // the engine did not take the array
+		n.loanPool.Return(m.Tuples)
+	}
+	n.loanPool, n.loanTs = nil, nil
+	if n.recovering {
+		n.maybeFinishRecovery()
+	}
+}
+
+// takeLoan hands the engine the pool of the DataMsg being handled when ts
+// is its lent array, forwarded unchanged; a copy the manager built (or any
+// batch outside handleData) carries no loan.
+func (n *Node) takeLoan(ts []tuple.Tuple) *tuple.LoanPool {
+	p := n.loanPool
+	if p == nil || len(ts) == 0 || len(n.loanTs) == 0 || &ts[0] != &n.loanTs[0] {
+		return nil
+	}
+	n.loanPool = nil
+	return p
 }
 
 // inputProgress builds the stabilization-progress token of a KeepAliveResp:

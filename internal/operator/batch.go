@@ -55,6 +55,7 @@ func (s *SUnion) ProcessBatch(port int, ts []tuple.Tuple) bool {
 	// before starting this one; the parked bucket is free to recycle. This
 	// runs before the policy gate so a policy flip cannot strand the loan.
 	s.reclaimLoan()
+	tuple.CheckNotReturned("SUnion.ProcessBatch", ts)
 	if s.policy != PolicyNone && s.policy != PolicySuspend {
 		return false
 	}

@@ -336,6 +336,7 @@ func (s *SUnion) popFront() {
 
 // Process consumes a tuple on the given port.
 func (s *SUnion) Process(port int, t tuple.Tuple) {
+	tuple.CheckTupleNotReturned("SUnion.Process", t)
 	switch {
 	case t.IsData():
 		start := s.bucketStart(t.STime)

@@ -266,6 +266,13 @@ var errMalformed = fmt.Errorf("transport: malformed frame")
 // flag bits, out-of-range enum values, trailing garbage — returns an error.
 // The result does not alias body.
 func DecodeFrame(body []byte) (from, to string, msg any, err error) {
+	return decodeFrame(body, nil)
+}
+
+// decodeFrame is DecodeFrame decoding a DataMsg's tuples into an array lent
+// from pool, which the message names as its Pool (a nil pool allocates the
+// array and lends nothing).
+func decodeFrame(body []byte, pool *tuple.LoanPool) (from, to string, msg any, err error) {
 	r := &reader{b: body}
 	ver, ok := r.byte()
 	if !ok {
@@ -305,7 +312,8 @@ func DecodeFrame(body []byte) (from, to string, msg any, err error) {
 			return "", "", nil, errMalformed
 		}
 		if n > 0 {
-			m.Tuples = make([]tuple.Tuple, 0, n)
+			m.Tuples = pool.Lend(int(n))
+			m.Pool = pool
 		}
 		for i := uint64(0); i < n; i++ {
 			t, ok := decodeTuple(r, n-i)

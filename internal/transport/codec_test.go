@@ -328,12 +328,34 @@ func TestCodecMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeHostileCountLeavesPoolAlone pins that a DataMsg whose tuple
+// count the body cannot hold is rejected before the read loop's pool is
+// touched: the array waiting in the pool is still there afterwards, and a
+// 2^40-tuple claim never reaches Lend's exact-size allocation.
+func TestDecodeHostileCountLeavesPoolAlone(t *testing.T) {
+	var pool tuple.LoanPool
+	parked := pool.Lend(4)[:1]
+	pool.Return(parked)
+	body := binary.AppendUvarint([]byte{CodecVersion, tagData, 1, 'a', 1, 'b', 1, 's', 1}, 1<<40)
+	body = append(body, 0, 1, 2, 0, 0)
+	if _, _, _, err := decodeFrame(body, &pool); err == nil {
+		t.Fatal("a 2^40-tuple count decoded")
+	}
+	if got := pool.Lend(1)[:1]; &got[0] != &parked[0] && !poisonBuild() {
+		t.Fatal("the rejected frame took an array from the pool")
+	}
+}
+
 // FuzzFrameCodec is the satellite fuzz harness: arbitrary bytes must never
 // panic the decoder, and any body that decodes must round-trip exactly —
 // re-encoding the decoded frame and decoding again yields the same value
 // and the same canonical bytes (second-generation round trip, so
-// non-canonical inputs such as overlong varints can't trip DeepEqual).
+// non-canonical inputs such as overlong varints can't trip DeepEqual). The
+// read loops' pooled decode must agree with DecodeFrame on every input; its
+// arrays go back to one pool, so later inputs decode into arrays earlier
+// ones filled.
 func FuzzFrameCodec(f *testing.F) {
+	var pool tuple.LoanPool
 	for _, fr := range allFrames() {
 		enc, err := AppendFrame(nil, fr.from, fr.to, fr.msg)
 		if err != nil {
@@ -344,8 +366,23 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		from, to, msg, err := DecodeFrame(body)
+		pfrom, pto, pmsg, perr := decodeFrame(body, &pool)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("DecodeFrame error %v, pooled decode error %v", err, perr)
+		}
 		if err != nil {
 			return
+		}
+		if dm, ok := pmsg.(node.DataMsg); ok {
+			if len(dm.Tuples) > 0 && dm.Pool != &pool {
+				t.Fatalf("pooled decode lent no array: %#v", dm)
+			}
+			defer pool.Return(dm.Tuples)
+			dm.Pool = nil
+			pmsg = dm
+		}
+		if pfrom != from || pto != to || !reflect.DeepEqual(pmsg, msg) {
+			t.Fatalf("pooled decode diverged:\n plain (%q,%q) %#v\npooled (%q,%q) %#v", from, to, msg, pfrom, pto, pmsg)
 		}
 		enc, err := AppendFrame(nil, from, to, msg)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"borealis/internal/fabric"
 	"borealis/internal/runtime"
+	"borealis/internal/tuple"
 )
 
 // Config tunes a TCP fabric.
@@ -70,6 +71,10 @@ type TCP struct {
 	closed  bool
 
 	conns sync.WaitGroup
+
+	// loans lends the tuple arrays read loops decode DataMsgs into; the
+	// receiving node returns each after dispatch (DataMsg.Pool).
+	loans tuple.LoanPool
 
 	deliverFn func(any)
 
@@ -466,7 +471,9 @@ func (t *TCP) acceptLoop() {
 // readLoop decodes length-prefixed frames off one connection and injects
 // them into the clock, one AfterCall per frame in read order: the clock's
 // (at,seq) event ordering preserves the stream's FIFO order, and handlers
-// still only ever run on the clock's driving goroutine. Control-class
+// still only ever run on the clock's driving goroutine. A DataMsg's tuples
+// land in an array lent from t.loans; a frame dropped here or at delivery
+// keeps its array, which the garbage collector takes. Control-class
 // frames are acked back on the same connection the moment they are read —
 // before any link-fault check, because flow control accounts for socket
 // occupancy, not delivery.
@@ -485,7 +492,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if err != nil {
 			return // closed, truncated or oversized frame; drop the connection
 		}
-		from, to, msg, err := DecodeFrame(body)
+		from, to, msg, err := decodeFrame(body, &t.loans)
 		if err != nil {
 			return // malformed frame; drop the connection
 		}
