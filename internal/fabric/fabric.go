@@ -30,6 +30,18 @@ type Fabric interface {
 	SetDown(id string, down bool)
 }
 
+// Copying is the optional interface of a Fabric whose Send never keeps the
+// tuple array of the message it is given: by the time Send returns, the
+// array has been encoded or copied, so the sender may overwrite it at once.
+// The TCP transport implements it; netsim delivers the sender's array
+// itself, and a decorating fabric that does not declare it is assumed to
+// keep arrays too.
+type Copying interface {
+	Fabric
+	// SendCopiesTuples marks the capability; it does nothing.
+	SendCopiesTuples()
+}
+
 // LinkState is the injected fault state of one directed link, as one
 // SetLink call describes it. The zero value is a healthy link.
 type LinkState struct {

@@ -47,8 +47,8 @@ func (h *loanHarness) deliverSeq(from string, seq uint64, ts ...tuple.Tuple) {
 	h.n.HandleMessage(from, DataMsg{Stream: "in", Seq: seq, Tuples: append(h.pool.Lend(len(ts)), ts...), Pool: &h.pool})
 }
 
-// deliverUnlent hands the node a DataMsg that lends nothing, as netsim and
-// local TCP deliveries are.
+// deliverUnlent hands the node a DataMsg that lends nothing, as netsim
+// deliveries are.
 func (h *loanHarness) deliverUnlent(from string, ts ...tuple.Tuple) {
 	h.seq[from]++
 	h.n.HandleMessage(from, DataMsg{Stream: "in", Seq: h.seq[from], Tuples: ts})

@@ -51,9 +51,11 @@ type DataMsg struct {
 	Seq    uint64
 	Tuples []tuple.Tuple
 	// Pool, when set, lent Tuples to this message: the receiving node
-	// returns the array to it once nothing reads it any more (the TCP
-	// fabric decodes into lent arrays). Senders leave it nil, and the
-	// codec does not carry it.
+	// returns the array to it once nothing reads it any more. Senders
+	// leave it nil. The TCP fabric delivers every non-empty DataMsg, local
+	// or remote, in an array lent from its pool (decoded, or copied from
+	// the sender's) and sets it; netsim delivers the sender's array and
+	// leaves it nil. The codec does not carry it.
 	Pool *tuple.LoanPool
 }
 

@@ -54,10 +54,12 @@ type OutputBuffer struct {
 	expected []string
 
 	// pending batches emissions of the same instant into one DataMsg.
-	// flush hands the filled slice to the network layer, where it is
-	// shared by every subscriber's in-flight message, so each flush starts
-	// a fresh array, sized by what the instant actually publishes.
+	// flush hands the filled slice to the network layer. On a fabric that
+	// keeps no arrays (fabric.Copying) the next instant refills it; on any
+	// other it is shared by every subscriber's in-flight message, so each
+	// flush starts a fresh array, sized by what the instant publishes.
 	pending    []tuple.Tuple
+	reuse      bool // net is a fabric.Copying
 	flushTimer runtime.Timer
 	flushFn    func() // bound once; scheduling a flush allocates no closure
 	clk        runtime.Clock
@@ -91,6 +93,7 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 		expected: append([]string(nil), expected...),
 	}
 	ob.flushFn = ob.flush
+	_, ob.reuse = net.(fabric.Copying)
 	return ob
 }
 
@@ -233,6 +236,9 @@ func (ob *OutputBuffer) flush() {
 		sub.seq++
 		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: batch})
 	}
+	if ob.reuse && cap(batch) <= tuple.LoanMaxCap {
+		ob.pending = batch[:0] // the fabric kept nothing; a replay-sized array is not pinned
+	}
 }
 
 // Subscribe registers a downstream endpoint and replays the buffer from
@@ -246,32 +252,34 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 	if msg.TailOnly {
 		return
 	}
-	var replay []tuple.Tuple
+	start, undo := ob.afterIndex(msg.FromID), 0
 	if msg.SeenTentative {
-		replay = append(replay, tuple.NewUndo(msg.FromID))
+		undo = 1
 	}
-	replay = append(replay, ob.after(msg.FromID)...)
-	if len(replay) > 0 {
-		sub.seq++
-		ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay})
+	n := undo + ob.n - start
+	if n == 0 {
+		return
 	}
+	replay := make([]tuple.Tuple, n)
+	if undo == 1 {
+		replay[0] = tuple.NewUndo(msg.FromID)
+	}
+	ob.copyOut(replay[undo:], start)
+	sub.seq++
+	ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay})
 }
 
-// after returns the buffered suffix following the data tuple with the given
-// id (everything, if id is 0 or unknown because it was truncated).
-func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
-	start := 0
+// afterIndex returns the log index following the data tuple with the given
+// id (0, everything, if id is 0 or unknown because it was truncated).
+func (ob *OutputBuffer) afterIndex(id uint64) int {
 	if id > 0 {
 		for i := ob.n - 1; i >= 0; i-- {
 			if t := ob.at(i); t.IsData() && t.ID == id {
-				start = i + 1
-				break
+				return i + 1
 			}
 		}
 	}
-	out := make([]tuple.Tuple, ob.n-start)
-	ob.copyOut(out, start)
-	return out
+	return 0
 }
 
 // Unsubscribe removes a subscriber.

@@ -26,6 +26,16 @@ func obSetup(mode BufferMode, capTuples int, expected []string) (*runtime.Virtua
 	return sim, net, ob, boxes
 }
 
+// after returns a copy of the buffered suffix following the data tuple with
+// the given id (everything, if id is 0 or unknown because it was truncated):
+// what a Subscribe from that id replays, UNDO aside.
+func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
+	start := ob.afterIndex(id)
+	out := make([]tuple.Tuple, ob.n-start)
+	ob.copyOut(out, start)
+	return out
+}
+
 func ins(id uint64, stime int64) tuple.Tuple {
 	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime, Data: []int64{int64(id)}}
 }

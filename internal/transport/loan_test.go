@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"borealis/internal/fabric"
 	"borealis/internal/node"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
@@ -141,4 +142,93 @@ func poisonBuild() bool {
 	a := append(p.Lend(1), tuple.NewInsertion(1))
 	p.Return(a)
 	return a[0].Type != tuple.Insertion
+}
+
+// TestTCPLocalSendLendsACopy: a DataMsg sent to a local endpoint arrives as
+// a copy lent from the fabric's pool, so the sender may overwrite its array
+// as soon as Send returns. Once the handler returns the loan, the next send
+// of the same size is delivered in the returned array instead of a new one.
+func TestTCPLocalSendLendsACopy(t *testing.T) {
+	clk := runtime.NewWall(1000)
+	tr, err := Listen(clk, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var got []node.DataMsg
+	tr.Register("x", func(string, any) {})
+	tr.Register("y", func(_ string, msg any) {
+		m := msg.(node.DataMsg)
+		checkFrame(t, m)
+		got = append(got, m)
+	})
+	ts := make([]tuple.Tuple, loanFrameTuples)
+	for seq := uint64(1); seq <= 2; seq++ {
+		for j := range ts {
+			id := (seq-1)*loanFrameTuples + uint64(j)
+			ts[j] = tuple.Tuple{Type: tuple.Insertion, ID: id, STime: int64(id)}
+		}
+		tr.Send("x", "y", node.DataMsg{Stream: "s", Seq: seq, Tuples: ts})
+		for j := range ts {
+			ts[j] = tuple.Tuple{Type: tuple.Tentative, ID: 1 << 40}
+		}
+		clk.RunFor(runtime.Millisecond)
+		if len(got) != int(seq) {
+			t.Fatalf("send %d: %d deliveries", seq, len(got))
+		}
+		m := got[seq-1]
+		if m.Pool != &tr.loans {
+			t.Fatalf("send %d: delivered with pool %p, want the fabric's %p", seq, m.Pool, &tr.loans)
+		}
+		if &m.Tuples[0] == &ts[0] {
+			t.Fatalf("send %d: delivered the sender's array", seq)
+		}
+		m.Pool.Return(m.Tuples)
+	}
+	if n := tr.loans.Returned(); n != 2 {
+		t.Fatalf("pool counted %d returns, want 2", n)
+	}
+	if poisonBuild() {
+		return // a loanpoison build never lends a returned array again
+	}
+	if &got[1].Tuples[0] != &got[0].Tuples[0] {
+		t.Fatal("the second send allocated a tuple array instead of reusing the returned loan")
+	}
+}
+
+// TestTCPLocalSendEdgeCases: an empty DataMsg arrives with no array and no
+// loan, and a local send dropped on a blocked link keeps its loan for the
+// garbage collector, as a dropped remote frame does.
+func TestTCPLocalSendEdgeCases(t *testing.T) {
+	clk := runtime.NewWall(1000)
+	tr, err := Listen(clk, Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var got []node.DataMsg
+	tr.Register("x", func(string, any) {})
+	tr.Register("y", func(_ string, msg any) { got = append(got, msg.(node.DataMsg)) })
+
+	tr.Send("x", "y", node.DataMsg{Stream: "s", Seq: 1, Tuples: make([]tuple.Tuple, 0, 8)})
+	clk.RunFor(runtime.Millisecond)
+	if len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("empty DataMsg: %d deliveries", len(got))
+	}
+	if got[0].Tuples != nil || got[0].Pool != nil {
+		t.Fatalf("empty DataMsg delivered with array cap %d and pool %p, want neither", cap(got[0].Tuples), got[0].Pool)
+	}
+
+	tr.Send("x", "y", node.DataMsg{Stream: "s", Seq: 2, Tuples: []tuple.Tuple{tuple.NewInsertion(1)}})
+	tr.SetLink("x", "y", fabric.LinkState{Block: true})
+	clk.RunFor(runtime.Millisecond)
+	if len(got) != 1 {
+		t.Fatal("a send on a link blocked while in flight was delivered")
+	}
+	if n := tr.DroppedLink.Load(); n != 1 {
+		t.Fatalf("DroppedLink = %d, want 1", n)
+	}
+	if n := tr.loans.Returned(); n != 0 {
+		t.Fatalf("pool counted %d returns, want 0: a dropped loan goes to the garbage collector", n)
+	}
 }

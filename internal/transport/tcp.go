@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"borealis/internal/fabric"
+	"borealis/internal/node"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
 )
@@ -101,7 +102,7 @@ type TCP struct {
 	CtlStalls    atomic.Uint64
 }
 
-var _ fabric.Fabric = (*TCP)(nil)
+var _ fabric.Copying = (*TCP)(nil)
 
 // drop counts one lost frame under its cause and in the aggregate.
 func (t *TCP) drop(cause *atomic.Uint64) {
@@ -265,12 +266,14 @@ func (t *TCP) SetDown(id string, down bool) {
 	ep.down = down
 }
 
-// Send queues msg for delivery (fabric.Fabric). Local destinations are
-// scheduled through the clock like netsim deliveries; remote destinations
-// are encoded immediately (so the caller may reuse any buffers backing the
-// message) and handed to the owning peer's writer. Control-class frames go
-// through the flow window (see flow.go) and may block briefly instead of
-// shedding.
+// Send queues msg for delivery (fabric.Fabric). It never keeps the
+// caller's tuple array (fabric.Copying): remote destinations are encoded
+// immediately and handed to the owning peer's writer; local destinations
+// are scheduled through the clock like netsim deliveries, with a DataMsg's
+// tuples first copied into an array lent from the fabric's pool (payloads
+// are shared, not copied), so the receiver gets a loan either way.
+// Control-class frames go through the flow window (see flow.go) and may
+// block briefly instead of shedding.
 func (t *TCP) Send(from, to string, msg any) {
 	t.mu.Lock()
 	src := t.local[from]
@@ -291,6 +294,9 @@ func (t *TCP) Send(from, to string, msg any) {
 	if _, isLocal := t.local[to]; isLocal {
 		delay, _ := t.links.Delay(from, to)
 		t.mu.Unlock()
+		if m, ok := msg.(node.DataMsg); ok {
+			msg = t.lendCopy(m)
+		}
 		t.clk.AfterCall(delay, t.deliverFn, &delivery{t: t, from: from, to: to, msg: msg})
 		return
 	}
@@ -334,6 +340,21 @@ func (t *TCP) Send(from, to string, msg any) {
 		t.drop(&t.DroppedQueue)
 	}
 }
+
+// lendCopy returns m with its tuples copied into an array lent from t.loans,
+// as a read loop would have decoded them; an empty batch carries no array.
+func (t *TCP) lendCopy(m node.DataMsg) node.DataMsg {
+	if len(m.Tuples) == 0 {
+		m.Tuples, m.Pool = nil, nil
+		return m
+	}
+	m.Tuples = append(t.loans.Lend(len(m.Tuples)), m.Tuples...)
+	m.Pool = &t.loans
+	return m
+}
+
+// SendCopiesTuples declares fabric.Copying: Send never keeps a tuple array.
+func (*TCP) SendCopiesTuples() {}
 
 // deliver runs on the clock goroutine and hands one frame to its local
 // handler, evaluating down/registered/link state at delivery time like

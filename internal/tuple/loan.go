@@ -24,13 +24,14 @@ type LoanPool struct {
 	returned uint64
 }
 
-const (
-	// loanPoolLen bounds the arrays a pool keeps.
-	loanPoolLen = 16
-	// loanMaxCap bounds the capacity of a kept array, in tuples: one long
-	// replay frame must not stay pinned behind traffic that needs hundreds.
-	loanMaxCap = 1 << 14
-)
+// loanPoolLen bounds the arrays a pool keeps.
+const loanPoolLen = 16
+
+// LoanMaxCap bounds the capacity of a kept array, in tuples: one long replay
+// frame must not stay pinned behind traffic that needs hundreds. Other
+// holders that recycle tuple arrays (the OutputBuffer's flush array) use
+// the same bound.
+const LoanMaxCap = 1 << 14
 
 // Lend returns an empty array with room for n tuples: a returned one when
 // the pool holds one big enough, otherwise a fresh one of exactly n.
@@ -62,7 +63,7 @@ func (p *LoanPool) Return(ts []Tuple) {
 }
 
 func (p *LoanPool) put(ts []Tuple) {
-	keep := !poisonReturned(ts) && cap(ts) <= loanMaxCap
+	keep := !poisonReturned(ts) && cap(ts) <= LoanMaxCap
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.returned++

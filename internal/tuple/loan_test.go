@@ -51,10 +51,10 @@ func TestLoanPoolIsBounded(t *testing.T) {
 		t.Skip("a loanpoison build keeps no array")
 	}
 	var p LoanPool
-	huge := p.Lend(loanMaxCap + 1)
+	huge := p.Lend(LoanMaxCap + 1)
 	p.Return(huge)
 	if len(p.free) != 0 {
-		t.Fatal("an array above loanMaxCap was kept")
+		t.Fatal("an array above LoanMaxCap was kept")
 	}
 	for i := 0; i < 2*loanPoolLen; i++ {
 		p.Return(make([]Tuple, 0, 8))
