@@ -26,13 +26,13 @@ func TestVerifyRecentWindow(t *testing.T) {
 	// sacrificed to a bounded buffer).
 	var ref []tuple.Tuple
 	for i := int64(6); i <= 10; i++ {
-		ref = append(ref, tuple.Tuple{Type: tuple.Insertion, STime: now + i, Data: []int64{i}})
+		ref = append(ref, tuple.Tuple{Type: tuple.Insertion, STime: now + i}.WithData(i))
 	}
 	if audit := c.VerifyRecentWindow(ref, 5); !audit.OK {
 		t.Fatalf("recent window should match: %s", audit.Reason)
 	}
 	// A diverging tail must be caught.
-	ref[4].Data = []int64{99}
+	ref[4].SetData(nil, 99)
 	if audit := c.VerifyRecentWindow(ref, 5); audit.OK {
 		t.Fatal("diverging recent window accepted")
 	}
@@ -50,7 +50,7 @@ func TestAuditShorterReferencePrefixOnly(t *testing.T) {
 	// Reference has only the first tuple: the comparison covers the
 	// shared prefix and reports how much it compared.
 	audit := c.VerifyEventualConsistency([]tuple.Tuple{
-		{Type: tuple.Insertion, STime: now, Data: []int64{1}},
+		tuple.Tuple{Type: tuple.Insertion, STime: now}.WithData(1),
 	})
 	if !audit.OK || audit.Compared != 1 {
 		t.Fatalf("prefix audit wrong: %+v", audit)
@@ -63,8 +63,8 @@ func TestClientMinMeanStdevLatency(t *testing.T) {
 	base := sim.Now()
 	// Two tuples with different latencies: stamped in the past.
 	up.push(
-		tuple.Tuple{Type: tuple.Insertion, ID: 1, STime: base - 50*ms, Data: []int64{1}},
-		tuple.Tuple{Type: tuple.Insertion, ID: 2, STime: base - 10*ms, Data: []int64{2}},
+		tuple.Tuple{Type: tuple.Insertion, ID: 1, STime: base - 50*ms}.WithData(1),
+		tuple.Tuple{Type: tuple.Insertion, ID: 2, STime: base - 10*ms}.WithData(2),
 		tuple.NewBoundary(base+200*ms),
 	)
 	sim.RunFor(1 * sec)
@@ -91,7 +91,7 @@ func TestClientProxyReconcilesOwnState(t *testing.T) {
 	now := sim.Now()
 	up.push(stable(1, now, 1), tuple.NewBoundary(now+100*ms))
 	sim.RunFor(1 * sec)
-	up.push(tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now(), Data: []int64{2}})
+	up.push(tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now()}.WithData(2))
 	sim.RunFor(1 * sec)
 	if c.Proxy().State() != node.StateUpFailure {
 		t.Fatalf("proxy state = %v, want UP_FAILURE", c.Proxy().State())

@@ -236,7 +236,7 @@ type stableID struct {
 
 func stableKey(t tuple.Tuple) stableID {
 	h := uint64(14695981039346656037)
-	for _, v := range t.Data {
+	for _, v := range t.Values() {
 		for i := 0; i < 8; i++ {
 			h ^= uint64(byte(v >> (8 * i)))
 			h *= 1099511628211

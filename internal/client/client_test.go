@@ -71,7 +71,7 @@ func setup(t *testing.T) (*runtime.VirtualClock, *fakeUpstream, *Client) {
 }
 
 func stable(id uint64, stime int64, v int64) tuple.Tuple {
-	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime, Data: []int64{v}}
+	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime}.WithData(v)
 }
 
 func TestClientDeliversAndMeasuresLatency(t *testing.T) {
@@ -101,8 +101,8 @@ func TestClientCountsTentativeAndStreaks(t *testing.T) {
 	sim.RunFor(1 * sec)
 	// Three tentative tuples, no boundary (diverged upstream).
 	up.push(
-		tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now(), Data: []int64{2}},
-		tuple.Tuple{Type: tuple.Tentative, ID: 3, STime: sim.Now(), Data: []int64{3}},
+		tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now()}.WithData(2),
+		tuple.Tuple{Type: tuple.Tentative, ID: 3, STime: sim.Now()}.WithData(3),
 	)
 	sim.RunFor(2 * sec)
 	st := c.Stats()
@@ -119,7 +119,7 @@ func TestClientAppliesUndoAndAudits(t *testing.T) {
 	now := sim.Now()
 	up.push(stable(1, now, 1), tuple.NewBoundary(now+100*ms))
 	sim.RunFor(1 * sec)
-	up.push(tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now(), Data: []int64{99}})
+	up.push(tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: sim.Now()}.WithData(99))
 	sim.RunFor(1 * sec)
 	// Correction: undo back to tuple 1, stable replacement, rec-done,
 	// then a boundary so the proxy emits stably.
@@ -135,8 +135,8 @@ func TestClientAppliesUndoAndAudits(t *testing.T) {
 		t.Fatalf("stable view = %v", final)
 	}
 	audit := c.VerifyEventualConsistency([]tuple.Tuple{
-		{Type: tuple.Insertion, STime: now, Data: []int64{1}},
-		{Type: tuple.Insertion, STime: n2, Data: []int64{2}},
+		tuple.Tuple{Type: tuple.Insertion, STime: now}.WithData(1),
+		tuple.Tuple{Type: tuple.Insertion, STime: n2}.WithData(2),
 	})
 	if !audit.OK {
 		t.Fatalf("audit failed: %s", audit.Reason)
@@ -149,7 +149,7 @@ func TestClientAuditDetectsDivergence(t *testing.T) {
 	up.push(stable(1, now, 1), tuple.NewBoundary(now+100*ms))
 	sim.RunFor(1 * sec)
 	audit := c.VerifyEventualConsistency([]tuple.Tuple{
-		{Type: tuple.Insertion, STime: now, Data: []int64{42}},
+		tuple.Tuple{Type: tuple.Insertion, STime: now}.WithData(42),
 	})
 	if audit.OK {
 		t.Fatal("audit must detect value divergence")

@@ -209,8 +209,8 @@ func TestClientCountsStableDuplicates(t *testing.T) {
 		t.Fatalf("StableDuplicates = %d after a duplicated stable tuple, want 1", d)
 	}
 	// Straight into the application layer: newer stimes, then an old one.
-	c.consume(stable(3, now+1, 7))                                                         // same payload, new stime
-	c.consume(tuple.Tuple{Type: tuple.Tentative, ID: 4, STime: now + 1, Data: []int64{7}}) // tentative: never counted
+	c.consume(stable(3, now+1, 7))                                                   // same payload, new stime
+	c.consume(tuple.Tuple{Type: tuple.Tentative, ID: 4, STime: now + 1}.WithData(7)) // tentative: never counted
 	c.consume(stable(5, now+2, 1))
 	c.consume(stable(6, now, 7))   // duplicate of an older stime
 	c.consume(stable(7, now, 8))   // older stime, new payload

@@ -91,7 +91,7 @@ func (w *viewTwin) feed(t tuple.Tuple) {
 // takes a provisional id, sometimes one a stable tuple already carries.
 func (w *viewTwin) data(rng *rand.Rand, typ tuple.Type) tuple.Tuple {
 	w.stime++
-	t := tuple.Tuple{Type: typ, STime: w.stime, Data: []int64{w.stime}}
+	t := tuple.Tuple{Type: typ, STime: w.stime}.WithData(w.stime)
 	if typ == tuple.Insertion {
 		w.nextID++
 		t.ID = w.nextID
@@ -216,7 +216,7 @@ func TestClientViewNeverRecopies(t *testing.T) {
 	const n = 100000
 	payload := []int64{1}
 	tentative := func(i int) tuple.Tuple {
-		return tuple.Tuple{Type: tuple.Tentative, ID: uint64(i), STime: int64(i), Data: payload}
+		return tuple.Tuple{Type: tuple.Tentative, ID: uint64(i), STime: int64(i)}.WithData(payload...)
 	}
 	c.consume(tentative(1))
 	var before, after goruntime.MemStats
@@ -244,7 +244,7 @@ func TestStableViewAllocatesOnce(t *testing.T) {
 		if i%3 == 0 {
 			typ = tuple.Tentative
 		}
-		c.consume(tuple.Tuple{Type: typ, ID: uint64(i), STime: int64(i), Data: []int64{int64(i)}})
+		c.consume(tuple.Tuple{Type: typ, ID: uint64(i), STime: int64(i)}.WithData(int64(i)))
 	}
 	if got := len(c.StableView()); got != n-n/3 {
 		t.Fatalf("StableView holds %d tuples, want %d", got, n-n/3)

@@ -15,7 +15,6 @@ import (
 	"borealis/internal/operator"
 	"borealis/internal/runtime"
 	"borealis/internal/source"
-	"borealis/internal/tuple"
 )
 
 // TopologySource describes one data source endpoint.
@@ -28,7 +27,8 @@ type TopologySource struct {
 	// BoundaryInterval overrides the topology default; sources tick at
 	// the topology's TickInterval.
 	BoundaryInterval int64
-	// Payload builds tuple payloads (nil = [seq]).
+	// Payload builds tuple payloads (nil = [seq, source index]); see
+	// source.Config.Payload.
 	Payload func(seq uint64) []int64
 	// LogCap bounds the source's persistent log (0 = unbounded).
 	LogCap int
@@ -371,11 +371,10 @@ func buildOn(rt runtime.Runtime, fab fabric.Fabric, spec TopologySpec, owned map
 		payload := ss.Payload
 		if payload == nil {
 			idx := int64(i + 1)
-			var arena tuple.I64Arena
+			var p [2]int64
 			payload = func(seq uint64) []int64 {
-				p := arena.Alloc(2)
 				p[0], p[1] = int64(seq), idx
-				return p
+				return p[:]
 			}
 		}
 		dep.Sources = append(dep.Sources, source.New(rt, fab, source.Config{

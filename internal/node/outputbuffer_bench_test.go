@@ -23,7 +23,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 	frame := func(typ tuple.Type, first uint64) []tuple.Tuple {
 		ts := make([]tuple.Tuple, batch)
 		for i := range ts {
-			ts[i] = tuple.Tuple{Type: typ, ID: first + uint64(i), STime: int64(first) + int64(i), Data: payload}
+			ts[i] = tuple.Tuple{Type: typ, ID: first + uint64(i), STime: int64(first) + int64(i)}.WithData(payload...)
 		}
 		return ts
 	}

@@ -96,7 +96,7 @@ func (w *obTwin) check(step string) {
 	for si, s := range g.segs {
 		for j := range s {
 			p := si*obSegSize + j
-			if (p < g.head || p >= g.head+g.n) && (s[j].Type != 0 || s[j].ID != 0 || s[j].Data != nil) {
+			if (p < g.head || p >= g.head+g.n) && (s[j].Type != 0 || s[j].ID != 0 || s[j].Len() != 0) {
 				w.t.Fatalf("%s: dead slot %d holds %v", step, p, s[j])
 			}
 		}
@@ -119,7 +119,7 @@ func (w *obTwin) data(tentative bool) tuple.Tuple {
 	w.nextID++
 	w.stime++
 	w.ids = append(w.ids, w.nextID)
-	t := tuple.Tuple{Type: tuple.Insertion, ID: w.nextID, STime: w.stime, Data: []int64{int64(w.nextID)}}
+	t := tuple.Tuple{Type: tuple.Insertion, ID: w.nextID, STime: w.stime}.WithData(int64(w.nextID))
 	if tentative {
 		t.Type = tuple.Tentative
 	}

@@ -37,11 +37,11 @@ func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
 }
 
 func ins(id uint64, stime int64) tuple.Tuple {
-	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime, Data: []int64{int64(id)}}
+	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime}.WithData(int64(id))
 }
 
 func tent(id uint64, stime int64) tuple.Tuple {
-	return tuple.Tuple{Type: tuple.Tentative, ID: id, STime: stime, Data: []int64{int64(id)}}
+	return tuple.Tuple{Type: tuple.Tentative, ID: id, STime: stime}.WithData(int64(id))
 }
 
 func TestOutputBufferForwardsToSubscribers(t *testing.T) {

@@ -91,10 +91,10 @@ func TestQuickOutputBufferReplayEqualsCompactedLive(t *testing.T) {
 			case 0, 1:
 				id++
 				lastStable = id
-				ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: id, STime: int64(id), Data: []int64{int64(id)}})
+				ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: id, STime: int64(id)}.WithData(int64(id)))
 			case 2:
 				id++
-				ob.Publish(tuple.Tuple{Type: tuple.Tentative, ID: id, STime: int64(id), Data: []int64{int64(id)}})
+				ob.Publish(tuple.Tuple{Type: tuple.Tentative, ID: id, STime: int64(id)}.WithData(int64(id)))
 			case 3:
 				ob.Publish(tuple.NewUndo(lastStable))
 			}

@@ -123,10 +123,8 @@ type Aggregate struct {
 	sentBound     int64
 
 	// out is the scratch frame one ProcessBatch call stages its emissions
-	// in and loans downstream; arena carves output payloads. Allocation
-	// reuse only, never checkpointed.
-	out   []tuple.Tuple
-	arena tuple.I64Arena
+	// in and loans downstream. Allocation reuse only, never checkpointed.
+	out []tuple.Tuple
 }
 
 // aggWindow is one open window: its groups in first-seen order (sorted by
@@ -312,8 +310,7 @@ func (a *Aggregate) advance(out []tuple.Tuple, stime int64, tentativeEvidence bo
 			if g.Tentative || tentativeEvidence {
 				o.Type = tuple.Tentative
 			}
-			o.Data = a.arena.Alloc(2)
-			o.Data[0], o.Data[1] = g.Key, g.value(a.cfg.Fn)
+			o.SetData(nil, g.Key, g.value(a.cfg.Fn))
 			out = append(out, o)
 		}
 		if end > a.closedThrough {

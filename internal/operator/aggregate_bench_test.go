@@ -34,7 +34,7 @@ func BenchmarkAggregate(b *testing.B) {
 				next := int64(0)
 				feed := func(n int) {
 					for end := next + int64(n); next < end; next++ {
-						a.Process(0, tuple.Tuple{Type: tuple.Insertion, STime: next, Data: payloads[next&int64(len(payloads)-1)]})
+						a.Process(0, tuple.Tuple{Type: tuple.Insertion, STime: next}.WithData(payloads[next&int64(len(payloads)-1)]...))
 					}
 				}
 				feed(3 * size) // open the full set of windows, grow every slot's buffers

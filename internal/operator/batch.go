@@ -159,12 +159,11 @@ func (f *Filter) MutatesBatch() {}
 // CleanPreserving: Filter forwards a subset of its input tuples unchanged.
 func (f *Filter) CleanPreserving() {}
 
-// ProcessBatch maps a batch in one call by retargeting each data tuple's
-// payload pointer in the frame itself and loaning the frame downstream —
-// no copy, no staging. A copying map never writes through a payload (it
-// points the tuple at a fresh slice), so tuples sharing payload arrays with
-// logs or buffers upstream are unaffected; an in-place kernel writes only
-// payloads its node owns (NewFieldMap). Map is stateless and type-agnostic,
+// ProcessBatch maps a batch in one call by rewriting each data tuple's
+// payload in the frame itself and loaning the frame downstream — no copy,
+// no staging. The frame is the map's own (MutatesBatch), its inline values
+// are copies, and a long payload is copied before it is written, so logs
+// and buffers upstream are unaffected. Map is stateless and type-agnostic,
 // so no precondition gates the fast path.
 func (m *Map) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 	m.apply(ts)
@@ -172,8 +171,7 @@ func (m *Map) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 	return true
 }
 
-// MutatesBatch: ProcessBatch rewrites payload pointers (or, in place, the
-// payloads) in the input frame.
+// MutatesBatch: ProcessBatch rewrites the payloads in the input frame.
 func (m *Map) MutatesBatch() {}
 
 // CleanPreserving: Map never changes a tuple's type.

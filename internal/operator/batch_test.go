@@ -63,7 +63,7 @@ func TestFilterProcessBatchMatchesProcess(t *testing.T) {
 		tuple.NewTentative(40, 4),
 		tuple.NewInsertion(50, 5),
 	}
-	pred := func(t tuple.Tuple) bool { return t.Data[0]%2 == 1 }
+	pred := func(t tuple.Tuple) bool { return t.Field(0)%2 == 1 }
 
 	ref := NewFilter("f", pred)
 	rc := attach(ref, nil)
@@ -90,7 +90,7 @@ func TestFilterProcessBatchMatchesProcess(t *testing.T) {
 func TestMapProcessBatchMatchesProcessWithoutWritingPayloads(t *testing.T) {
 	payload := []int64{7}
 	in := []tuple.Tuple{
-		{Type: tuple.Insertion, STime: 10, Data: payload},
+		tuple.Tuple{Type: tuple.Insertion, STime: 10}.WithData(payload...),
 		tuple.NewBoundary(15),
 		tuple.NewTentative(20, 3),
 	}

@@ -35,11 +35,12 @@ type SJoin struct {
 	sentBound   int64
 
 	// out is the scratch frame one ProcessBatch call stages its emissions
-	// in and loans downstream; arena carves output payloads. Both are pure
-	// allocation reuse — neither is operator state, so neither is
-	// checkpointed.
+	// in and loans downstream; arena carves output payloads longer than two
+	// values, and cat stages each one. All three are pure allocation reuse
+	// — none is operator state, so none is checkpointed.
 	out   []tuple.Tuple
 	arena tuple.I64Arena
+	cat   []int64
 }
 
 // NewSJoin builds an SJoin.
@@ -115,7 +116,7 @@ func (j *SJoin) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 
 // match appends to out the join of t with every tuple of the opposite
 // window that carries the same key and lies within Window of t.STime,
-// oldest first. Output payload is left.Data ++ right.Data and output stime
+// oldest first. Output payload is left's values ++ right's and output stime
 // is the later of the pair.
 func (j *SJoin) match(out []tuple.Tuple, t *tuple.Tuple, key int64, opposite *joinWindow, tIsLeft bool) []tuple.Tuple {
 	if opposite.n == 0 {
@@ -136,10 +137,8 @@ func (j *SJoin) match(out []tuple.Tuple, t *tuple.Tuple, key int64, opposite *jo
 		if l.Type == tuple.Tentative || r.Type == tuple.Tentative {
 			o.Type = tuple.Tentative
 		}
-		data := j.arena.Alloc(len(l.Data) + len(r.Data))
-		n := copy(data, l.Data)
-		copy(data[n:], r.Data)
-		o.Data = data
+		j.cat = append(append(j.cat[:0], l.Values()...), r.Values()...)
+		o.SetData(&j.arena, j.cat...)
 		out = append(out, o)
 	}
 	return out
@@ -243,23 +242,24 @@ func (w *joinWindow) grow() {
 	}
 }
 
-// tuples deep-copies the buffered tuples in arrival order.
+// tuples copies the buffered tuples in arrival order. Their payloads are
+// inline or immutable once published, so the copy shares nothing mutable.
 func (w *joinWindow) tuples() []tuple.Tuple {
 	out := make([]tuple.Tuple, w.n)
 	for i := range out {
-		out[i] = w.slots[(w.head+uint64(i))&w.mask].t.Clone()
+		out[i] = w.slots[(w.head+uint64(i))&w.mask].t
 	}
 	return out
 }
 
-// load replaces the window's content with deep copies of ts, re-deriving
-// each entry's key from the given payload field.
+// load replaces the window's content with copies of ts, re-deriving each
+// entry's key from the given payload field.
 func (w *joinWindow) load(ts []tuple.Tuple, keyField int) {
 	clear(w.slots)
 	clear(w.chains)
 	w.n = 0
 	for i := range ts {
-		w.push(ts[i].Clone(), ts[i].Field(keyField))
+		w.push(ts[i], ts[i].Field(keyField))
 	}
 }
 
@@ -269,7 +269,7 @@ type joinState struct {
 	SentBound   int64
 }
 
-// Checkpoint deep-copies the join buffers. The key index is derived state:
+// Checkpoint copies the join buffers. The key index is derived state:
 // Restore rebuilds it from the tuples.
 func (j *SJoin) Checkpoint() any {
 	return joinState{
@@ -287,12 +287,4 @@ func (j *SJoin) Restore(s any) {
 	j.right.load(st.Right, j.cfg.RightKey)
 	j.watermark = st.Watermark
 	j.sentBound = st.SentBound
-}
-
-func cloneTuples(ts []tuple.Tuple) []tuple.Tuple {
-	out := make([]tuple.Tuple, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	return out
 }

@@ -65,7 +65,7 @@ func (jb *joinBench) feed(n int) {
 	mask := int64(len(jb.payloads) - 1)
 	for end := jb.next + int64(n); jb.next < end; jb.next++ {
 		i := jb.next
-		jb.j.Process(0, tuple.Tuple{Type: tuple.Insertion, STime: i, Src: int32(i & 1), Data: jb.payloads[i&mask]})
+		jb.j.Process(0, tuple.Tuple{Type: tuple.Insertion, STime: i, Src: int32(i & 1)}.WithData(jb.payloads[i&mask]...))
 	}
 }
 

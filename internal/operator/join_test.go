@@ -37,8 +37,8 @@ func TestJoinMatchesWithinWindow(t *testing.T) {
 		t.Fatalf("output stime should be the later of the pair, got %d", out.STime)
 	}
 	want := []int64{42, 100, 42, 200}
-	if !eqI64(out.Data, want) {
-		t.Fatalf("payload = %v, want %v", out.Data, want)
+	if !eqI64(out.Values(), want) {
+		t.Fatalf("payload = %v, want %v", out.Values(), want)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestJoinMultipleMatchesDeterministicOrder(t *testing.T) {
 		t.Fatalf("want 2 matches, got %v", got)
 	}
 	// Matches must come out in buffer (stime) order.
-	if got[0].Data[3] != 10 || got[1].Data[3] != 20 {
+	if got[0].Field(3) != 10 || got[1].Field(3) != 20 {
 		t.Fatalf("match order wrong: %v", got)
 	}
 }

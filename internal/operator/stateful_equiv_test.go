@@ -348,7 +348,7 @@ func TestStatefulOperatorsTaintCleanFramesAndSayso(t *testing.T) {
 	held := tuple.NewTentative(10, 5)
 	j.Process(0, held)
 	jc.out = nil
-	frame := []tuple.Tuple{{Type: tuple.Insertion, STime: 20, Src: 1, Data: []int64{5}}, tuple.NewBoundary(30)}
+	frame := []tuple.Tuple{tuple.Tuple{Type: tuple.Insertion, STime: 20, Src: 1}.WithData(5), tuple.NewBoundary(30)}
 	if !clean(frame) || !j.ProcessBatch(0, frame) {
 		t.Fatal("join must accept the clean frame")
 	}

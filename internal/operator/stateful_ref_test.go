@@ -7,6 +7,7 @@ package operator
 // executable specification the rebuilt operators are compared against.
 
 import (
+	"slices"
 	"sort"
 
 	"borealis/internal/tuple"
@@ -27,11 +28,9 @@ type refSJoin struct {
 	watermark   int64
 	sentBound   int64
 
-	// matchScratch is the reusable candidate buffer of match(); arena
-	// carves output payloads. Both are pure allocation reuse — neither is
-	// operator state, so neither is checkpointed.
+	// matchScratch is the reusable candidate buffer of match(): pure
+	// allocation reuse, not operator state, so not checkpointed.
 	matchScratch []tuple.Tuple
-	arena        tuple.I64Arena
 }
 
 // newRefSJoin builds an refSJoin.
@@ -82,7 +81,7 @@ func (j *refSJoin) Process(_ int, t tuple.Tuple) {
 }
 
 // match scans the opposite buffer (newest first, stopping once outside the
-// window) and emits joined tuples. Output payload is left.Data ++ right.Data
+// window) and emits joined tuples. Output payload is left's values ++ right's
 // and output stime is the later of the pair.
 func (j *refSJoin) match(t tuple.Tuple, opposite []tuple.Tuple, myKey, otherKey int, tIsLeft bool) {
 	key := t.Field(myKey)
@@ -112,10 +111,7 @@ func (j *refSJoin) match(t tuple.Tuple, opposite []tuple.Tuple, myKey, otherKey 
 		if l.Type == tuple.Tentative || r.Type == tuple.Tentative {
 			out.Type = tuple.Tentative
 		}
-		data := j.arena.Alloc(len(l.Data) + len(r.Data))
-		n := copy(data, l.Data)
-		copy(data[n:], r.Data)
-		out.Data = data
+		out.SetData(nil, append(append([]int64(nil), l.Values()...), r.Values()...)...)
 		j.Emit(out)
 	}
 	clear(matches)
@@ -158,8 +154,8 @@ type refJoinState struct {
 // Checkpoint deep-copies the join buffers.
 func (j *refSJoin) Checkpoint() any {
 	return refJoinState{
-		Left:      cloneTuples(j.left),
-		Right:     cloneTuples(j.right),
+		Left:      slices.Clone(j.left),
+		Right:     slices.Clone(j.right),
 		Watermark: j.watermark,
 		SentBound: j.sentBound,
 	}
@@ -168,8 +164,8 @@ func (j *refSJoin) Checkpoint() any {
 // Restore reinstates a snapshot.
 func (j *refSJoin) Restore(s any) {
 	st := s.(refJoinState)
-	j.left = cloneTuples(st.Left)
-	j.right = cloneTuples(st.Right)
+	j.left = slices.Clone(st.Left)
+	j.right = slices.Clone(st.Right)
 	j.watermark = st.Watermark
 	j.sentBound = st.SentBound
 }
@@ -309,11 +305,7 @@ func (a *refAggregate) advance(stime int64, tentativeEvidence bool) {
 		end := ws + a.cfg.Size - 1
 		for _, k := range keys {
 			acc := groups[k]
-			out := tuple.Tuple{
-				Type:  tuple.Insertion,
-				STime: end,
-				Data:  []int64{k, acc.value(a.cfg.Fn)},
-			}
+			out := tuple.Tuple{Type: tuple.Insertion, STime: end}.WithData(k, acc.value(a.cfg.Fn))
 			if acc.Tentative || tentativeEvidence {
 				out.Type = tuple.Tentative
 			}

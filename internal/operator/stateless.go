@@ -1,6 +1,11 @@
 package operator
 
-import "borealis/internal/tuple"
+import (
+	"math"
+	"math/bits"
+
+	"borealis/internal/tuple"
+)
 
 // Filter tests each data tuple against a predicate and forwards the ones
 // that pass. Control tuples (boundaries, undo, rec-done) pass through
@@ -12,9 +17,10 @@ import "borealis/internal/tuple"
 // instead of copying every tuple into a call.
 type Filter struct {
 	Base
-	pred   func(tuple.Tuple) bool // nil for the kernel
-	field  int
-	modulo int64
+	pred  func(tuple.Tuple) bool // nil for the kernel
+	field int
+	// The kernel's divisibility test (see newDivisor).
+	div divisor
 	// passed counts forwarded data tuples; checkpointed so that a
 	// restored operator reports consistent statistics.
 	passed uint64
@@ -36,7 +42,44 @@ func NewFieldFilter(name string, field int, modulo int64) *Filter {
 	if field < 0 || modulo == 0 {
 		panic("operator: field filter needs field ≥ 0 and a non-zero modulo")
 	}
-	return &Filter{Base: NewBase(name), field: field, modulo: modulo}
+	return &Filter{Base: NewBase(name), field: field, div: newDivisor(modulo)}
+}
+
+// divisor tests v % modulo == 0 without a division (Granlund and
+// Montgomery; Hacker's Delight §10-17). The sign of either operand does
+// not decide divisibility, so the test runs on |v| and d = |modulo| =
+// odd·2^shift: |v| is a multiple of d exactly when rotating |v|·odd⁻¹
+// (mod 2⁶⁴) right by shift gives at most ⌊(2⁶⁴−1)/d⌋. Multiplying by the
+// inverse maps the multiples of odd one-to-one onto [0, ⌊(2⁶⁴−1)/odd⌋],
+// and the rotation moves any of the low shift bits — which a multiple of
+// 2^shift has zero — to the top, past that limit.
+type divisor struct {
+	inv   uint64 // the inverse of odd mod 2⁶⁴
+	shift int
+	limit uint64 // ⌊(2⁶⁴−1)/d⌋
+}
+
+func newDivisor(modulo int64) divisor {
+	d := uint64(modulo) // |MinInt64| = 2⁶³ is exact as a uint64
+	if modulo < 0 {
+		d = -d
+	}
+	shift := bits.TrailingZeros64(d)
+	odd := d >> shift
+	inv := odd // correct to 3 bits for odd; each Newton step doubles them
+	for range 5 {
+		inv *= 2 - odd*inv
+	}
+	return divisor{inv: inv, shift: shift, limit: math.MaxUint64 / d}
+}
+
+// divides reports v % modulo == 0.
+func (d divisor) divides(v int64) bool {
+	u := uint64(v) // |MinInt64| = 2⁶³ as above
+	if v < 0 {
+		u = -u
+	}
+	return bits.RotateLeft64(u*d.inv, -d.shift) <= d.limit
 }
 
 // Inputs returns 1.
@@ -56,7 +99,7 @@ func (f *Filter) Process(_ int, t tuple.Tuple) {
 // frame, and of ProcessBatch. The write index never passes the read index,
 // and slots are only rewritten once a gap exists.
 func (f *Filter) compact(ts []tuple.Tuple) int {
-	pred, field, modulo, passed := f.pred, f.field, f.modulo, f.passed
+	pred, field, div, passed := f.pred, f.field, f.div, f.passed
 	j := 0
 	for i := range ts {
 		if t := &ts[i]; t.IsData() {
@@ -64,11 +107,7 @@ func (f *Filter) compact(ts []tuple.Tuple) int {
 			if pred != nil {
 				keep = pred(*t)
 			} else {
-				var v int64 // a payload too short for the field reads 0
-				if uint(field) < uint(len(t.Data)) {
-					v = t.Data[field]
-				}
-				keep = v%modulo == 0
+				keep = div.divides(t.Field(field)) // a payload too short reads 0
 			}
 			if !keep {
 				continue
@@ -100,21 +139,23 @@ func (f *Filter) Restore(s any) { f.passed = s.(filterState).Passed }
 // (§8.1).
 //
 // The transformation is either a pure Go function (NewMap) or the scenario
-// spec's scaling kernel (NewFieldMap).
+// spec's scaling kernel (NewFieldMap). Either rewrites the payload in the
+// tuple it is given: copying a tuple copies a payload of up to two values,
+// so no one else can see the write, and a longer payload, immutable once
+// published, is copied into the map's arena first.
 type Map struct {
 	Base
-	fn      func([]int64) []int64 // nil for the kernel
-	field   int
-	scale   int64
-	inPlace bool
-	// arena carves the kernel's fresh payloads: they live exactly as long
-	// as any other payload (logs, buffers), and chunk-carving keeps
-	// millions of tiny []int64 from individually burdening the GC. The
-	// operator is single-threaded, so the arena needs no locking.
+	fn    func([]int64) []int64 // nil for the kernel
+	field int
+	scale int64
+	// arena carves the long payloads the map writes. The operator is
+	// single-threaded, so the arena needs no locking.
 	arena tuple.I64Arena
 }
 
-// NewMap builds a map operator from a pure payload transformation.
+// NewMap builds a map operator from a pure payload transformation. fn
+// must not write to its argument, a read-only view of the payload; the
+// map copies the returned values into the tuple.
 func NewMap(name string, fn func([]int64) []int64) *Map {
 	if fn == nil {
 		panic("operator: nil map function")
@@ -125,17 +166,11 @@ func NewMap(name string, fn func([]int64) []int64) *Map {
 // NewFieldMap builds the kernel map that multiplies a data tuple's payload
 // field by scale, with Go's wrapping *. A payload too short to hold the
 // field is left unchanged.
-//
-// By default the kernel writes a fresh copy of each payload, since payloads
-// arriving from an SUnion alias upstream logs and buffers. inPlace scales
-// the payload where it lies instead; it is sound only when no one else can
-// hold that payload, such as a payload an upstream kernel map of the same
-// node just copied, with only filters in between.
-func NewFieldMap(name string, field int, scale int64, inPlace bool) *Map {
+func NewFieldMap(name string, field int, scale int64) *Map {
 	if field < 0 {
 		panic("operator: field map needs field ≥ 0")
 	}
-	return &Map{Base: NewBase(name), field: field, scale: scale, inPlace: inPlace}
+	return &Map{Base: NewBase(name), field: field, scale: scale}
 }
 
 // Inputs returns 1.
@@ -150,32 +185,20 @@ func (m *Map) Process(_ int, t tuple.Tuple) {
 
 // apply transforms every data tuple of ts where it lies in the frame: the
 // one per-tuple step of Process, on a one-tuple frame, and of
-// ProcessBatch. The arena is carved through a local copy, stored back
-// once per frame rather than once per tuple.
+// ProcessBatch.
 func (m *Map) apply(ts []tuple.Tuple) {
-	fn, field, scale, inPlace, arena := m.fn, m.field, m.scale, m.inPlace, m.arena
+	fn, field, scale := m.fn, m.field, m.scale
 	for i := range ts {
 		t := &ts[i]
 		if !t.IsData() {
 			continue
 		}
 		if fn != nil {
-			t.Data = fn(t.Data)
+			t.SetData(&m.arena, fn(t.Values())...)
 			continue
 		}
-		d := t.Data
-		if !inPlace {
-			c := arena.Alloc(len(d))
-			for k, v := range d { // a few values: cheaper than copy's memmove call
-				c[k] = v
-			}
-			d, t.Data = c, c
-		}
-		if uint(field) < uint(len(d)) {
-			d[field] *= scale
-		}
+		t.SetField(&m.arena, field, t.Field(field)*scale)
 	}
-	m.arena = arena
 }
 
 // Checkpoint returns nil: Map is stateless.

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"slices"
 	"testing"
 
 	"borealis/internal/tuple"
@@ -90,7 +91,7 @@ func TestFieldKernelsRejectBadArguments(t *testing.T) {
 	for name, build := range map[string]func(){
 		"filter negative field": func() { NewFieldFilter("f", -1, 2) },
 		"filter zero modulo":    func() { NewFieldFilter("f", 0, 0) },
-		"map negative field":    func() { NewFieldMap("m", -1, 2, false) },
+		"map negative field":    func() { NewFieldMap("m", -1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -103,27 +104,38 @@ func TestFieldKernelsRejectBadArguments(t *testing.T) {
 	}
 }
 
-func TestFieldMapCopiesUnlessInPlace(t *testing.T) {
-	for _, inPlace := range []bool{false, true} {
-		m := NewFieldMap("m", 1, 3, inPlace)
-		c := attach(m, nil)
-		in := []tuple.Tuple{tuple.NewInsertion(1, 5, 7), tuple.NewInsertion(2, 5), tuple.NewBoundary(3)}
-		m.Process(0, in[0])
-		if !m.ProcessBatch(0, in[1:]) {
-			t.Fatal("map declined a batch")
-		}
-		if got := c.out[0].Data; !eqI64(got, []int64{5, 21}) {
-			t.Fatalf("inPlace=%v: scaled payload %v, want [5 21]", inPlace, got)
-		}
-		if got := c.out[1].Data; !eqI64(got, []int64{5}) {
-			t.Fatalf("inPlace=%v: short payload %v, want [5] unchanged", inPlace, got)
-		}
-		if len(c.ofType(tuple.Boundary)) != 1 {
-			t.Fatal("map must forward boundaries")
-		}
-		if want := map[bool]int64{false: 7, true: 21}[inPlace]; in[0].Data[1] != want {
-			t.Fatalf("inPlace=%v: input payload field = %d, want %d", inPlace, in[0].Data[1], want)
-		}
+func TestFieldMapScalesTheFrameNotThePublishedPayload(t *testing.T) {
+	m := NewFieldMap("m", 1, 3)
+	c := attach(m, nil)
+	in := []tuple.Tuple{
+		tuple.NewInsertion(1, 5, 7), tuple.NewInsertion(2, 5),
+		tuple.NewInsertion(3, 1, 7, 3), tuple.NewBoundary(4),
+	}
+	published := slices.Clone(in)
+	m.Process(0, in[0])
+	if !m.ProcessBatch(0, in[1:]) {
+		t.Fatal("map declined a batch")
+	}
+	if got := c.out[0].Values(); !eqI64(got, []int64{5, 21}) {
+		t.Fatalf("scaled payload %v, want [5 21]", got)
+	}
+	if got := c.out[1].Values(); !eqI64(got, []int64{5}) {
+		t.Fatalf("short payload %v, want [5] unchanged", got)
+	}
+	if got := c.out[2].Values(); !eqI64(got, []int64{1, 21, 3}) {
+		t.Fatalf("scaled long payload %v, want [1 21 3]", got)
+	}
+	if len(c.ofType(tuple.Boundary)) != 1 {
+		t.Fatal("map must forward boundaries")
+	}
+	// Process got a copy of in[0]; the batch frame is the map's own and is
+	// rewritten in place, except the long payload's published chunk, which
+	// every copy of the tuple still reads.
+	if in[0].Field(1) != 7 || in[2].Field(1) != 21 {
+		t.Fatalf("frame after map: %v", in)
+	}
+	if got := published[2].Values(); !eqI64(got, []int64{1, 7, 3}) {
+		t.Fatalf("published long payload rewritten: %v", got)
 	}
 }
 

@@ -635,7 +635,7 @@ func (s *SUnion) Checkpoint() any {
 	for i, b := range s.buckets {
 		bk[i] = sunionBucket{
 			Start:        b.Start,
-			Tuples:       cloneTuples(b.Tuples),
+			Tuples:       slices.Clone(b.Tuples),
 			FirstArrival: b.FirstArrival,
 			HasTentative: b.HasTentative,
 		}
@@ -660,7 +660,7 @@ func (s *SUnion) Restore(snap any) {
 	s.buckets = s.buckets[:0]
 	for i := range st.Buckets {
 		b := s.allocBucket(st.Buckets[i].Start)
-		b.Tuples = cloneTuples(st.Buckets[i].Tuples)
+		b.Tuples = slices.Clone(st.Buckets[i].Tuples)
 		b.FirstArrival = st.Buckets[i].FirstArrival
 		b.HasTentative = st.Buckets[i].HasTentative
 		s.buckets = append(s.buckets, b)

@@ -10,6 +10,7 @@ package operator
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -343,7 +344,7 @@ func (s *refSUnion) Checkpoint() any {
 	bk := make(map[int64]refBucket, len(s.buckets))
 	for start, b := range s.buckets {
 		bk[start] = refBucket{
-			Tuples:       cloneTuples(b.Tuples),
+			Tuples:       slices.Clone(b.Tuples),
 			FirstArrival: b.FirstArrival,
 			HasTentative: b.HasTentative,
 		}
@@ -363,7 +364,7 @@ func (s *refSUnion) Restore(snap any) {
 	s.buckets = make(map[int64]*refBucket, len(st.Buckets))
 	for start, b := range st.Buckets {
 		cp := refBucket{
-			Tuples:       cloneTuples(b.Tuples),
+			Tuples:       slices.Clone(b.Tuples),
 			FirstArrival: b.FirstArrival,
 			HasTentative: b.HasTentative,
 		}

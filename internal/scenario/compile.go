@@ -175,12 +175,10 @@ func (s *Spec) ExpandInputs(n *NodeSpec) []string { return s.index().expandInput
 
 // compileOperators builds the per-replica operator factory for one node.
 //
-// A spec map scales in place when the nearest payload-writing operator
-// before it is a spec map with only filters in between: that map carved
-// the payload fresh from its own arena, the node runs its operators as one
-// linear chain after its SUnion, and a filter keeps no tuple, so nothing
-// else holds the payload. Every other map copies, since payloads coming
-// out of the SUnion alias upstream logs and buffers.
+// Every spec map scales the payload in the frame it is given: a payload of
+// up to two values is a copy inside the tuple, and a longer one (a join
+// output) is immutable once published, so the map copies it first. No
+// operator needs to know what ran before it.
 func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 	if len(n.Operators) == 0 {
 		return nil
@@ -188,7 +186,6 @@ func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 	specs := append([]OperatorSpec(nil), n.Operators...)
 	return func() []operator.Operator {
 		ops := make([]operator.Operator, 0, len(specs))
-		owned := false // the payload in flight was written by a spec map
 		for i, op := range specs {
 			name := fmt.Sprintf("%s%d", op.Kind, i+1)
 			switch op.Kind {
@@ -203,10 +200,8 @@ func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 				if scale == 0 {
 					scale = 2
 				}
-				ops = append(ops, operator.NewFieldMap(name, op.Field, scale, owned))
-				owned = true
+				ops = append(ops, operator.NewFieldMap(name, op.Field, scale))
 			case "aggregate":
-				owned = false
 				fn := operator.AggCount
 				if op.Fn != "" {
 					fn, _ = parseAggFn(op.Fn)
@@ -227,7 +222,6 @@ func compileOperators(n *NodeSpec, inputCount int) func() []operator.Operator {
 					GroupField: group,
 				}))
 			case "join":
-				owned = false
 				left := op.LeftInputs
 				if left <= 0 {
 					left = inputCount / 2

@@ -70,40 +70,27 @@ var (
 )
 
 // genKernelStream draws n tuples of all five types. Data payloads hold 0–3
-// values (nil or empty when 0) drawn from the extremes or at random; a
-// third of them share one backing log, as payloads delivered from an
-// upstream buffer do; control tuples sometimes carry a payload no operator
-// may touch.
+// values drawn from the extremes or at random; a third of them are carved
+// from one shared arena, as long payloads delivered from an upstream join
+// are; control tuples sometimes carry a payload no operator may touch.
 func genKernelStream(r *rand.Rand, n int) []tuple.Tuple {
-	log := make([]int64, 0, 3*n)
+	var shared tuple.I64Arena
 	value := func() int64 {
 		if r.Intn(2) == 0 {
 			return kernelValues[r.Intn(len(kernelValues))]
 		}
 		return r.Int63() - r.Int63()
 	}
-	payload := func() []int64 {
-		k := r.Intn(4)
-		if k == 0 {
-			if r.Intn(2) == 0 {
-				return nil
-			}
-			return []int64{}
+	setPayload := func(t *tuple.Tuple) {
+		d := make([]int64, r.Intn(4))
+		for i := range d {
+			d[i] = value()
 		}
-		var d []int64
+		var a *tuple.I64Arena
 		if r.Intn(3) == 0 {
-			start := len(log)
-			for i := 0; i < k; i++ {
-				log = append(log, value())
-			}
-			d = log[start:len(log):len(log)]
-		} else {
-			d = make([]int64, k)
-			for i := range d {
-				d[i] = value()
-			}
+			a = &shared
 		}
-		return d
+		t.SetData(a, d...)
 	}
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
@@ -111,10 +98,10 @@ func genKernelStream(r *rand.Rand, n int) []tuple.Tuple {
 		switch u := r.Float64(); {
 		case u < 0.6:
 			t.Type = tuple.Insertion
-			t.Data = payload()
+			setPayload(&t)
 		case u < 0.8:
 			t.Type = tuple.Tentative
-			t.Data = payload()
+			setPayload(&t)
 		case u < 0.9:
 			t.Type = tuple.Boundary
 		case u < 0.95:
@@ -123,7 +110,7 @@ func genKernelStream(r *rand.Rand, n int) []tuple.Tuple {
 			t.Type = tuple.RecDone
 		}
 		if !t.IsData() && r.Intn(4) == 0 {
-			t.Data = payload()
+			setPayload(&t)
 		}
 		ts[i] = t
 	}
@@ -162,31 +149,26 @@ func feed(t *testing.T, op operator.Operator, frame []tuple.Tuple, batch bool) {
 
 // deepCopy copies a frame with every payload on its own array.
 func deepCopy(ts []tuple.Tuple) []tuple.Tuple {
-	out := slices.Clone(ts)
-	for i := range out {
-		if out[i].Data != nil {
-			out[i].Data = slices.Clone(out[i].Data)
-		}
+	out := make([]tuple.Tuple, len(ts))
+	for i := range ts {
+		out[i] = ts[i].Clone()
 	}
 	return out
 }
 
 // sameContent compares two tuple sequences field by field and payload by
-// payload value, not caring whether an empty payload is nil.
+// payload value, wherever the payloads lie.
 func sameContent(a, b []tuple.Tuple) bool {
-	return slices.EqualFunc(a, b, func(x, y tuple.Tuple) bool {
-		return x.Type == y.Type && x.STime == y.STime && x.ID == y.ID &&
-			x.Src == y.Src && slices.Equal(x.Data, y.Data)
-	})
+	return slices.EqualFunc(a, b, tuple.Equal)
 }
 
 // runAgainstReference feeds one seeded stream, cut into random frames,
 // through a kernel and its reference, comparing emissions, Passed() and
 // Checkpoint() after every frame and restoring an earlier checkpoint into
-// both now and then. An in-place kernel gets its own copy of every payload
-// and is compared by content; the others share the reference's input, must
-// leave it untouched, and must match exactly.
-func runAgainstReference(t *testing.T, r *rand.Rand, kernel, ref operator.Operator, inPlace bool) {
+// both now and then. Each operator gets its own copy of the frame, as the
+// engine gives a mutating operator, sharing the long payloads; the input
+// frame, long payloads included, must be left untouched.
+func runAgainstReference(t *testing.T, r *rand.Rand, kernel, ref operator.Operator) {
 	t.Helper()
 	ks, rs := attachSink(kernel), attachSink(ref)
 	stream := genKernelStream(r, 400)
@@ -196,21 +178,13 @@ func runAgainstReference(t *testing.T, r *rand.Rand, kernel, ref operator.Operat
 		frame := stream[:n]
 		stream = stream[n:]
 		before := deepCopy(frame)
-		kin := slices.Clone(frame)
-		if inPlace {
-			kin = deepCopy(frame)
-		}
 		ks.out, rs.out = ks.out[:0], rs.out[:0]
-		feed(t, kernel, kin, r.Intn(2) == 0)
+		feed(t, kernel, slices.Clone(frame), r.Intn(2) == 0)
 		feed(t, ref, slices.Clone(frame), r.Intn(2) == 0)
-		if inPlace {
-			if !sameContent(ks.out, rs.out) {
-				t.Fatalf("%s emitted %v, reference %v", kernel.Name(), ks.out, rs.out)
-			}
-		} else if !reflect.DeepEqual(ks.out, rs.out) {
+		if !sameContent(ks.out, rs.out) {
 			t.Fatalf("%s emitted %v, reference %v", kernel.Name(), ks.out, rs.out)
 		}
-		if !reflect.DeepEqual(frame, before) {
+		if !sameContent(frame, before) {
 			t.Fatalf("%s changed its input frame: %v, was %v", kernel.Name(), frame, before)
 		}
 		if kf, ok := kernel.(*operator.Filter); ok && kf.Passed() != ref.(*operator.Filter).Passed() {
@@ -235,16 +209,12 @@ func TestStatelessKernelsMatchClosures(t *testing.T) {
 		for _, mod := range kernelModuli {
 			spec := OperatorSpec{Kind: "filter", Field: field, Modulo: mod}
 			node := &NodeSpec{Operators: []OperatorSpec{spec}}
-			runAgainstReference(t, r, compileOperators(node, 1)()[0], refOperators(node)[0], false)
+			runAgainstReference(t, r, compileOperators(node, 1)()[0], refOperators(node)[0])
 		}
 		for _, scale := range kernelScales {
 			spec := OperatorSpec{Kind: "map", Field: field, Scale: scale}
 			node := &NodeSpec{Operators: []OperatorSpec{spec}}
-			runAgainstReference(t, r, compileOperators(node, 1)()[0], refOperators(node)[0], false)
-			// The in-place kernel the compiler builds for a node's later maps.
-			node.Operators = []OperatorSpec{spec, spec}
-			inPlace := compileOperators(node, 1)()[1]
-			runAgainstReference(t, r, inPlace, refOperators(&NodeSpec{Operators: []OperatorSpec{spec}})[0], true)
+			runAgainstReference(t, r, compileOperators(node, 1)()[0], refOperators(node)[0])
 		}
 	}
 }
@@ -284,10 +254,10 @@ func runChain(t *testing.T, ops []operator.Operator, frame []tuple.Tuple, batch 
 	return cur
 }
 
-// TestCompiledNodesKeepInputPayloads runs compiled stateless node lists,
-// with and without a map scaling in place, on both paths: every input
-// payload must be bit-identical afterwards (payloads arriving from an
-// SUnion alias upstream logs and buffers), and the output must match the
+// TestCompiledNodesKeepInputPayloads runs compiled stateless node lists on
+// both paths, each on its own copy of the frame: every input payload must
+// be bit-identical afterwards (a long payload arriving from an SUnion is
+// shared with upstream logs and buffers), and the output must match the
 // reference closures'.
 func TestCompiledNodesKeepInputPayloads(t *testing.T) {
 	m := func(scale int64) OperatorSpec { return OperatorSpec{Kind: "map", Scale: scale} }
@@ -311,8 +281,8 @@ func TestCompiledNodesKeepInputPayloads(t *testing.T) {
 				want := runChain(t, refOperators(node), deepCopy(frame), false)
 				got := runChain(t, compileOperators(node, 1)(), slices.Clone(frame), batch)
 				for i := range frame {
-					if !slices.Equal(frame[i].Data, before[i].Data) {
-						t.Fatalf("batch=%v: input %d payload %v, was %v", batch, i, frame[i].Data, before[i].Data)
+					if !slices.Equal(frame[i].Values(), before[i].Values()) {
+						t.Fatalf("batch=%v: input %d payload %v, was %v", batch, i, frame[i].Values(), before[i].Values())
 					}
 				}
 				if !sameContent(got, want) {
@@ -324,29 +294,26 @@ func TestCompiledNodesKeepInputPayloads(t *testing.T) {
 }
 
 // BenchmarkStatelessKernels times one 2 048-tuple frame per operation
-// through each kernel, as the staged plane runs it. The filter and the
-// in-place map must allocate nothing per frame, so the benchmark smoke
-// (-benchtime 1x) gates that.
+// through each kernel, as the staged plane runs it. Neither kernel may
+// allocate per frame, so the benchmark smoke (-benchtime 1x) gates that.
 func BenchmarkStatelessKernels(b *testing.B) {
 	frame := make([]tuple.Tuple, 2048)
 	for i := range frame {
 		frame[i] = tuple.NewInsertion(int64(i), int64(i), 1)
 	}
 	cases := []struct {
-		name      string
-		op        operator.Operator
-		zeroAlloc bool
+		name string
+		op   operator.Operator
 	}{
-		{"filter", operator.NewFieldFilter("filter", 0, 1), true},
-		{"map", operator.NewFieldMap("map", 0, 3, false), false},
-		{"map-in-place", operator.NewFieldMap("map", 0, 3, true), true},
+		{"filter", operator.NewFieldFilter("filter", 0, 1)},
+		{"map", operator.NewFieldMap("map", 0, 3)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			c.op.Attach(&operator.Env{EmitLoan: func([]tuple.Tuple) bool { return true }})
 			bp := c.op.(operator.BatchProcessor)
 			step := func() { bp.ProcessBatch(0, frame) }
-			if a := testing.AllocsPerRun(10, step); c.zeroAlloc && a != 0 {
+			if a := testing.AllocsPerRun(10, step); a != 0 {
 				b.Fatalf("%s allocates %.1f times per frame, want 0", c.name, a)
 			}
 			b.ReportAllocs()

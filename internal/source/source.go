@@ -28,7 +28,8 @@ type Config struct {
 	// BoundaryInterval spaces boundary tuples (default 100 ms).
 	BoundaryInterval int64
 	// Payload builds a tuple's data fields from its sequence number;
-	// the default is [seq].
+	// the default is [seq]. The source copies the values into the tuple,
+	// so Payload may return the same slice every call.
 	Payload func(seq uint64) []int64
 	// LogCap bounds the persistent log (0 = unbounded). When the log is
 	// full, the oldest entries are dropped and DroppedLog counts them —
@@ -88,11 +89,10 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 		cfg.BoundaryInterval = 100 * runtime.Millisecond
 	}
 	if cfg.Payload == nil {
-		var arena tuple.I64Arena
+		var p [1]int64
 		cfg.Payload = func(seq uint64) []int64 {
-			p := arena.Alloc(1)
 			p[0] = int64(seq)
-			return p
+			return p[:]
 		}
 	}
 	segLen := logSegment
@@ -167,12 +167,8 @@ func (s *Source) tick() {
 		s.nextID++
 		s.seq++
 		s.Produced++
-		t := tuple.Tuple{
-			Type:  tuple.Insertion,
-			ID:    s.nextID,
-			STime: now,
-			Data:  s.cfg.Payload(s.seq),
-		}
+		t := tuple.Tuple{Type: tuple.Insertion, ID: s.nextID, STime: now}
+		t.SetData(nil, s.cfg.Payload(s.seq)...)
 		s.append(t)
 	}
 	if !s.stallBounds && now >= s.nextBoundary {

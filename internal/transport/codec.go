@@ -178,8 +178,9 @@ func appendTuple(dst []byte, t tuple.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, t.ID)
 	dst = binary.AppendVarint(dst, t.STime)
 	dst = binary.AppendVarint(dst, int64(t.Src))
-	dst = binary.AppendUvarint(dst, uint64(len(t.Data)))
-	for _, v := range t.Data {
+	vals := t.Values()
+	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, v := range vals {
 		dst = binary.AppendVarint(dst, v)
 	}
 	return dst
@@ -191,26 +192,11 @@ func appendTuple(dst []byte, t tuple.Tuple) []byte {
 // strings and tuple payloads are copied out, so the caller may reuse the
 // body buffer for the next frame.
 type reader struct {
-	b    []byte
-	pos  int
-	slab []int64 // the frame's payload slab (see payload)
-}
-
-// payload returns a zeroed n-element slice for one decoded tuple's Data,
-// with tuplesLeft tuples (this one included) still to decode. It is carved
-// from a slab sized for the rest of the frame — the remaining tuples at
-// this tuple's width, capped by the body bytes left, since every value
-// takes at least one — so a frame of uniform tuples costs one allocation
-// instead of one per tuple. A carved slice is never handed out again, so a
-// tuple its receiver keeps stays intact. n is at most the bytes left
-// (decodeTuple checks), so the slab always fits this tuple.
-func (r *reader) payload(n int, tuplesLeft uint64) []int64 {
-	if len(r.slab) < n {
-		r.slab = make([]int64, min(uint64(n)*tuplesLeft, uint64(len(r.b)-r.pos)))
-	}
-	p := r.slab[:n:n]
-	r.slab = r.slab[n:]
-	return p
+	b   []byte
+	pos int
+	// arena carves the frame's payloads longer than two values (see
+	// decodeTuple).
+	arena tuple.I64Arena
 }
 
 func (r *reader) byte() (byte, bool) {
@@ -464,13 +450,34 @@ func decodeTuple(r *reader, tuplesLeft uint64) (tuple.Tuple, bool) {
 	if !ok || n > uint64(len(r.b)-r.pos) {
 		return t, false
 	}
-	if n > 0 {
-		t.Data = r.payload(int(n), tuplesLeft)
+	if n <= 2 { // a payload of up to two values decodes on the stack
+		var inline [2]int64
+		for i := range n {
+			if inline[i], ok = r.varint(); !ok {
+				return t, false
+			}
+		}
+		t.SetData(nil, inline[:n]...)
+		return t, true
 	}
-	for i := range t.Data {
-		if t.Data[i], ok = r.varint(); !ok {
+	// A longer payload is carved from an arena sized for the rest of the
+	// frame — the remaining tuples at this tuple's width, capped by the
+	// body bytes left, since every value takes at least one — so a frame
+	// of uniform tuples costs one chunk instead of one per tuple. n is at
+	// most the bytes left, so the chunk fits this tuple.
+	r.arena.Reserve(int(min(n*tuplesLeft, uint64(len(r.b)-r.pos))))
+	var buf [8]int64 // the values of a payload this short stay on the stack
+	vals := buf[:0]
+	if n > uint64(len(buf)) {
+		vals = make([]int64, 0, n)
+	}
+	for range n {
+		v, ok := r.varint()
+		if !ok {
 			return t, false
 		}
+		vals = append(vals, v)
 	}
+	t.SetData(&r.arena, vals...)
 	return t, true
 }

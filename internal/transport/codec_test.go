@@ -21,8 +21,8 @@ func allFrames() []struct {
 		msg      any
 	}{
 		{"src1", "n1", node.DataMsg{Stream: "s1", Seq: 7, Tuples: []tuple.Tuple{
-			{Type: tuple.Insertion, ID: 1, STime: 1000, Src: 0, Data: []int64{42, -7}},
-			{Type: tuple.Tentative, ID: 2, STime: 1010, Src: 3, Data: []int64{-1}},
+			tuple.Tuple{Type: tuple.Insertion, ID: 1, STime: 1000, Src: 0}.WithData(42, -7),
+			tuple.Tuple{Type: tuple.Tentative, ID: 2, STime: 1010, Src: 3}.WithData(-1),
 			{Type: tuple.Boundary, STime: 1100},
 			{Type: tuple.Undo, ID: 1},
 			{Type: tuple.RecDone, STime: 1200},
@@ -100,7 +100,7 @@ func TestDecodeFrameDoesNotAliasBody(t *testing.T) {
 		ts := make([]tuple.Tuple, 64)
 		for i := range ts {
 			v := base + int64(i)
-			ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(v), STime: v * 10, Data: []int64{v, -v}}
+			ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(v), STime: v * 10}.WithData(v, -v)
 		}
 		return node.DataMsg{Stream: "stream", Seq: uint64(base), Tuples: ts}
 	}
@@ -137,7 +137,7 @@ func TestDecodeFrameDoesNotAliasBody(t *testing.T) {
 func TestDecodeFrameAllocatesPerFrame(t *testing.T) {
 	ts := make([]tuple.Tuple, 256)
 	for i := range ts {
-		ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i), Data: []int64{int64(i), 7, -3}}
+		ts[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}.WithData(int64(i), 7, -3)
 	}
 	enc, err := AppendFrame(nil, "from", "to", node.DataMsg{Stream: "s", Seq: 1, Tuples: ts})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestCodecGolden(t *testing.T) {
 			name: "data",
 			from: "s", to: "n",
 			msg: node.DataMsg{Stream: "x", Seq: 5, Tuples: []tuple.Tuple{
-				{Type: tuple.Insertion, ID: 3, STime: -2, Src: 1, Data: []int64{7}},
+				tuple.Tuple{Type: tuple.Insertion, ID: 3, STime: -2, Src: 1}.WithData(7),
 				{Type: tuple.Boundary, STime: 10},
 			}},
 			want: []byte{
@@ -314,7 +314,7 @@ func TestCodecMalformed(t *testing.T) {
 	}
 	// Every truncation of a valid frame must also fail cleanly.
 	full, err := AppendFrame(nil, "src1", "n1", node.DataMsg{Stream: "s", Seq: 1, Tuples: []tuple.Tuple{
-		{Type: tuple.Insertion, ID: 1, STime: 5, Data: []int64{1, 2}}}})
+		tuple.Tuple{Type: tuple.Insertion, ID: 1, STime: 5}.WithData(1, 2)}})
 	if err != nil {
 		t.Fatal(err)
 	}

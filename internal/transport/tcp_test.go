@@ -57,7 +57,7 @@ func TestTCPDelivery(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		tA.Send("a", "b", node.DataMsg{Stream: "s", Seq: uint64(i + 1), Tuples: []tuple.Tuple{
-			{Type: tuple.Insertion, ID: uint64(i), STime: int64(i * 10), Data: []int64{int64(-i)}},
+			tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i * 10)}.WithData(int64(-i)),
 		}})
 	}
 	driveUntil(t, clkB, 10*time.Second, func() bool { return len(got) == n })
@@ -68,7 +68,7 @@ func TestTCPDelivery(t *testing.T) {
 		if m.Seq != uint64(i+1) {
 			t.Fatalf("frame %d: seq %d, want %d (FIFO violated)", i, m.Seq, i+1)
 		}
-		if len(m.Tuples) != 1 || m.Tuples[0].ID != uint64(i) || m.Tuples[0].Data[0] != int64(-i) {
+		if len(m.Tuples) != 1 || m.Tuples[0].ID != uint64(i) || m.Tuples[0].Field(0) != int64(-i) {
 			t.Fatalf("frame %d: corrupted payload %v", i, m.Tuples)
 		}
 	}
@@ -397,7 +397,7 @@ func TestTCPQueuedPairsKeepOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p := pairs[i%len(pairs)]
 		tA.Send(p[0], p[1], node.DataMsg{Stream: "s", Seq: uint64(i), Tuples: []tuple.Tuple{
-			{Type: tuple.Insertion, ID: uint64(i), STime: int64(i), Data: []int64{int64(i)}}}})
+			tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}.WithData(int64(i))}})
 	}
 
 	tB2, err := Listen(clkB, Config{ListenAddr: addr})
@@ -413,7 +413,7 @@ func TestTCPQueuedPairsKeepOrder(t *testing.T) {
 	for _, to := range []string{"b1", "b2"} {
 		tB2.Register(to, func(from string, msg any) {
 			m := msg.(node.DataMsg)
-			if m.Tuples[0].Data[0] != int64(m.Seq) {
+			if m.Tuples[0].Field(0) != int64(m.Seq) {
 				t.Errorf("frame %d: payload %v", m.Seq, m.Tuples)
 			}
 			got = append(got, arrival{from, to, m.Seq})
@@ -484,7 +484,7 @@ func TestTCPGarbledLengthPrefix(t *testing.T) {
 func BenchmarkCodecDataMsg(b *testing.B) {
 	tuples := make([]tuple.Tuple, 64)
 	for i := range tuples {
-		tuples[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i) * 1000, Data: []int64{int64(i), int64(-i)}}
+		tuples[i] = tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i) * 1000}.WithData(int64(i), int64(-i))
 	}
 	msg := node.DataMsg{Stream: "s1", Seq: 42, Tuples: tuples}
 	enc, err := AppendFrame(nil, "src1", "n1", msg)

@@ -5,7 +5,9 @@
 package tuple
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -52,25 +54,38 @@ func (t Type) IsData() bool { return t == Insertion || t == Tentative }
 // ordered stream by SUnion; operators such as SJoin use it to route tuples
 // internally.
 //
-// Src sits next to Type so both share one word: a Tuple is 48 bytes, and
-// every frame, log, buffer and message array is sized in Tuples. Nothing
-// depends on the field order — the wire codec encodes each field explicitly.
+// The payload (the paper's data fields) is read through Len, Field and
+// Values and written through SetData and SetField. A payload of up to two
+// values — every source tuple, map output and aggregate result — lives
+// inside the tuple, so copying a tuple copies its values and whoever holds
+// the copy may rewrite them. A longer payload (a join output) lives in a
+// chunk of int64s the tuple points at; it is immutable once published, and
+// SetField copies it before writing.
+//
+// Src and the inline length sit next to Type so all three share one word:
+// a Tuple is 48 bytes, and every frame, log, buffer and message array is
+// sized in Tuples. Nothing depends on the field order — the wire codec
+// encodes each field explicitly.
 type Tuple struct {
 	Type  Type
+	n     uint8 // inline payload length (0-2); 0 when long is set
 	Src   int32
 	ID    uint64
 	STime int64
-	Data  []int64
+	// v holds the payload when long is nil, unused slots zero; otherwise
+	// the payload's offset and length in *long.
+	v    [2]int64
+	long *[]int64
 }
 
 // NewInsertion returns a stable data tuple.
 func NewInsertion(stime int64, data ...int64) Tuple {
-	return Tuple{Type: Insertion, STime: stime, Data: data}
+	return Tuple{Type: Insertion, STime: stime}.WithData(data...)
 }
 
 // NewTentative returns a tentative data tuple.
 func NewTentative(stime int64, data ...int64) Tuple {
-	return Tuple{Type: Tentative, STime: stime, Data: data}
+	return Tuple{Type: Tentative, STime: stime}.WithData(data...)
 }
 
 // NewBoundary returns a boundary tuple promising no future tuple has
@@ -110,30 +125,101 @@ func (t Tuple) AsStable() Tuple {
 	return t
 }
 
-// Clone returns a deep copy of the tuple (Data is copied).
+// Clone returns the tuple with a payload of its own: a long payload is
+// copied into a fresh chunk. Published payloads are never rewritten, so
+// Clone is only needed to detach a tuple from the chunk it was carved
+// from; the copy is in canonical form (see SetData).
 func (t Tuple) Clone() Tuple {
-	c := t
-	if t.Data != nil {
-		c.Data = make([]int64, len(t.Data))
-		copy(c.Data, t.Data)
+	if t.long != nil {
+		t.SetData(nil, t.Values()...)
 	}
-	return c
+	return t
 }
 
-// Field returns Data[i], or 0 if the index is out of range. Operators use
-// it so that malformed tuples degrade predictably instead of panicking.
+// Len returns the number of payload values.
+func (t Tuple) Len() int {
+	if t.long != nil {
+		return int(t.v[1])
+	}
+	return int(t.n)
+}
+
+// Field returns payload value i, or 0 if the index is out of range.
+// Operators use it so that malformed tuples degrade predictably instead of
+// panicking.
 func (t Tuple) Field(i int) int64 {
-	if i < 0 || i >= len(t.Data) {
+	if t.long != nil {
+		if uint(i) < uint(t.v[1]) {
+			return (*t.long)[t.v[0]+int64(i)]
+		}
 		return 0
 	}
-	return t.Data[i]
+	if uint(i) < uint(len(t.v)) { // unused inline slots are zero
+		return t.v[i]
+	}
+	return 0
+}
+
+// Values returns the payload. The slice is a read-only view: it aliases
+// the tuple's inline values or its published chunk, so writes go through
+// SetData or SetField instead.
+func (t *Tuple) Values() []int64 {
+	if t.long != nil {
+		lo, hi := t.v[0], t.v[0]+t.v[1]
+		return (*t.long)[lo:hi:hi]
+	}
+	return t.v[:t.n:t.n]
+}
+
+// SetData sets the payload to a copy of vals. Up to two values go inline;
+// a longer payload is carved from a, or from a chunk of its own when a is
+// nil. Payloads built with a nil arena are in canonical form — inline
+// slots past the length zero, a long payload alone in its chunk — so
+// reflect.DeepEqual agrees with Equal on them.
+func (t *Tuple) SetData(a *I64Arena, vals ...int64) {
+	if len(vals) <= len(t.v) {
+		var v [2]int64
+		copy(v[:], vals)
+		t.v, t.n, t.long = v, uint8(len(vals)), nil
+		return
+	}
+	chunk, off := a.carve(len(vals))
+	copy((*chunk)[off:], vals)
+	t.v, t.n, t.long = [2]int64{int64(off), int64(len(vals))}, 0, chunk
+}
+
+// WithData returns the tuple with its payload set to a copy of vals, as
+// SetData with a nil arena does.
+func (t Tuple) WithData(vals ...int64) Tuple {
+	t.SetData(nil, vals...)
+	return t
+}
+
+// SetField sets payload value i to v; an index past the payload is
+// ignored. An inline value is written in place. A long payload is
+// immutable once published, so it is first copied into a (a chunk of its
+// own when a is nil).
+func (t *Tuple) SetField(a *I64Arena, i int, v int64) {
+	if t.long != nil {
+		t.setLongField(a, i, v)
+	} else if uint(i) < uint(t.n) {
+		t.v[i] = v
+	}
+}
+
+func (t *Tuple) setLongField(a *I64Arena, i int, v int64) {
+	if uint(i) >= uint(t.v[1]) {
+		return
+	}
+	t.SetData(a, t.Values()...)
+	(*t.long)[t.v[0]+int64(i)] = v
 }
 
 func (t Tuple) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s{id=%d stime=%d src=%d", t.Type, t.ID, t.STime, t.Src)
-	if len(t.Data) > 0 {
-		fmt.Fprintf(&b, " data=%v", t.Data)
+	if t.Len() > 0 {
+		fmt.Fprintf(&b, " data=%v", t.Values())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -168,25 +254,7 @@ func Compare(a, b Tuple) int {
 		}
 		return 1
 	}
-	n := len(a.Data)
-	if len(b.Data) < n {
-		n = len(b.Data)
-	}
-	for i := 0; i < n; i++ {
-		if a.Data[i] != b.Data[i] {
-			if a.Data[i] < b.Data[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a.Data) < len(b.Data):
-		return -1
-	case len(a.Data) > len(b.Data):
-		return 1
-	}
-	return 0
+	return slices.Compare(a.Values(), b.Values())
 }
 
 // Equal reports whether two tuples are identical in all fields, including
@@ -195,15 +263,7 @@ func Equal(a, b Tuple) bool {
 	if a.Type != b.Type || a.ID != b.ID || a.STime != b.STime || a.Src != b.Src {
 		return false
 	}
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Values(), b.Values())
 }
 
 // SameValue reports whether two data tuples carry the same logical value
@@ -211,15 +271,37 @@ func Equal(a, b Tuple) bool {
 // tags. The eventual-consistency audit uses it to compare a corrected output
 // stream against a failure-free reference run.
 func SameValue(a, b Tuple) bool {
-	if a.STime != b.STime || len(a.Data) != len(b.Data) {
-		return false
+	return a.STime == b.STime && slices.Equal(a.Values(), b.Values())
+}
+
+// tupleJSON is a Tuple's JSON form: the exported fields in declaration
+// order and the payload as Data, null when empty.
+type tupleJSON struct {
+	Type  Type
+	Src   int32
+	ID    uint64
+	STime int64
+	Data  []int64
+}
+
+// MarshalJSON encodes the tuple as {"Type","Src","ID","STime","Data"}.
+func (t Tuple) MarshalJSON() ([]byte, error) {
+	j := tupleJSON{Type: t.Type, Src: t.Src, ID: t.ID, STime: t.STime}
+	if t.Len() > 0 {
+		j.Data = t.Values()
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes MarshalJSON's form into canonical form.
+func (t *Tuple) UnmarshalJSON(b []byte) error {
+	var j tupleJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
 	}
-	return true
+	*t = Tuple{Type: j.Type, Src: j.Src, ID: j.ID, STime: j.STime}
+	t.SetData(nil, j.Data...)
+	return nil
 }
 
 // Batch is an ordered group of tuples travelling together over the simulated
@@ -302,27 +384,47 @@ func (p *FramePool) Put(f []Tuple) {
 	p.free = append(p.free, f[:0])
 }
 
-// I64Arena chunk-allocates small immutable payload slices. Streams produce
-// millions of 1-2 element Data slices that live as long as the logs and
-// buffers retaining them; carving them out of shared chunks collapses the
-// heap object count (and with it GC scan time) by three orders of
-// magnitude. Slices returned by Alloc must not be appended to.
+// I64Arena carves payloads of more than two values (join outputs) from
+// shared chunks: they live as long as the logs and buffers retaining them,
+// and chunk-carving keeps millions of small payloads from individually
+// burdening the GC. Carved values are immutable once published.
 type I64Arena struct {
-	chunk []int64
+	chunk *[]int64
+	used  int
+}
+
+// carve returns a chunk and the offset of n unused values in it. A nil
+// arena gives every payload a chunk of exactly its own length.
+func (a *I64Arena) carve(n int) (*[]int64, int) {
+	if a == nil {
+		c := make([]int64, n)
+		return &c, 0
+	}
+	if a.chunk == nil || len(*a.chunk)-a.used < n {
+		c := make([]int64, max(4096, n))
+		a.chunk, a.used = &c, 0
+	}
+	off := a.used
+	a.used += n
+	return a.chunk, off
+}
+
+// Reserve makes room for n more values in the current chunk, replacing a
+// chunk with less room by one of exactly n values. A caller that knows its
+// need up front, such as a frame decoder, allocates once for a batch of
+// payloads instead of a full-size chunk.
+func (a *I64Arena) Reserve(n int) {
+	if a.chunk == nil || len(*a.chunk)-a.used < n {
+		c := make([]int64, n)
+		a.chunk, a.used = &c, 0
+	}
 }
 
 // Alloc returns a zeroed n-element slice carved from the current chunk.
+// Slices returned by Alloc must not be appended to.
 func (a *I64Arena) Alloc(n int) []int64 {
-	if len(a.chunk) < n {
-		sz := 4096
-		if n > sz {
-			sz = n
-		}
-		a.chunk = make([]int64, sz)
-	}
-	p := a.chunk[:n:n]
-	a.chunk = a.chunk[n:]
-	return p
+	c, off := a.carve(n)
+	return (*c)[off : off+n : off+n]
 }
 
 // ApplyUndo removes from ts the suffix that follows the tuple with the

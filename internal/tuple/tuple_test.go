@@ -93,13 +93,19 @@ func TestTentativeStableConversion(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	orig := NewInsertion(1, 10, 20)
 	c := orig.Clone()
-	c.Data[0] = 99
-	if orig.Data[0] != 10 {
-		t.Error("Clone shares Data with original")
+	c.SetField(nil, 0, 99)
+	if orig.Field(0) != 10 {
+		t.Error("Clone shares the payload with the original")
+	}
+	long := NewInsertion(1, 1, 2, 3)
+	lc := long.Clone()
+	lc.SetField(nil, 2, 99)
+	if long.Field(2) != 3 || lc.Field(2) != 99 {
+		t.Error("Clone shares a long payload with the original")
 	}
 	empty := Tuple{}
-	if got := empty.Clone(); got.Data != nil {
-		t.Error("Clone of nil Data should stay nil")
+	if got := empty.Clone(); got.Len() != 0 {
+		t.Error("Clone of an empty payload should stay empty")
 	}
 }
 
@@ -130,7 +136,7 @@ func TestLessOrdering(t *testing.T) {
 }
 
 func TestEqualAndSameValue(t *testing.T) {
-	a := Tuple{Type: Insertion, ID: 1, STime: 5, Data: []int64{1, 2}}
+	a := Tuple{Type: Insertion, ID: 1, STime: 5}.WithData(1, 2)
 	b := a.Clone()
 	if !Equal(a, b) {
 		t.Error("clones must be Equal")
@@ -147,12 +153,12 @@ func TestEqualAndSameValue(t *testing.T) {
 		t.Error("SameValue ignores stability")
 	}
 	c := a.Clone()
-	c.Data[1] = 99
+	c.SetField(nil, 1, 99)
 	if SameValue(a, c) {
 		t.Error("SameValue must compare payloads")
 	}
 	d := a.Clone()
-	d.Data = d.Data[:1]
+	d.SetData(nil, a.Field(0))
 	if Equal(a, d) || SameValue(a, d) {
 		t.Error("length mismatch must not compare equal")
 	}
@@ -215,7 +221,7 @@ func TestApplyUndo(t *testing.T) {
 }
 
 func TestStringFormat(t *testing.T) {
-	tp := Tuple{Type: Tentative, ID: 3, STime: 9, Src: 1, Data: []int64{4}}
+	tp := Tuple{Type: Tentative, ID: 3, STime: 9, Src: 1}.WithData(4)
 	s := tp.String()
 	for _, want := range []string{"TENTATIVE", "id=3", "stime=9", "src=1", "data=[4]"} {
 		if !contains(s, want) {
