@@ -311,17 +311,7 @@ func (ob *OutputBuffer) Ack(from string, upTo uint64) {
 	if min == 0 {
 		return
 	}
-	cut := 0
-	for i := 0; i < ob.n; i++ {
-		t := ob.at(i)
-		if t.IsData() && t.ID <= min && t.Type == tuple.Insertion {
-			cut = i + 1
-		}
-		if t.IsData() && t.ID > min {
-			break
-		}
-	}
-	if cut > 0 {
+	if cut := ob.ackCut(min); cut > 0 {
 		ob.drop(cut)
 		if ob.Blocked && (ob.cap <= 0 || ob.n < ob.cap) {
 			ob.Blocked = false

@@ -123,6 +123,50 @@ func (l *segLog) truncate(k int) {
 	l.recycle((l.head+k+obSegSize-1)/obSegSize, len(l.segs))
 }
 
+// ackCut returns how many of the oldest live tuples an acknowledgment of
+// stable ids up to upTo releases: the prefix through the last stable
+// Insertion with id ≤ upTo that precedes every data tuple with a larger
+// id. Data ids increase along an output stream — SOutput numbers stable
+// tuples in order and tentative ones after the last stable id, and the
+// log compacts a revoked suffix before its ids are reused — so a segment
+// whose last data tuple has id ≤ upTo holds no larger id: it is released
+// through its last Insertion, found backwards, without a look at the rest.
+// Only the segment holding the first larger id is walked forward.
+func (l *segLog) ackCut(upTo uint64) int {
+	cut := 0
+	for p, end := l.head, l.head+l.n; p < end; {
+		lo := p % obSegSize
+		hi := min(obSegSize, lo+end-p)
+		ts := l.segs[p/obSegSize][lo:hi]
+		base := p - l.head // the live index of ts[0]
+		p += hi - lo
+		last := len(ts) - 1
+		for last >= 0 && !ts[last].IsData() {
+			last--
+		}
+		if last < 0 || ts[last].ID <= upTo {
+			for j := last; j >= 0; j-- {
+				if ts[j].Type == tuple.Insertion {
+					cut = base + j + 1
+					break
+				}
+			}
+			continue
+		}
+		for j := range ts {
+			t := &ts[j]
+			if t.IsData() && t.ID > upTo {
+				break
+			}
+			if t.Type == tuple.Insertion {
+				cut = base + j + 1
+			}
+		}
+		break
+	}
+	return cut
+}
+
 // undo compacts the log for an UNDO with the given last-good id, with
 // tuple.ApplyUndo's semantics: keep everything up to the last stable
 // Insertion carrying the id; without one, keep nothing for id 0 and strip

@@ -75,10 +75,8 @@ func newDivisor(modulo int64) divisor {
 
 // divides reports v % modulo == 0.
 func (d divisor) divides(v int64) bool {
-	u := uint64(v) // |MinInt64| = 2⁶³ as above
-	if v < 0 {
-		u = -u
-	}
+	s := v >> 63
+	u := uint64((v ^ s) - s) // |v| without a branch; |MinInt64| = 2⁶³ as above
 	return bits.RotateLeft64(u*d.inv, -d.shift) <= d.limit
 }
 

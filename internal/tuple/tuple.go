@@ -106,7 +106,7 @@ func NewRecDone(stime int64) Tuple {
 }
 
 // IsData reports whether the tuple carries application data.
-func (t Tuple) IsData() bool { return t.Type.IsData() }
+func (t *Tuple) IsData() bool { return t.Type.IsData() }
 
 // AsTentative returns a copy of the tuple marked tentative (data tuples
 // only; control tuples are returned unchanged).
@@ -136,8 +136,10 @@ func (t Tuple) Clone() Tuple {
 	return t
 }
 
-// Len returns the number of payload values.
-func (t Tuple) Len() int {
+// Len returns the number of payload values. Len, Field and Values take a
+// pointer, as the data plane calls them on frame slots: through a value
+// receiver every call would copy the 48-byte tuple.
+func (t *Tuple) Len() int {
 	if t.long != nil {
 		return int(t.v[1])
 	}
@@ -147,7 +149,7 @@ func (t Tuple) Len() int {
 // Field returns payload value i, or 0 if the index is out of range.
 // Operators use it so that malformed tuples degrade predictably instead of
 // panicking.
-func (t Tuple) Field(i int) int64 {
+func (t *Tuple) Field(i int) int64 {
 	if t.long != nil {
 		if uint(i) < uint(t.v[1]) {
 			return (*t.long)[t.v[0]+int64(i)]
