@@ -22,6 +22,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"borealis"
 )
@@ -163,4 +164,7 @@ func main() {
 		fmt.Printf("    monitor %d: %d windows\n", i, perMonitor[i])
 	}
 	fmt.Printf("  (live tap saw %d tentative alerts as they fired)\n", tentativeAlerts)
+	if st.StableDuplicates != 0 {
+		os.Exit(1)
+	}
 }

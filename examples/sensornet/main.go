@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"borealis"
 )
@@ -164,5 +165,13 @@ func main() {
 		fmt.Printf("  final diagnosis:          ok — %d stable alerts match the uninterrupted run\n", audit.Compared)
 	} else {
 		fmt.Printf("  final diagnosis:          MISMATCH: %s\n", audit.Reason)
+	}
+	// The client's duplicate count is a heuristic: identical alerts at
+	// the same instant count too, and the join produces many. Only
+	// duplicates beyond the uninterrupted run's were delivered twice.
+	extra := int64(st.StableDuplicates) - int64(refOps.Stats().StableDuplicates)
+	fmt.Printf("  stable duplicate alerts:  %d beyond the uninterrupted run's (must be 0)\n", extra)
+	if !audit.OK || extra != 0 {
+		os.Exit(1)
 	}
 }

@@ -29,8 +29,8 @@ type BatchProcessor interface {
 type CleanPreserving interface{ CleanPreserving() }
 
 // MutatesBatch marks BatchProcessors whose ProcessBatch may rewrite the
-// input slice in place (compacting it, reassigning IDs or payload
-// pointers) and re-emit it through EmitLoan. A caller must hand such an
+// input slice in place (compacting it, reassigning IDs or rewriting
+// payloads) and re-emit it through EmitLoan. A caller must hand such an
 // operator only frames the caller owns — never a slice some other party
 // will read again, like an arrival-log segment. The engine's staged
 // dispatcher checks this marker on a chain's first stage and copies the

@@ -146,14 +146,16 @@ type Map struct {
 	fn    func([]int64) []int64 // nil for the kernel
 	field int
 	scale int64
-	// arena carves the long payloads the map writes. The operator is
-	// single-threaded, so the arena needs no locking.
+	// arena carves the long payloads the map writes, and in holds fn's
+	// argument, so the frame never escapes into an unknown function. The
+	// operator is single-threaded, so neither needs locking.
 	arena tuple.I64Arena
+	in    []int64
 }
 
-// NewMap builds a map operator from a pure payload transformation. fn
-// must not write to its argument, a read-only view of the payload; the
-// map copies the returned values into the tuple.
+// NewMap builds a map operator from a pure payload transformation. fn's
+// argument is a scratch copy of the payload, valid only during the call;
+// the map copies the values fn returns into the tuple.
 func NewMap(name string, fn func([]int64) []int64) *Map {
 	if fn == nil {
 		panic("operator: nil map function")
@@ -192,7 +194,8 @@ func (m *Map) apply(ts []tuple.Tuple) {
 			continue
 		}
 		if fn != nil {
-			t.SetData(&m.arena, fn(t.Values())...)
+			m.in = append(m.in[:0], t.Values()...)
+			t.SetData(&m.arena, fn(m.in)...)
 			continue
 		}
 		t.SetField(&m.arena, field, t.Field(field)*scale)

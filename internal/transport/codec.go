@@ -186,6 +186,10 @@ func appendTuple(dst []byte, t tuple.Tuple) []byte {
 	return dst
 }
 
+// payloadChunk caps, in values, the chunk a frame's long payloads are
+// carved from (see decodeTuple).
+const payloadChunk = 4096
+
 // reader is a bounds-checked cursor over one frame body. Every read
 // returns ok=false past the end instead of panicking: the decoder must
 // survive arbitrary bytes from the network. Decoded values never alias b:
@@ -450,22 +454,6 @@ func decodeTuple(r *reader, tuplesLeft uint64) (tuple.Tuple, bool) {
 	if !ok || n > uint64(len(r.b)-r.pos) {
 		return t, false
 	}
-	if n <= 2 { // a payload of up to two values decodes on the stack
-		var inline [2]int64
-		for i := range n {
-			if inline[i], ok = r.varint(); !ok {
-				return t, false
-			}
-		}
-		t.SetData(nil, inline[:n]...)
-		return t, true
-	}
-	// A longer payload is carved from an arena sized for the rest of the
-	// frame — the remaining tuples at this tuple's width, capped by the
-	// body bytes left, since every value takes at least one — so a frame
-	// of uniform tuples costs one chunk instead of one per tuple. n is at
-	// most the bytes left, so the chunk fits this tuple.
-	r.arena.Reserve(int(min(n*tuplesLeft, uint64(len(r.b)-r.pos))))
 	var buf [8]int64 // the values of a payload this short stay on the stack
 	vals := buf[:0]
 	if n > uint64(len(buf)) {
@@ -478,6 +466,17 @@ func decodeTuple(r *reader, tuplesLeft uint64) (tuple.Tuple, bool) {
 		}
 		vals = append(vals, v)
 	}
-	t.SetData(&r.arena, vals...)
+	var arena *tuple.I64Arena // up to two values go inline
+	if n > 2 {
+		// A longer payload is carved from an arena sized for the rest of
+		// the frame — the remaining tuples at this tuple's width, capped
+		// at payloadChunk values unless this one is longer — so a frame of
+		// uniform tuples costs one chunk instead of one per tuple. The
+		// size depends on the decoded counts alone, not on how long their
+		// varints were, so equal frames decode to deeply equal tuples.
+		arena = &r.arena
+		arena.Reserve(int(min(n*tuplesLeft, max(n, payloadChunk))))
+	}
+	t.SetData(arena, vals...)
 	return t, true
 }

@@ -153,6 +153,52 @@ func TestDecodeFrameAllocatesPerFrame(t *testing.T) {
 	}
 }
 
+// longPayloadFrame returns tuples with payloads of 0 to 5 values, so a
+// frame of them mixes inline payloads with ones carved from the frame's
+// chunk.
+func longPayloadFrame() []tuple.Tuple {
+	ts := make([]tuple.Tuple, 12)
+	for i := range ts {
+		vals := make([]int64, i%6)
+		for k := range vals {
+			vals[k] = int64(i*10+k) - 30
+		}
+		ts[i] = tuple.Tuple{Type: tuple.Type(i % 2), ID: uint64(i), STime: int64(i)}.WithData(vals...)
+	}
+	return ts
+}
+
+// TestDecodeLongPayloads round-trips payloads on both sides of the inline
+// limit: every decoded tuple equals its original, a payload of up to two
+// values decodes in canonical form, and a longer one, which shares the
+// frame's chunk, is canonical once cloned.
+func TestDecodeLongPayloads(t *testing.T) {
+	ts := longPayloadFrame()
+	enc, err := AppendFrame(nil, "j1", "n2", node.DataMsg{Stream: "joined", Tuples: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, msg, err := DecodeFrame(enc[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := msg.(node.DataMsg).Tuples
+	if len(got) != len(ts) {
+		t.Fatalf("decoded %d tuples, want %d", len(got), len(ts))
+	}
+	for i := range ts {
+		if !tuple.Equal(got[i], ts[i]) {
+			t.Fatalf("tuple %d decoded as %v, want %v", i, got[i], ts[i])
+		}
+		if ts[i].Len() <= 2 && !reflect.DeepEqual(got[i], ts[i]) {
+			t.Fatalf("inline tuple %d decoded as %#v, want %#v", i, got[i], ts[i])
+		}
+		if !reflect.DeepEqual(got[i].Clone(), ts[i]) {
+			t.Fatalf("clone of tuple %d is %#v, want %#v", i, got[i].Clone(), ts[i])
+		}
+	}
+}
+
 func TestCodecRejectsUnknownType(t *testing.T) {
 	if _, err := AppendFrame(nil, "a", "b", struct{ X int }{1}); err == nil {
 		t.Fatal("encoding a non-wire type should fail")
@@ -364,6 +410,11 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(enc[4:])
 	}
 	f.Add([]byte{1, 1, 0, 0})
+	long, err := AppendFrame(nil, "j1", "n2", node.DataMsg{Stream: "joined", Seq: 3, Tuples: longPayloadFrame()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(long[4:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		from, to, msg, err := DecodeFrame(body)
 		pfrom, pto, pmsg, perr := decodeFrame(body, &pool)

@@ -270,8 +270,8 @@ func (t *TCP) SetDown(id string, down bool) {
 // caller's tuple array (fabric.Copying): remote destinations are encoded
 // immediately and handed to the owning peer's writer; local destinations
 // are scheduled through the clock like netsim deliveries, with a DataMsg's
-// tuples first copied into an array lent from the fabric's pool (payloads
-// are shared, not copied), so the receiver gets a loan either way.
+// tuples first copied into an array lent from the fabric's pool (long
+// payloads are shared, not copied), so the receiver gets a loan either way.
 // Control-class frames go through the flow window (see flow.go) and may
 // block briefly instead of shedding.
 func (t *TCP) Send(from, to string, msg any) {

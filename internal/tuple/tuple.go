@@ -65,7 +65,9 @@ func (t Type) IsData() bool { return t == Insertion || t == Tentative }
 // Src and the inline length sit next to Type so all three share one word:
 // a Tuple is 48 bytes, and every frame, log, buffer and message array is
 // sized in Tuples. Nothing depends on the field order — the wire codec
-// encodes each field explicitly.
+// encodes each field explicitly. The methods the data plane calls on frame
+// slots (IsData, Len, Field, Values) take a pointer: through a value
+// receiver every call would copy the whole tuple.
 type Tuple struct {
 	Type  Type
 	n     uint8 // inline payload length (0-2); 0 when long is set
@@ -136,9 +138,7 @@ func (t Tuple) Clone() Tuple {
 	return t
 }
 
-// Len returns the number of payload values. Len, Field and Values take a
-// pointer, as the data plane calls them on frame slots: through a value
-// receiver every call would copy the 48-byte tuple.
+// Len returns the number of payload values.
 func (t *Tuple) Len() int {
 	if t.long != nil {
 		return int(t.v[1])
@@ -402,10 +402,7 @@ func (a *I64Arena) carve(n int) (*[]int64, int) {
 		c := make([]int64, n)
 		return &c, 0
 	}
-	if a.chunk == nil || len(*a.chunk)-a.used < n {
-		c := make([]int64, max(4096, n))
-		a.chunk, a.used = &c, 0
-	}
+	a.grow(n, max(4096, n))
 	off := a.used
 	a.used += n
 	return a.chunk, off
@@ -415,9 +412,12 @@ func (a *I64Arena) carve(n int) (*[]int64, int) {
 // chunk with less room by one of exactly n values. A caller that knows its
 // need up front, such as a frame decoder, allocates once for a batch of
 // payloads instead of a full-size chunk.
-func (a *I64Arena) Reserve(n int) {
+func (a *I64Arena) Reserve(n int) { a.grow(n, n) }
+
+// grow replaces a chunk without room for n more values by one of size.
+func (a *I64Arena) grow(n, size int) {
 	if a.chunk == nil || len(*a.chunk)-a.used < n {
-		c := make([]int64, n)
+		c := make([]int64, size)
 		a.chunk, a.used = &c, 0
 	}
 }
