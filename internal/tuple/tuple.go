@@ -179,15 +179,18 @@ func (t *Tuple) Values() []int64 {
 // slots past the length zero, a long payload alone in its chunk — so
 // reflect.DeepEqual agrees with Equal on them.
 func (t *Tuple) SetData(a *I64Arena, vals ...int64) {
-	if len(vals) <= len(t.v) {
-		var v [2]int64
-		copy(v[:], vals)
-		t.v, t.n, t.long = v, uint8(len(vals)), nil
-		return
+	switch len(vals) { // a case per inline length: no memmove call
+	case 0:
+		t.v, t.n, t.long = [2]int64{}, 0, nil
+	case 1:
+		t.v, t.n, t.long = [2]int64{vals[0]}, 1, nil
+	case 2:
+		t.v, t.n, t.long = [2]int64{vals[0], vals[1]}, 2, nil
+	default:
+		chunk, off := a.carve(len(vals))
+		copy((*chunk)[off:], vals)
+		t.v, t.n, t.long = [2]int64{int64(off), int64(len(vals))}, 0, chunk
 	}
-	chunk, off := a.carve(len(vals))
-	copy((*chunk)[off:], vals)
-	t.v, t.n, t.long = [2]int64{int64(off), int64(len(vals))}, 0, chunk
 }
 
 // WithData returns the tuple with its payload set to a copy of vals, as
