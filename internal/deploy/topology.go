@@ -27,7 +27,7 @@ type TopologySource struct {
 	// BoundaryInterval overrides the topology default; sources tick at
 	// the topology's TickInterval.
 	BoundaryInterval int64
-	// Payload builds tuple payloads (nil = [seq, source index]); see
+	// Payload builds tuple payloads (nil = [seq, i+1] for the i-th source); see
 	// source.Config.Payload.
 	Payload func(seq uint64) []int64
 	// LogCap bounds the source's persistent log (0 = unbounded).
