@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"sort"
 
 	"borealis/internal/fabric"
@@ -43,7 +44,9 @@ type OutputBuffer struct {
 	// long an unacknowledged buffer grows, and truncation (acks, slide mode,
 	// undo) recycles every segment it empties, so an acknowledged buffer in
 	// steady state allocates nothing and holds no more than its own
-	// high-water mark.
+	// high-water mark. On a fabric that keeps what it is sent, the log
+	// adopts each flushed array as the storage of the tuples it carries, so
+	// a sent tuple is stored once.
 	segLog
 	subs map[string]*obSub
 
@@ -53,12 +56,17 @@ type OutputBuffer struct {
 	acks     map[string]uint64
 	expected []string
 
-	// pending batches emissions of the same instant into one DataMsg.
-	// flush hands the filled slice to the network layer. On a fabric that
-	// keeps no arrays (fabric.Copying) the next instant refills it; on any
-	// other it is shared by every subscriber's in-flight message, so each
-	// flush starts a fresh array, sized by what the instant publishes.
+	// Emissions of the same instant go out in one DataMsg per subscriber:
+	// the instant's flush is pending followed by the log's fresh newest
+	// tuples. Data and boundaries only count into fresh, staged in the log's
+	// own segments; an UNDO or REC_DONE, or a truncation reaching into the
+	// fresh tuples, first moves them into pending (stage). On a fabric that
+	// keeps no arrays (fabric.Copying) the flush sends pending itself and the
+	// next instant refills it. On any other, the message array is shared by
+	// every subscriber's in-flight message, so each flush allocates one
+	// array of exactly its length and pending stays behind for reuse.
 	pending    []tuple.Tuple
+	fresh      int
 	reuse      bool // net is a fabric.Copying
 	flushTimer runtime.Timer
 	flushFn    func() // bound once; scheduling a flush allocates no closure
@@ -73,9 +81,12 @@ type OutputBuffer struct {
 	Blocked   bool
 }
 
-// obSub is one subscription's send state.
+// obSub is one subscription's send state. skip counts the tuples of the
+// pending flush that were published before the subscription: its replay
+// already reflects them.
 type obSub struct {
-	seq uint64
+	seq  uint64
+	skip int
 }
 
 // NewOutputBuffer builds a buffer for one output stream of endpoint self.
@@ -102,6 +113,9 @@ func (ob *OutputBuffer) Len() int { return ob.n }
 
 // drop discards the k oldest live tuples, counting them as truncated.
 func (ob *OutputBuffer) drop(k int) {
+	if k > ob.n-ob.fresh {
+		ob.stage()
+	}
 	ob.dropHead(k)
 	ob.Truncated += uint64(k)
 }
@@ -115,7 +129,7 @@ func (ob *OutputBuffer) Reset() {
 	ob.subs = make(map[string]*obSub)
 	ob.subsSorted = nil
 	ob.acks = make(map[string]uint64)
-	ob.pending = nil
+	ob.pending, ob.fresh = nil, 0
 	if ob.flushTimer != nil {
 		ob.flushTimer.Stop()
 		ob.flushTimer = nil
@@ -154,10 +168,13 @@ func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 			}
 		}
 		ob.push(t)
+		ob.sendLogged(1)
+		return true
 	case t.Type == tuple.Undo:
 		// Compact: delete the revoked tentative suffix. Replays from
 		// now on reflect the corrected stream; live subscribers get
 		// the undo itself.
+		ob.stage()
 		ob.undo(t.ID)
 	case t.Type == tuple.RecDone:
 		// Not buffered: a late subscriber sees only corrected data.
@@ -170,11 +187,11 @@ func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 // one call, reporting false when any tuple hit BufferBlock back-pressure.
 // When the batch is pure data/boundary traffic and fits without touching
 // the capacity limit, the buffer append and the subscriber send are done
-// in bulk — one pending-append and at most one flush-timer arm for the
-// whole batch, which per-tuple Publish calls would also have produced
-// (the timer only ever arms once per instant), so the paths are exactly
-// equivalent. Anything else — undo compaction, capacity pressure —
-// takes the per-tuple loop.
+// in bulk — one log append and at most one flush-timer arm for the whole
+// batch, which per-tuple Publish calls would also have produced (the timer
+// only ever arms once per instant), so the paths are exactly equivalent.
+// Anything else — undo compaction, capacity pressure — takes the per-tuple
+// loop.
 func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
 	bulk := ob.cap <= 0 || ob.n+len(ts) <= ob.cap
 	if bulk {
@@ -195,58 +212,95 @@ func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
 		return ok
 	}
 	ob.pushAll(ts)
-	if len(ob.subs) > 0 {
-		if ob.pending == nil {
-			// The first bulk publish of an instant sizes the message
-			// array exactly: usually it carries the whole flush (a long
-			// replay arrives in several, one per staged pass).
-			ob.pending = make([]tuple.Tuple, 0, len(ts))
-		}
-		ob.pending = append(ob.pending, ts...)
-		if ob.flushTimer == nil {
-			ob.flushTimer = ob.clk.After(0, ob.flushFn)
-		}
-	}
+	ob.sendLogged(len(ts))
 	return true
 }
 
-// send queues the tuple for delivery to all subscribers, coalescing
-// same-instant emissions into one network message per subscriber. Each
-// instant's array grows from empty: presizing it from earlier flushes would
-// make every one-tuple flush after a long replay allocate the replay's size.
+// sendLogged queues the k tuples just appended to the log for delivery to
+// all subscribers: they join the instant's fresh tuples.
+func (ob *OutputBuffer) sendLogged(k int) {
+	if len(ob.subs) == 0 {
+		return
+	}
+	ob.fresh += k
+	ob.armFlush()
+}
+
+// send queues a tuple the log does not hold (UNDO, REC_DONE) for delivery
+// to all subscribers, after the instant's earlier emissions.
 func (ob *OutputBuffer) send(t tuple.Tuple) {
 	if len(ob.subs) == 0 {
 		return
 	}
+	ob.stage()
 	ob.pending = append(ob.pending, t)
+	ob.armFlush()
+}
+
+// armFlush coalesces the instant's emissions into one network message per
+// subscriber, sent when the instant ends.
+func (ob *OutputBuffer) armFlush() {
 	if ob.flushTimer == nil {
 		ob.flushTimer = ob.clk.After(0, ob.flushFn)
 	}
 }
 
-func (ob *OutputBuffer) flush() {
-	ob.flushTimer = nil
-	if len(ob.pending) == 0 {
+// stage moves the instant's fresh tuples out of the log into pending, before
+// the log changes under them.
+func (ob *OutputBuffer) stage() {
+	if ob.fresh == 0 {
 		return
 	}
-	batch := ob.pending
-	ob.pending = nil
+	k := len(ob.pending)
+	ob.pending = slices.Grow(ob.pending, ob.fresh)[:k+ob.fresh]
+	ob.copyOut(ob.pending[k:], ob.n-ob.fresh)
+	ob.fresh = 0
+}
+
+func (ob *OutputBuffer) flush() {
+	ob.flushTimer = nil
+	k, n := len(ob.pending), len(ob.pending)+ob.fresh
+	if n == 0 {
+		return
+	}
+	var batch []tuple.Tuple
+	if ob.reuse {
+		ob.stage()
+		batch = ob.pending
+	} else {
+		batch = make([]tuple.Tuple, n)
+		copy(batch, ob.pending)
+		if ob.fresh > 0 {
+			ob.copyOut(batch[k:], ob.n-ob.fresh)
+			ob.adopt(batch[k:])
+			ob.fresh = 0
+		}
+	}
 	for _, ep := range ob.Subscribers() {
 		sub := ob.subs[ep]
+		ts := batch[sub.skip:n:n]
+		sub.skip = 0
+		if len(ts) == 0 {
+			continue
+		}
 		sub.seq++
-		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: batch})
+		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: ts})
 	}
-	if ob.reuse && cap(batch) <= tuple.LoanMaxCap {
-		ob.pending = batch[:0] // the fabric kept nothing; a replay-sized array is not pinned
+	if cap(ob.pending) <= tuple.LoanMaxCap {
+		ob.pending = ob.pending[:0] // no fabric keeps it; a replay-sized array is not pinned
+	} else {
+		ob.pending = nil
 	}
 }
 
 // Subscribe registers a downstream endpoint and replays the buffer from
 // its last stable tuple (§4.3, Fig. 8): if the subscriber saw tentative
 // tuples after FromID, an UNDO precedes the replay. Each subscription
-// restarts the batch sequence at 1.
+// restarts the batch sequence at 1. A subscriber joining while a flush is
+// pending receives only the part of it published after it joined: the
+// replay already reflects the rest.
 func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
-	sub := &obSub{}
+	sub := &obSub{skip: len(ob.pending) + ob.fresh}
 	ob.subs[from] = sub
 	ob.subsSorted = nil
 	if msg.TailOnly {
@@ -272,20 +326,20 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 // afterIndex returns the log index following the data tuple with the given
 // id (0, everything, if id is 0 or unknown because it was truncated).
 func (ob *OutputBuffer) afterIndex(id uint64) int {
-	if id > 0 {
-		for i := ob.n - 1; i >= 0; i-- {
-			if t := ob.at(i); t.IsData() && t.ID == id {
-				return i + 1
-			}
-		}
+	if id == 0 {
+		return 0
 	}
-	return 0
+	return 1 + ob.lastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == id })
 }
 
-// Unsubscribe removes a subscriber.
+// Unsubscribe removes a subscriber. Without subscribers the pending flush
+// has no receiver, so it is dropped.
 func (ob *OutputBuffer) Unsubscribe(from string) {
 	delete(ob.subs, from)
 	ob.subsSorted = nil
+	if len(ob.subs) == 0 {
+		ob.pending, ob.fresh = ob.pending[:0], 0
+	}
 }
 
 // Ack records a downstream acknowledgment and truncates the buffer to the

@@ -7,6 +7,12 @@ import (
 	"borealis/internal/tuple"
 )
 
+// at returns live tuple i.
+func (l *segLog) at(i int) *tuple.Tuple {
+	r, off := l.seek(i)
+	return &l.runs[r].ts[off]
+}
+
 // ackCutLinear is the walk Ack made before segments were skipped, kept as
 // ackCut's oracle: one tuple at a time from the head, remembering the last
 // stable Insertion with id ≤ upTo and stopping at the first data tuple with
@@ -40,11 +46,11 @@ func TestAckCutMatchesLinearWalk(t *testing.T) {
 		{BufferUnbounded, 0, []string{"d1", "d2"}},
 		{BufferSlide, 2*obSegSize + 37, []string{"d1"}},
 	}
-	skipped := 0 // probes whose cut passed a whole segment
+	skipped := 0 // probes whose cut passed a whole run
 	for ci, c := range configs {
 		for seed := 0; seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(int64(7000 + 100*ci + seed)))
-			w := newOBTwin(t, c.mode, c.cap, c.expected)
+			w := newOBTwin(t, obNetsim, c.mode, c.cap, c.expected)
 			for i := 0; i < 250; i++ {
 				what := w.step(rng, i)
 				l := &w.got.segLog
@@ -52,10 +58,10 @@ func TestAckCutMatchesLinearWalk(t *testing.T) {
 					id := w.pickID(rng)
 					got, want := l.ackCut(id), ackCutLinear(l, id)
 					if got != want {
-						t.Fatalf("config %d seed %d %s: ackCut(%d) = %d, linear walk %d (head %d, %d live)",
-							ci, seed, what, id, got, want, l.head, l.n)
+						t.Fatalf("config %d seed %d %s: ackCut(%d) = %d, linear walk %d (%d runs, %d live)",
+							ci, seed, what, id, got, want, len(l.runs), l.n)
 					}
-					if got > obSegSize-l.head {
+					if len(l.runs) > 0 && got > len(l.runs[0].ts) {
 						skipped++
 					}
 				}
@@ -63,7 +69,7 @@ func TestAckCutMatchesLinearWalk(t *testing.T) {
 		}
 	}
 	if skipped == 0 {
-		t.Fatal("no probe released a whole segment")
+		t.Fatal("no probe released a whole run")
 	}
 }
 
@@ -71,7 +77,7 @@ func TestAckCutMatchesLinearWalk(t *testing.T) {
 // boundaries on a log whose head sits mid-segment and whose segments end
 // in boundaries and tentative runs.
 func TestAckCutSegmentEdges(t *testing.T) {
-	w := newOBTwin(t, BufferUnbounded, 0, []string{"d1"})
+	w := newOBTwin(t, obNetsim, BufferUnbounded, 0, []string{"d1"})
 	for i := 0; i < 3*obSegSize+50; i++ {
 		switch {
 		case i%obSegSize >= obSegSize-3:

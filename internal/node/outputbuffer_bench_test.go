@@ -16,7 +16,15 @@ import (
 //   - unacked: nothing is acknowledged and the log grows (reset every 2^18
 //     tuples to bound memory), paying for fresh segments;
 //   - undo: every op publishes tentative tuples and revokes them with an
-//     anchored UNDO, truncating back to the stable prefix.
+//     anchored UNDO, truncating back to the stable prefix;
+//
+// and one acknowledged 64-tuple instant per op, flushed to one subscriber
+// on a fabric that keeps what it is sent, so every flush allocates its
+// message array (B/op is that array plus the boxed DataMsg):
+//
+//   - flush/single-batch: the instant is one PublishBatch;
+//   - flush/multi-batch: four PublishBatch calls of 16 tuples;
+//   - flush/per-tuple: 64 Publish calls.
 func BenchmarkOutputBuffer(b *testing.B) {
 	const batch = 64
 	payload := []int64{1}
@@ -85,4 +93,51 @@ func BenchmarkOutputBuffer(b *testing.B) {
 			ob.Publish(undo)
 		}
 	})
+
+	for _, c := range []struct {
+		name string
+		pub  func(ob *OutputBuffer, ts []tuple.Tuple)
+	}{
+		{"single-batch", func(ob *OutputBuffer, ts []tuple.Tuple) { ob.PublishBatch(ts) }},
+		{"multi-batch", func(ob *OutputBuffer, ts []tuple.Tuple) {
+			for i := 0; i < len(ts); i += batch / 4 {
+				ob.PublishBatch(ts[i : i+batch/4])
+			}
+		}},
+		{"per-tuple", func(ob *OutputBuffer, ts []tuple.Tuple) {
+			for i := range ts {
+				ob.Publish(ts[i])
+			}
+		}},
+	} {
+		b.Run("flush/"+c.name, func(b *testing.B) {
+			sim := runtime.NewVirtual()
+			f := &copyingFabric{}
+			ob := NewOutputBuffer(sim, keepingFabric{f}, "up", "s", BufferUnbounded, 0, []string{"d1"})
+			ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
+			ts := frame(tuple.Insertion, 1)
+			next := uint64(1)
+			op := func() {
+				for i := range ts {
+					ts[i].ID = next
+					next++
+				}
+				c.pub(ob, ts)
+				sim.Run()
+				ob.Ack("d1", next-1)
+			}
+			for i := 0; i < 8*obSegSize/batch; i++ {
+				op()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.StopTimer()
+			if len(f.got) != batch || f.got[0].ID != next-batch {
+				b.Fatalf("the subscriber got %d tuples, want the last %d", len(f.got), batch)
+			}
+		})
+	}
 }

@@ -3,8 +3,10 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"borealis/internal/fabric"
 	"borealis/internal/netsim"
 	"borealis/internal/runtime"
 	"borealis/internal/tuple"
@@ -15,6 +17,7 @@ import (
 // simulator and network, recording every DataMsg each delivers.
 type obTwin struct {
 	t                *testing.T
+	fab              obFabric
 	simA, simB       *runtime.VirtualClock
 	got              *OutputBuffer
 	ref              *refOutputBuffer
@@ -25,6 +28,19 @@ type obTwin struct {
 	stime            int64
 }
 
+// obFabric names the kind of fabric a twin runs on: netsim delivers the
+// sender's array itself, so the buffer allocates one per flush and its log
+// adopts it; the fabric.Copying stub copies it during Send, so the buffer
+// reuses its flush array and the log adopts nothing.
+type obFabric string
+
+const (
+	obNetsim  obFabric = "netsim"
+	obCopying obFabric = "copying"
+)
+
+var obFabrics = []obFabric{obNetsim, obCopying}
+
 var obTwinEndpoints = []string{"d1", "d2", "d3", "x"}
 
 // obSent is one delivered DataMsg and its receiver.
@@ -33,12 +49,28 @@ type obSent struct {
 	msg DataMsg
 }
 
-func newOBTwin(t *testing.T, mode BufferMode, capTuples int, expected []string) *obTwin {
-	build := func() (*runtime.VirtualClock, *netsim.Net, *[]obSent) {
+// obRecorder is the fabric.Copying stub: Send records a copy of the
+// message at once, as the TCP fabric encodes it before Send returns.
+type obRecorder struct{ sent *[]obSent }
+
+func (r obRecorder) Register(string, fabric.Handler) {}
+func (r obRecorder) SetDown(string, bool)            {}
+func (r obRecorder) SendCopiesTuples()               {}
+func (r obRecorder) Send(_, to string, msg any) {
+	m := msg.(DataMsg)
+	m.Tuples = slices.Clone(m.Tuples)
+	*r.sent = append(*r.sent, obSent{to, m})
+}
+
+func newOBTwin(t *testing.T, fab obFabric, mode BufferMode, capTuples int, expected []string) *obTwin {
+	build := func() (*runtime.VirtualClock, fabric.Fabric, *[]obSent) {
 		sim := runtime.NewVirtual()
+		sent := &[]obSent{}
+		if fab == obCopying {
+			return sim, obRecorder{sent}, sent
+		}
 		net := netsim.New(sim)
 		net.Register("up", func(string, any) {})
-		sent := &[]obSent{}
 		for _, ep := range obTwinEndpoints {
 			net.Register(ep, func(_ string, msg any) {
 				*sent = append(*sent, obSent{ep, msg.(DataMsg)})
@@ -46,8 +78,8 @@ func newOBTwin(t *testing.T, mode BufferMode, capTuples int, expected []string) 
 		}
 		return sim, net, sent
 	}
-	w := &obTwin{t: t}
-	var netA, netB *netsim.Net
+	w := &obTwin{t: t, fab: fab}
+	var netA, netB fabric.Fabric
 	w.simA, netA, w.sentGot = build()
 	w.simB, netB, w.sentRef = build()
 	w.got = NewOutputBuffer(w.simA, netA, "up", "s", mode, capTuples, expected)
@@ -77,6 +109,13 @@ func (w *obTwin) check(step string) {
 			w.t.Fatalf("%s: after(%d) has %d tuples, reference %d", step, id, len(ga), len(ra))
 		}
 	}
+	w.compareSent(step)
+	w.checkRuns(step)
+}
+
+// compareSent compares the messages delivered since the last comparison.
+func (w *obTwin) compareSent(step string) {
+	w.t.Helper()
 	if len(*w.sentGot) != len(*w.sentRef) {
 		w.t.Fatalf("%s: %d messages delivered, reference %d", step, len(*w.sentGot), len(*w.sentRef))
 	}
@@ -86,21 +125,78 @@ func (w *obTwin) check(step string) {
 			w.t.Fatalf("%s: message %d\n got %s %+v\nwant %s %+v", step, w.checked, a.to, a.msg, b.to, b.msg)
 		}
 	}
-	// The segmented log's own invariants: every segment but the last is
-	// full, the head lies inside the first segment, no slot outside the
-	// live range pins a payload.
-	if g.head < 0 || (len(g.segs) > 0 && g.head >= obSegSize) || g.head+g.n > len(g.segs)*obSegSize ||
-		(len(g.segs) > 0 && g.head+g.n <= (len(g.segs)-1)*obSegSize && g.n > 0) {
-		w.t.Fatalf("%s: log shape head=%d n=%d segs=%d", step, g.head, g.n, len(g.segs))
-	}
-	for si, s := range g.segs {
-		for j := range s {
-			p := si*obSegSize + j
-			if (p < g.head || p >= g.head+g.n) && (s[j].Type != 0 || s[j].ID != 0 || s[j].Len() != 0) {
-				w.t.Fatalf("%s: dead slot %d holds %v", step, p, s[j])
+}
+
+// recheckSent compares every message ever delivered once more: on netsim a
+// receiver holds the sender's array, so a buffer that wrote into a sent
+// array after the comparison shows here.
+func (w *obTwin) recheckSent(step string) {
+	w.t.Helper()
+	w.checked = 0
+	w.compareSent(step + " (all messages again)")
+}
+
+// checkRuns checks the log's own invariants: the runs hold n tuples and
+// none is empty; a staged run is a window of a segment no other run or the
+// free list holds, and no slot of that segment outside the window, nor of
+// a free segment, pins a payload; an adopted run exists only on a fabric
+// that keeps arrays.
+func (w *obTwin) checkRuns(step string) {
+	w.t.Helper()
+	g := &w.got.segLog
+	zero := func(ts []tuple.Tuple) bool {
+		for j := range ts {
+			if ts[j].Type != 0 || ts[j].ID != 0 || ts[j].Len() != 0 {
+				return false
 			}
 		}
+		return true
 	}
+	seen := make(map[*obSegment]bool)
+	n := 0
+	for i, r := range g.runs {
+		n += len(r.ts)
+		if len(r.ts) == 0 {
+			w.t.Fatalf("%s: run %d of %d is empty", step, i, len(g.runs))
+		}
+		if r.seg == nil {
+			if w.fab == obCopying {
+				w.t.Fatalf("%s: run %d adopts an array on a copying fabric", step, i)
+			}
+			continue
+		}
+		lo := obSegSize - cap(r.ts)
+		if seen[r.seg] || &r.seg[lo] != &r.ts[0] {
+			w.t.Fatalf("%s: run %d is not a window of a segment of its own", step, i)
+		}
+		seen[r.seg] = true
+		if !zero(r.seg[:lo]) || !zero(r.seg[lo+len(r.ts):]) {
+			w.t.Fatalf("%s: a dead slot of run %d's segment holds a tuple", step, i)
+		}
+	}
+	if n != g.n {
+		w.t.Fatalf("%s: runs hold %d tuples, n = %d", step, n, g.n)
+	}
+	for _, s := range g.free {
+		if seen[s] || !zero(s[:]) {
+			w.t.Fatalf("%s: a free segment is in use or holds a tuple", step)
+		}
+		seen[s] = true
+	}
+}
+
+// tailStore identifies the storage of the log's last run: its staged
+// segment, or the end of the adopted array it views.
+func tailStore(l *segLog) any {
+	k := len(l.runs)
+	if k == 0 {
+		return nil
+	}
+	r := l.runs[k-1]
+	if r.seg != nil {
+		return r.seg
+	}
+	return &r.ts[:cap(r.ts)][cap(r.ts)-1]
 }
 
 func sameTuples(a, b []tuple.Tuple) bool {
@@ -156,15 +252,17 @@ func (w *obTwin) run() {
 }
 
 // boundaryID returns the id of a live data tuple sitting at (or just past)
-// a segment boundary of the segmented log, so acks and undos land there.
+// the boundary between two runs of the log, so acks and undos land there.
 func (w *obTwin) boundaryID(rng *rand.Rand) (uint64, bool) {
 	g := w.got
-	for i := (obSegSize - g.head) % obSegSize; i < g.n; i += obSegSize {
-		if j := i + rng.Intn(2) - 1; j >= 0 && j < g.n && rng.Intn(2) == 0 {
+	i := 0
+	for _, r := range g.runs {
+		if j := i + rng.Intn(2) - 1; i > 0 && j < g.n && rng.Intn(2) == 0 {
 			if t := g.at(j); t.IsData() {
 				return t.ID, true
 			}
 		}
+		i += len(r.ts)
 	}
 	return 0, false
 }
@@ -253,8 +351,9 @@ func (w *obTwin) step(rng *rand.Rand, i int) string {
 // slice reference with seeded random call sequences — data, boundaries,
 // tentative runs, anchored/unanchored/zero UNDOs, REC_DONE, bulk publishes,
 // acks from expected and unexpected endpoints, subscriptions with every
-// flag, Reset — under every buffer mode, and requires identical observable
-// state and identical delivered messages after every step.
+// flag, Reset — under every buffer mode, on netsim and on a fabric.Copying
+// stub, and requires identical observable state and identical delivered
+// messages after every step, and every message unchanged at the end.
 func TestOutputBufferMatchesReference(t *testing.T) {
 	configs := []struct {
 		mode     BufferMode
@@ -272,39 +371,46 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
-	for ci, c := range configs {
-		for seed := 0; seed < seeds; seed++ {
-			rng := rand.New(rand.NewSource(int64(1000*ci + seed)))
-			w := newOBTwin(t, c.mode, c.cap, c.expected)
-			// crossed counts the steps after which the tail segment is a
-			// different one: the log's end moved across a boundary.
-			tailSeg := func() *obSegment {
-				if k := len(w.got.segs); k > 0 {
-					return w.got.segs[k-1]
+	for _, fab := range obFabrics {
+		adopted := 0 // steps after which the log's last run was a newly adopted array
+		for ci, c := range configs {
+			for seed := 0; seed < seeds; seed++ {
+				rng := rand.New(rand.NewSource(int64(1000*ci + seed)))
+				w := newOBTwin(t, fab, c.mode, c.cap, c.expected)
+				// crossed counts the steps after which the log's last run
+				// lies in other storage: its end moved across a segment
+				// boundary or onto an adopted array.
+				crossed := 0
+				for i := 0; i < 250; i++ {
+					before := tailStore(&w.got.segLog)
+					what := w.step(rng, i)
+					w.check(fmt.Sprintf("%s config %d seed %d %s", fab, ci, seed, what))
+					if after := tailStore(&w.got.segLog); after != nil && after != before {
+						crossed++
+						if _, ok := after.(*obSegment); !ok {
+							adopted++
+						}
+					}
 				}
-				return nil
-			}
-			crossed := 0
-			for i := 0; i < 250; i++ {
-				before := tailSeg()
-				what := w.step(rng, i)
-				w.check(fmt.Sprintf("config %d seed %d %s", ci, seed, what))
-				if after := tailSeg(); after != nil && after != before {
-					crossed++
+				w.run()
+				w.check(fmt.Sprintf("%s config %d seed %d final run", fab, ci, seed))
+				w.recheckSent(fmt.Sprintf("%s config %d seed %d", fab, ci, seed))
+				if crossed < 3 {
+					t.Errorf("%s config %d seed %d: the log's end moved to other storage only %d times", fab, ci, seed, crossed)
 				}
 			}
-			w.run()
-			w.check(fmt.Sprintf("config %d seed %d final run", ci, seed))
-			if crossed < 3 {
-				t.Errorf("config %d seed %d: the log crossed only %d segment boundaries", ci, seed, crossed)
-			}
+		}
+		if want := fab == obNetsim; (adopted > 0) != want {
+			t.Errorf("%s: the log adopted a flushed array after %d steps, want some: %v", fab, adopted, want)
 		}
 	}
 }
 
 // TestOutputBufferSegmentBoundaries pins acks, slides and undos that land
 // exactly on, just before and just after segment boundaries, and the same
-// pattern at half-segment points, which lands mid-segment.
+// pattern at half-segment points, which lands mid-segment, on both kinds of
+// fabric. On netsim the acks also land on the boundaries of adopted arrays
+// (flushes of half a segment) and of the staged runs between them.
 func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	const total = 4*obSegSize + 100
 	const half = obSegSize / 2
@@ -314,54 +420,66 @@ func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("ack=%d", cut), func(t *testing.T) {
-			w := newOBTwin(t, BufferUnbounded, 0, []string{"d1"})
-			w.subscribe("d1", SubscribeMsg{Stream: "s"})
-			for i := 0; i < total; i++ {
-				w.publish(w.data(false))
-			}
-			w.ack("d1", uint64(cut))
-			w.check("ack")
-			// Everything past the cut, then more: the recycled segments
-			// come back into use.
-			for i := 0; i < 2*obSegSize; i++ {
-				w.publish(w.data(false))
-			}
-			w.run()
-			w.check("refill")
-		})
-		t.Run(fmt.Sprintf("undo=%d", cut), func(t *testing.T) {
-			w := newOBTwin(t, BufferUnbounded, 0, nil)
-			for i := 0; i < total; i++ {
-				w.publish(w.data(i >= cut))
-			}
-			w.publish(tuple.NewUndo(uint64(cut)))
-			w.check("anchored undo")
-			if w.got.Len() != cut {
-				t.Fatalf("anchored undo kept %d tuples, want %d", w.got.Len(), cut)
-			}
-			for i := 0; i < obSegSize+3; i++ {
-				w.publish(w.data(true))
-			}
-			w.publish(tuple.NewUndo(w.nextID + 7)) // unanchored: strip tentative
-			w.check("unanchored undo")
-			if w.got.Len() != cut {
-				t.Fatalf("strip-tentative kept %d tuples, want %d", w.got.Len(), cut)
-			}
-			w.publish(tuple.NewUndo(0))
-			w.check("undo to origin")
-			w.publishBatch([]tuple.Tuple{w.data(false), w.data(false)})
-			w.check("after origin undo")
-		})
-		t.Run(fmt.Sprintf("slide=%d", cut), func(t *testing.T) {
-			w := newOBTwin(t, BufferSlide, cut, nil)
-			for i := 0; i < total; i++ {
-				w.publish(w.data(false))
-				if i%97 == 0 {
-					w.check(fmt.Sprintf("slide %d", i))
+			for _, fab := range obFabrics {
+				for _, instant := range []int{total, half} {
+					w := newOBTwin(t, fab, BufferUnbounded, 0, []string{"d1"})
+					w.subscribe("d1", SubscribeMsg{Stream: "s"})
+					for i := 0; i < total; i++ {
+						w.publish(w.data(false))
+						if i%instant == instant-1 {
+							w.run()
+						}
+					}
+					w.ack("d1", uint64(cut))
+					w.check(fmt.Sprintf("%s instants of %d: ack", fab, instant))
+					// Everything past the cut, then more: the recycled
+					// segments come back into use.
+					for i := 0; i < 2*obSegSize; i++ {
+						w.publish(w.data(false))
+					}
+					w.run()
+					w.check(fmt.Sprintf("%s instants of %d: refill", fab, instant))
+					w.recheckSent(fmt.Sprintf("%s instants of %d", fab, instant))
 				}
 			}
-			w.publishBatch([]tuple.Tuple{w.data(false), w.data(false), w.data(false)})
-			w.check("slide end")
+		})
+		t.Run(fmt.Sprintf("undo=%d", cut), func(t *testing.T) {
+			for _, fab := range obFabrics {
+				w := newOBTwin(t, fab, BufferUnbounded, 0, nil)
+				for i := 0; i < total; i++ {
+					w.publish(w.data(i >= cut))
+				}
+				w.publish(tuple.NewUndo(uint64(cut)))
+				w.check("anchored undo")
+				if w.got.Len() != cut {
+					t.Fatalf("%s: anchored undo kept %d tuples, want %d", fab, w.got.Len(), cut)
+				}
+				for i := 0; i < obSegSize+3; i++ {
+					w.publish(w.data(true))
+				}
+				w.publish(tuple.NewUndo(w.nextID + 7)) // unanchored: strip tentative
+				w.check("unanchored undo")
+				if w.got.Len() != cut {
+					t.Fatalf("%s: strip-tentative kept %d tuples, want %d", fab, w.got.Len(), cut)
+				}
+				w.publish(tuple.NewUndo(0))
+				w.check("undo to origin")
+				w.publishBatch([]tuple.Tuple{w.data(false), w.data(false)})
+				w.check("after origin undo")
+			}
+		})
+		t.Run(fmt.Sprintf("slide=%d", cut), func(t *testing.T) {
+			for _, fab := range obFabrics {
+				w := newOBTwin(t, fab, BufferSlide, cut, nil)
+				for i := 0; i < total; i++ {
+					w.publish(w.data(false))
+					if i%97 == 0 {
+						w.check(fmt.Sprintf("%s slide %d", fab, i))
+					}
+				}
+				w.publishBatch([]tuple.Tuple{w.data(false), w.data(false), w.data(false)})
+				w.check(fmt.Sprintf("%s slide end", fab))
+			}
 		})
 	}
 }

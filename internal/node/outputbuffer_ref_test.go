@@ -9,8 +9,11 @@ import (
 )
 
 // refOutputBuffer is the OutputBuffer as it was before the segmented log:
-// one doubling slice with a head index, kept verbatim (renamed) as the
-// reference model outputbuffer_equiv_test.go drives the real buffer against.
+// one doubling slice with a head index, kept (renamed) as the reference
+// model outputbuffer_equiv_test.go drives the real buffer against. One
+// change since: a subscriber that joins while a flush is pending receives
+// only the part of it published after it joined (refOBSub.skip); before,
+// it received the tuples its replay held a second time.
 
 // refOutputBuffer is the Data Path's per-output-stream buffer. It retains, in
 // emission order, every data tuple (stable and tentative) and interleaved
@@ -60,9 +63,12 @@ type refOutputBuffer struct {
 	Blocked   bool
 }
 
-// refOBSub is one subscription's send state.
+// refOBSub is one subscription's send state. skip counts the tuples of the
+// pending flush published before the subscription (the replay reflects
+// them): flush sends only the rest.
 type refOBSub struct {
-	seq uint64
+	seq  uint64
+	skip int
 }
 
 // newRefOutputBuffer builds a buffer for one output stream of endpoint self.
@@ -284,8 +290,13 @@ func (ob *refOutputBuffer) flush() {
 	}
 	for _, ep := range ob.Subscribers() {
 		sub := ob.subs[ep]
+		ts := batch[sub.skip:len(batch):len(batch)]
+		sub.skip = 0
+		if len(ts) == 0 {
+			continue
+		}
 		sub.seq++
-		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: batch})
+		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: ts})
 	}
 }
 
@@ -294,7 +305,7 @@ func (ob *refOutputBuffer) flush() {
 // tuples after FromID, an UNDO precedes the replay. Each subscription
 // restarts the batch sequence at 1.
 func (ob *refOutputBuffer) Subscribe(from string, msg SubscribeMsg) {
-	sub := &refOBSub{}
+	sub := &refOBSub{skip: len(ob.pending)}
 	ob.subs[from] = sub
 	ob.subsSorted = nil
 	if msg.TailOnly {

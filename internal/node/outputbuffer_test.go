@@ -1,7 +1,9 @@
 package node
 
 import (
+	"fmt"
 	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"borealis/internal/netsim"
@@ -335,5 +337,61 @@ func TestOutputBufferFlushArraySizedByItsInstant(t *testing.T) {
 	goruntime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 1024 {
 		t.Fatalf("a one-tuple Publish + flush allocates %d B after a 10 000-tuple flush, want < 1 KB", per)
+	}
+}
+
+// TestSubscribeMidInstantDeliversOnce: a subscriber joining while a flush is
+// pending receives the tuples published before it joined once, in its
+// seq-1 replay, and of the flush only what was published after it joined —
+// nothing at all when that is empty. The InputManager drops duplicate
+// stable ids only in seq-1 batches, so a second copy in the seq-2 flush
+// would reach the SUnion.
+func TestSubscribeMidInstantDeliversOnce(t *testing.T) {
+	sim := runtime.NewVirtual()
+	net := netsim.New(sim)
+	net.Register("up", func(string, any) {})
+	got := map[string][]DataMsg{}
+	for _, ep := range []string{"d1", "d2"} {
+		net.Register(ep, func(_ string, msg any) { got[ep] = append(got[ep], msg.(DataMsg)) })
+	}
+	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, nil)
+	msgs := func(ep string) string {
+		var b strings.Builder
+		for _, m := range got[ep] {
+			fmt.Fprintf(&b, "seq %d:", m.Seq)
+			for _, t := range m.Tuples {
+				fmt.Fprintf(&b, " %s%d", t.Type.String()[:1], t.ID)
+			}
+			b.WriteString("; ")
+		}
+		return b.String()
+	}
+
+	ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
+	ob.PublishBatch([]tuple.Tuple{ins(1, 1), ins(2, 2)})
+	ob.Subscribe("d2", SubscribeMsg{Stream: "s"})
+	sim.Run()
+	if g, want := msgs("d2"), "seq 1: I1 I2; "; g != want {
+		t.Fatalf("d2 joining after the instant's only publish got %q, want %q", g, want)
+	}
+	if g, want := msgs("d1"), "seq 1: I1 I2; "; g != want {
+		t.Fatalf("d1 got %q, want %q", g, want)
+	}
+
+	// Joining again between publishes of one instant, an UNDO before and
+	// after: the replay carries what the log held, the flush the rest.
+	ob.Publish(tent(3, 3))
+	ob.Publish(tuple.NewUndo(2))
+	ob.Publish(ins(3, 3))
+	ob.Subscribe("d2", SubscribeMsg{Stream: "s", FromID: 2})
+	ob.Publish(tent(4, 4))
+	ob.Publish(tuple.NewUndo(3))
+	ob.PublishBatch([]tuple.Tuple{ins(4, 4), ins(5, 5)})
+	sim.Run()
+	if g, want := msgs("d2"), "seq 1: I1 I2; seq 1: I3; seq 2: T4 U3 I4 I5; "; g != want {
+		t.Fatalf("d2 rejoining mid-instant got %q, want %q", g, want)
+	}
+	if g, want := msgs("d1"), "seq 1: I1 I2; seq 2: T3 U2 I3 T4 U3 I4 I5; "; g != want {
+		t.Fatalf("d1 got %q, want %q", g, want)
 	}
 }

@@ -3,124 +3,206 @@ package node
 import "borealis/internal/tuple"
 
 // obSegSize is the length, in tuples, of one segment of a segmented tuple
-// log (48 KiB at 48 bytes a tuple). A power of two, so a log position splits
-// into segment and slot with a shift and a mask. Past the runtime's 32 KiB
-// small-object limit a segment costs exactly its size: a 512-tuple segment
-// plus the allocation header of an object holding pointers rounds up to a
-// 27 KiB size class, 11 % more than the tuples it holds.
+// log (48 KiB at 48 bytes a tuple). Past the runtime's 32 KiB small-object
+// limit a segment costs exactly its size: a 512-tuple segment plus the
+// allocation header of an object holding pointers rounds up to a 27 KiB
+// size class, 11 % more than the tuples it holds.
 const obSegSize = 1024
 
 // obSegment is one fixed-size block of a segmented tuple log.
 type obSegment [obSegSize]tuple.Tuple
 
-// segLog is a segmented tuple log: live tuple i sits at log position head+i,
-// counted from the first slot of segs[0]. Every segment but the last is full
-// and head < obSegSize, so appending fills the tail segment and never
-// recopies anything, however long the log grows. Every slot outside the live
-// range is zero: truncation clears the slots it drops and moves each segment
-// it empties onto free, where the next append takes it back. OutputBuffer
-// keeps its contents in one; TupleLog wraps one for the client's view.
+// logRun is one stretch of a log's live tuples kept in one piece of
+// storage: a window of a staged segment, or, when seg is nil, a view of an
+// array the log adopted.
+type logRun struct {
+	sum adoptSum // first: a zero-size last field would be padded
+	ts  []tuple.Tuple
+	seg *obSegment
+}
+
+// segLog is a tuple log kept as a sequence of runs. Appends go to staged
+// segments, fixed-size blocks the log owns: the last run takes them while
+// its segment has room, then a segment from the free list starts a new
+// run, so appending never recopies anything, however long the log grows.
+// A staged segment belongs to one run and every slot outside that run's
+// window is zero: truncation clears the slots it drops and moves each
+// segment it empties onto free, where the next append takes it back.
+//
+// An OutputBuffer on a fabric that keeps what it is sent also adopts
+// arrays: once a flush has sent the log's newest tuples in an array of
+// their own, that array replaces their staged copy (adopt). Every receiver
+// of the message shares an adopted array, so the log never writes it:
+// truncation drops it whole or shortens the run's view of it, and it is
+// never recycled. OutputBuffer keeps its contents in a segLog; TupleLog
+// wraps one, staged segments only, for the client's view.
 type segLog struct {
-	segs []*obSegment
-	head int
+	runs []logRun
 	n    int
 	free []*obSegment
 }
 
-// at returns live tuple i.
-func (l *segLog) at(i int) *tuple.Tuple {
-	p := l.head + i
-	return &l.segs[p/obSegSize][p%obSegSize]
-}
-
-// tail returns the slots free in the tail segment, taking a new segment
-// when the tail is full (or there is none yet).
-func (l *segLog) tail() []tuple.Tuple {
-	p := l.head + l.n
-	if p == len(l.segs)*obSegSize {
-		var s *obSegment
-		if k := len(l.free); k > 0 {
-			s = l.free[k-1]
-			l.free[k-1] = nil
-			l.free = l.free[:k-1]
-		} else {
-			s = new(obSegment)
+// room returns the last run when it is staged with a free slot, and
+// otherwise starts a new staged run on a segment from the free list.
+func (l *segLog) room() *logRun {
+	if k := len(l.runs); k > 0 {
+		if r := &l.runs[k-1]; r.seg != nil && len(r.ts) < cap(r.ts) {
+			return r
 		}
-		l.segs = append(l.segs, s)
 	}
-	return l.segs[p/obSegSize][p%obSegSize:]
+	var s *obSegment
+	if k := len(l.free); k > 0 {
+		s = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+	} else {
+		s = new(obSegment)
+	}
+	l.runs = append(l.runs, logRun{ts: s[:0], seg: s})
+	return &l.runs[len(l.runs)-1]
 }
 
 // push appends one tuple to the log.
 func (l *segLog) push(t tuple.Tuple) {
-	l.tail()[0] = t
+	r := l.room()
+	r.ts = append(r.ts, t) // within the segment: never reallocates
 	l.n++
 }
 
 // pushAll appends a batch to the log, one copy per segment it reaches.
 func (l *segLog) pushAll(ts []tuple.Tuple) {
 	for len(ts) > 0 {
-		k := copy(l.tail(), ts)
+		r := l.room()
+		k := min(len(ts), cap(r.ts)-len(r.ts))
+		r.ts = append(r.ts, ts[:k]...)
 		l.n += k
 		ts = ts[k:]
 	}
 }
 
+// seek returns the run holding live tuple i and i's offset in that run,
+// walking from whichever end of the log is nearer; i == n gives
+// (len(runs), 0).
+func (l *segLog) seek(i int) (int, int) {
+	if i >= l.n {
+		return len(l.runs), 0
+	}
+	if i < l.n/2 {
+		for r := range l.runs {
+			k := len(l.runs[r].ts)
+			if i < k {
+				return r, i
+			}
+			i -= k
+		}
+	}
+	j := l.n
+	for r := len(l.runs) - 1; r >= 0; r-- {
+		if j -= len(l.runs[r].ts); j <= i {
+			return r, i - j
+		}
+	}
+	panic("segLog: run lengths do not add up to n")
+}
+
 // copyOut copies live tuples i, i+1, … into dst until dst is full.
 func (l *segLog) copyOut(dst []tuple.Tuple, i int) {
-	for p := l.head + i; len(dst) > 0; {
-		k := copy(dst, l.segs[p/obSegSize][p%obSegSize:])
-		dst = dst[k:]
-		p += k
+	for r, off := l.seek(i); len(dst) > 0; r, off = r+1, 0 {
+		run := &l.runs[r]
+		run.sum.verify("copy out of")
+		dst = dst[copy(dst, run.ts[off:]):]
 	}
 }
 
-// chunks calls fn with the live tuples in order, one slice per segment.
+// chunks calls fn with the live tuples in order, one slice per run.
 func (l *segLog) chunks(fn func(ts []tuple.Tuple)) {
-	for p, end := l.head, l.head+l.n; p < end; {
-		lo := p % obSegSize
-		hi := min(obSegSize, lo+end-p)
-		fn(l.segs[p/obSegSize][lo:hi])
-		p += hi - lo
+	for r := range l.runs {
+		fn(l.runs[r].ts)
 	}
 }
 
-// clearLive zeroes live slots [i, j), so dropped tuples do not pin their
-// payloads.
-func (l *segLog) clearLive(i, j int) {
-	for p, end := l.head+i, l.head+j; p < end; {
-		lo := p % obSegSize
-		hi := min(obSegSize, lo+end-p)
-		clear(l.segs[p/obSegSize][lo:hi])
-		p += hi - lo
+// lastIndex returns the index of the newest live tuple match accepts, or -1.
+func (l *segLog) lastIndex(match func(t *tuple.Tuple) bool) int {
+	i := l.n
+	for r := len(l.runs) - 1; r >= 0; r-- {
+		ts := l.runs[r].ts
+		i -= len(ts)
+		for j := len(ts) - 1; j >= 0; j-- {
+			if match(&ts[j]) {
+				return i + j
+			}
+		}
 	}
+	return -1
 }
 
-// recycle moves segs[from:to] — segments with no live slot, already
-// cleared — onto the free list and closes the gap in segs.
-func (l *segLog) recycle(from, to int) {
-	l.free = append(l.free, l.segs[from:to]...)
-	m := from + copy(l.segs[from:], l.segs[to:])
-	clear(l.segs[m:])
-	l.segs = l.segs[:m]
+// release gives up a whole run: a staged segment is cleared and goes onto
+// the free list; an adopted array is left to its other holders.
+func (l *segLog) release(r *logRun) {
+	if r.seg == nil {
+		r.sum.verify("drop")
+		return
+	}
+	clear(r.ts)
+	l.free = append(l.free, r.seg)
+}
+
+// removeRuns deletes runs[from:to], already released, closing the gap.
+func (l *segLog) removeRuns(from, to int) {
+	m := from + copy(l.runs[from:], l.runs[to:])
+	clear(l.runs[m:])
+	l.runs = l.runs[:m]
 }
 
 // dropHead discards the k oldest live tuples.
 func (l *segLog) dropHead(k int) {
-	l.clearLive(0, k)
-	l.head += k
 	l.n -= k
-	if full := l.head / obSegSize; full > 0 {
-		l.recycle(0, full)
-		l.head -= full * obSegSize
+	r := 0
+	for ; k > 0; r++ {
+		run := &l.runs[r]
+		if k < len(run.ts) {
+			if run.seg == nil {
+				run.sum.verify("shorten")
+			} else {
+				clear(run.ts[:k])
+			}
+			run.ts = run.ts[k:]
+			break
+		}
+		k -= len(run.ts)
+		l.release(run)
 	}
+	l.removeRuns(0, r)
 }
 
 // truncate keeps the k oldest live tuples and deletes the rest.
 func (l *segLog) truncate(k int) {
-	l.clearLive(k, l.n)
+	r, off := l.seek(k)
+	if off > 0 {
+		run := &l.runs[r]
+		if run.seg == nil {
+			run.sum.verify("shorten")
+		} else {
+			clear(run.ts[off:])
+		}
+		run.ts = run.ts[:off] // an adopted view never takes appends: room checks seg
+		r++
+	}
+	for i := r; i < len(l.runs); i++ {
+		l.release(&l.runs[i])
+	}
+	l.removeRuns(r, len(l.runs))
 	l.n = k
-	l.recycle((l.head+k+obSegSize-1)/obSegSize, len(l.segs))
+}
+
+// adopt makes a the storage of the log's len(a) newest tuples, which it
+// must equal: their staged copy is cleared and recycled, and a is never
+// written again.
+func (l *segLog) adopt(a []tuple.Tuple) {
+	n := l.n
+	l.truncate(n - len(a))
+	l.runs = append(l.runs, logRun{sum: sumAdopted(a), ts: a})
+	l.n = n
 }
 
 // ackCut returns how many of the oldest live tuples an acknowledgment of
@@ -128,18 +210,14 @@ func (l *segLog) truncate(k int) {
 // Insertion with id ≤ upTo that precedes every data tuple with a larger
 // id. Data ids increase along an output stream — SOutput numbers stable
 // tuples in order and tentative ones after the last stable id, and the
-// log compacts a revoked suffix before its ids are reused — so a segment
+// log compacts a revoked suffix before its ids are reused — so a run
 // whose last data tuple has id ≤ upTo holds no larger id: it is released
 // through its last Insertion, found backwards, without a look at the rest.
-// Only the segment holding the first larger id is walked forward.
+// Only the run holding the first larger id is walked forward.
 func (l *segLog) ackCut(upTo uint64) int {
-	cut := 0
-	for p, end := l.head, l.head+l.n; p < end; {
-		lo := p % obSegSize
-		hi := min(obSegSize, lo+end-p)
-		ts := l.segs[p/obSegSize][lo:hi]
-		base := p - l.head // the live index of ts[0]
-		p += hi - lo
+	cut, base := 0, 0 // base: the live index of the run's first tuple
+	for r := range l.runs {
+		ts := l.runs[r].ts
 		last := len(ts) - 1
 		for last >= 0 && !ts[last].IsData() {
 			last--
@@ -151,6 +229,7 @@ func (l *segLog) ackCut(upTo uint64) int {
 					break
 				}
 			}
+			base += len(ts)
 			continue
 		}
 		for j := range ts {
@@ -170,26 +249,35 @@ func (l *segLog) ackCut(upTo uint64) int {
 // undo compacts the log for an UNDO with the given last-good id, with
 // tuple.ApplyUndo's semantics: keep everything up to the last stable
 // Insertion carrying the id; without one, keep nothing for id 0 and strip
-// the tentative tuples otherwise.
+// the tentative tuples otherwise. Stripping copies the tuples after the
+// first tentative one out and appends them again, so it writes no adopted
+// array.
 func (l *segLog) undo(lastGoodID uint64) {
-	for i := l.n - 1; i >= 0; i-- {
-		if t := l.at(i); t.ID == lastGoodID && t.Type == tuple.Insertion {
-			l.truncate(i + 1)
-			return
-		}
-	}
-	if lastGoodID == 0 {
-		l.truncate(0)
+	if i := l.lastIndex(func(t *tuple.Tuple) bool {
+		return t.ID == lastGoodID && t.Type == tuple.Insertion
+	}); i >= 0 || lastGoodID == 0 {
+		l.truncate(i + 1)
 		return
 	}
-	kept := 0
-	for i := 0; i < l.n; i++ {
-		if t := l.at(i); t.Type != tuple.Tentative {
-			*l.at(kept) = *t
-			kept++
+	first, i := -1, 0
+	var kept []tuple.Tuple
+	l.chunks(func(ts []tuple.Tuple) {
+		for j := range ts {
+			switch {
+			case ts[j].Type == tuple.Tentative:
+				if first < 0 {
+					first = i + j
+				}
+			case first >= 0:
+				kept = append(kept, ts[j])
+			}
 		}
+		i += len(ts)
+	})
+	if first >= 0 {
+		l.truncate(first)
+		l.pushAll(kept)
 	}
-	l.truncate(kept)
 }
 
 // TupleLog is an unbounded tuple log that compacts on UNDO exactly as
@@ -209,6 +297,6 @@ func (l *TupleLog) Append(t tuple.Tuple) { l.push(t) }
 // tuple.ApplyUndo).
 func (l *TupleLog) Undo(lastGoodID uint64) { l.undo(lastGoodID) }
 
-// Chunks calls fn with the log's tuples in order, one slice per segment. The
+// Chunks calls fn with the log's tuples in order, one slice per run. The
 // slices alias the log: fn must neither modify nor retain them.
 func (l *TupleLog) Chunks(fn func(ts []tuple.Tuple)) { l.chunks(fn) }

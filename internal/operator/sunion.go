@@ -557,18 +557,24 @@ func (s *SUnion) emitBucket(b *sunionBucket, tentative bool) {
 	// A stable sort keeps arrival order for fully-tied tuples, which is
 	// itself deterministic because every upstream SUnion emits a
 	// deterministic sequence. Buckets fed by in-order upstreams usually
-	// arrive already sorted, so a linear pre-scan skips the sort: a plain
-	// int64 compare decides each strictly-increasing pair, and only stime
-	// ties (synchronized sources emit plenty) pay the full comparator for
-	// the src/id tie-breaks.
+	// arrive already sorted, so a linear pre-scan skips the sort. It
+	// decides each pair as tuple.Compare does — stime, then src, then id —
+	// through pointers, so the stime ties synchronized sources emit in
+	// plenty copy no tuple; only a full tie pays the comparator, for the
+	// payload.
 	sorted := true
 	for i := 1; i < len(b.Tuples); i++ {
-		if b.Tuples[i].STime > b.Tuples[i-1].STime {
-			continue
+		a, c := &b.Tuples[i-1], &b.Tuples[i]
+		if a.STime != c.STime {
+			sorted = a.STime < c.STime
+		} else if a.Src != c.Src {
+			sorted = a.Src < c.Src
+		} else if a.ID != c.ID {
+			sorted = a.ID < c.ID
+		} else {
+			sorted = tuple.Compare(*a, *c) <= 0
 		}
-		if b.Tuples[i].STime < b.Tuples[i-1].STime ||
-			tuple.Compare(b.Tuples[i-1], b.Tuples[i]) > 0 {
-			sorted = false
+		if !sorted {
 			break
 		}
 	}
