@@ -1,6 +1,7 @@
 package node
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"borealis/internal/netsim"
@@ -25,6 +26,15 @@ import (
 //   - flush/single-batch: the instant is one PublishBatch;
 //   - flush/multi-batch: four PublishBatch calls of 16 tuples;
 //   - flush/per-tuple: 64 Publish calls.
+//
+// slide/one-tuple-instants times one Publish and its flush on a full
+// BufferSlide buffer of 4 096 one-tuple runs on that fabric: each op drops
+// the oldest run and adopts a new one, so it must not move the others.
+//
+// retained/* report the heap an unacknowledged buffer on that fabric keeps
+// per tuple (retained_B/tuple) after 2^16 tuples in instants of one tuple,
+// of 64 tuples, or of alternately 8 tuples ending in a REC_DONE and 8 data
+// tuples.
 func BenchmarkOutputBuffer(b *testing.B) {
 	const batch = 64
 	payload := []int64{1}
@@ -138,6 +148,74 @@ func BenchmarkOutputBuffer(b *testing.B) {
 			if len(f.got) != batch || f.got[0].ID != next-batch {
 				b.Fatalf("the subscriber got %d tuples, want the last %d", len(f.got), batch)
 			}
+		})
+	}
+
+	newKeeping := func(mode BufferMode, capTuples int) (*OutputBuffer, *runtime.VirtualClock) {
+		sim := runtime.NewVirtual()
+		ob := NewOutputBuffer(sim, keepingFabric{&copyingFabric{}}, "up", "s", mode, capTuples, []string{"d1"})
+		ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
+		return ob, sim
+	}
+
+	b.Run("slide/one-tuple-instants", func(b *testing.B) {
+		ob, sim := newKeeping(BufferSlide, 4*obSegSize)
+		next := uint64(1)
+		op := func() {
+			ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)}.WithData(payload...))
+			next++
+			sim.Run()
+		}
+		for i := 0; i < 3*4*obSegSize; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+
+	for _, c := range []struct {
+		name string
+		pub  func(ob *OutputBuffer, sim *runtime.VirtualClock, ts []tuple.Tuple)
+	}{
+		{"one-tuple", func(ob *OutputBuffer, sim *runtime.VirtualClock, ts []tuple.Tuple) {
+			for i := range ts {
+				ob.Publish(ts[i])
+				sim.Run()
+			}
+		}},
+		{"64-tuple", func(ob *OutputBuffer, sim *runtime.VirtualClock, ts []tuple.Tuple) {
+			ob.PublishBatch(ts)
+			sim.Run()
+		}},
+		{"rec_done-then-data", func(ob *OutputBuffer, sim *runtime.VirtualClock, ts []tuple.Tuple) {
+			for k := 0; k < len(ts); k += 8 {
+				ob.PublishBatch(ts[k : k+8])
+				if k%16 == 0 {
+					ob.Publish(tuple.NewRecDone(ts[k].STime))
+				}
+				sim.Run()
+			}
+		}},
+	} {
+		b.Run("retained/"+c.name, func(b *testing.B) {
+			var perTuple float64
+			for i := 0; i < b.N; i++ {
+				var before, after goruntime.MemStats
+				goruntime.GC()
+				goruntime.ReadMemStats(&before)
+				ob, sim := newKeeping(BufferUnbounded, 0)
+				for k := 0; k < 1<<16; k += batch {
+					c.pub(ob, sim, frame(tuple.Insertion, uint64(k+1)))
+				}
+				goruntime.GC()
+				goruntime.ReadMemStats(&after)
+				perTuple = float64(after.HeapAlloc-before.HeapAlloc) / float64(ob.Len())
+				goruntime.KeepAlive(ob)
+			}
+			b.ReportMetric(perTuple, "retained_B/tuple")
 		})
 	}
 }

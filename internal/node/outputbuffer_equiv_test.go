@@ -138,9 +138,10 @@ func (w *obTwin) recheckSent(step string) {
 
 // checkRuns checks the log's own invariants: the runs hold n tuples and
 // none is empty; a staged run is a window of a segment no other run or the
-// free list holds, and no slot of that segment outside the window, nor of
-// a free segment, pins a payload; an adopted run exists only on a fabric
-// that keeps arrays.
+// free list holds, it reaches the end of that segment unless it is the
+// last run, and no slot of that segment outside the window, nor of a free
+// segment, pins a payload; an adopted run exists only on a fabric that
+// keeps arrays.
 func (w *obTwin) checkRuns(step string) {
 	w.t.Helper()
 	g := &w.got.segLog
@@ -170,6 +171,9 @@ func (w *obTwin) checkRuns(step string) {
 			w.t.Fatalf("%s: run %d is not a window of a segment of its own", step, i)
 		}
 		seen[r.seg] = true
+		if i < len(g.runs)-1 && len(r.ts) < cap(r.ts) {
+			w.t.Fatalf("%s: staged run %d of %d ends mid-segment", step, i, len(g.runs))
+		}
 		if !zero(r.seg[:lo]) || !zero(r.seg[lo+len(r.ts):]) {
 			w.t.Fatalf("%s: a dead slot of run %d's segment holds a tuple", step, i)
 		}
@@ -409,8 +413,9 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 // TestOutputBufferSegmentBoundaries pins acks, slides and undos that land
 // exactly on, just before and just after segment boundaries, and the same
 // pattern at half-segment points, which lands mid-segment, on both kinds of
-// fabric. On netsim the acks also land on the boundaries of adopted arrays
-// (flushes of half a segment) and of the staged runs between them.
+// fabric. Each ack lands in one instant still pending (no flush before it),
+// in one flushed instant, and in flushes of half a segment; on netsim the
+// last two are adopted arrays, so the acks land on their boundaries too.
 func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	const total = 4*obSegSize + 100
 	const half = obSegSize / 2
@@ -421,7 +426,7 @@ func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("ack=%d", cut), func(t *testing.T) {
 			for _, fab := range obFabrics {
-				for _, instant := range []int{total, half} {
+				for _, instant := range []int{total + 1, total, half} {
 					w := newOBTwin(t, fab, BufferUnbounded, 0, []string{"d1"})
 					w.subscribe("d1", SubscribeMsg{Stream: "s"})
 					for i := 0; i < total; i++ {

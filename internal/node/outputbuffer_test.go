@@ -395,3 +395,45 @@ func TestSubscribeMidInstantDeliversOnce(t *testing.T) {
 		t.Fatalf("d1 got %q, want %q", g, want)
 	}
 }
+
+// TestAdoptLeavesNoStagedStub: an instant that ends in a REC_DONE sends its
+// data from the reused pending array, so the log keeps its staged copy; the
+// next instant appends after it in the same segment and its flush is
+// adopted. The staged tuples before it then move to an exact array and the
+// segment is recycled, so alternating such instants without acks keeps no
+// segment per pair.
+func TestAdoptLeavesNoStagedStub(t *testing.T) {
+	sim := runtime.NewVirtual()
+	net := netsim.New(sim)
+	net.Register("up", func(string, any) {})
+	net.Register("d1", func(string, any) {})
+	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, nil)
+	ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
+	id := uint64(0)
+	data := func() []tuple.Tuple {
+		ts := make([]tuple.Tuple, 8)
+		for i := range ts {
+			id++
+			ts[i] = ins(id, int64(id))
+		}
+		return ts
+	}
+	for pair := 0; pair < 50; pair++ {
+		ob.PublishBatch(data())
+		ob.Publish(tuple.NewRecDone(int64(id)))
+		sim.Run()
+		ob.PublishBatch(data())
+		sim.Run()
+		for i, r := range ob.runs {
+			if r.seg != nil {
+				t.Fatalf("pair %d: run %d of %d is staged in a segment", pair, i, len(ob.runs))
+			}
+		}
+		if len(ob.free) != 1 {
+			t.Fatalf("pair %d: %d free segments, want the one recycled segment", pair, len(ob.free))
+		}
+	}
+	if got := ob.after(0); len(got) != int(id) || got[len(got)-1].ID != id {
+		t.Fatalf("the log holds %d tuples, want all %d", len(got), id)
+	}
+}

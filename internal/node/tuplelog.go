@@ -14,7 +14,8 @@ type obSegment [obSegSize]tuple.Tuple
 
 // logRun is one stretch of a log's live tuples kept in one piece of
 // storage: a window of a staged segment, or, when seg is nil, a view of an
-// array the log adopted.
+// exact array: one a flush sent, which the log adopted, or a copy of the
+// staged tuples that shared a segment with the start of one (adopt).
 type logRun struct {
 	sum adoptSum // first: a zero-size last field would be padded
 	ts  []tuple.Tuple
@@ -27,7 +28,8 @@ type logRun struct {
 // run, so appending never recopies anything, however long the log grows.
 // A staged segment belongs to one run and every slot outside that run's
 // window is zero: truncation clears the slots it drops and moves each
-// segment it empties onto free, where the next append takes it back.
+// segment it empties onto free, where the next append takes it back. Every
+// staged run but the last is full, so no segment is kept for a few tuples.
 //
 // An OutputBuffer on a fabric that keeps what it is sent also adopts
 // arrays: once a flush has sent the log's newest tuples in an array of
@@ -40,6 +42,27 @@ type segLog struct {
 	runs []logRun
 	n    int
 	free []*obSegment
+	// base is the whole array runs lies in. Dropping head runs only moves
+	// runs past them; once runs reaches the end of base, addRun moves them
+	// back to its start if that frees room for a quarter of them or more,
+	// and otherwise grows it as append does, so runs that come and go in
+	// order are moved O(1) times each.
+	base []logRun
+}
+
+// addRun appends r to the runs and returns it.
+func (l *segLog) addRun(r logRun) *logRun {
+	k := len(l.runs)
+	full := k == cap(l.runs)
+	if dead := len(l.base) - k; full && dead > 0 && 4*dead >= k {
+		clear(l.base[copy(l.base, l.runs):])
+		l.runs, full = l.base[:k], false
+	}
+	l.runs = append(l.runs, r)
+	if full {
+		l.base = l.runs[:cap(l.runs)]
+	}
+	return &l.runs[k]
 }
 
 // room returns the last run when it is staged with a free slot, and
@@ -58,8 +81,7 @@ func (l *segLog) room() *logRun {
 	} else {
 		s = new(obSegment)
 	}
-	l.runs = append(l.runs, logRun{ts: s[:0], seg: s})
-	return &l.runs[len(l.runs)-1]
+	return l.addRun(logRun{ts: s[:0], seg: s})
 }
 
 // push appends one tuple to the log.
@@ -147,13 +169,6 @@ func (l *segLog) release(r *logRun) {
 	l.free = append(l.free, r.seg)
 }
 
-// removeRuns deletes runs[from:to], already released, closing the gap.
-func (l *segLog) removeRuns(from, to int) {
-	m := from + copy(l.runs[from:], l.runs[to:])
-	clear(l.runs[m:])
-	l.runs = l.runs[:m]
-}
-
 // dropHead discards the k oldest live tuples.
 func (l *segLog) dropHead(k int) {
 	l.n -= k
@@ -172,7 +187,8 @@ func (l *segLog) dropHead(k int) {
 		k -= len(run.ts)
 		l.release(run)
 	}
-	l.removeRuns(0, r)
+	clear(l.runs[:r])
+	l.runs = l.runs[r:]
 }
 
 // truncate keeps the k oldest live tuples and deletes the rest.
@@ -188,20 +204,37 @@ func (l *segLog) truncate(k int) {
 		run.ts = run.ts[:off] // an adopted view never takes appends: room checks seg
 		r++
 	}
-	for i := r; i < len(l.runs); i++ {
-		l.release(&l.runs[i])
-	}
-	l.removeRuns(r, len(l.runs))
+	l.cutRuns(r)
 	l.n = k
 }
 
+// cutRuns releases runs[r:] and deletes them.
+func (l *segLog) cutRuns(r int) {
+	for i := r; i < len(l.runs); i++ {
+		l.release(&l.runs[i])
+	}
+	clear(l.runs[r:])
+	l.runs = l.runs[:r]
+}
+
 // adopt makes a the storage of the log's len(a) newest tuples, which it
-// must equal: their staged copy is cleared and recycled, and a is never
-// written again.
+// must equal and which are staged: their staged copy is cleared and
+// recycled, and a is never written again. Older tuples sharing the first
+// of their segments move to an exact array of their own, so that segment is
+// recycled too rather than kept for a few tuples no append ever follows.
 func (l *segLog) adopt(a []tuple.Tuple) {
 	n := l.n
-	l.truncate(n - len(a))
-	l.runs = append(l.runs, logRun{sum: sumAdopted(a), ts: a})
+	r, off := l.seek(n - len(a))
+	if off > 0 {
+		run := &l.runs[r]
+		kept := make([]tuple.Tuple, off)
+		copy(kept, run.ts)
+		l.release(run)
+		*run = logRun{sum: sumAdopted(kept), ts: kept}
+		r++
+	}
+	l.cutRuns(r)
+	l.addRun(logRun{sum: sumAdopted(a), ts: a})
 	l.n = n
 }
 
