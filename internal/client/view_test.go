@@ -13,8 +13,7 @@ import (
 )
 
 // refView is the audit view the client kept before it moved into fixed
-// segments, verbatim: one slice grown by tuple.Append and compacted by
-// tuple.ApplyUndo. It is the reference model the segmented view must agree
+// segments: one slice grown by append and compacted by tuple.ApplyUndo. It is the reference model the segmented view must agree
 // with.
 type refView struct {
 	view []tuple.Tuple
@@ -23,7 +22,7 @@ type refView struct {
 func (c *refView) consume(t tuple.Tuple) {
 	switch {
 	case t.IsData():
-		c.view = tuple.Append(c.view, t)
+		c.view = append(c.view, t)
 	case t.Type == tuple.Undo:
 		c.view = tuple.ApplyUndo(c.view, t.ID)
 	}

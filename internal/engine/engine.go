@@ -45,11 +45,24 @@ type Config struct {
 
 type work struct {
 	seq    uint64
-	stream string
+	in     *input
 	tuples []tuple.Tuple
+	// chunks, set instead of tuples by IngestChunks, points at the pieces:
+	// a pointer keeps the ring slot the size a single slice needs.
+	chunks *[][]tuple.Tuple
 	// lent is the pool tuples was lent from, if any: svcDone returns the
 	// array after dispatch, and a batch Restore drops keeps it.
 	lent *tuple.LoanPool
+}
+
+// pieces returns the batch's tuples, one slice per piece; one holds the
+// only piece of a single-slice batch.
+func (w *work) pieces(one *[1][]tuple.Tuple) [][]tuple.Tuple {
+	if w.chunks != nil {
+		return *w.chunks
+	}
+	one[0] = w.tuples
+	return one[:]
 }
 
 // consumer is one pre-resolved downstream edge: the operator map lookups
@@ -57,6 +70,13 @@ type work struct {
 type consumer struct {
 	op   operator.Operator
 	port int
+}
+
+// input is the wire-time binding of one external input stream and the
+// staged plane's path from it (nil: the input runs per-tuple).
+type input struct {
+	consumer
+	ch *chain
 }
 
 // stage is one operator of a precomputed linear chain (see chain).
@@ -107,13 +127,11 @@ type Engine struct {
 	// per-tuple onOutput calls.
 	onOutputBatch func(stream string, ts []tuple.Tuple)
 
-	// Staged batch plane. chains precomputes, per external input stream,
-	// the linear operator path a batch can be run through
-	// operator-at-a-time; an input without one runs per-tuple (Gate C).
-	// While a stage runs, collectOp names it and the stage's emissions are
-	// captured in collectBuf instead of being routed downstream; frames
-	// recycles the capture buffers.
-	chains     map[string]*chain
+	// Staged batch plane. Each input's ch precomputes the linear operator
+	// path a batch can be run through operator-at-a-time; an input without
+	// one runs per-tuple (Gate C). While a stage runs, collectOp names it
+	// and the stage's emissions are captured in collectBuf instead of being
+	// routed downstream; frames recycles the capture buffers.
 	collectOp  operator.Operator
 	collectBuf []tuple.Tuple
 	// collectLoan marks collectBuf as an array loaned by the running
@@ -140,8 +158,7 @@ type Engine struct {
 	diverged  bool
 
 	// Wire-time caches of diagram lookups used on the per-batch path.
-	inBind  map[string]consumer
-	inSU    map[string]*operator.SUnion
+	inputs  map[string]*input
 	sunions []*operator.SUnion
 
 	cpCb   func(*Snapshot)
@@ -289,24 +306,13 @@ func (e *Engine) wire() {
 		}
 		op.Attach(env)
 	}
-	e.inBind = make(map[string]consumer)
-	e.inSU = make(map[string]*operator.SUnion)
+	e.inputs = make(map[string]*input)
 	for _, in := range e.d.Inputs() {
-		op := e.d.Op(in.Op)
-		e.inBind[in.Stream] = consumer{op: op, port: in.Port}
-		if su, ok := op.(*operator.SUnion); ok {
-			e.inSU[in.Stream] = su
-		}
+		e.inputs[in.Stream] = &input{consumer{e.d.Op(in.Op), in.Port}, e.buildChain(in.Op, in.Port, outputOf)}
 	}
 	e.sunions = e.sunions[:0]
 	for _, name := range e.d.SUnions() {
 		e.sunions = append(e.sunions, e.d.Op(name).(*operator.SUnion))
-	}
-	e.chains = make(map[string]*chain)
-	for _, in := range e.d.Inputs() {
-		if ch := e.buildChain(in.Op, in.Port, outputOf); ch != nil {
-			e.chains[in.Stream] = ch
-		}
 	}
 }
 
@@ -315,7 +321,11 @@ func (e *Engine) wire() {
 // staged plane is proven byte-identical against. It is the differential
 // oracle's switch, thrown after the engine is built; the engine keeps it
 // across checkpoint restores and crash-restart resets.
-func (e *Engine) UseReferencePlane() { e.chains = nil }
+func (e *Engine) UseReferencePlane() {
+	for _, in := range e.inputs {
+		in.ch = nil
+	}
+}
 
 // buildChain walks the diagram from an input binding along single-consumer
 // non-output edges, producing the linear path the staged batch plane runs
@@ -361,14 +371,33 @@ func (e *Engine) Ingest(stream string, ts []tuple.Tuple) { e.IngestLent(stream, 
 // batches. A batch Restore discards is never returned. An empty batch is
 // not queued and stays with the caller.
 func (e *Engine) IngestLent(stream string, ts []tuple.Tuple, pool *tuple.LoanPool) {
-	if len(ts) == 0 {
-		return
+	if len(ts) > 0 {
+		e.enqueue(stream, work{tuples: ts, lent: pool})
 	}
-	if _, ok := e.inBind[stream]; !ok {
+}
+
+// IngestChunks queues the pieces of one batch, such as a replay handed over
+// as the runs of a segmented log, as one work item: one queue slot, one
+// service charge, one Gate B verdict. Dispatch reads the pieces in order and
+// never joins or writes them. A batch without tuples is not queued.
+func (e *Engine) IngestChunks(stream string, chunks [][]tuple.Tuple) {
+	for _, ts := range chunks {
+		if len(ts) > 0 {
+			e.enqueue(stream, work{chunks: &chunks})
+			return
+		}
+	}
+}
+
+// enqueue binds a batch to its input stream, queues it and services the
+// queue.
+func (e *Engine) enqueue(stream string, w work) {
+	if w.in = e.inputs[stream]; w.in == nil {
 		panic(fmt.Sprintf("engine: unknown input stream %q", stream))
 	}
 	e.nextSeq++
-	e.pushWork(work{seq: e.nextSeq, stream: stream, tuples: ts, lent: pool})
+	w.seq = e.nextSeq
+	e.pushWork(w)
 	e.kick()
 }
 
@@ -435,15 +464,20 @@ func (e *Engine) kick() {
 	}
 	e.busy = true
 	batch := e.popWork()
-	tuple.CheckNotReturned("Engine.kick", batch.tuples)
+	var one [1][]tuple.Tuple
+	n := 0 // the tuples the batch is charged for
+	for _, ts := range batch.pieces(&one) {
+		tuple.CheckNotReturned("Engine.kick", ts)
+		// Tuples the input SUnion will drop in O(1) (behind its cursor)
+		// do not consume processing capacity.
+		if su, ok := batch.in.op.(*operator.SUnion); ok && e.cfg.Capacity > 0 {
+			n += su.FreshCount(ts)
+		} else {
+			n += len(ts)
+		}
+	}
 	svc := int64(0)
 	if e.cfg.Capacity > 0 {
-		n := len(batch.tuples)
-		// Tuples the input SUnion will drop in O(1) (behind its
-		// cursor) do not consume processing capacity.
-		if su := e.inSU[batch.stream]; su != nil {
-			n = su.FreshCount(batch.tuples)
-		}
 		svc = int64(float64(n) / e.cfg.Capacity * float64(runtime.Second))
 	}
 	e.inService = batch
@@ -462,43 +496,43 @@ func (e *Engine) svcDone(any) {
 }
 
 // stagedPass bounds the input tuples one staged pass runs through a chain.
-// A long replay (a whole failure's arrival log is one batch) then moves
-// through the diagram in passes, so stage frames stay near this size instead
-// of growing to the replay's.
+// A long replay (a whole failure's arrival log is one batch, in pieces of
+// at most one log segment) then moves through the diagram in passes, so
+// stage frames stay near this size instead of growing to the replay's.
 const stagedPass = 2048
 
 // dispatch pushes a serviced batch through the diagram: along the staged
 // batch plane while the safety gates hold, per-tuple otherwise.
 //
-// The staged plane runs a batch in passes of at most stagedPass tuples.
-// dispatchStaged's equivalence argument holds for any clean batch, so it
-// holds for each piece of one, and the per-tuple loop over the whole batch
-// is the per-tuple loops over its pieces in turn. Gate B was proven for the
-// whole batch at entry and holds for every piece; only Gate A — a policy
-// the previous pass may have changed through a signal — is re-checked
-// between passes, and once it fails the rest of the batch runs per-tuple.
-// The service timer charged the whole batch at once in kick, so the
-// capacity model does not see the passes.
+// The staged plane runs a batch in passes of at most stagedPass tuples that
+// never span two of its pieces. dispatchStaged's equivalence argument holds
+// for any clean batch, so it holds for each part of one, and the per-tuple
+// loop over the whole batch is the per-tuple loops over its parts in turn.
+// Gate B was proven for every piece at entry and holds for every part; only
+// Gate A — a policy the previous pass may have changed through a signal —
+// is re-checked between passes, and once it fails the rest of the batch
+// runs per-tuple. The service timer charged the whole batch at once in
+// kick, so the capacity model does not see the passes.
 func (e *Engine) dispatch(batch work) {
-	in, ok := e.inBind[batch.stream]
-	if !ok {
-		return
+	in := batch.in
+	var one [1][]tuple.Tuple
+	pieces := batch.pieces(&one)
+	staged := in.ch != nil && e.policiesStageable()
+	for _, ts := range pieces {
+		tuple.CheckNotReturned("Engine.dispatch", ts)
+		staged = staged && cleanBatch(ts)
 	}
-	ts := batch.tuples
-	tuple.CheckNotReturned("Engine.dispatch", ts)
-	if ch := e.chains[batch.stream]; ch != nil && e.policiesStageable() && cleanBatch(ts) {
-		for {
+	for _, ts := range pieces {
+		for staged && len(ts) > 0 {
 			n := min(len(ts), stagedPass)
-			e.dispatchStaged(ch, ts[:n])
+			e.dispatchStaged(in.ch, ts[:n])
 			ts = ts[n:]
-			if len(ts) == 0 || !e.policiesStageable() {
-				break
-			}
+			staged = e.policiesStageable()
 		}
-	}
-	for i := range ts {
-		e.Processed++
-		in.op.Process(in.port, ts[i])
+		for i := range ts {
+			e.Processed++
+			in.op.Process(in.port, ts[i])
+		}
 	}
 }
 
@@ -809,13 +843,10 @@ func (e *Engine) HoldsTentative() bool {
 	// went back to STABLE — poison with no revocation left to come
 	// (found by the scenario fuzzer: a partition heal during an
 	// upstream's stabilization).
+	var one [1][]tuple.Tuple
 	for i := 0; i < e.qlen; i++ {
-		ts := e.queue[(e.qhead+i)%len(e.queue)].tuples
-		tuple.CheckNotReturned("Engine.HoldsTentative", ts)
-		for _, t := range ts {
-			if t.Type == tuple.Tentative {
-				return true
-			}
+		if holdsTentative(e.queue[(e.qhead+i)%len(e.queue)].pieces(&one)) {
+			return true
 		}
 	}
 	// The in-service batch is no longer in the queue but has not been
@@ -824,10 +855,18 @@ func (e *Engine) HoldsTentative() bool {
 	// heals the input sits exactly here when the heal decision is made
 	// (found by the scenario fuzzer: an upstream's resubscription replay
 	// serving tuples it produced between its own heal and its restore).
-	tuple.CheckNotReturned("Engine.HoldsTentative", e.inService.tuples)
-	for _, t := range e.inService.tuples {
-		if t.Type == tuple.Tentative {
-			return true
+	return holdsTentative(e.inService.pieces(&one))
+}
+
+// holdsTentative reports whether any piece of a batch holds a tentative
+// tuple.
+func holdsTentative(pieces [][]tuple.Tuple) bool {
+	for _, ts := range pieces {
+		tuple.CheckNotReturned("Engine.HoldsTentative", ts)
+		for i := range ts {
+			if ts[i].Type == tuple.Tentative {
+				return true
+			}
 		}
 	}
 	return false

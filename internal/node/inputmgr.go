@@ -94,7 +94,7 @@ type InputManager struct {
 	failKind FailKind
 
 	logging bool
-	log     []tuple.Tuple
+	log     segLog
 
 	// conns tracks per-connection batch sequencing: a gap means the
 	// connection broke and in-flight data was lost; everything is then
@@ -229,27 +229,29 @@ func (im *InputManager) SeenTentative() bool { return im.seenTentative }
 // StartLog begins (or restarts) the post-checkpoint arrival log.
 func (im *InputManager) StartLog() {
 	im.logging = true
-	im.log = im.log[:0]
+	im.log.truncate(0)
 }
 
 // StopLog ends logging and discards the log.
 func (im *InputManager) StopLog() {
 	im.logging = false
-	im.log = nil
+	im.log = segLog{}
 }
 
-// TakeLog returns the patched log for replay and resets it (logging stays
-// on: arrivals during the replay belong to the next checkpoint epoch only
-// after the controller takes a new checkpoint; until then they must remain
+// TakeLog returns the patched log for replay, one slice per run of its
+// segments, and resets it without writing them again (logging stays on:
+// arrivals during the replay belong to the next checkpoint epoch only after
+// the controller takes a new checkpoint; until then they must remain
 // replayable, so the controller calls StartLog again at that moment).
-func (im *InputManager) TakeLog() []tuple.Tuple {
-	out := im.log
-	im.log = nil
+func (im *InputManager) TakeLog() [][]tuple.Tuple {
+	out := make([][]tuple.Tuple, 0, len(im.log.runs))
+	im.log.chunks(func(ts []tuple.Tuple) { out = append(out, ts) })
+	im.log = segLog{}
 	return out
 }
 
 // LogLen returns the current log length (for tests and buffer accounting).
-func (im *InputManager) LogLen() int { return len(im.log) }
+func (im *InputManager) LogLen() int { return im.log.n }
 
 // SetConnections points the manager at its current upstream endpoints.
 // The Consistency Manager calls this when it (re)subscribes. seamless marks
@@ -379,7 +381,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 			im.seenTentative = false
 		}
 		if im.logging {
-			im.log = tuple.AppendBatch(im.log, ts)
+			im.log.pushAll(ts)
 		}
 		if boundCount > 0 {
 			for i := range ts {
@@ -422,7 +424,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				im.seenTentative = false
 			}
 			if im.logging {
-				im.log = tuple.Append(im.log, *t)
+				im.log.push(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
 				liveOut = append(liveOut, *t)
@@ -441,7 +443,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				continue
 			}
 			if im.logging {
-				im.log = tuple.Append(im.log, *t)
+				im.log.push(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
 				liveOut = append(liveOut, *t)
@@ -470,14 +472,16 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 					im.correcting = true
 				}
 			}
-			im.log = tuple.ApplyUndo(im.log, t.ID)
+			im.log.undo(t.ID)
 			im.seenTentative = false
 		case t.Type == tuple.RecDone:
 			if im.trace != nil {
 				im.trace("rec-done", fmt.Sprintf("%s from %s", im.stream, from))
 			}
-			// Corrections complete: the stable stream is current.
-			im.stripTentativeFromLog()
+			// Corrections complete: the stable stream is current and
+			// covers the log's tentative entries, so replaying them
+			// would duplicate data.
+			im.log.stripTentative()
 			if fromCorr {
 				// The corrected stream takes over as live; the
 				// controller unsubscribes the old tentative
@@ -500,19 +504,6 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 	if healed {
 		im.heal()
 	}
-}
-
-// stripTentativeFromLog removes tentative entries: after a REC_DONE the
-// upstream's stable stream covers them (the new subscription replays from
-// the last stable tuple), so replaying them would duplicate data.
-func (im *InputManager) stripTentativeFromLog() {
-	kept := im.log[:0]
-	for _, t := range im.log {
-		if t.Type != tuple.Tentative {
-			kept = append(kept, t)
-		}
-	}
-	im.log = kept
 }
 
 // touchBoundary records boundary progress and re-arms stall detection.

@@ -142,7 +142,7 @@ func TestIMLoggingAndUndoPatching(t *testing.T) {
 		t.Fatal("undo on an established tentative connection starts correcting mode")
 	}
 	h.handle("up", []tuple.Tuple{ins(3, 30), ins(4, 40), tuple.NewRecDone(0)})
-	log := h.im.TakeLog()
+	log := takeFlat(h.im)
 	if len(log) != 4 {
 		t.Fatalf("patched log = %v", log)
 	}
@@ -184,7 +184,7 @@ func TestIMSeamlessSubscribeReplayDoesNotEnterCorrecting(t *testing.T) {
 		t.Fatal("seamless replay must not enter correcting mode")
 	}
 	// The log was patched: tentative gone, stable corrections in.
-	log := h.im.TakeLog()
+	log := takeFlat(h.im)
 	if len(log) != 2 || log[0].Type != tuple.Insertion {
 		t.Fatalf("log = %v", log)
 	}
@@ -220,7 +220,7 @@ func TestIMDualConnectionRouting(t *testing.T) {
 	}
 	// Tentative entries were stripped from the log (the stable stream
 	// covers them via the ongoing subscription).
-	for _, tp := range h.im.TakeLog() {
+	for _, tp := range takeFlat(h.im) {
 		if tp.Type == tuple.Tentative {
 			t.Fatalf("tentative left in log: %v", tp)
 		}
@@ -291,4 +291,13 @@ func TestIMDedupOnlyAppliesToReplayPrefix(t *testing.T) {
 	if h.im.LastStableID() != 3 {
 		t.Fatalf("LastStableID after correction = %d", h.im.LastStableID())
 	}
+}
+
+// takeFlat takes an InputManager's log and joins its runs into one slice.
+func takeFlat(im *InputManager) []tuple.Tuple {
+	var out []tuple.Tuple
+	for _, ts := range im.TakeLog() {
+		out = append(out, ts...)
+	}
+	return out
 }

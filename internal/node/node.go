@@ -549,7 +549,7 @@ func (n *Node) onReconcileGranted() {
 		im := n.inputs[stream]
 		replay := im.TakeLog()
 		im.StopLog()
-		n.eng.Ingest(stream, replay)
+		n.eng.IngestChunks(stream, replay)
 	}
 	n.eng.ScheduleRecDone()
 	n.applyPolicies()

@@ -144,7 +144,13 @@ func (w *obTwin) recheckSent(step string) {
 // keeps arrays.
 func (w *obTwin) checkRuns(step string) {
 	w.t.Helper()
-	g := &w.got.segLog
+	checkSegLog(w.t, step, &w.got.segLog, w.fab != obCopying)
+}
+
+// checkSegLog holds a segLog to the invariants checkRuns lists; adopts
+// tells whether the log may hold adopted runs.
+func checkSegLog(t *testing.T, step string, g *segLog, adopts bool) {
+	t.Helper()
 	zero := func(ts []tuple.Tuple) bool {
 		for j := range ts {
 			if ts[j].Type != 0 || ts[j].ID != 0 || ts[j].Len() != 0 {
@@ -158,32 +164,32 @@ func (w *obTwin) checkRuns(step string) {
 	for i, r := range g.runs {
 		n += len(r.ts)
 		if len(r.ts) == 0 {
-			w.t.Fatalf("%s: run %d of %d is empty", step, i, len(g.runs))
+			t.Fatalf("%s: run %d of %d is empty", step, i, len(g.runs))
 		}
 		if r.seg == nil {
-			if w.fab == obCopying {
-				w.t.Fatalf("%s: run %d adopts an array on a copying fabric", step, i)
+			if !adopts {
+				t.Fatalf("%s: run %d adopts an array on a copying fabric", step, i)
 			}
 			continue
 		}
 		lo := obSegSize - cap(r.ts)
 		if seen[r.seg] || &r.seg[lo] != &r.ts[0] {
-			w.t.Fatalf("%s: run %d is not a window of a segment of its own", step, i)
+			t.Fatalf("%s: run %d is not a window of a segment of its own", step, i)
 		}
 		seen[r.seg] = true
 		if i < len(g.runs)-1 && len(r.ts) < cap(r.ts) {
-			w.t.Fatalf("%s: staged run %d of %d ends mid-segment", step, i, len(g.runs))
+			t.Fatalf("%s: staged run %d of %d ends mid-segment", step, i, len(g.runs))
 		}
 		if !zero(r.seg[:lo]) || !zero(r.seg[lo+len(r.ts):]) {
-			w.t.Fatalf("%s: a dead slot of run %d's segment holds a tuple", step, i)
+			t.Fatalf("%s: a dead slot of run %d's segment holds a tuple", step, i)
 		}
 	}
 	if n != g.n {
-		w.t.Fatalf("%s: runs hold %d tuples, n = %d", step, n, g.n)
+		t.Fatalf("%s: runs hold %d tuples, n = %d", step, n, g.n)
 	}
 	for _, s := range g.free {
 		if seen[s] || !zero(s[:]) {
-			w.t.Fatalf("%s: a free segment is in use or holds a tuple", step)
+			t.Fatalf("%s: a free segment is in use or holds a tuple", step)
 		}
 		seen[s] = true
 	}

@@ -282,9 +282,7 @@ func (l *segLog) ackCut(upTo uint64) int {
 // undo compacts the log for an UNDO with the given last-good id, with
 // tuple.ApplyUndo's semantics: keep everything up to the last stable
 // Insertion carrying the id; without one, keep nothing for id 0 and strip
-// the tentative tuples otherwise. Stripping copies the tuples after the
-// first tentative one out and appends them again, so it writes no adopted
-// array.
+// the tentative tuples otherwise.
 func (l *segLog) undo(lastGoodID uint64) {
 	if i := l.lastIndex(func(t *tuple.Tuple) bool {
 		return t.ID == lastGoodID && t.Type == tuple.Insertion
@@ -292,24 +290,41 @@ func (l *segLog) undo(lastGoodID uint64) {
 		l.truncate(i + 1)
 		return
 	}
-	first, i := -1, 0
-	var kept []tuple.Tuple
-	l.chunks(func(ts []tuple.Tuple) {
+	l.stripTentative()
+}
+
+// stripTentative deletes the tentative tuples, moving each later tuple down
+// in place over staged runs. An adopted array is never written: once the
+// next kept tuple's slot lies in one, the rest are copied out and appended
+// again.
+func (l *segLog) stripTentative() {
+	wr, wo, cut := 0, 0, 0 // the run and offset the next kept tuple moves to; tentative tuples seen
+	var rest []tuple.Tuple // kept tuples from the first whose slot is adopted on
+	for r := range l.runs {
+		ts := l.runs[r].ts
 		for j := range ts {
-			switch {
-			case ts[j].Type == tuple.Tentative:
-				if first < 0 {
-					first = i + j
-				}
-			case first >= 0:
-				kept = append(kept, ts[j])
+			if ts[j].Type == tuple.Tentative {
+				cut++
+				continue
 			}
+			for wo == len(l.runs[wr].ts) {
+				wr, wo = wr+1, 0
+			}
+			switch {
+			case cut > 0 && l.runs[wr].seg == nil:
+				// The slot is adopted. The cursor stops here, so every
+				// later kept tuple is copied out too.
+				rest = append(rest, ts[j])
+				continue
+			case cut > 0:
+				l.runs[wr].ts[wo] = ts[j]
+			}
+			wo++
 		}
-		i += len(ts)
-	})
-	if first >= 0 {
-		l.truncate(first)
-		l.pushAll(kept)
+	}
+	if cut > 0 {
+		l.truncate(l.n - cut - len(rest))
+		l.pushAll(rest)
 	}
 }
 

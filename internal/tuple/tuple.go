@@ -329,34 +329,6 @@ func CountData(ts []Tuple) int {
 	return n
 }
 
-// Append appends t to a long-lived tuple log, doubling capacity when full.
-// The builtin append switches to ~1.25x growth beyond a few thousand
-// elements, which recopies a stream log several times more over its life;
-// the logs and buffers in this system grow to millions of tuples.
-func Append(ts []Tuple, t Tuple) []Tuple {
-	if len(ts) == cap(ts) && len(ts) >= 1024 {
-		nb := make([]Tuple, len(ts), 2*cap(ts))
-		copy(nb, ts)
-		ts = nb
-	}
-	return append(ts, t)
-}
-
-// AppendBatch bulk-appends batch to a long-lived tuple log under the same
-// doubling growth policy as Append, in one copy.
-func AppendBatch(ts, batch []Tuple) []Tuple {
-	if need := len(ts) + len(batch); need > cap(ts) && len(ts) >= 1024 {
-		nc := 2 * cap(ts)
-		for nc < need {
-			nc *= 2
-		}
-		nb := make([]Tuple, len(ts), nc)
-		copy(nb, ts)
-		ts = nb
-	}
-	return append(ts, batch...)
-}
-
 // FramePool recycles the []Tuple frames the batch data plane stages tuples
 // through (engine stage buffers, collected operator emissions). A staged
 // dispatch borrows a frame per operator stage and returns it before the
