@@ -398,10 +398,10 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 		}
 		return
 	}
+	// liveOut is allocated on its first append: a REC_DONE can clear
+	// correcting in the middle of the batch, so whether anything goes live
+	// is decided per tuple.
 	var liveOut []tuple.Tuple
-	if !forwardAsIs && !fromCorr {
-		liveOut = make([]tuple.Tuple, 0, len(ts))
-	}
 	healed := false
 	for ti := range ts {
 		t := &ts[ti] // read-only; indexing avoids a 48-byte copy per tuple
@@ -427,7 +427,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				im.log.push(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
-				liveOut = append(liveOut, *t)
+				liveOut = appendLive(liveOut, ts, ti)
 			}
 		case t.Type == tuple.Boundary:
 			if t.Src == 1 {
@@ -436,7 +436,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				// live, but it proves no stability: no heal,
 				// no log entry, no stable watermark.
 				if !forwardAsIs && !fromCorr && !im.correcting {
-					liveOut = append(liveOut, *t)
+					liveOut = appendLive(liveOut, ts, ti)
 				}
 				im.lastBoundaryArrival = im.clk.Now()
 				im.armStallTimer()
@@ -446,7 +446,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				im.log.push(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
-				liveOut = append(liveOut, *t)
+				liveOut = appendLive(liveOut, ts, ti)
 			}
 			im.touchBoundary(t.STime)
 			// Boundary progress on the live connection means the
@@ -504,6 +504,15 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 	if healed {
 		im.heal()
 	}
+}
+
+// appendLive appends ts[i] to the live batch, allocating it on the first
+// append with room for the rest of ts.
+func appendLive(live, ts []tuple.Tuple, i int) []tuple.Tuple {
+	if live == nil {
+		live = make([]tuple.Tuple, 0, len(ts)-i)
+	}
+	return append(live, ts[i])
 }
 
 // touchBoundary records boundary progress and re-arms stall detection.

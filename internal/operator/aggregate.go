@@ -3,6 +3,7 @@ package operator
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"borealis/internal/tuple"
@@ -79,6 +80,19 @@ func (a *aggAcc) add(v int64, tentative bool) {
 	a.Tentative = a.Tentative || tentative
 }
 
+// merge folds another accumulator's tuples into a.
+func (a *aggAcc) merge(b *aggAcc) {
+	if a.Count == 0 {
+		*a = *b
+		return
+	}
+	a.Min = min(a.Min, b.Min)
+	a.Max = max(a.Max, b.Max)
+	a.Count += b.Count
+	a.Sum += b.Sum
+	a.Tentative = a.Tentative || b.Tentative
+}
+
 func (a *aggAcc) value(fn AggFunc) int64 {
 	switch fn {
 	case AggCount:
@@ -105,31 +119,45 @@ func (a *aggAcc) value(fn AggFunc) int64 {
 // results; the same windows re-derived from stable inputs during
 // reconciliation produce the stable corrections.
 //
+// The state is kept in panes (Li et al., "No Pane, No Gain", SIGMOD Record
+// 2005): stime intervals gcd(Size, Slide) wide, so every window is a union
+// of whole panes. A data tuple folds into one pane's group accumulator; a
+// closing window combines the groups of its panes.
+//
 // Output tuples carry STime = window end and payload [group, value].
 type Aggregate struct {
 	Base
 	cfg AggregateConfig
-	// ring holds the open windows — those that received at least one
-	// tuple — ascending by start at ring positions head .. head+n-1
-	// (len(ring) is zero or a power of two). Windows open at the new end
-	// and close from the old end; the slots outside the live range keep
-	// their group slice and index for the next window to reuse.
-	ring    []aggWindow
+	// pane is the pane width. span is how far past its start a window
+	// collects tuples: Size, or Slide when Slide > Size, because a tuple
+	// between two windows counts toward the earlier one.
+	pane, span int64
+	// ring holds the panes that took a tuple and that some unclosed window
+	// still spans, ascending by start at ring positions head .. head+n-1
+	// (len(ring) is zero or a power of two). Panes open at the new end and
+	// drop from the old end; the slots outside the live range keep their
+	// group slice and index for the next pane to reuse.
+	ring    []aggPane
 	head, n int
+	// due is the watermark at which the earliest window holding a pane
+	// closes: its start + Size. Derived state, valid while n > 0.
+	due int64
 	// watermark is the highest stime evidence seen; closedThrough is the
 	// highest window end already closed and emitted.
 	watermark     int64
 	closedThrough int64
 	sentBound     int64
 
-	// out is the scratch frame one ProcessBatch call stages its emissions
+	// win is the scratch a closing window combines its panes' groups in,
+	// and out the scratch frame one ProcessBatch call stages its emissions
 	// in and loans downstream. Allocation reuse only, never checkpointed.
+	win aggPane
 	out []tuple.Tuple
 }
 
-// aggWindow is one open window: its groups in first-seen order (sorted by
-// key once, when the window closes) and the key → position index over them.
-type aggWindow struct {
+// aggPane is one pane: its groups in first-seen order and the key →
+// position index over them.
+type aggPane struct {
 	start  int64
 	groups []aggGroup
 	index  map[int64]int32
@@ -141,23 +169,27 @@ type aggGroup struct {
 }
 
 // acc returns the accumulator of the given group, adding the group if new.
-func (w *aggWindow) acc(key int64) *aggAcc {
-	i, ok := w.index[key]
-	if !ok {
-		if w.index == nil {
-			w.index = make(map[int64]int32)
-		}
-		i = int32(len(w.groups))
-		w.index[key] = i
-		w.groups = append(w.groups, aggGroup{Key: key})
+// A key repeating the last one added skips the index.
+func (p *aggPane) acc(key int64) *aggAcc {
+	if n := len(p.groups); n > 0 && p.groups[n-1].Key == key {
+		return &p.groups[n-1].aggAcc
 	}
-	return &w.groups[i].aggAcc
+	i, ok := p.index[key]
+	if !ok {
+		if p.index == nil {
+			p.index = make(map[int64]int32)
+		}
+		i = int32(len(p.groups))
+		p.index[key] = i
+		p.groups = append(p.groups, aggGroup{Key: key})
+	}
+	return &p.groups[i].aggAcc
 }
 
-// reset empties the window, keeping both buffers for the slot's next use.
-func (w *aggWindow) reset() {
-	w.groups = w.groups[:0]
-	clear(w.index)
+// reset empties the pane, keeping both buffers for the slot's next use.
+func (p *aggPane) reset() {
+	p.groups = p.groups[:0]
+	clear(p.index)
 }
 
 // NewAggregate builds an aggregate operator.
@@ -168,9 +200,14 @@ func NewAggregate(name string, cfg AggregateConfig) *Aggregate {
 	if cfg.Slide <= 0 {
 		cfg.Slide = cfg.Size
 	}
+	pane := cfg.Size
+	for r := cfg.Slide; r != 0; pane, r = r, pane%r {
+	}
 	return &Aggregate{
 		Base:          NewBase(name),
 		cfg:           cfg,
+		pane:          pane,
+		span:          max(cfg.Size, cfg.Slide),
 		watermark:     -1,
 		closedThrough: -1,
 		sentBound:     -1,
@@ -180,13 +217,59 @@ func NewAggregate(name string, cfg AggregateConfig) *Aggregate {
 // Inputs returns 1: Aggregate consumes a serialized stream.
 func (a *Aggregate) Inputs() int { return 1 }
 
-// OpenWindows reports the number of currently open windows (for tests and
-// the convergent-capable buffer-sizing logic of §8.1).
-func (a *Aggregate) OpenWindows() int { return a.n }
+// OpenWindows reports the number of currently open windows — unclosed
+// windows holding at least one tuple — for tests and the
+// convergent-capable buffer-sizing logic of §8.1. It counts the windows
+// spanning each pane, once each.
+func (a *Aggregate) OpenWindows() int {
+	open := 0
+	next := int64(math.MinInt64)
+	for i := 0; i < a.n; i++ {
+		ps := a.at(i).start
+		lo := max(a.firstOpen(ps), next)
+		if hi := floorTo(ps, a.cfg.Slide); hi >= lo {
+			open += int((hi-lo)/a.cfg.Slide) + 1
+			next = hi + a.cfg.Slide
+		}
+	}
+	return open
+}
 
-// at returns the i-th open window, oldest first; at(n) is the spare slot
-// the next window opens in.
-func (a *Aggregate) at(i int) *aggWindow { return &a.ring[(a.head+i)&(len(a.ring)-1)] }
+// floorTo rounds x down to a multiple of m; division truncates toward zero,
+// the grids need floor.
+func floorTo(x, m int64) int64 {
+	f := x / m * m
+	if f > x {
+		f -= m
+	}
+	return f
+}
+
+// ceilTo rounds x up to a multiple of m.
+func ceilTo(x, m int64) int64 {
+	c := floorTo(x, m)
+	if c < x {
+		c += m
+	}
+	return c
+}
+
+// firstOpen is the start of the earliest unclosed window spanning the pane
+// starting at ps: the later of the earliest window spanning it and the
+// earliest window not yet closed.
+func (a *Aggregate) firstOpen(ps int64) int64 {
+	return max(ceilTo(ps-a.span+1, a.cfg.Slide), ceilTo(a.closedThrough-a.cfg.Size+2, a.cfg.Slide))
+}
+
+// dead reports whether every window spanning the pane starting at ps has
+// closed: the last of them starts at the slide grid point at or below ps.
+func (a *Aggregate) dead(ps int64) bool {
+	return floorTo(ps, a.cfg.Slide)+a.cfg.Size-1 <= a.closedThrough
+}
+
+// at returns the i-th live pane, oldest first; at(n) is the spare slot the
+// next pane opens in.
+func (a *Aggregate) at(i int) *aggPane { return &a.ring[(a.head+i)&(len(a.ring)-1)] }
 
 // Process consumes one tuple: ProcessBatch on a one-tuple frame.
 func (a *Aggregate) Process(port int, t tuple.Tuple) {
@@ -226,52 +309,53 @@ func (a *Aggregate) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 	return true
 }
 
-// add accumulates a data tuple into every window containing its stime, the
-// newest first: the grid point at or below stime, then each earlier one
-// still above stime-Size. (With Slide > Size a tuple can fall between
-// windows; it then counts toward the window starting at that grid point.)
-// Windows already closed drop the tuple, and once one is, every older one
-// is too. The cursor pos walks the ring downward alongside, so a tuple
-// costs one step per window it belongs to.
+// add folds a data tuple into the pane holding its stime — on a
+// stime-ordered stream the newest one, found without dividing. The windows
+// spanning a pane are the windows the tuple belongs to; when every one of
+// them has closed, the tuple is late and dropped.
 func (a *Aggregate) add(t *tuple.Tuple) {
+	var p *aggPane
+	if a.n > 0 {
+		if last := a.at(a.n - 1); t.STime >= last.start && t.STime-last.start < a.pane {
+			p = last
+		}
+	}
+	if p == nil {
+		ps := floorTo(t.STime, a.pane)
+		if a.dead(ps) {
+			return // late for every window holding the pane; dropped
+		}
+		p = a.paneAt(ps)
+	}
 	group := int64(0)
 	if a.cfg.GroupField >= 0 {
 		group = t.Field(a.cfg.GroupField)
 	}
-	v := t.Field(a.cfg.ValueField)
-	size, slide := a.cfg.Size, a.cfg.Slide
-	ws := t.STime / slide * slide
-	if ws > t.STime {
-		ws -= slide // division truncates toward zero; the grid needs floor
-	}
-	first, pos := t.STime-size+1, a.n
-	for {
-		if ws+size-1 <= a.closedThrough {
-			return // late for an already-closed window; dropped
-		}
-		for pos > 0 && a.at(pos-1).start > ws {
-			pos--
-		}
-		var w *aggWindow
-		if pos > 0 && a.at(pos-1).start == ws {
-			pos--
-			w = a.at(pos)
-		} else {
-			w = a.open(pos, ws)
-		}
-		w.acc(group).add(v, t.Type == tuple.Tentative)
-		if ws -= slide; ws < first {
-			return
-		}
-	}
+	p.acc(group).add(t.Field(a.cfg.ValueField), t.Type == tuple.Tentative)
 }
 
-// open inserts an empty window starting at ws at position pos of the ring
-// (pos == n, the new end, on any stime-ordered stream), reusing the spare
-// slot's buffers.
-func (a *Aggregate) open(pos int, ws int64) *aggWindow {
+// paneAt returns the pane starting at ps, opening it in start order if
+// absent (at the new end, on any stime-ordered stream).
+func (a *Aggregate) paneAt(ps int64) *aggPane {
+	pos := a.n
+	for pos > 0 && a.at(pos-1).start > ps {
+		pos--
+	}
+	if pos > 0 && a.at(pos-1).start == ps {
+		return a.at(pos - 1)
+	}
+	p := a.open(pos, ps)
+	if pos == 0 {
+		a.refreshDue()
+	}
+	return p
+}
+
+// open inserts an empty pane starting at ps at position pos of the ring,
+// reusing the spare slot's buffers.
+func (a *Aggregate) open(pos int, ps int64) *aggPane {
 	if a.n == len(a.ring) {
-		ring := make([]aggWindow, max(4, 2*len(a.ring)))
+		ring := make([]aggPane, max(4, 2*len(a.ring)))
 		for i := 0; i < a.n; i++ {
 			ring[i] = *a.at(i)
 		}
@@ -281,11 +365,20 @@ func (a *Aggregate) open(pos int, ws int64) *aggWindow {
 	for i := a.n; i > pos; i-- {
 		*a.at(i) = *a.at(i - 1)
 	}
-	w := a.at(pos)
-	*w = spare
-	w.start = ws
+	p := a.at(pos)
+	*p = spare
+	p.start = ps
 	a.n++
-	return w
+	return p
+}
+
+// refreshDue recomputes due from the oldest pane: the earliest window
+// holding it that has not closed. Every live pane has one, so that window
+// holds a tuple and no earlier unclosed window does.
+func (a *Aggregate) refreshDue() {
+	if a.n > 0 {
+		a.due = a.firstOpen(a.at(0).start) + a.cfg.Size
+	}
 }
 
 // advance moves the watermark and closes every window whose end has passed,
@@ -297,69 +390,87 @@ func (a *Aggregate) advance(out []tuple.Tuple, stime int64, tentativeEvidence bo
 		return out
 	}
 	a.watermark = stime
-	for a.n > 0 {
-		w := a.at(0)
-		if w.start+a.cfg.Size > a.watermark {
-			break
-		}
-		slices.SortFunc(w.groups, func(x, y aggGroup) int { return cmp.Compare(x.Key, y.Key) })
-		end := w.start + a.cfg.Size - 1
-		for i := range w.groups {
-			g := &w.groups[i]
-			o := tuple.Tuple{Type: tuple.Insertion, STime: end}
-			if g.Tentative || tentativeEvidence {
-				o.Type = tuple.Tentative
-			}
-			o.SetData(nil, g.Key, g.value(a.cfg.Fn))
-			out = append(out, o)
-		}
-		if end > a.closedThrough {
-			a.closedThrough = end
-		}
-		w.reset()
-		a.head = (a.head + 1) & (len(a.ring) - 1)
-		a.n--
+	for a.n > 0 && a.due <= a.watermark {
+		out = a.close(out, a.due-a.cfg.Size, tentativeEvidence)
 	}
 	return out
 }
 
+// close emits the window starting at ws, the earliest one holding a pane:
+// it combines the groups of the panes it spans (no live pane starts before
+// ws) and sorts them by key. It then drops the panes no unclosed window
+// spans any more.
+func (a *Aggregate) close(out []tuple.Tuple, ws int64, tentativeEvidence bool) []tuple.Tuple {
+	w := &a.win
+	for i := 0; i < a.n; i++ {
+		p := a.at(i)
+		if p.start >= ws+a.span {
+			break
+		}
+		for j := range p.groups {
+			w.acc(p.groups[j].Key).merge(&p.groups[j].aggAcc)
+		}
+	}
+	slices.SortFunc(w.groups, func(x, y aggGroup) int { return cmp.Compare(x.Key, y.Key) })
+	end := ws + a.cfg.Size - 1
+	for i := range w.groups {
+		g := &w.groups[i]
+		o := tuple.Tuple{Type: tuple.Insertion, STime: end}
+		if g.Tentative || tentativeEvidence {
+			o.Type = tuple.Tentative
+		}
+		o.SetData(nil, g.Key, g.value(a.cfg.Fn))
+		out = append(out, o)
+	}
+	w.reset()
+	a.closedThrough = end
+	for a.n > 0 && a.dead(a.at(0).start) {
+		a.at(0).reset()
+		a.head = (a.head + 1) & (len(a.ring) - 1)
+		a.n--
+	}
+	a.refreshDue()
+	return out
+}
+
 type aggState struct {
-	Windows       []aggWindowState // ascending by start
+	Panes         []aggPaneState // ascending by start
 	Watermark     int64
 	ClosedThrough int64
 	SentBound     int64
 }
 
-type aggWindowState struct {
+type aggPaneState struct {
 	Start  int64
 	Groups []aggGroup
 }
 
-// Checkpoint deep-copies the open windows and watermarks.
+// Checkpoint deep-copies the live panes and watermarks.
 func (a *Aggregate) Checkpoint() any {
-	ws := make([]aggWindowState, a.n)
-	for i := range ws {
-		w := a.at(i)
-		ws[i] = aggWindowState{Start: w.start, Groups: slices.Clone(w.groups)}
+	ps := make([]aggPaneState, a.n)
+	for i := range ps {
+		p := a.at(i)
+		ps[i] = aggPaneState{Start: p.start, Groups: slices.Clone(p.groups)}
 	}
-	return aggState{Windows: ws, Watermark: a.watermark, ClosedThrough: a.closedThrough, SentBound: a.sentBound}
+	return aggState{Panes: ps, Watermark: a.watermark, ClosedThrough: a.closedThrough, SentBound: a.sentBound}
 }
 
-// Restore reinstates a snapshot; the group indexes are derived state,
-// rebuilt here.
+// Restore reinstates a snapshot; the group indexes and due are derived
+// state, rebuilt here.
 func (a *Aggregate) Restore(s any) {
 	st := s.(aggState)
 	for i := 0; i < a.n; i++ {
 		a.at(i).reset()
 	}
 	a.n = 0
-	for _, sw := range st.Windows {
-		w := a.open(a.n, sw.Start)
-		for _, g := range sw.Groups {
-			*w.acc(g.Key) = g.aggAcc
+	a.closedThrough = st.ClosedThrough
+	for _, sp := range st.Panes {
+		p := a.open(a.n, sp.Start)
+		for _, g := range sp.Groups {
+			*p.acc(g.Key) = g.aggAcc
 		}
 	}
+	a.refreshDue()
 	a.watermark = st.Watermark
-	a.closedThrough = st.ClosedThrough
 	a.sentBound = st.SentBound
 }

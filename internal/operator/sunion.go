@@ -124,6 +124,14 @@ type SUnion struct {
 	recDoneSeen []bool
 
 	bfree *sunionBucket // recycled buckets
+	// maxLen is the length of the largest bucket emitted so far: a new
+	// bucket starts with that capacity instead of doubling up to it.
+	maxLen int
+	// runEnd, runPos and runOut are emitBucket's per-port scratch for
+	// splitting an out-of-order bucket into port runs and merging them
+	// back.
+	runEnd, runPos []int
+	runOut         []bool
 
 	// loaned is the bucket whose Tuples array is out on loan to the engine
 	// as a stage frame (emitBucket's EmitLoan was taken). It is recycled at
@@ -160,6 +168,9 @@ func NewSUnion(name string, cfg SUnionConfig) *SUnion {
 		sentBound:     -1,
 		sentTentBound: -1,
 		recDoneSeen:   make([]bool, cfg.Ports),
+		runEnd:        make([]int, cfg.Ports),
+		runPos:        make([]int, cfg.Ports),
+		runOut:        make([]bool, cfg.Ports),
 	}
 	for i := range s.bounds {
 		s.bounds[i] = -1
@@ -261,11 +272,12 @@ func (s *SUnion) FreshCount(ts []tuple.Tuple) int {
 	return n
 }
 
-// allocBucket takes a bucket from the free list, or makes one.
+// allocBucket takes a bucket from the free list, or makes one with room
+// for the largest bucket emitted so far.
 func (s *SUnion) allocBucket(start int64) *sunionBucket {
 	b := s.bfree
 	if b == nil {
-		b = &sunionBucket{}
+		b = &sunionBucket{Tuples: make([]tuple.Tuple, 0, s.maxLen)}
 	} else {
 		s.bfree = b.next
 		b.next = nil
@@ -554,32 +566,18 @@ func (s *SUnion) releaseAt(b *sunionBucket) int64 {
 // emitted with every data tuple marked TENTATIVE (§4.1: results from
 // processing a subset of inputs).
 func (s *SUnion) emitBucket(b *sunionBucket, tentative bool) {
-	// A stable sort keeps arrival order for fully-tied tuples, which is
-	// itself deterministic because every upstream SUnion emits a
-	// deterministic sequence. Buckets fed by in-order upstreams usually
-	// arrive already sorted, so a linear pre-scan skips the sort. It
-	// decides each pair as tuple.Compare does — stime, then src, then id —
-	// through pointers, so the stime ties synchronized sources emit in
-	// plenty copy no tuple; only a full tie pays the comparator, for the
-	// payload.
-	sorted := true
-	for i := 1; i < len(b.Tuples); i++ {
-		a, c := &b.Tuples[i-1], &b.Tuples[i]
-		if a.STime != c.STime {
-			sorted = a.STime < c.STime
-		} else if a.Src != c.Src {
-			sorted = a.Src < c.Src
-		} else if a.ID != c.ID {
-			sorted = a.ID < c.ID
-		} else {
-			sorted = tuple.Compare(*a, *c) <= 0
-		}
-		if !sorted {
-			break
-		}
+	// The order is slices.SortStableFunc(b.Tuples, tuple.Compare): a stable
+	// sort keeps arrival order for fully-tied tuples, which is itself
+	// deterministic because every upstream SUnion emits a deterministic
+	// sequence. Buckets fed by in-order upstreams usually arrive already
+	// sorted, so a linear pre-scan skips the sort; the rest interleave
+	// ports whose own tuples arrived in order, and mergePorts restores
+	// the order in linear time.
+	if n := len(b.Tuples); n > s.maxLen {
+		s.maxLen = n
 	}
-	if !sorted {
-		slices.SortStableFunc(b.Tuples, tuple.Compare)
+	if !inOrder(b.Tuples) {
+		s.mergePorts(b.Tuples)
 	}
 	if tentative {
 		for _, t := range b.Tuples {
@@ -600,6 +598,109 @@ func (s *SUnion) emitBucket(b *sunionBucket, tentative bool) {
 		return
 	}
 	s.freeBucket(b)
+}
+
+// inOrder reports whether ts is sorted by tuple.Compare. It decides each
+// pair as Compare does — stime, then src, then id — through pointers, so the
+// stime ties synchronized sources emit in plenty copy no tuple; only a full
+// tie pays the comparator, for the payload.
+func inOrder(ts []tuple.Tuple) bool {
+	for i := 1; i < len(ts); i++ {
+		a, c := &ts[i-1], &ts[i]
+		var sorted bool
+		if a.STime != c.STime {
+			sorted = a.STime < c.STime
+		} else if a.Src != c.Src {
+			sorted = a.Src < c.Src
+		} else if a.ID != c.ID {
+			sorted = a.ID < c.ID
+		} else {
+			sorted = tuple.Compare(*a, *c) <= 0
+		}
+		if !sorted {
+			return false
+		}
+	}
+	return true
+}
+
+// mergePorts puts an out-of-order bucket in slices.SortStableFunc's order
+// for tuple.Compare. Tuples of different ports never tie under Compare —
+// their Src differs — so the stable order is the merge of the ports' own
+// stable orders: the bucket is split stably by port into a scratch array
+// from the bucket free list, a port run is sorted only if it arrived out of
+// order, and the runs merge back into ts on (stime, port).
+func (s *SUnion) mergePorts(ts []tuple.Tuple) {
+	end, pos, out := s.runEnd, s.runPos, s.runOut
+	for p := range end {
+		end[p], pos[p], out[p] = 0, -1, false
+	}
+	// Count each port's tuples, and check they arrived in order: within a
+	// port, Compare decides on stime, then id, then the payload.
+	for i := range ts {
+		c := &ts[i]
+		p := c.Src
+		if last := pos[p]; last >= 0 {
+			a := &ts[last]
+			if a.STime > c.STime || a.STime == c.STime && (a.ID > c.ID || a.ID == c.ID && tuple.Compare(*a, *c) > 0) {
+				out[p] = true
+			}
+		}
+		pos[p] = i
+		end[p]++
+	}
+	at := 0
+	for p, n := range end {
+		pos[p] = at
+		at += n
+		end[p] = at
+	}
+	scratch := s.allocBucket(0)
+	runs := slices.Grow(scratch.Tuples, len(ts))[:len(ts)]
+	for i := range ts {
+		p := ts[i].Src
+		runs[pos[p]] = ts[i]
+		pos[p]++
+	}
+	from := 0
+	for p := range pos {
+		pos[p] = from
+		if out[p] {
+			slices.SortStableFunc(runs[from:end[p]], tuple.Compare)
+		}
+		from = end[p]
+	}
+	// Merge: take the run whose head is least on (stime, port), and copy
+	// from it every tuple still ahead of the runner-up's head in one piece.
+	k := 0
+	for {
+		best, next := -1, -1
+		for p := range pos {
+			if pos[p] == end[p] {
+				continue
+			}
+			if best < 0 || runs[pos[p]].STime < runs[pos[best]].STime {
+				best, next = p, best
+			} else if next < 0 || runs[pos[p]].STime < runs[pos[next]].STime {
+				next = p
+			}
+		}
+		if best < 0 {
+			break
+		}
+		i, j := pos[best], end[best]
+		if next >= 0 {
+			lim := runs[pos[next]].STime
+			j = i + 1
+			for j < end[best] && (runs[j].STime < lim || runs[j].STime == lim && best < next) {
+				j++
+			}
+		}
+		k += copy(ts[k:], runs[i:j])
+		pos[best] = j
+	}
+	scratch.Tuples = runs
+	s.freeBucket(scratch)
 }
 
 func (s *SUnion) armTimer(at int64) {
@@ -666,7 +767,7 @@ func (s *SUnion) Restore(snap any) {
 	s.buckets = s.buckets[:0]
 	for i := range st.Buckets {
 		b := s.allocBucket(st.Buckets[i].Start)
-		b.Tuples = slices.Clone(st.Buckets[i].Tuples)
+		b.Tuples = append(b.Tuples, st.Buckets[i].Tuples...)
 		b.FirstArrival = st.Buckets[i].FirstArrival
 		b.HasTentative = st.Buckets[i].HasTentative
 		s.buckets = append(s.buckets, b)
