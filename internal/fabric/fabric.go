@@ -15,9 +15,18 @@ type Handler func(from string, msg any)
 // IDs. Implementations must preserve per-(from,to) FIFO ordering and must
 // deliver asynchronously (never inside the Send call), matching the
 // simulator's semantics that node code was written against.
+//
+// A DataMsg's tuple array (node.DataMsg; docs/ARCHITECTURE.md, "Who owns a
+// tuple array") is either given or lent. A given array is never written by
+// its sender again, and the fabric delivers it itself. Any other array is
+// lent for the duration of Send only: the fabric encodes or copies it before
+// Send returns, so the sender may overwrite it at once. A copy goes to a
+// handler registered with Register as an array it owns, and to one
+// registered through a Lender as an array lent from the fabric's pool.
 type Fabric interface {
 	// Register installs the handler for a local endpoint, replacing any
-	// previous registration (crash/restart re-registers).
+	// previous registration (crash/restart re-registers). The handler may
+	// keep every tuple array it receives: none is lent to it.
 	Register(id string, h Handler)
 	// Send queues msg for delivery from one endpoint to another. Sends
 	// from a crashed (down) endpoint are dropped. Sending to an endpoint
@@ -30,16 +39,16 @@ type Fabric interface {
 	SetDown(id string, down bool)
 }
 
-// Copying is the optional interface of a Fabric whose Send never keeps the
-// tuple array of the message it is given: by the time Send returns, the
-// array has been encoded or copied, so the sender may overwrite it at once.
-// The TCP transport implements it; netsim delivers the sender's array
-// itself, and a decorating fabric that does not declare it is assumed to
-// keep arrays too.
-type Copying interface {
+// Lender is the optional interface of a Fabric that lends the arrays it
+// copies to the endpoints that promise to return them. netsim and the TCP
+// transport implement it; a decorating fabric that does not is treated as
+// one that gives every endpoint arrays it owns.
+type Lender interface {
 	Fabric
-	// SendCopiesTuples marks the capability; it does nothing.
-	SendCopiesTuples()
+	// RegisterReturning is Register for a handler that keeps no tuple
+	// array it receives and returns each lent one to its pool
+	// (node.DataMsg.Pool) once nothing reads it any more.
+	RegisterReturning(id string, h Handler)
 }
 
 // LinkState is the injected fault state of one directed link, as one

@@ -4,6 +4,11 @@
 // small latencies, plus the failure modes DPC must tolerate: link failures,
 // network partitions, and endpoint crashes.
 //
+// Like a real transport, Send copies a DataMsg's lent tuple array before it
+// returns (fabric.Fabric): into an array lent from the Net's pool for an
+// endpoint that returns loans (fabric.Lender), and into one the receiver
+// owns for any other. A given array is delivered itself.
+//
 // Delivery is FIFO per ordered (from, to) pair. Messages sent while the pair
 // is partitioned, or while either endpoint is down, are silently dropped —
 // the behaviour of a broken TCP connection as observed by DPC, whose failure
@@ -17,6 +22,7 @@ import (
 
 	"borealis/internal/fabric"
 	"borealis/internal/runtime"
+	"borealis/internal/tuple"
 )
 
 // Handler receives messages addressed to an endpoint.
@@ -24,7 +30,13 @@ type Handler = fabric.Handler
 
 // Net implements the fabric surface protocol components run on; the TCP
 // transport (internal/transport) is the other implementation.
-var _ fabric.Fabric = (*Net)(nil)
+var _ fabric.Lender = (*Net)(nil)
+
+// tupleCopier is node.DataMsg, which netsim cannot import: node's tests run
+// on netsim.
+type tupleCopier interface {
+	CopyTuples(pool *tuple.LoanPool) any
+}
 
 // DefaultLatency is the one-way delivery latency used for links that have
 // no explicit override. The paper assumes network latency is small compared
@@ -42,6 +54,9 @@ func orderedPair(a, b string) pair {
 
 type endpoint struct {
 	handler Handler
+	// returns marks a handler registered with RegisterReturning: it is
+	// lent the copies it gets and gives them back.
+	returns bool
 	down    bool
 	// lastDeparture enforces FIFO per destination: a message may not be
 	// delivered before one sent earlier on the same ordered link.
@@ -55,6 +70,7 @@ type delivery struct {
 	from, to string
 	src, dst *endpoint
 	msg      any
+	lent     bool // Send copied msg's tuples, if any, into a loan
 	next     *delivery
 }
 
@@ -70,6 +86,9 @@ type Net struct {
 	// not allocate a closure per message); dfree is the record free list.
 	deliverFn func(any)
 	dfree     *delivery
+
+	// loans lends the copies Send makes for returning endpoints.
+	loans tuple.LoanPool
 
 	// Delivered counts messages handed to handlers; Dropped counts
 	// messages lost to partitions or downed endpoints.
@@ -101,7 +120,14 @@ func (n *Net) SetDefaultLatency(d int64) {
 
 // Register attaches a handler to an endpoint id, creating the endpoint if
 // needed. Registering twice replaces the handler (used by crash-restart).
-func (n *Net) Register(id string, h Handler) {
+// The handler owns every tuple array it receives and may keep it.
+func (n *Net) Register(id string, h Handler) { n.register(id, h, false) }
+
+// RegisterReturning is Register for a handler that returns the arrays lent
+// to it (fabric.Lender).
+func (n *Net) RegisterReturning(id string, h Handler) { n.register(id, h, true) }
+
+func (n *Net) register(id string, h Handler, returns bool) {
 	if h == nil {
 		panic("netsim: nil handler for " + id)
 	}
@@ -110,7 +136,7 @@ func (n *Net) Register(id string, h Handler) {
 		ep = &endpoint{lastArrival: make(map[string]int64)}
 		n.endpoints[id] = ep
 	}
-	ep.handler = h
+	ep.handler, ep.returns = h, returns
 }
 
 // Endpoints returns the registered endpoint ids in sorted order.
@@ -207,7 +233,8 @@ func (n *Net) Down(id string) bool {
 
 // Send delivers msg from one endpoint to another after the link latency,
 // preserving FIFO order per (from, to) pair. Sends from or to a downed
-// endpoint, or across a partition, are dropped.
+// endpoint, or across a partition, are dropped. A DataMsg's lent tuples are
+// copied before Send returns.
 func (n *Net) Send(from, to string, msg any) {
 	src := n.endpoints[from]
 	dst := n.endpoints[to]
@@ -232,6 +259,16 @@ func (n *Net) Send(from, to string, msg any) {
 		}
 		dst.lastArrival[from] = at
 	}
+	lent := false
+	if m, ok := msg.(tupleCopier); ok {
+		var pool *tuple.LoanPool
+		if lent = dst.returns; lent {
+			pool = &n.loans
+		}
+		if c := m.CopyTuples(pool); c != nil {
+			msg = c
+		}
+	}
 	d := n.dfree
 	if d == nil {
 		d = &delivery{}
@@ -239,14 +276,14 @@ func (n *Net) Send(from, to string, msg any) {
 		n.dfree = d.next
 		d.next = nil
 	}
-	d.from, d.to, d.src, d.dst, d.msg = from, to, src, dst, msg
+	d.from, d.to, d.src, d.dst, d.msg, d.lent = from, to, src, dst, msg, lent
 	n.clk.AtCall(at, n.deliverFn, d)
 }
 
 // deliver consumes one pooled delivery record at its scheduled time.
 func (n *Net) deliver(x any) {
 	d := x.(*delivery)
-	from, to, src, dst, msg := d.from, d.to, d.src, d.dst, d.msg
+	from, to, src, dst, msg, lent := d.from, d.to, d.src, d.dst, d.msg, d.lent
 	d.src, d.dst, d.msg = nil, nil, nil
 	d.next = n.dfree
 	n.dfree = d
@@ -260,6 +297,13 @@ func (n *Net) deliver(x any) {
 	if dst.handler == nil {
 		n.Dropped++
 		return
+	}
+	if lent && !dst.returns {
+		// Re-registered as a keeper in flight: it gets a copy of its own,
+		// and the loan is left to the garbage collector.
+		if c := msg.(tupleCopier).CopyTuples(nil); c != nil {
+			msg = c
+		}
 	}
 	n.Delivered++
 	dst.handler(from, msg)

@@ -139,7 +139,7 @@ func TestInputManagerLogMatchesReference(t *testing.T) {
 				im.Handle("up", seq, batch)
 				ref.handle(batch)
 				name := fmt.Sprintf("step %d (%s)", step, what)
-				checkSegLog(t, name, &im.log, false)
+				checkSegLog(t, name, &im.log)
 				var got []tuple.Tuple
 				im.log.chunks(func(ts []tuple.Tuple) { got = append(got, ts...) })
 				if !sameTuples(got, ref) {
@@ -208,7 +208,7 @@ func TestTupleLogStripAllocatesNothing(t *testing.T) {
 	if want := int(base) + (2*obSegSize+2)/3; len(got) != want || l.Len() != want {
 		t.Fatalf("%d tuples (Len %d) after the strip, want %d", len(got), l.Len(), want)
 	}
-	checkSegLog(t, "after the strip", &l.segLog, false)
+	checkSegLog(t, "after the strip", &l.segLog)
 }
 
 // BenchmarkInputManagerEpoch runs one failure epoch of 2^17 arriving tuples

@@ -13,6 +13,7 @@ import (
 // (10 ms of service per tuple), fed lent DataMsgs from "up" by hand.
 type loanHarness struct {
 	sim  *runtime.VirtualClock
+	net  *netsim.Net
 	n    *Node
 	pool tuple.LoanPool
 	seq  map[string]uint64
@@ -22,6 +23,7 @@ func newLoanHarness(t *testing.T) *loanHarness {
 	t.Helper()
 	h := &loanHarness{sim: runtime.NewVirtual(), seq: map[string]uint64{}}
 	net := netsim.New(h.sim)
+	h.net = net
 	net.Register("up", func(string, any) {})
 	n, err := New(h.sim, net, passDiagram(t, "in", "out"), Config{
 		ID:        "a",
@@ -47,8 +49,8 @@ func (h *loanHarness) deliverSeq(from string, seq uint64, ts ...tuple.Tuple) {
 	h.n.HandleMessage(from, DataMsg{Stream: "in", Seq: seq, Tuples: append(h.pool.Lend(len(ts)), ts...), Pool: &h.pool})
 }
 
-// deliverUnlent hands the node a DataMsg that lends nothing, as netsim
-// deliveries are.
+// deliverUnlent hands the node a DataMsg that lends nothing, as a given
+// array is delivered.
 func (h *loanHarness) deliverUnlent(from string, ts ...tuple.Tuple) {
 	h.seq[from]++
 	h.n.HandleMessage(from, DataMsg{Stream: "in", Seq: h.seq[from], Tuples: ts})

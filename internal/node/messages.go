@@ -46,17 +46,45 @@ func (s StreamState) String() string {
 // starting at 1: the receiver detects a broken connection (messages lost to
 // a partition) as a sequence gap — the equivalent of a TCP connection
 // reset — and re-subscribes so the upstream replays what was lost.
+//
+// The sender either gives Tuples away or lends it for the duration of Send
+// (fabric.Fabric; docs/ARCHITECTURE.md, "Who owns a tuple array"). A fabric
+// delivers a given array itself; it copies a lent one, with CopyTuples.
 type DataMsg struct {
+	seal   givenSeal // first: a zero-size last field would be padded
 	Stream string
 	Seq    uint64
 	Tuples []tuple.Tuple
+	// Given promises that nobody writes Tuples again: the sender gave the
+	// array away and every receiver of it only reads it. A fabric delivers
+	// a given array itself, with Pool nil.
+	Given bool
 	// Pool, when set, lent Tuples to this message: the receiving node
 	// returns the array to it once nothing reads it any more. Senders
-	// leave it nil. The TCP fabric delivers every non-empty DataMsg, local
-	// or remote, in an array lent from its pool (decoded, or copied from
-	// the sender's) and sets it; netsim delivers the sender's array and
-	// leaves it nil. The codec does not carry it.
+	// leave it nil; a fabric sets it on the copies it lends to endpoints
+	// registered through fabric.Lender. The codec does not carry
+	// it, nor Given.
 	Pool *tuple.LoanPool
+}
+
+// CopyTuples returns the message a fabric delivers in m's place, or nil when
+// it delivers m itself: a given array goes on as it is, and a lent one is
+// copied, into an array lent from pool when pool is not nil and otherwise
+// into one the receiver owns, which the copy then gives. Long payloads are
+// shared, not copied: they are immutable once published. An empty batch
+// carries no array. Fabrics that cannot import this package call the
+// method through an interface.
+func (m DataMsg) CopyTuples(pool *tuple.LoanPool) any {
+	switch {
+	case len(m.Tuples) == 0:
+		m.Tuples, m.Given, m.Pool = nil, false, nil
+	case m.Given:
+		return sealGiven(m)
+	default:
+		m.Tuples = append(pool.Lend(len(m.Tuples)), m.Tuples...)
+		m.Given, m.Pool = pool == nil, pool
+	}
+	return m
 }
 
 // SubscribeMsg asks an upstream endpoint to start (or resume) sending a

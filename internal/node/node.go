@@ -166,7 +166,13 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 	// The engine is idle at construction, so the checkpoint callback
 	// fires synchronously: pristine is the diagram's initial state.
 	n.eng.RequestCheckpoint(func(s *engine.Snapshot) { n.pristine = s })
-	net.Register(cfg.ID, n.handle)
+	// The node returns every array lent to it (handleData, takeLoan), so
+	// a fabric that can may lend it copies.
+	if l, ok := net.(fabric.Lender); ok {
+		l.RegisterReturning(cfg.ID, n.handle)
+	} else {
+		net.Register(cfg.ID, n.handle)
+	}
 	return n, nil
 }
 
@@ -275,8 +281,10 @@ func (n *Node) handle(from string, msg any) {
 // pool before handleData returns, unless the manager forwarded the array
 // itself into the engine, which then returns it after dispatch: a batch the
 // manager copied or dropped, or one reaching a crashed node or an unknown
-// stream, is read by nobody once Handle is done.
+// stream, is read by nobody once Handle is done. A given array is only
+// read, here and by every other receiver of it.
 func (n *Node) handleData(from string, m DataMsg) {
+	m.seal.verify(m.Tuples)
 	im := n.inputs[m.Stream]
 	if im == nil || n.down {
 		m.Pool.Return(m.Tuples)

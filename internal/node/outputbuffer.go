@@ -44,9 +44,7 @@ type OutputBuffer struct {
 	// long an unacknowledged buffer grows, and truncation (acks, slide mode,
 	// undo) recycles every segment it empties, so an acknowledged buffer in
 	// steady state allocates nothing and holds no more than its own
-	// high-water mark. On a fabric that keeps what it is sent, the log
-	// adopts each flushed array as the storage of the tuples it carries, so
-	// a sent tuple is stored once.
+	// high-water mark.
 	segLog
 	subs map[string]*obSub
 
@@ -60,14 +58,13 @@ type OutputBuffer struct {
 	// the instant's flush is pending followed by the log's fresh newest
 	// tuples. Data and boundaries only count into fresh, staged in the log's
 	// own segments; an UNDO or REC_DONE, or a truncation reaching into the
-	// fresh tuples, first moves them into pending (stage). On a fabric that
-	// keeps no arrays (fabric.Copying) the flush sends pending itself and the
-	// next instant refills it. On any other, the message array is shared by
-	// every subscriber's in-flight message, so each flush allocates one
-	// array of exactly its length and pending stays behind for reuse.
+	// fresh tuples, first moves them into pending (stage). The flush stages
+	// the rest and lends pending to the fabric, which copies it during Send,
+	// and the next instant refills it. A pending array grown past
+	// tuple.LoanMaxCap (a replay-sized instant) is given away instead: it
+	// is not kept for the next instant, so no fabric needs to copy it.
 	pending    []tuple.Tuple
 	fresh      int
-	reuse      bool // net is a fabric.Copying
 	flushTimer runtime.Timer
 	flushFn    func() // bound once; scheduling a flush allocates no closure
 	clk        runtime.Clock
@@ -104,7 +101,6 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 		expected: append([]string(nil), expected...),
 	}
 	ob.flushFn = ob.flush
-	_, ob.reuse = net.(fabric.Copying)
 	return ob
 }
 
@@ -259,23 +255,12 @@ func (ob *OutputBuffer) stage() {
 
 func (ob *OutputBuffer) flush() {
 	ob.flushTimer = nil
-	k, n := len(ob.pending), len(ob.pending)+ob.fresh
+	ob.stage()
+	batch, n := ob.pending, len(ob.pending)
 	if n == 0 {
 		return
 	}
-	var batch []tuple.Tuple
-	if ob.reuse {
-		ob.stage()
-		batch = ob.pending
-	} else {
-		batch = make([]tuple.Tuple, n)
-		copy(batch, ob.pending)
-		if ob.fresh > 0 {
-			ob.copyOut(batch[k:], ob.n-ob.fresh)
-			ob.adopt(batch[k:])
-			ob.fresh = 0
-		}
-	}
+	given := cap(batch) > tuple.LoanMaxCap
 	for _, ep := range ob.Subscribers() {
 		sub := ob.subs[ep]
 		ts := batch[sub.skip:n:n]
@@ -284,12 +269,12 @@ func (ob *OutputBuffer) flush() {
 			continue
 		}
 		sub.seq++
-		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: ts})
+		ob.net.Send(ob.self, ep, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: ts, Given: given})
 	}
-	if cap(ob.pending) <= tuple.LoanMaxCap {
-		ob.pending = ob.pending[:0] // no fabric keeps it; a replay-sized array is not pinned
-	} else {
+	if given {
 		ob.pending = nil
+	} else {
+		ob.pending = batch[:0]
 	}
 }
 
@@ -320,7 +305,7 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 	}
 	ob.copyOut(replay[undo:], start)
 	sub.seq++
-	ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay})
+	ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay, Given: true})
 }
 
 // afterIndex returns the log index following the data tuple with the given

@@ -20,16 +20,17 @@ import (
 //     anchored UNDO, truncating back to the stable prefix;
 //
 // and one acknowledged 64-tuple instant per op, flushed to one subscriber
-// on a fabric that keeps what it is sent, so every flush allocates its
-// message array (B/op is that array plus the boxed DataMsg):
+// on a stub fabric that copies the message during Send, as every fabric
+// does, so the next instant refills the flush array (B/op is the boxed
+// DataMsg):
 //
 //   - flush/single-batch: the instant is one PublishBatch;
 //   - flush/multi-batch: four PublishBatch calls of 16 tuples;
 //   - flush/per-tuple: 64 Publish calls.
 //
 // slide/one-tuple-instants times one Publish and its flush on a full
-// BufferSlide buffer of 4 096 one-tuple runs on that fabric: each op drops
-// the oldest run and adopts a new one, so it must not move the others.
+// BufferSlide buffer of 4 096 one-tuple instants on that fabric: each op
+// drops the oldest tuple and appends one, recycling a segment every 1 024.
 //
 // retained/* report the heap an unacknowledged buffer on that fabric keeps
 // per tuple (retained_B/tuple) after 2^16 tuples in instants of one tuple,
@@ -123,7 +124,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 		b.Run("flush/"+c.name, func(b *testing.B) {
 			sim := runtime.NewVirtual()
 			f := &copyingFabric{}
-			ob := NewOutputBuffer(sim, keepingFabric{f}, "up", "s", BufferUnbounded, 0, []string{"d1"})
+			ob := NewOutputBuffer(sim, f, "up", "s", BufferUnbounded, 0, []string{"d1"})
 			ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
 			ts := frame(tuple.Insertion, 1)
 			next := uint64(1)
@@ -151,15 +152,15 @@ func BenchmarkOutputBuffer(b *testing.B) {
 		})
 	}
 
-	newKeeping := func(mode BufferMode, capTuples int) (*OutputBuffer, *runtime.VirtualClock) {
+	newSubscribed := func(mode BufferMode, capTuples int) (*OutputBuffer, *runtime.VirtualClock) {
 		sim := runtime.NewVirtual()
-		ob := NewOutputBuffer(sim, keepingFabric{&copyingFabric{}}, "up", "s", mode, capTuples, []string{"d1"})
+		ob := NewOutputBuffer(sim, &copyingFabric{}, "up", "s", mode, capTuples, []string{"d1"})
 		ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
 		return ob, sim
 	}
 
 	b.Run("slide/one-tuple-instants", func(b *testing.B) {
-		ob, sim := newKeeping(BufferSlide, 4*obSegSize)
+		ob, sim := newSubscribed(BufferSlide, 4*obSegSize)
 		next := uint64(1)
 		op := func() {
 			ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)}.WithData(payload...))
@@ -206,7 +207,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 				var before, after goruntime.MemStats
 				goruntime.GC()
 				goruntime.ReadMemStats(&before)
-				ob, sim := newKeeping(BufferUnbounded, 0)
+				ob, sim := newSubscribed(BufferUnbounded, 0)
 				for k := 0; k < 1<<16; k += batch {
 					c.pub(ob, sim, frame(tuple.Insertion, uint64(k+1)))
 				}

@@ -28,10 +28,10 @@ type obTwin struct {
 	stime            int64
 }
 
-// obFabric names the kind of fabric a twin runs on: netsim delivers the
-// sender's array itself, so the buffer allocates one per flush and its log
-// adopts it; the fabric.Copying stub copies it during Send, so the buffer
-// reuses its flush array and the log adopts nothing.
+// obFabric names the kind of fabric a twin runs on: netsim, whose
+// receivers here keep every array they get, or a stub that records a copy
+// of each message during Send. Both copy the buffer's lent flush array, so
+// the buffer reuses it, and both must see the same messages.
 type obFabric string
 
 const (
@@ -49,13 +49,12 @@ type obSent struct {
 	msg DataMsg
 }
 
-// obRecorder is the fabric.Copying stub: Send records a copy of the
-// message at once, as the TCP fabric encodes it before Send returns.
+// obRecorder is the copying stub: Send records a copy of the message at
+// once, as the TCP fabric encodes it before Send returns.
 type obRecorder struct{ sent *[]obSent }
 
 func (r obRecorder) Register(string, fabric.Handler) {}
 func (r obRecorder) SetDown(string, bool)            {}
-func (r obRecorder) SendCopiesTuples()               {}
 func (r obRecorder) Send(_, to string, msg any) {
 	m := msg.(DataMsg)
 	m.Tuples = slices.Clone(m.Tuples)
@@ -127,9 +126,9 @@ func (w *obTwin) compareSent(step string) {
 	}
 }
 
-// recheckSent compares every message ever delivered once more: on netsim a
-// receiver holds the sender's array, so a buffer that wrote into a sent
-// array after the comparison shows here.
+// recheckSent compares every message ever delivered once more: a receiver
+// keeps each array netsim delivered, so a buffer whose writes reached a
+// delivered array after the comparison shows here.
 func (w *obTwin) recheckSent(step string) {
 	w.t.Helper()
 	w.checked = 0
@@ -137,19 +136,18 @@ func (w *obTwin) recheckSent(step string) {
 }
 
 // checkRuns checks the log's own invariants: the runs hold n tuples and
-// none is empty; a staged run is a window of a segment no other run or the
-// free list holds, it reaches the end of that segment unless it is the
-// last run, and no slot of that segment outside the window, nor of a free
-// segment, pins a payload; an adopted run exists only on a fabric that
-// keeps arrays.
+// none is empty; every run is staged, a window of a segment no other run or
+// the free list holds (the log never holds an array a flush sent); it
+// reaches the end of that segment unless it is the last run, and no slot
+// of that segment outside the window, nor of a free segment, pins a
+// payload.
 func (w *obTwin) checkRuns(step string) {
 	w.t.Helper()
-	checkSegLog(w.t, step, &w.got.segLog, w.fab != obCopying)
+	checkSegLog(w.t, step, &w.got.segLog)
 }
 
-// checkSegLog holds a segLog to the invariants checkRuns lists; adopts
-// tells whether the log may hold adopted runs.
-func checkSegLog(t *testing.T, step string, g *segLog, adopts bool) {
+// checkSegLog holds a segLog to the invariants checkRuns lists.
+func checkSegLog(t *testing.T, step string, g *segLog) {
 	t.Helper()
 	zero := func(ts []tuple.Tuple) bool {
 		for j := range ts {
@@ -167,10 +165,7 @@ func checkSegLog(t *testing.T, step string, g *segLog, adopts bool) {
 			t.Fatalf("%s: run %d of %d is empty", step, i, len(g.runs))
 		}
 		if r.seg == nil {
-			if !adopts {
-				t.Fatalf("%s: run %d adopts an array on a copying fabric", step, i)
-			}
-			continue
+			t.Fatalf("%s: run %d of %d is not staged in a segment", step, i, len(g.runs))
 		}
 		lo := obSegSize - cap(r.ts)
 		if seen[r.seg] || &r.seg[lo] != &r.ts[0] {
@@ -195,18 +190,12 @@ func checkSegLog(t *testing.T, step string, g *segLog, adopts bool) {
 	}
 }
 
-// tailStore identifies the storage of the log's last run: its staged
-// segment, or the end of the adopted array it views.
-func tailStore(l *segLog) any {
-	k := len(l.runs)
-	if k == 0 {
-		return nil
+// tailStore returns the segment of the log's last run.
+func tailStore(l *segLog) *obSegment {
+	if k := len(l.runs); k > 0 {
+		return l.runs[k-1].seg
 	}
-	r := l.runs[k-1]
-	if r.seg != nil {
-		return r.seg
-	}
-	return &r.ts[:cap(r.ts)][cap(r.ts)-1]
+	return nil
 }
 
 func sameTuples(a, b []tuple.Tuple) bool {
@@ -361,9 +350,10 @@ func (w *obTwin) step(rng *rand.Rand, i int) string {
 // slice reference with seeded random call sequences — data, boundaries,
 // tentative runs, anchored/unanchored/zero UNDOs, REC_DONE, bulk publishes,
 // acks from expected and unexpected endpoints, subscriptions with every
-// flag, Reset — under every buffer mode, on netsim and on a fabric.Copying
-// stub, and requires identical observable state and identical delivered
-// messages after every step, and every message unchanged at the end.
+// flag, Reset — under every buffer mode, on netsim and on a copying stub,
+// and requires identical observable state and identical delivered messages
+// after every step, every message unchanged at the end, and a log of staged
+// segments only.
 func TestOutputBufferMatchesReference(t *testing.T) {
 	configs := []struct {
 		mode     BufferMode
@@ -382,14 +372,12 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 		seeds = 3
 	}
 	for _, fab := range obFabrics {
-		adopted := 0 // steps after which the log's last run was a newly adopted array
 		for ci, c := range configs {
 			for seed := 0; seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(1000*ci + seed)))
 				w := newOBTwin(t, fab, c.mode, c.cap, c.expected)
 				// crossed counts the steps after which the log's last run
-				// lies in other storage: its end moved across a segment
-				// boundary or onto an adopted array.
+				// lies in another segment.
 				crossed := 0
 				for i := 0; i < 250; i++ {
 					before := tailStore(&w.got.segLog)
@@ -397,21 +385,15 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 					w.check(fmt.Sprintf("%s config %d seed %d %s", fab, ci, seed, what))
 					if after := tailStore(&w.got.segLog); after != nil && after != before {
 						crossed++
-						if _, ok := after.(*obSegment); !ok {
-							adopted++
-						}
 					}
 				}
 				w.run()
 				w.check(fmt.Sprintf("%s config %d seed %d final run", fab, ci, seed))
 				w.recheckSent(fmt.Sprintf("%s config %d seed %d", fab, ci, seed))
 				if crossed < 3 {
-					t.Errorf("%s config %d seed %d: the log's end moved to other storage only %d times", fab, ci, seed, crossed)
+					t.Errorf("%s config %d seed %d: the log's end moved to another segment only %d times", fab, ci, seed, crossed)
 				}
 			}
-		}
-		if want := fab == obNetsim; (adopted > 0) != want {
-			t.Errorf("%s: the log adopted a flushed array after %d steps, want some: %v", fab, adopted, want)
 		}
 	}
 }
@@ -420,8 +402,7 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 // exactly on, just before and just after segment boundaries, and the same
 // pattern at half-segment points, which lands mid-segment, on both kinds of
 // fabric. Each ack lands in one instant still pending (no flush before it),
-// in one flushed instant, and in flushes of half a segment; on netsim the
-// last two are adopted arrays, so the acks land on their boundaries too.
+// in one flushed instant, and in flushes of half a segment.
 func TestOutputBufferSegmentBoundaries(t *testing.T) {
 	const total = 4*obSegSize + 100
 	const half = obSegSize / 2

@@ -9,37 +9,31 @@ import (
 	"borealis/internal/tuple"
 )
 
-// copyingFabric is a fabric.Copying stub: Send copies the message's tuples
-// into got, as the TCP fabric encodes or copies them, and keeps nothing of
-// the sender's.
+// copyingFabric is a stub fabric whose Send copies the message's tuples
+// into got, as every fabric encodes or copies a lent array, and keeps
+// nothing of the sender's.
 type copyingFabric struct {
 	got   []tuple.Tuple
+	given bool // the last message's Given promise
 	sends int
 }
 
 func (f *copyingFabric) Register(string, fabric.Handler) {}
 func (f *copyingFabric) SetDown(string, bool)            {}
-func (f *copyingFabric) SendCopiesTuples()               {}
 func (f *copyingFabric) Send(_, _ string, msg any) {
-	f.got = append(f.got[:0], msg.(DataMsg).Tuples...)
+	m := msg.(DataMsg)
+	f.got = append(f.got[:0], m.Tuples...)
+	f.given = m.Given
 	f.sends++
 }
 
-// keepingFabric is the same stub without the capability: to the buffer it is
-// a fabric that may keep what it is sent.
-type keepingFabric struct{ f *copyingFabric }
-
-func (k keepingFabric) Register(id string, h fabric.Handler) { k.f.Register(id, h) }
-func (k keepingFabric) SetDown(id string, down bool)         { k.f.SetDown(id, down) }
-func (k keepingFabric) Send(from, to string, msg any)        { k.f.Send(from, to, msg) }
-
 // flushAllocs is the allocations of one 64-tuple PublishBatch plus its flush
-// to one subscriber on net, in steady state, after checking the subscriber
+// to one subscriber on f, in steady state, after checking the subscriber
 // got the batch.
-func flushAllocs(t *testing.T, net fabric.Fabric, f *copyingFabric) float64 {
+func flushAllocs(t *testing.T, f *copyingFabric) float64 {
 	t.Helper()
 	sim := runtime.NewVirtual()
-	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, []string{"d1"})
+	ob := NewOutputBuffer(sim, f, "up", "s", BufferUnbounded, 0, []string{"d1"})
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
 	ts := make([]tuple.Tuple, 64)
 	next := uint64(1)
@@ -55,33 +49,24 @@ func flushAllocs(t *testing.T, net fabric.Fabric, f *copyingFabric) float64 {
 	for i := 0; i < 16; i++ {
 		op()
 	}
-	if len(f.got) != len(ts) || f.got[0].ID != next-64 {
-		t.Fatalf("subscriber got %d tuples starting at %v, want 64 from %d", len(f.got), f.got, next-64)
+	if len(f.got) != len(ts) || f.got[0].ID != next-64 || f.given {
+		t.Fatalf("subscriber got %d tuples starting at %v, given %v; want 64 from %d, lent", len(f.got), f.got, f.given, next-64)
 	}
 	return testing.AllocsPerRun(200, op)
 }
 
-// TestOutputBufferReusesFlushArrayOnCopyingFabric: on a fabric that keeps no
-// arrays, a steady-state flush allocates only the boxed DataMsg it sends,
-// because the next instant refills the last flush's array; on a fabric
-// without the capability every flush also allocates a fresh array.
+// TestOutputBufferReusesFlushArrayOnCopyingFabric: every fabric copies a
+// lent array during Send, so a steady-state flush allocates only the boxed
+// DataMsg it sends: the next instant refills the last flush's array.
 func TestOutputBufferReusesFlushArrayOnCopyingFabric(t *testing.T) {
-	f := &copyingFabric{}
-	reused := flushAllocs(t, f, f)
-	k := &copyingFabric{}
-	fresh := flushAllocs(t, keepingFabric{k}, k)
-	t.Logf("allocs per flush: %.2f on a copying fabric, %.2f otherwise", reused, fresh)
-	if reused != 1 {
-		t.Errorf("a flush on a copying fabric allocates %.2f times, want 1 (the boxed DataMsg)", reused)
-	}
-	if fresh != reused+1 {
-		t.Errorf("a flush on a keeping fabric allocates %.2f times, want %.0f (a fresh array too)", fresh, reused+1)
+	if got := flushAllocs(t, &copyingFabric{}); got != 1 {
+		t.Errorf("a flush allocates %.2f times, want 1 (the boxed DataMsg)", got)
 	}
 }
 
 // TestOutputBufferDropsOversizedFlushArray: a flush above tuple.LoanMaxCap
-// (a replay-sized instant) is not kept for the next one, on any fabric; one
-// at the cap is.
+// (a replay-sized instant) is given away, not kept for the next one; one at
+// the cap is lent and kept.
 func TestOutputBufferDropsOversizedFlushArray(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
@@ -100,14 +85,15 @@ func TestOutputBufferDropsOversizedFlushArray(t *testing.T) {
 		if f.sends != 1 || len(f.got) != tc.n {
 			t.Fatalf("%d tuples: %d sends of %d tuples", tc.n, f.sends, len(f.got))
 		}
-		if kept := ob.pending != nil; kept != tc.kept {
-			t.Errorf("flush of %d tuples: array kept %v, want %v", tc.n, kept, tc.kept)
+		if kept := ob.pending != nil; kept != tc.kept || f.given == tc.kept {
+			t.Errorf("flush of %d tuples: array kept %v and given %v, want kept %v", tc.n, kept, f.given, tc.kept)
 		}
 	}
 }
 
-// TestOutputBufferFreshArraysOnNetsim: netsim delivers the sender's array, so
-// two successive flushes deliver distinct arrays and the first keeps its
+// TestOutputBufferFreshArraysOnNetsim: netsim gives an endpoint registered
+// with a plain Register an array it owns, so two successive flushes of the
+// buffer's one reused array deliver distinct arrays and the first keeps its
 // tuples after the second (bench's recorder keeps netsim arrays).
 func TestOutputBufferFreshArraysOnNetsim(t *testing.T) {
 	sim := runtime.NewVirtual()
@@ -134,7 +120,8 @@ func TestOutputBufferFreshArraysOnNetsim(t *testing.T) {
 
 // TestSubscribeReplayAllocatesOnce: a non-empty replay allocates one array,
 // sized for the buffered suffix plus the optional UNDO, beyond what every
-// subscription costs (its record) and every send (the boxed DataMsg).
+// subscription costs (its record) and every send (the boxed DataMsg), and
+// gives it away.
 func TestSubscribeReplayAllocatesOnce(t *testing.T) {
 	sim := runtime.NewVirtual()
 	f := &copyingFabric{}
@@ -150,6 +137,9 @@ func TestSubscribeReplayAllocatesOnce(t *testing.T) {
 		replay := testing.AllocsPerRun(100, func() { ob.Subscribe("d1", msg) })
 		if got := replay - tailOnly - 1; got != 1 {
 			t.Errorf("SeenTentative %v: the replay allocates %.2f times beyond the subscription and the boxed DataMsg, want 1", seen, got)
+		}
+		if !f.given {
+			t.Errorf("SeenTentative %v: the replay's array is lent, want it given", seen)
 		}
 		want := 60
 		if seen {

@@ -396,13 +396,12 @@ func TestSubscribeMidInstantDeliversOnce(t *testing.T) {
 	}
 }
 
-// TestAdoptLeavesNoStagedStub: an instant that ends in a REC_DONE sends its
-// data from the reused pending array, so the log keeps its staged copy; the
-// next instant appends after it in the same segment and its flush is
-// adopted. The staged tuples before it then move to an exact array and the
-// segment is recycled, so alternating such instants without acks keeps no
-// segment per pair.
-func TestAdoptLeavesNoStagedStub(t *testing.T) {
+// TestRecDoneInstantsLeaveNoStub: alternating instants that end in a
+// REC_DONE (whose data is staged into pending early) with plain data
+// instants keeps the log in staged segments only, each filled before the
+// next starts, so no segment is kept for a few tuples and nothing a flush
+// sent is held.
+func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 	sim := runtime.NewVirtual()
 	net := netsim.New(sim)
 	net.Register("up", func(string, any) {})
@@ -418,19 +417,15 @@ func TestAdoptLeavesNoStagedStub(t *testing.T) {
 		}
 		return ts
 	}
-	for pair := 0; pair < 50; pair++ {
+	for pair := 0; pair < 100; pair++ {
 		ob.PublishBatch(data())
 		ob.Publish(tuple.NewRecDone(int64(id)))
 		sim.Run()
 		ob.PublishBatch(data())
 		sim.Run()
-		for i, r := range ob.runs {
-			if r.seg != nil {
-				t.Fatalf("pair %d: run %d of %d is staged in a segment", pair, i, len(ob.runs))
-			}
-		}
-		if len(ob.free) != 1 {
-			t.Fatalf("pair %d: %d free segments, want the one recycled segment", pair, len(ob.free))
+		checkSegLog(t, fmt.Sprintf("pair %d", pair), &ob.segLog)
+		if want := (ob.n + obSegSize - 1) / obSegSize; len(ob.runs) != want || len(ob.free) != 0 {
+			t.Fatalf("pair %d: %d tuples in %d runs with %d free segments, want %d runs and none free", pair, ob.n, len(ob.runs), len(ob.free), want)
 		}
 	}
 	if got := ob.after(0); len(got) != int(id) || got[len(got)-1].ID != id {

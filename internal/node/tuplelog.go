@@ -12,32 +12,22 @@ const obSegSize = 1024
 // obSegment is one fixed-size block of a segmented tuple log.
 type obSegment [obSegSize]tuple.Tuple
 
-// logRun is one stretch of a log's live tuples kept in one piece of
-// storage: a window of a staged segment, or, when seg is nil, a view of an
-// exact array: one a flush sent, which the log adopted, or a copy of the
-// staged tuples that shared a segment with the start of one (adopt).
+// logRun is one stretch of a log's live tuples: a window of a segment.
 type logRun struct {
-	sum adoptSum // first: a zero-size last field would be padded
 	ts  []tuple.Tuple
 	seg *obSegment
 }
 
-// segLog is a tuple log kept as a sequence of runs. Appends go to staged
-// segments, fixed-size blocks the log owns: the last run takes them while
-// its segment has room, then a segment from the free list starts a new
-// run, so appending never recopies anything, however long the log grows.
-// A staged segment belongs to one run and every slot outside that run's
-// window is zero: truncation clears the slots it drops and moves each
-// segment it empties onto free, where the next append takes it back. Every
-// staged run but the last is full, so no segment is kept for a few tuples.
-//
-// An OutputBuffer on a fabric that keeps what it is sent also adopts
-// arrays: once a flush has sent the log's newest tuples in an array of
-// their own, that array replaces their staged copy (adopt). Every receiver
-// of the message shares an adopted array, so the log never writes it:
-// truncation drops it whole or shortens the run's view of it, and it is
-// never recycled. OutputBuffer keeps its contents in a segLog; TupleLog
-// wraps one, staged segments only, for the client's view.
+// segLog is a tuple log kept as a sequence of runs. Appends go to segments,
+// fixed-size blocks the log owns: the last run takes them while its segment
+// has room, then a segment from the free list starts a new run, so
+// appending never recopies anything, however long the log grows. A segment
+// belongs to one run and every slot outside that run's window is zero:
+// truncation clears the slots it drops and moves each segment it empties
+// onto free, where the next append takes it back. Every run but the last
+// reaches the end of its segment, so no segment is kept for a few tuples.
+// An OutputBuffer keeps its contents in a segLog, an InputManager its
+// arrival log, and TupleLog wraps one for the client's view.
 type segLog struct {
 	runs []logRun
 	n    int
@@ -65,11 +55,11 @@ func (l *segLog) addRun(r logRun) *logRun {
 	return &l.runs[k]
 }
 
-// room returns the last run when it is staged with a free slot, and
-// otherwise starts a new staged run on a segment from the free list.
+// room returns the last run when its segment has a free slot, and
+// otherwise starts a new run on a segment from the free list.
 func (l *segLog) room() *logRun {
 	if k := len(l.runs); k > 0 {
-		if r := &l.runs[k-1]; r.seg != nil && len(r.ts) < cap(r.ts) {
+		if r := &l.runs[k-1]; len(r.ts) < cap(r.ts) {
 			return r
 		}
 	}
@@ -130,9 +120,7 @@ func (l *segLog) seek(i int) (int, int) {
 // copyOut copies live tuples i, i+1, … into dst until dst is full.
 func (l *segLog) copyOut(dst []tuple.Tuple, i int) {
 	for r, off := l.seek(i); len(dst) > 0; r, off = r+1, 0 {
-		run := &l.runs[r]
-		run.sum.verify("copy out of")
-		dst = dst[copy(dst, run.ts[off:]):]
+		dst = dst[copy(dst, l.runs[r].ts[off:]):]
 	}
 }
 
@@ -158,13 +146,9 @@ func (l *segLog) lastIndex(match func(t *tuple.Tuple) bool) int {
 	return -1
 }
 
-// release gives up a whole run: a staged segment is cleared and goes onto
-// the free list; an adopted array is left to its other holders.
+// release gives up a whole run: its segment is cleared and goes onto the
+// free list.
 func (l *segLog) release(r *logRun) {
-	if r.seg == nil {
-		r.sum.verify("drop")
-		return
-	}
 	clear(r.ts)
 	l.free = append(l.free, r.seg)
 }
@@ -176,11 +160,7 @@ func (l *segLog) dropHead(k int) {
 	for ; k > 0; r++ {
 		run := &l.runs[r]
 		if k < len(run.ts) {
-			if run.seg == nil {
-				run.sum.verify("shorten")
-			} else {
-				clear(run.ts[:k])
-			}
+			clear(run.ts[:k])
 			run.ts = run.ts[k:]
 			break
 		}
@@ -196,12 +176,8 @@ func (l *segLog) truncate(k int) {
 	r, off := l.seek(k)
 	if off > 0 {
 		run := &l.runs[r]
-		if run.seg == nil {
-			run.sum.verify("shorten")
-		} else {
-			clear(run.ts[off:])
-		}
-		run.ts = run.ts[:off] // an adopted view never takes appends: room checks seg
+		clear(run.ts[off:])
+		run.ts = run.ts[:off]
 		r++
 	}
 	l.cutRuns(r)
@@ -215,27 +191,6 @@ func (l *segLog) cutRuns(r int) {
 	}
 	clear(l.runs[r:])
 	l.runs = l.runs[:r]
-}
-
-// adopt makes a the storage of the log's len(a) newest tuples, which it
-// must equal and which are staged: their staged copy is cleared and
-// recycled, and a is never written again. Older tuples sharing the first
-// of their segments move to an exact array of their own, so that segment is
-// recycled too rather than kept for a few tuples no append ever follows.
-func (l *segLog) adopt(a []tuple.Tuple) {
-	n := l.n
-	r, off := l.seek(n - len(a))
-	if off > 0 {
-		run := &l.runs[r]
-		kept := make([]tuple.Tuple, off)
-		copy(kept, run.ts)
-		l.release(run)
-		*run = logRun{sum: sumAdopted(kept), ts: kept}
-		r++
-	}
-	l.cutRuns(r)
-	l.addRun(logRun{sum: sumAdopted(a), ts: a})
-	l.n = n
 }
 
 // ackCut returns how many of the oldest live tuples an acknowledgment of
@@ -294,12 +249,9 @@ func (l *segLog) undo(lastGoodID uint64) {
 }
 
 // stripTentative deletes the tentative tuples, moving each later tuple down
-// in place over staged runs. An adopted array is never written: once the
-// next kept tuple's slot lies in one, the rest are copied out and appended
-// again.
+// in place.
 func (l *segLog) stripTentative() {
 	wr, wo, cut := 0, 0, 0 // the run and offset the next kept tuple moves to; tentative tuples seen
-	var rest []tuple.Tuple // kept tuples from the first whose slot is adopted on
 	for r := range l.runs {
 		ts := l.runs[r].ts
 		for j := range ts {
@@ -310,21 +262,14 @@ func (l *segLog) stripTentative() {
 			for wo == len(l.runs[wr].ts) {
 				wr, wo = wr+1, 0
 			}
-			switch {
-			case cut > 0 && l.runs[wr].seg == nil:
-				// The slot is adopted. The cursor stops here, so every
-				// later kept tuple is copied out too.
-				rest = append(rest, ts[j])
-				continue
-			case cut > 0:
+			if cut > 0 {
 				l.runs[wr].ts[wo] = ts[j]
 			}
 			wo++
 		}
 	}
 	if cut > 0 {
-		l.truncate(l.n - cut - len(rest))
-		l.pushAll(rest)
+		l.truncate(l.n - cut)
 	}
 }
 

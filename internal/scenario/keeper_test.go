@@ -1,0 +1,91 @@
+package scenario
+
+import (
+	"slices"
+	"testing"
+
+	"borealis/internal/fabric"
+	"borealis/internal/node"
+	"borealis/internal/tuple"
+)
+
+// TestKeepingHandlersSeeUnchangedArrays is the hazard the fabric's
+// tuple-array contract rests on. A handler registered with a plain Register
+// may keep every array it gets, as a recorder that interposes on each node
+// and the client does: netsim must then give it arrays nobody writes again
+// and lend it none, even though the node behind it returns the loans it
+// would otherwise get. Every node's and the client's handler is
+// re-registered that way on a replicated chain with a source disconnect and
+// a replica crash (replays, undos, redo-sized instants); at the end every
+// kept DataMsg must still equal the copy taken at its delivery.
+func TestKeepingHandlersSeeUnchangedArrays(t *testing.T) {
+	spec, err := Parse([]byte(`{
+  "name": "keepers",
+  "seed": 3,
+  "duration_s": 20,
+  "defaults": {"delay_s": 2, "replicas": 2},
+  "sources": [{"name": "s", "count": 2, "rate": 300, "workload": {"kind": "constant"}}],
+  "nodes": [
+    {"name": "n1", "inputs": ["s"]},
+    {"name": "n2", "inputs": ["n1"]},
+    {"name": "n3", "inputs": ["n2"]}
+  ],
+  "client": {"input": "n3", "delay_ms": 50},
+  "faults": [
+    {"kind": "disconnect", "source": "s1", "at_s": 4, "duration_s": 5},
+    {"kind": "crash", "node": "n2", "replica": 1, "at_s": 6, "duration_s": 2}
+  ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := Build(spec, Options{NoAudit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kept struct {
+		to   string
+		msg  node.DataMsg
+		copy []tuple.Tuple
+	}
+	var all []kept
+	keeper := func(id string, h fabric.Handler) fabric.Handler {
+		return func(from string, msg any) {
+			if m, ok := msg.(node.DataMsg); ok {
+				all = append(all, kept{id, m, slices.Clone(m.Tuples)})
+			}
+			h(from, msg)
+		}
+	}
+	for _, row := range dep.Nodes {
+		for _, n := range row {
+			dep.Fab.Register(n.ID(), keeper(n.ID(), n.HandleMessage))
+		}
+	}
+	dep.Fab.Register("client", keeper("client", dep.Client.Proxy().HandleMessage))
+	dep.Start()
+	dep.RunFor(int64(spec.DurationS * 1e6))
+
+	tuples, replays := 0, 0
+	for i, k := range all {
+		if k.msg.Pool != nil {
+			t.Fatalf("message %d to %s (seq %d) was lent from a pool to a keeping handler", i, k.to, k.msg.Seq)
+		}
+		if len(k.msg.Tuples) != len(k.copy) {
+			t.Fatalf("message %d to %s (seq %d) changed length", i, k.to, k.msg.Seq)
+		}
+		for j := range k.copy {
+			if !tuple.Equal(k.msg.Tuples[j], k.copy[j]) {
+				t.Fatalf("message %d to %s (seq %d): tuple %d is now %v, was %v at delivery", i, k.to, k.msg.Seq, j, k.msg.Tuples[j], k.copy[j])
+			}
+		}
+		tuples += len(k.copy)
+		if k.msg.Seq == 1 && len(k.copy) > 0 {
+			replays++
+		}
+	}
+	if tuples == 0 || replays == 0 {
+		t.Fatalf("kept %d messages holding %d tuples, %d of them replays: the run exercised nothing", len(all), tuples, replays)
+	}
+	t.Logf("kept %d messages, %d tuples, %d first-of-subscription batches", len(all), tuples, replays)
+}

@@ -228,11 +228,12 @@ func (s *Source) append(t tuple.Tuple) {
 	s.logEnd++
 }
 
-// span returns the logged tuples at positions [lo, hi). A range inside one
-// segment is aliased — its slots are never written again, and the capacity
-// is clipped so the receiver cannot append into the slots after it. A range
-// crossing segments (a reconnect replay, or a tick's batch straddling a
-// boundary) is copied into a fresh array.
+// span returns the logged tuples at positions [lo, hi), an array flush
+// gives away (DataMsg.Given). A range inside one segment is aliased — its
+// slots are never written again, and the capacity is clipped so the
+// receiver cannot append into the slots after it. A range crossing segments
+// (a reconnect replay, or a tick's batch straddling a boundary) is copied
+// into a fresh array.
 func (s *Source) span(lo, hi int) []tuple.Tuple {
 	ga, oa := s.seg(lo)
 	gb, ob := s.seg(hi - 1)
@@ -267,7 +268,7 @@ func (s *Source) flush() {
 		batch := s.span(sub.pos, end)
 		sub.pos = end
 		sub.seq++
-		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: batch})
+		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: batch, Given: true})
 	}
 }
 

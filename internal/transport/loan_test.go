@@ -21,7 +21,7 @@ const loanFrameTuples = 128
 const loanWindow = 8
 
 // loopbackStream sends frames DataMsgs from one fabric to a handler on a
-// second over a loopback socket, keeping at most loanWindow frames in
+// second over a loopback socket, registered as one that returns its loans, keeping at most loanWindow frames in
 // flight — fewer than a pool keeps, so a receiver that keeps up can run on
 // returned arrays alone — and reports the bytes the process allocated per frame
 // over the last steady frames. The receiving clock runs on its own
@@ -41,7 +41,7 @@ func loopbackStream(t *testing.T, frames, steady int, handle func(m node.DataMsg
 	defer tA.Close()
 	var delivered atomic.Int64
 	tA.Register("a", func(string, any) {})
-	tB.Register("b", func(_ string, msg any) {
+	tB.RegisterReturning("b", func(_ string, msg any) {
 		handle(msg.(node.DataMsg))
 		delivered.Add(1)
 	})
@@ -144,8 +144,8 @@ func poisonBuild() bool {
 	return a[0].Type != tuple.Insertion
 }
 
-// TestTCPLocalSendLendsACopy: a DataMsg sent to a local endpoint arrives as
-// a copy lent from the fabric's pool, so the sender may overwrite its array
+// TestTCPLocalSendLendsACopy: a DataMsg sent to a local endpoint that
+// returns loans arrives as a copy lent from the fabric's pool, so the sender may overwrite its array
 // as soon as Send returns. Once the handler returns the loan, the next send
 // of the same size is delivered in the returned array instead of a new one.
 func TestTCPLocalSendLendsACopy(t *testing.T) {
@@ -157,7 +157,7 @@ func TestTCPLocalSendLendsACopy(t *testing.T) {
 	defer tr.Close()
 	var got []node.DataMsg
 	tr.Register("x", func(string, any) {})
-	tr.Register("y", func(_ string, msg any) {
+	tr.RegisterReturning("y", func(_ string, msg any) {
 		m := msg.(node.DataMsg)
 		checkFrame(t, m)
 		got = append(got, m)
@@ -208,7 +208,7 @@ func TestTCPLocalSendEdgeCases(t *testing.T) {
 	defer tr.Close()
 	var got []node.DataMsg
 	tr.Register("x", func(string, any) {})
-	tr.Register("y", func(_ string, msg any) { got = append(got, msg.(node.DataMsg)) })
+	tr.RegisterReturning("y", func(_ string, msg any) { got = append(got, msg.(node.DataMsg)) })
 
 	tr.Send("x", "y", node.DataMsg{Stream: "s", Seq: 1, Tuples: make([]tuple.Tuple, 0, 8)})
 	clk.RunFor(runtime.Millisecond)

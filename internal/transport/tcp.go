@@ -102,7 +102,7 @@ type TCP struct {
 	CtlStalls    atomic.Uint64
 }
 
-var _ fabric.Copying = (*TCP)(nil)
+var _ fabric.Lender = (*TCP)(nil)
 
 // drop counts one lost frame under its cause and in the aggregate.
 func (t *TCP) drop(cause *atomic.Uint64) {
@@ -112,6 +112,9 @@ func (t *TCP) drop(cause *atomic.Uint64) {
 
 type localEndpoint struct {
 	handler fabric.Handler
+	// returns marks a handler registered with RegisterReturning, which
+	// is handed loans; any other owns the arrays it gets.
+	returns bool
 	down    bool
 }
 
@@ -240,8 +243,15 @@ func (t *TCP) AddRoute(id, addr string) {
 	}
 }
 
-// Register installs the handler for a local endpoint (fabric.Fabric).
-func (t *TCP) Register(id string, h fabric.Handler) {
+// Register installs the handler for a local endpoint (fabric.Fabric). The
+// handler owns every tuple array it receives and may keep it.
+func (t *TCP) Register(id string, h fabric.Handler) { t.register(id, h, false) }
+
+// RegisterReturning is Register for a handler that returns the arrays lent
+// to it (fabric.Lender).
+func (t *TCP) RegisterReturning(id string, h fabric.Handler) { t.register(id, h, true) }
+
+func (t *TCP) register(id string, h fabric.Handler, returns bool) {
 	if h == nil {
 		panic("transport: nil handler for " + id)
 	}
@@ -252,7 +262,7 @@ func (t *TCP) Register(id string, h fabric.Handler) {
 		ep = &localEndpoint{}
 		t.local[id] = ep
 	}
-	ep.handler = h
+	ep.handler, ep.returns = h, returns
 }
 
 // SetDown marks a local endpoint crashed or alive (fabric.Fabric).
@@ -266,14 +276,14 @@ func (t *TCP) SetDown(id string, down bool) {
 	ep.down = down
 }
 
-// Send queues msg for delivery (fabric.Fabric). It never keeps the
-// caller's tuple array (fabric.Copying): remote destinations are encoded
-// immediately and handed to the owning peer's writer; local destinations
-// are scheduled through the clock like netsim deliveries, with a DataMsg's
-// tuples first copied into an array lent from the fabric's pool (long
-// payloads are shared, not copied), so the receiver gets a loan either way.
-// Control-class frames go through the flow window (see flow.go) and may
-// block briefly instead of shedding.
+// Send queues msg for delivery (fabric.Fabric). It never keeps a lent tuple
+// array: remote destinations are encoded immediately and handed to the
+// owning peer's writer; local destinations are scheduled through the clock
+// like netsim deliveries, with a DataMsg's lent tuples first copied
+// (DataMsg.CopyTuples: into an array lent from the fabric's pool for a
+// returning endpoint, as a read loop decodes them) and a given array passed
+// on as it is. Control-class frames go through the flow window (see
+// flow.go) and may block briefly instead of shedding.
 func (t *TCP) Send(from, to string, msg any) {
 	t.mu.Lock()
 	src := t.local[from]
@@ -291,11 +301,17 @@ func (t *TCP) Send(from, to string, msg any) {
 		t.drop(&t.DroppedLink)
 		return
 	}
-	if _, isLocal := t.local[to]; isLocal {
+	if dst, isLocal := t.local[to]; isLocal {
 		delay, _ := t.links.Delay(from, to)
+		pool := &t.loans
+		if !dst.returns {
+			pool = nil
+		}
 		t.mu.Unlock()
 		if m, ok := msg.(node.DataMsg); ok {
-			msg = t.lendCopy(m)
+			if c := m.CopyTuples(pool); c != nil {
+				msg = c
+			}
 		}
 		t.clk.AfterCall(delay, t.deliverFn, &delivery{t: t, from: from, to: to, msg: msg})
 		return
@@ -341,32 +357,20 @@ func (t *TCP) Send(from, to string, msg any) {
 	}
 }
 
-// lendCopy returns m with its tuples copied into an array lent from t.loans,
-// as a read loop would have decoded them; an empty batch carries no array.
-func (t *TCP) lendCopy(m node.DataMsg) node.DataMsg {
-	if len(m.Tuples) == 0 {
-		m.Tuples, m.Pool = nil, nil
-		return m
-	}
-	m.Tuples = append(t.loans.Lend(len(m.Tuples)), m.Tuples...)
-	m.Pool = &t.loans
-	return m
-}
-
-// SendCopiesTuples declares fabric.Copying: Send never keeps a tuple array.
-func (*TCP) SendCopiesTuples() {}
-
 // deliver runs on the clock goroutine and hands one frame to its local
 // handler, evaluating down/registered/link state at delivery time like
 // netsim: a crash or partition that happened while the frame was in flight
-// kills it.
+// kills it. A loan (a decoded frame, or a local send made while the
+// endpoint returned loans) reaching an endpoint that keeps arrays is copied
+// into one it owns.
 func (t *TCP) deliver(x any) {
 	d := x.(*delivery)
 	t.mu.Lock()
 	ep := t.local[d.to]
 	var h fabric.Handler
+	returns := false
 	if ep != nil && !ep.down && ep.handler != nil {
-		h = ep.handler
+		h, returns = ep.handler, ep.returns
 	}
 	// A send whose source endpoint crashed while the frame was in
 	// flight is dropped too, matching netsim's delivery-time check.
@@ -382,6 +386,10 @@ func (t *TCP) deliver(x any) {
 	if h == nil {
 		t.drop(&t.DroppedDown)
 		return
+	}
+	if m, ok := d.msg.(node.DataMsg); ok && m.Pool != nil && !returns {
+		d.msg = m.CopyTuples(nil) // a loan is never given, so it is copied
+		m.Pool.Return(m.Tuples)
 	}
 	t.Delivered.Add(1)
 	h(d.from, d.msg)

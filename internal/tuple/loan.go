@@ -4,9 +4,11 @@ import "sync"
 
 // LoanPool lends tuple arrays across goroutines: a producer fills a lent
 // array on one goroutine and a consumer returns it on another once nothing
-// reads it any more. The TCP fabric's read loops decode every DataMsg into a
-// lent array, and the receiving node returns it after the batch has been
-// dispatched (docs/ARCHITECTURE.md, "Who owns a tuple array").
+// reads it any more. Each fabric keeps one: netsim's and the TCP fabric's
+// Send copy a DataMsg's lent array into a loan for an endpoint that returns
+// loans, the TCP read loops decode every DataMsg into one, and the
+// receiving node returns it after the batch has been dispatched
+// (docs/ARCHITECTURE.md, "Who owns a tuple array").
 //
 // Forgetting to return an array is always safe: the garbage collector takes
 // it. Returning one something still reads is the bug, because the next Lend
@@ -29,8 +31,8 @@ const loanPoolLen = 16
 
 // LoanMaxCap bounds the capacity of a kept array, in tuples: one long replay
 // frame must not stay pinned behind traffic that needs hundreds. Other
-// holders that recycle tuple arrays (the OutputBuffer's flush array) use
-// the same bound.
+// holders that recycle tuple arrays use the same bound: an OutputBuffer
+// gives a flush array grown past it away instead of lending it.
 const LoanMaxCap = 1 << 14
 
 // Lend returns an empty array with room for n tuples: a returned one when
