@@ -801,14 +801,6 @@ func (e *Engine) SetPolicyAll(p operator.DelayPolicy) {
 	}
 }
 
-// SetPolicyFed switches only the SUnions reachable from the given input
-// stream (fine-grained failure handling, §8.2).
-func (e *Engine) SetPolicyFed(input string, p operator.DelayPolicy) {
-	for _, name := range e.d.SUnionsFedBy(input) {
-		e.d.Op(name).(*operator.SUnion).SetPolicy(p)
-	}
-}
-
 // RevokeTentativeAll removes tentative content from every SUnion's
 // pending buckets. The reconciliation path calls it right after the
 // checkpoint restore: a snapshot taken while tentative data sat in a

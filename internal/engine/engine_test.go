@@ -282,34 +282,6 @@ func TestEngineRecDoneWaitsForQueueDrain(t *testing.T) {
 	}
 }
 
-func TestEngineSetPolicyFedIsScoped(t *testing.T) {
-	// Two independent paths: in1 → su1 → out1, in2 → su2 → out2.
-	b := diagram.NewBuilder()
-	b.Add(operator.NewSUnion("su1", operator.SUnionConfig{Ports: 1, BucketSize: 100 * ms, Delay: sec}))
-	b.Add(operator.NewSUnion("su2", operator.SUnionConfig{Ports: 1, BucketSize: 100 * ms, Delay: sec}))
-	b.Add(operator.NewSOutput("o1"))
-	b.Add(operator.NewSOutput("o2"))
-	b.Connect("su1", "o1", 0)
-	b.Connect("su2", "o2", 0)
-	b.Input("in1", "su1", 0)
-	b.Input("in2", "su2", 0)
-	b.Output("r1", "o1")
-	b.Output("r2", "o2")
-	d, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := runtime.NewVirtual()
-	e := New(sim, d, Config{})
-	e.SetPolicyFed("in1", operator.PolicyProcess)
-	if got := d.Op("su1").(*operator.SUnion).Policy(); got != operator.PolicyProcess {
-		t.Fatalf("su1 policy = %v", got)
-	}
-	if got := d.Op("su2").(*operator.SUnion).Policy(); got != operator.PolicyNone {
-		t.Fatalf("su2 policy must be untouched, got %v", got)
-	}
-}
-
 func TestEngineIdleCallback(t *testing.T) {
 	sim := runtime.NewVirtual()
 	e := New(sim, mergeDiagram(t, 2*sec), Config{Capacity: 1000})

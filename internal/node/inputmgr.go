@@ -94,7 +94,7 @@ type InputManager struct {
 	failKind FailKind
 
 	logging bool
-	log     segLog
+	log     TupleLog
 
 	// conns tracks per-connection batch sequencing: a gap means the
 	// connection broke and in-flight data was lost; everything is then
@@ -235,7 +235,7 @@ func (im *InputManager) StartLog() {
 // StopLog ends logging and discards the log.
 func (im *InputManager) StopLog() {
 	im.logging = false
-	im.log = segLog{}
+	im.log = TupleLog{}
 }
 
 // TakeLog returns the patched log for replay, one slice per run of its
@@ -245,8 +245,8 @@ func (im *InputManager) StopLog() {
 // replayable, so the controller calls StartLog again at that moment).
 func (im *InputManager) TakeLog() [][]tuple.Tuple {
 	out := make([][]tuple.Tuple, 0, len(im.log.runs))
-	im.log.chunks(func(ts []tuple.Tuple) { out = append(out, ts) })
-	im.log = segLog{}
+	im.log.Chunks(func(ts []tuple.Tuple) { out = append(out, ts) })
+	im.log = TupleLog{}
 	return out
 }
 
@@ -381,7 +381,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 			im.seenTentative = false
 		}
 		if im.logging {
-			im.log.pushAll(ts)
+			im.log.appendAll(ts)
 		}
 		if boundCount > 0 {
 			for i := range ts {
@@ -424,7 +424,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				im.seenTentative = false
 			}
 			if im.logging {
-				im.log.push(*t)
+				im.log.Append(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
 				liveOut = appendLive(liveOut, ts, ti)
@@ -443,7 +443,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				continue
 			}
 			if im.logging {
-				im.log.push(*t)
+				im.log.Append(*t)
 			}
 			if !forwardAsIs && !fromCorr && !im.correcting {
 				liveOut = appendLive(liveOut, ts, ti)
@@ -472,7 +472,7 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 					im.correcting = true
 				}
 			}
-			im.log.undo(t.ID)
+			im.log.Undo(t.ID)
 			im.seenTentative = false
 		case t.Type == tuple.RecDone:
 			if im.trace != nil {

@@ -12,7 +12,7 @@ import (
 
 // refArrivalLog is the InputManager's arrival log as a plain slice, patched
 // as the manager patched its doubling slice before the log moved onto
-// segLog: data tuples and stable boundaries are appended, an UNDO applies
+// TupleLog: data tuples and stable boundaries are appended, an UNDO applies
 // tuple.ApplyUndo, and a REC_DONE drops the tentative tuples.
 type refArrivalLog []tuple.Tuple
 
@@ -38,7 +38,7 @@ func (l *refArrivalLog) handle(ts []tuple.Tuple) {
 // TestInputManagerLogMatchesReference drives random Handle sequences
 // through an InputManager — clean batches, tentative runs, UNDOs with and
 // without an anchor followed by corrections, REC_DONEs, log restarts — and
-// after every batch holds its log to refArrivalLog and to segLog's run
+// after every batch holds its log to refArrivalLog and to TupleLog's run
 // invariants. Batch sizes and undo anchors are drawn to land on and beside
 // 1 024-tuple segment edges, and the logs span several segments.
 func TestInputManagerLogMatchesReference(t *testing.T) {
@@ -139,9 +139,9 @@ func TestInputManagerLogMatchesReference(t *testing.T) {
 				im.Handle("up", seq, batch)
 				ref.handle(batch)
 				name := fmt.Sprintf("step %d (%s)", step, what)
-				checkSegLog(t, name, &im.log)
+				checkTupleLog(t, name, &im.log)
 				var got []tuple.Tuple
-				im.log.chunks(func(ts []tuple.Tuple) { got = append(got, ts...) })
+				im.log.Chunks(func(ts []tuple.Tuple) { got = append(got, ts...) })
 				if !sameTuples(got, ref) {
 					t.Fatalf("%s: log of %d tuples differs from the reference's %d", name, len(got), len(ref))
 				}
@@ -208,7 +208,7 @@ func TestTupleLogStripAllocatesNothing(t *testing.T) {
 	if want := int(base) + (2*obSegSize+2)/3; len(got) != want || l.Len() != want {
 		t.Fatalf("%d tuples (Len %d) after the strip, want %d", len(got), l.Len(), want)
 	}
-	checkSegLog(t, "after the strip", &l.segLog)
+	checkTupleLog(t, "after the strip", &l)
 }
 
 // BenchmarkInputManagerEpoch runs one failure epoch of 2^17 arriving tuples

@@ -651,14 +651,11 @@ func (n *Node) applyPolicies() {
 			}
 		}
 		for _, name := range n.d.SUnions() {
-			su := n.d.Op(name).(*operator.SUnion)
-			if touched[name] || (len(n.failed) == 0 && n.eng.Diverged()) {
-				su.SetPolicy(p)
-			} else if len(n.failed) > 0 && !touched[name] {
-				su.SetPolicy(operator.PolicyNone)
-			} else {
-				su.SetPolicy(p)
+			q := p
+			if len(n.failed) > 0 && !touched[name] {
+				q = operator.PolicyNone
 			}
+			n.d.Op(name).(*operator.SUnion).SetPolicy(q)
 		}
 		return
 	}

@@ -45,7 +45,7 @@ type OutputBuffer struct {
 	// undo) recycles every segment it empties, so an acknowledged buffer in
 	// steady state allocates nothing and holds no more than its own
 	// high-water mark.
-	segLog
+	log  TupleLog
 	subs map[string]*obSub
 
 	// acks maps downstream endpoints to the highest stable tuple id they
@@ -105,14 +105,14 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 }
 
 // Len returns the number of buffered tuples.
-func (ob *OutputBuffer) Len() int { return ob.n }
+func (ob *OutputBuffer) Len() int { return ob.log.n }
 
 // drop discards the k oldest live tuples, counting them as truncated.
 func (ob *OutputBuffer) drop(k int) {
-	if k > ob.n-ob.fresh {
+	if k > ob.log.n-ob.fresh {
 		ob.stage()
 	}
-	ob.dropHead(k)
+	ob.log.DropHead(k)
 	ob.Truncated += uint64(k)
 }
 
@@ -121,7 +121,7 @@ func (ob *OutputBuffer) drop(k int) {
 // pre-crash subscribers must re-subscribe (their sequence tracking detects
 // the reset).
 func (ob *OutputBuffer) Reset() {
-	ob.segLog = segLog{}
+	ob.log = TupleLog{}
 	ob.subs = make(map[string]*obSub)
 	ob.subsSorted = nil
 	ob.acks = make(map[string]uint64)
@@ -154,16 +154,16 @@ func (ob *OutputBuffer) Subscribers() []string {
 func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 	switch {
 	case t.IsData(), t.Type == tuple.Boundary:
-		if ob.cap > 0 && ob.n >= ob.cap {
+		if ob.cap > 0 && ob.log.n >= ob.cap {
 			switch ob.mode {
 			case BufferBlock:
 				ob.Blocked = true
 				return false
 			case BufferSlide:
-				ob.drop(ob.n - ob.cap + 1)
+				ob.drop(ob.log.n - ob.cap + 1)
 			}
 		}
-		ob.push(t)
+		ob.log.Append(t)
 		ob.sendLogged(1)
 		return true
 	case t.Type == tuple.Undo:
@@ -171,7 +171,7 @@ func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 		// now on reflect the corrected stream; live subscribers get
 		// the undo itself.
 		ob.stage()
-		ob.undo(t.ID)
+		ob.log.Undo(t.ID)
 	case t.Type == tuple.RecDone:
 		// Not buffered: a late subscriber sees only corrected data.
 	}
@@ -189,7 +189,7 @@ func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
 // Anything else — undo compaction, capacity pressure — takes the per-tuple
 // loop.
 func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
-	bulk := ob.cap <= 0 || ob.n+len(ts) <= ob.cap
+	bulk := ob.cap <= 0 || ob.log.n+len(ts) <= ob.cap
 	if bulk {
 		for i := range ts {
 			if !ts[i].IsData() && ts[i].Type != tuple.Boundary {
@@ -207,7 +207,7 @@ func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
 		}
 		return ok
 	}
-	ob.pushAll(ts)
+	ob.log.appendAll(ts)
 	ob.sendLogged(len(ts))
 	return true
 }
@@ -249,7 +249,7 @@ func (ob *OutputBuffer) stage() {
 	}
 	k := len(ob.pending)
 	ob.pending = slices.Grow(ob.pending, ob.fresh)[:k+ob.fresh]
-	ob.copyOut(ob.pending[k:], ob.n-ob.fresh)
+	ob.log.CopyOut(ob.pending[k:], ob.log.n-ob.fresh)
 	ob.fresh = 0
 }
 
@@ -295,7 +295,7 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 	if msg.SeenTentative {
 		undo = 1
 	}
-	n := undo + ob.n - start
+	n := undo + ob.log.n - start
 	if n == 0 {
 		return
 	}
@@ -303,7 +303,7 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 	if undo == 1 {
 		replay[0] = tuple.NewUndo(msg.FromID)
 	}
-	ob.copyOut(replay[undo:], start)
+	ob.log.CopyOut(replay[undo:], start)
 	sub.seq++
 	ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay, Given: true})
 }
@@ -314,7 +314,7 @@ func (ob *OutputBuffer) afterIndex(id uint64) int {
 	if id == 0 {
 		return 0
 	}
-	return 1 + ob.lastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == id })
+	return 1 + ob.log.LastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == id })
 }
 
 // Unsubscribe removes a subscriber. Without subscribers the pending flush
@@ -350,9 +350,9 @@ func (ob *OutputBuffer) Ack(from string, upTo uint64) {
 	if min == 0 {
 		return
 	}
-	if cut := ob.ackCut(min); cut > 0 {
+	if cut := ob.log.ackCut(min); cut > 0 {
 		ob.drop(cut)
-		if ob.Blocked && (ob.cap <= 0 || ob.n < ob.cap) {
+		if ob.Blocked && (ob.cap <= 0 || ob.log.n < ob.cap) {
 			ob.Blocked = false
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // at returns live tuple i.
-func (l *segLog) at(i int) *tuple.Tuple {
+func (l *TupleLog) at(i int) *tuple.Tuple {
 	r, off := l.seek(i)
 	return &l.runs[r].ts[off]
 }
@@ -17,7 +17,7 @@ func (l *segLog) at(i int) *tuple.Tuple {
 // ackCut's oracle: one tuple at a time from the head, remembering the last
 // stable Insertion with id ≤ upTo and stopping at the first data tuple with
 // a larger id.
-func ackCutLinear(l *segLog, upTo uint64) int {
+func ackCutLinear(l *TupleLog, upTo uint64) int {
 	cut := 0
 	for i := 0; i < l.n; i++ {
 		t := l.at(i)
@@ -53,7 +53,7 @@ func TestAckCutMatchesLinearWalk(t *testing.T) {
 			w := newOBTwin(t, obNetsim, c.mode, c.cap, c.expected)
 			for i := 0; i < 250; i++ {
 				what := w.step(rng, i)
-				l := &w.got.segLog
+				l := &w.got.log
 				for k := 0; k < 8; k++ {
 					id := w.pickID(rng)
 					got, want := l.ackCut(id), ackCutLinear(l, id)
@@ -91,7 +91,7 @@ func TestAckCutSegmentEdges(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		w.publish(w.data(true))
 	}
-	l := &w.got.segLog
+	l := &w.got.log
 	for _, id := range w.ids {
 		for _, probe := range []uint64{id - 1, id, id + 1} {
 			if got, want := l.ackCut(probe), ackCutLinear(l, probe); got != want {

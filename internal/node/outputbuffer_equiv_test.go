@@ -143,11 +143,11 @@ func (w *obTwin) recheckSent(step string) {
 // payload.
 func (w *obTwin) checkRuns(step string) {
 	w.t.Helper()
-	checkSegLog(w.t, step, &w.got.segLog)
+	checkTupleLog(w.t, step, &w.got.log)
 }
 
-// checkSegLog holds a segLog to the invariants checkRuns lists.
-func checkSegLog(t *testing.T, step string, g *segLog) {
+// checkTupleLog holds a TupleLog to the invariants checkRuns lists.
+func checkTupleLog(t *testing.T, step string, g *TupleLog) {
 	t.Helper()
 	zero := func(ts []tuple.Tuple) bool {
 		for j := range ts {
@@ -157,7 +157,7 @@ func checkSegLog(t *testing.T, step string, g *segLog) {
 		}
 		return true
 	}
-	seen := make(map[*obSegment]bool)
+	seen := make(map[*tuple.Tuple]bool)
 	n := 0
 	for i, r := range g.runs {
 		n += len(r.ts)
@@ -167,11 +167,11 @@ func checkSegLog(t *testing.T, step string, g *segLog) {
 		if r.seg == nil {
 			t.Fatalf("%s: run %d of %d is not staged in a segment", step, i, len(g.runs))
 		}
-		lo := obSegSize - cap(r.ts)
-		if seen[r.seg] || &r.seg[lo] != &r.ts[0] {
+		lo := len(r.seg) - cap(r.ts)
+		if lo < 0 || seen[&r.seg[0]] || &r.seg[lo] != &r.ts[0] {
 			t.Fatalf("%s: run %d is not a window of a segment of its own", step, i)
 		}
-		seen[r.seg] = true
+		seen[&r.seg[0]] = true
 		if i < len(g.runs)-1 && len(r.ts) < cap(r.ts) {
 			t.Fatalf("%s: staged run %d of %d ends mid-segment", step, i, len(g.runs))
 		}
@@ -183,17 +183,17 @@ func checkSegLog(t *testing.T, step string, g *segLog) {
 		t.Fatalf("%s: runs hold %d tuples, n = %d", step, n, g.n)
 	}
 	for _, s := range g.free {
-		if seen[s] || !zero(s[:]) {
+		if seen[&s[0]] || !zero(s) {
 			t.Fatalf("%s: a free segment is in use or holds a tuple", step)
 		}
-		seen[s] = true
+		seen[&s[0]] = true
 	}
 }
 
 // tailStore returns the segment of the log's last run.
-func tailStore(l *segLog) *obSegment {
+func tailStore(l *TupleLog) *tuple.Tuple {
 	if k := len(l.runs); k > 0 {
-		return l.runs[k-1].seg
+		return &l.runs[k-1].seg[0]
 	}
 	return nil
 }
@@ -253,7 +253,7 @@ func (w *obTwin) run() {
 // boundaryID returns the id of a live data tuple sitting at (or just past)
 // the boundary between two runs of the log, so acks and undos land there.
 func (w *obTwin) boundaryID(rng *rand.Rand) (uint64, bool) {
-	g := w.got
+	g := &w.got.log
 	i := 0
 	for _, r := range g.runs {
 		if j := i + rng.Intn(2) - 1; i > 0 && j < g.n && rng.Intn(2) == 0 {
@@ -380,10 +380,10 @@ func TestOutputBufferMatchesReference(t *testing.T) {
 				// lies in another segment.
 				crossed := 0
 				for i := 0; i < 250; i++ {
-					before := tailStore(&w.got.segLog)
+					before := tailStore(&w.got.log)
 					what := w.step(rng, i)
 					w.check(fmt.Sprintf("%s config %d seed %d %s", fab, ci, seed, what))
-					if after := tailStore(&w.got.segLog); after != nil && after != before {
+					if after := tailStore(&w.got.log); after != nil && after != before {
 						crossed++
 					}
 				}

@@ -33,8 +33,8 @@ func obSetup(mode BufferMode, capTuples int, expected []string) (*runtime.Virtua
 // what a Subscribe from that id replays, UNDO aside.
 func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
 	start := ob.afterIndex(id)
-	out := make([]tuple.Tuple, ob.n-start)
-	ob.copyOut(out, start)
+	out := make([]tuple.Tuple, ob.log.n-start)
+	ob.log.CopyOut(out, start)
 	return out
 }
 
@@ -423,9 +423,9 @@ func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 		sim.Run()
 		ob.PublishBatch(data())
 		sim.Run()
-		checkSegLog(t, fmt.Sprintf("pair %d", pair), &ob.segLog)
-		if want := (ob.n + obSegSize - 1) / obSegSize; len(ob.runs) != want || len(ob.free) != 0 {
-			t.Fatalf("pair %d: %d tuples in %d runs with %d free segments, want %d runs and none free", pair, ob.n, len(ob.runs), len(ob.free), want)
+		checkTupleLog(t, fmt.Sprintf("pair %d", pair), &ob.log)
+		if want := (ob.log.n + obSegSize - 1) / obSegSize; len(ob.log.runs) != want || len(ob.log.free) != 0 {
+			t.Fatalf("pair %d: %d tuples in %d runs with %d free segments, want %d runs and none free", pair, ob.log.n, len(ob.log.runs), len(ob.log.free), want)
 		}
 	}
 	if got := ob.after(0); len(got) != int(id) || got[len(got)-1].ID != id {

@@ -1,37 +1,43 @@
 package node
 
-import "borealis/internal/tuple"
+import (
+	"cmp"
 
-// obSegSize is the length, in tuples, of one segment of a segmented tuple
-// log (48 KiB at 48 bytes a tuple). Past the runtime's 32 KiB small-object
+	"borealis/internal/tuple"
+)
+
+// obSegSize is the default length, in tuples, of one segment of a tuple log
+// (48 KiB at 48 bytes a tuple). Past the runtime's 32 KiB small-object
 // limit a segment costs exactly its size: a 512-tuple segment plus the
 // allocation header of an object holding pointers rounds up to a 27 KiB
 // size class, 11 % more than the tuples it holds.
 const obSegSize = 1024
 
-// obSegment is one fixed-size block of a segmented tuple log.
-type obSegment [obSegSize]tuple.Tuple
-
 // logRun is one stretch of a log's live tuples: a window of a segment.
 type logRun struct {
 	ts  []tuple.Tuple
-	seg *obSegment
+	seg []tuple.Tuple // the whole segment ts lies in
 }
 
-// segLog is a tuple log kept as a sequence of runs. Appends go to segments,
-// fixed-size blocks the log owns: the last run takes them while its segment
-// has room, then a segment from the free list starts a new run, so
-// appending never recopies anything, however long the log grows. A segment
-// belongs to one run and every slot outside that run's window is zero:
-// truncation clears the slots it drops and moves each segment it empties
-// onto free, where the next append takes it back. Every run but the last
-// reaches the end of its segment, so no segment is kept for a few tuples.
-// An OutputBuffer keeps its contents in a segLog, an InputManager its
-// arrival log, and TupleLog wraps one for the client's view.
-type segLog struct {
+// TupleLog is a tuple log kept as a sequence of runs. Appends go to
+// segments, fixed-size blocks the log owns: the last run takes them while
+// its segment has room, then a segment from the free list starts a new run,
+// so appending never recopies anything, however long the log grows. A
+// segment belongs to one run and every slot outside that run's window is
+// zero: truncation clears the slots it drops and moves each segment it
+// empties onto free, where the next append takes it back. Every run but the
+// last reaches the end of its segment, so no segment is kept for a few
+// tuples. An UNDO compacts the log exactly as tuple.ApplyUndo does.
+//
+// A Source keeps its persistent log in one, an OutputBuffer its contents,
+// an InputManager its arrival log and the client its view of the delivered
+// stream. The zero value is an empty log of 1 024-tuple segments.
+type TupleLog struct {
 	runs []logRun
 	n    int
-	free []*obSegment
+	free [][]tuple.Tuple
+	// segLen is the segment length; 0 means obSegSize.
+	segLen int
 	// base is the whole array runs lies in. Dropping head runs only moves
 	// runs past them; once runs reaches the end of base, addRun moves them
 	// back to its start if that frees room for a quarter of them or more,
@@ -40,8 +46,23 @@ type segLog struct {
 	base []logRun
 }
 
+// NewTupleLog returns an empty log for an owner that keeps it at most bound
+// tuples long (0: no bound). Below one segment the bound sets the segment
+// length, to the smallest power of two that holds it, so a small log pins
+// at most two segments of about its own size.
+func NewTupleLog(bound int) TupleLog {
+	l := TupleLog{segLen: obSegSize}
+	for bound > 0 && l.segLen/2 >= bound {
+		l.segLen /= 2
+	}
+	return l
+}
+
+// Len returns the number of tuples in the log.
+func (l *TupleLog) Len() int { return l.n }
+
 // addRun appends r to the runs and returns it.
-func (l *segLog) addRun(r logRun) *logRun {
+func (l *TupleLog) addRun(r logRun) *logRun {
 	k := len(l.runs)
 	full := k == cap(l.runs)
 	if dead := len(l.base) - k; full && dead > 0 && 4*dead >= k {
@@ -57,32 +78,33 @@ func (l *segLog) addRun(r logRun) *logRun {
 
 // room returns the last run when its segment has a free slot, and
 // otherwise starts a new run on a segment from the free list.
-func (l *segLog) room() *logRun {
+func (l *TupleLog) room() *logRun {
 	if k := len(l.runs); k > 0 {
 		if r := &l.runs[k-1]; len(r.ts) < cap(r.ts) {
 			return r
 		}
 	}
-	var s *obSegment
+	var s []tuple.Tuple
 	if k := len(l.free); k > 0 {
 		s = l.free[k-1]
 		l.free[k-1] = nil
 		l.free = l.free[:k-1]
 	} else {
-		s = new(obSegment)
+		s = make([]tuple.Tuple, cmp.Or(l.segLen, obSegSize))
 	}
 	return l.addRun(logRun{ts: s[:0], seg: s})
 }
 
-// push appends one tuple to the log.
-func (l *segLog) push(t tuple.Tuple) {
+// Append adds t at the end of the log.
+func (l *TupleLog) Append(t tuple.Tuple) {
 	r := l.room()
 	r.ts = append(r.ts, t) // within the segment: never reallocates
 	l.n++
 }
 
-// pushAll appends a batch to the log, one copy per segment it reaches.
-func (l *segLog) pushAll(ts []tuple.Tuple) {
+// appendAll adds a batch at the end of the log, one copy per segment it
+// reaches.
+func (l *TupleLog) appendAll(ts []tuple.Tuple) {
 	for len(ts) > 0 {
 		r := l.room()
 		k := min(len(ts), cap(r.ts)-len(r.ts))
@@ -95,7 +117,7 @@ func (l *segLog) pushAll(ts []tuple.Tuple) {
 // seek returns the run holding live tuple i and i's offset in that run,
 // walking from whichever end of the log is nearer; i == n gives
 // (len(runs), 0).
-func (l *segLog) seek(i int) (int, int) {
+func (l *TupleLog) seek(i int) (int, int) {
 	if i >= l.n {
 		return len(l.runs), 0
 	}
@@ -114,25 +136,26 @@ func (l *segLog) seek(i int) (int, int) {
 			return r, i - j
 		}
 	}
-	panic("segLog: run lengths do not add up to n")
+	panic("TupleLog: run lengths do not add up to n")
 }
 
-// copyOut copies live tuples i, i+1, … into dst until dst is full.
-func (l *segLog) copyOut(dst []tuple.Tuple, i int) {
+// CopyOut copies live tuples i, i+1, … into dst until dst is full.
+func (l *TupleLog) CopyOut(dst []tuple.Tuple, i int) {
 	for r, off := l.seek(i); len(dst) > 0; r, off = r+1, 0 {
 		dst = dst[copy(dst, l.runs[r].ts[off:]):]
 	}
 }
 
-// chunks calls fn with the live tuples in order, one slice per run.
-func (l *segLog) chunks(fn func(ts []tuple.Tuple)) {
+// Chunks calls fn with the live tuples in order, one slice per run. The
+// slices alias the log: fn must neither modify nor retain them.
+func (l *TupleLog) Chunks(fn func(ts []tuple.Tuple)) {
 	for r := range l.runs {
 		fn(l.runs[r].ts)
 	}
 }
 
-// lastIndex returns the index of the newest live tuple match accepts, or -1.
-func (l *segLog) lastIndex(match func(t *tuple.Tuple) bool) int {
+// LastIndex returns the index of the newest live tuple match accepts, or -1.
+func (l *TupleLog) LastIndex(match func(t *tuple.Tuple) bool) int {
 	i := l.n
 	for r := len(l.runs) - 1; r >= 0; r-- {
 		ts := l.runs[r].ts
@@ -148,13 +171,14 @@ func (l *segLog) lastIndex(match func(t *tuple.Tuple) bool) int {
 
 // release gives up a whole run: its segment is cleared and goes onto the
 // free list.
-func (l *segLog) release(r *logRun) {
+func (l *TupleLog) release(r *logRun) {
 	clear(r.ts)
 	l.free = append(l.free, r.seg)
 }
 
-// dropHead discards the k oldest live tuples.
-func (l *segLog) dropHead(k int) {
+// DropHead discards the k oldest live tuples; the segments it empties go
+// onto the free list for the next appends.
+func (l *TupleLog) DropHead(k int) {
 	l.n -= k
 	r := 0
 	for ; k > 0; r++ {
@@ -172,7 +196,7 @@ func (l *segLog) dropHead(k int) {
 }
 
 // truncate keeps the k oldest live tuples and deletes the rest.
-func (l *segLog) truncate(k int) {
+func (l *TupleLog) truncate(k int) {
 	r, off := l.seek(k)
 	if off > 0 {
 		run := &l.runs[r]
@@ -185,7 +209,7 @@ func (l *segLog) truncate(k int) {
 }
 
 // cutRuns releases runs[r:] and deletes them.
-func (l *segLog) cutRuns(r int) {
+func (l *TupleLog) cutRuns(r int) {
 	for i := r; i < len(l.runs); i++ {
 		l.release(&l.runs[i])
 	}
@@ -202,7 +226,7 @@ func (l *segLog) cutRuns(r int) {
 // whose last data tuple has id ≤ upTo holds no larger id: it is released
 // through its last Insertion, found backwards, without a look at the rest.
 // Only the run holding the first larger id is walked forward.
-func (l *segLog) ackCut(upTo uint64) int {
+func (l *TupleLog) ackCut(upTo uint64) int {
 	cut, base := 0, 0 // base: the live index of the run's first tuple
 	for r := range l.runs {
 		ts := l.runs[r].ts
@@ -234,12 +258,12 @@ func (l *segLog) ackCut(upTo uint64) int {
 	return cut
 }
 
-// undo compacts the log for an UNDO with the given last-good id, with
+// Undo compacts the log for an UNDO with the given last-good id, with
 // tuple.ApplyUndo's semantics: keep everything up to the last stable
 // Insertion carrying the id; without one, keep nothing for id 0 and strip
 // the tentative tuples otherwise.
-func (l *segLog) undo(lastGoodID uint64) {
-	if i := l.lastIndex(func(t *tuple.Tuple) bool {
+func (l *TupleLog) Undo(lastGoodID uint64) {
+	if i := l.LastIndex(func(t *tuple.Tuple) bool {
 		return t.ID == lastGoodID && t.Type == tuple.Insertion
 	}); i >= 0 || lastGoodID == 0 {
 		l.truncate(i + 1)
@@ -250,7 +274,7 @@ func (l *segLog) undo(lastGoodID uint64) {
 
 // stripTentative deletes the tentative tuples, moving each later tuple down
 // in place.
-func (l *segLog) stripTentative() {
+func (l *TupleLog) stripTentative() {
 	wr, wo, cut := 0, 0, 0 // the run and offset the next kept tuple moves to; tentative tuples seen
 	for r := range l.runs {
 		ts := l.runs[r].ts
@@ -272,24 +296,3 @@ func (l *segLog) stripTentative() {
 		l.truncate(l.n - cut)
 	}
 }
-
-// TupleLog is an unbounded tuple log that compacts on UNDO exactly as
-// tuple.ApplyUndo does, kept in the same fixed segments as an OutputBuffer's
-// contents: it grows without ever recopying what it holds, and an UNDO frees
-// the segments it empties for the next appends. The client keeps its
-// undo-compacted view of the delivered stream in one.
-type TupleLog struct{ segLog }
-
-// Len returns the number of tuples in the log.
-func (l *TupleLog) Len() int { return l.n }
-
-// Append adds t at the end of the log.
-func (l *TupleLog) Append(t tuple.Tuple) { l.push(t) }
-
-// Undo deletes the suffix an UNDO with the given last-good id revokes (see
-// tuple.ApplyUndo).
-func (l *TupleLog) Undo(lastGoodID uint64) { l.undo(lastGoodID) }
-
-// Chunks calls fn with the log's tuples in order, one slice per run. The
-// slices alias the log: fn must neither modify nor retain them.
-func (l *TupleLog) Chunks(fn func(ts []tuple.Tuple)) { l.chunks(fn) }

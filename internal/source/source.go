@@ -7,7 +7,7 @@
 package source
 
 import (
-	"math/bits"
+	"slices"
 	"sort"
 
 	"borealis/internal/fabric"
@@ -38,9 +38,8 @@ type Config struct {
 }
 
 type subscriber struct {
-	pos    int // log position of the next tuple to send
-	seq    uint64
-	paused bool
+	pos int // log position of the next tuple to send
+	seq uint64
 }
 
 // Source is a data source endpoint on the simulated network.
@@ -50,15 +49,13 @@ type Source struct {
 	net fabric.Fabric
 
 	// The persistent log, addressed by position: the i-th tuple ever
-	// logged is at position i. Live positions are [logBase, logEnd); they
-	// sit in segs, fixed arrays of 1<<segShift tuples, with position
-	// segBase at segs[0][0].
-	segs     [][]tuple.Tuple
-	segShift uint
-	segBase  int
-	logBase  int
-	logEnd   int
-	subs     map[string]*subscriber
+	// logged is at position i, and position p at log index p − DroppedLog.
+	log  node.TupleLog
+	subs map[string]*subscriber
+	// pending is the array flushes copy the log into and lend to the
+	// fabric, which copies it during Send; one grown past
+	// tuple.LoanMaxCap (a reconnect replay) is given away instead.
+	pending []tuple.Tuple
 	// subsSorted caches the deterministic flush order; rebuilt when the
 	// subscription set changes.
 	subsSorted []string
@@ -95,12 +92,8 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 			return p[:]
 		}
 	}
-	segLen := logSegment
-	if cfg.LogCap > 0 && cfg.LogCap < segLen {
-		segLen = cfg.LogCap
-	}
 	s := &Source{cfg: cfg, clk: clk, net: net, subs: make(map[string]*subscriber),
-		segShift: uint(bits.Len(uint(segLen - 1)))}
+		log: node.NewTupleLog(cfg.LogCap)}
 	net.Register(cfg.ID, s.handle)
 	return s
 }
@@ -112,7 +105,7 @@ func (s *Source) ID() string { return s.cfg.ID }
 func (s *Source) Stream() string { return s.cfg.Stream }
 
 // LogLen returns the persistent log length.
-func (s *Source) LogLen() int { return s.logEnd - s.logBase }
+func (s *Source) LogLen() int { return s.log.Len() }
 
 // Start begins ticking.
 func (s *Source) Start() {
@@ -182,76 +175,39 @@ func (s *Source) tick() {
 	}
 }
 
-// logSegment is the tuple count of one persistent-log segment. A log
-// bounded below it uses the smallest power of two that holds LogCap, so a
-// small bounded source keeps a small log.
-const logSegment = 4096
-
-// seg splits log position i into its segment and its offset there.
-func (s *Source) seg(i int) (int, int) {
-	i -= s.segBase
-	return i >> s.segShift, i & (1<<s.segShift - 1)
-}
-
-// at returns the tuple at live log position i.
-func (s *Source) at(i int) tuple.Tuple {
-	g, o := s.seg(i)
-	return s.segs[g][o]
-}
-
-// append adds a tuple to the persistent log, evicting under LogCap. The
-// log grows a segment at a time and never recopies, and a written slot is
-// never written again. Eviction moves the log's start past a dead prefix in
-// O(1) and releases segments once they hold no live tuple; their contents
-// stay untouched, because batches already handed to flush may alias them.
+// append adds a tuple to the persistent log, evicting under LogCap.
+// Eviction recycles the segments it empties: nothing outside the log holds
+// them, because flush copies what it sends.
 func (s *Source) append(t tuple.Tuple) {
 	if s.cfg.LogCap > 0 && s.LogLen() >= s.cfg.LogCap {
 		drop := s.LogLen() - s.cfg.LogCap + 1
-		s.logBase += drop
+		s.log.DropHead(drop)
 		s.DroppedLog += uint64(drop)
 		for _, sub := range s.subs {
-			if sub.pos < s.logBase {
-				sub.pos = s.logBase
-			}
-		}
-		for s.logBase-s.segBase >= 1<<s.segShift {
-			s.segs[0] = nil
-			s.segs = s.segs[1:]
-			s.segBase += 1 << s.segShift
+			sub.pos = max(sub.pos, int(s.DroppedLog))
 		}
 	}
-	g, o := s.seg(s.logEnd)
-	if g == len(s.segs) {
-		s.segs = append(s.segs, make([]tuple.Tuple, 1<<s.segShift))
-	}
-	s.segs[g][o] = t
-	s.logEnd++
-}
-
-// span returns the logged tuples at positions [lo, hi), an array flush
-// gives away (DataMsg.Given). A range inside one segment is aliased — its
-// slots are never written again, and the capacity is clipped so the
-// receiver cannot append into the slots after it. A range crossing segments
-// (a reconnect replay, or a tick's batch straddling a boundary) is copied
-// into a fresh array.
-func (s *Source) span(lo, hi int) []tuple.Tuple {
-	ga, oa := s.seg(lo)
-	gb, ob := s.seg(hi - 1)
-	if ga == gb {
-		return s.segs[ga][oa : ob+1 : ob+1]
-	}
-	out := make([]tuple.Tuple, 0, hi-lo)
-	out = append(out, s.segs[ga][oa:]...)
-	for g := ga + 1; g < gb; g++ {
-		out = append(out, s.segs[g]...)
-	}
-	return append(out, s.segs[gb][:ob+1]...)
+	s.log.Append(t)
 }
 
 // flush sends each subscriber everything it has not yet received, in
-// deterministic (sorted endpoint) order.
+// deterministic (sorted endpoint) order. The tuples from the oldest
+// subscriber position on are copied into pending once; each subscriber gets
+// its suffix of it.
 func (s *Source) flush() {
-	end := s.logEnd
+	base := int(s.DroppedLog)
+	end := base + s.LogLen()
+	lo := end
+	for _, sub := range s.subs {
+		lo = min(lo, sub.pos)
+	}
+	if lo == end {
+		return
+	}
+	n := end - lo
+	batch := slices.Grow(s.pending[:0], n)[:n]
+	s.log.CopyOut(batch, lo-base)
+	given := cap(batch) > tuple.LoanMaxCap
 	if s.subsSorted == nil && len(s.subs) > 0 {
 		eps := make([]string, 0, len(s.subs))
 		for ep := range s.subs {
@@ -262,13 +218,18 @@ func (s *Source) flush() {
 	}
 	for _, ep := range s.subsSorted {
 		sub := s.subs[ep]
-		if sub.paused || sub.pos >= end {
+		if sub.pos >= end {
 			continue
 		}
-		batch := s.span(sub.pos, end)
+		ts := batch[sub.pos-lo : n : n]
 		sub.pos = end
 		sub.seq++
-		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: batch, Given: true})
+		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: ts, Given: given})
+	}
+	if given {
+		s.pending = nil
+	} else {
+		s.pending = batch[:0]
 	}
 }
 
@@ -281,14 +242,9 @@ func (s *Source) handle(from string, msg any) {
 		if m.Stream != s.cfg.Stream {
 			return
 		}
-		pos := s.logBase
+		pos := int(s.DroppedLog)
 		if m.FromID > 0 {
-			for i := s.logEnd - 1; i >= s.logBase; i-- {
-				if t := s.at(i); t.IsData() && t.ID == m.FromID {
-					pos = i + 1
-					break
-				}
-			}
+			pos += 1 + s.log.LastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == m.FromID })
 		}
 		s.subs[from] = &subscriber{pos: pos}
 		s.subsSorted = nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"borealis/internal/fabric"
 	"borealis/internal/netsim"
 	"borealis/internal/node"
 	"borealis/internal/runtime"
@@ -206,16 +207,48 @@ func TestSourceUnsubscribeStops(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // logTuple is the i-th data tuple appended by the bounded-log tests.
 func logTuple(i int) tuple.Tuple {
 	return tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}
+}
+
+// segment is the length of a full segment of the source's log (the node
+// package's TupleLog).
+const segment = 1024
+
+// oldest returns the log's slot of its oldest live tuple.
+func oldest(s *Source) *tuple.Tuple {
+	var p *tuple.Tuple
+	s.log.Chunks(func(ts []tuple.Tuple) {
+		if p == nil {
+			p = &ts[0]
+		}
+	})
+	return p
+}
+
+// runCaps returns, for each run of the source's log, the slots from its
+// first tuple to the end of its segment: every run is a window of one
+// segment that reaches the segment's end.
+func runCaps(s *Source) []int {
+	var caps []int
+	s.log.Chunks(func(ts []tuple.Tuple) { caps = append(caps, cap(ts)) })
+	return caps
+}
+
+// checkWindow fails unless the log holds exactly the ids first, first+1, …
+func checkWindow(t *testing.T, s *Source, first int) {
+	t.Helper()
+	var got []tuple.Tuple
+	s.log.Chunks(func(ts []tuple.Tuple) { got = append(got, ts...) })
+	if len(got) != s.LogLen() {
+		t.Fatalf("log holds %d tuples, LogLen %d", len(got), s.LogLen())
+	}
+	for i, tp := range got {
+		if want := logTuple(first + i); !tuple.Equal(tp, want) {
+			t.Fatalf("log[%d] = %v, want %v", i, tp, want)
+		}
+	}
 }
 
 func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
@@ -235,36 +268,83 @@ func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
 	if s.LogLen() != 1000 || s.DroppedLog != n-1000 {
 		t.Fatalf("LogLen %d, DroppedLog %d; want 1000, %d", s.LogLen(), s.DroppedLog, n-1000)
 	}
-	for i := 0; i < s.LogLen(); i++ {
-		if tp, want := s.at(s.logBase+i), uint64(n-1000+1+i); tp.ID != want {
-			t.Fatalf("log[%d] = id %d, want %d", i, tp.ID, want)
-		}
-	}
-	if len(s.segs) > 2 {
-		t.Fatalf("%d segments live for a 1000-tuple window; evicted segments must be released", len(s.segs))
+	checkWindow(t, s, n-1000+1)
+	if caps := runCaps(s); len(caps) > 2 {
+		t.Fatalf("%d segments live for a 1000-tuple window; evicted segments must be released", len(caps))
 	}
 }
 
 func TestSourceSmallLogCapKeepsSmallSegments(t *testing.T) {
 	// A log bounded below one full segment must not pin one: at LogCap 64
-	// the live log sits in at most two 64-tuple segments.
+	// the live log sits in at most two 64-tuple segments, and eviction
+	// recycles them, so 10 000 appends allocate fewer than three.
 	_, _, s, _ := setup(Config{LogCap: 64})
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
 	for i := 1; i <= 10000; i++ {
 		s.append(logTuple(i))
-		if len(s.segs) > 2 || len(s.segs[len(s.segs)-1]) != 64 {
-			t.Fatalf("after %d appends: %d segments of %d tuples, want ≤ 2 of 64", i, len(s.segs), len(s.segs[len(s.segs)-1]))
+	}
+	goruntime.ReadMemStats(&after)
+	if got, seg := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(tuple.Tuple{})); got >= 3*seg {
+		t.Fatalf("10 000 appends allocated %d B, want < 3 segments of %d B", got, seg)
+	}
+	for i := 10001; i <= 10200; i++ {
+		s.append(logTuple(i))
+		if caps := runCaps(s); len(caps) > 2 || caps[len(caps)-1] > 64 {
+			t.Fatalf("after %d appends: runs reaching %v slots, want ≤ 2 of ≤ 64", i, caps)
 		}
 	}
-	if s.LogLen() != 64 || s.at(s.logBase).ID != 10000-63 {
-		t.Fatalf("LogLen %d, oldest id %d", s.LogLen(), s.at(s.logBase).ID)
+	if s.LogLen() != 64 {
+		t.Fatalf("LogLen %d, want 64", s.LogLen())
+	}
+	checkWindow(t, s, 10200-63)
+}
+
+// copyingFabric is a stub fabric whose Send copies a message's tuples, as
+// every fabric copies a lent array, and keeps nothing of the sender's.
+type copyingFabric struct{ got []tuple.Tuple }
+
+func (f *copyingFabric) Register(string, fabric.Handler) {}
+func (f *copyingFabric) SetDown(string, bool)            {}
+func (f *copyingFabric) Send(_, _ string, msg any) {
+	if m, ok := msg.(node.DataMsg); ok {
+		f.got = append(f.got[:0], m.Tuples...)
 	}
 }
 
+func TestSourceCappedLogRecyclesSegments(t *testing.T) {
+	// At LogCap 1 000 eviction hands every emptied segment to the next
+	// appends, and a flush copies into the array the last one lent: in
+	// steady state appending and flushing allocate nothing but the boxed
+	// DataMsg each Send takes.
+	f := &copyingFabric{}
+	s := New(runtime.NewVirtual(), f, Config{ID: "src", Stream: "s", LogCap: 1000})
+	s.handle("dn", node.SubscribeMsg{Stream: "s"})
+	next := 1
+	op := func() {
+		for i := 0; i < 10; i++ {
+			s.append(logTuple(next))
+			next++
+		}
+		s.flush()
+	}
+	for i := 0; i < 4*segment/10; i++ {
+		op()
+	}
+	if a := testing.AllocsPerRun(4*segment/10, op); a != 1 {
+		t.Fatalf("an append-and-flush step allocates %.2f times, want 1 (the boxed DataMsg)", a)
+	}
+	if len(f.got) != 10 || f.got[0].ID != uint64(next-10) {
+		t.Fatalf("last flush sent %v, want ids %d…%d", f.got, next-10, next-1)
+	}
+	checkWindow(t, s, next-1000)
+}
+
 func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
-	// flush sends views of the log; later appends, segment crossings and
-	// eviction must leave every batch already handed out exactly as it was
-	// sent, and every batch must hold the tuples logged at its positions.
-	for _, logCap := range []int{64, logSegment + 100, 0} {
+	// Later appends, segment crossings and eviction must leave every batch
+	// already handed out exactly as it was sent, and every batch must hold
+	// the tuples logged at its positions.
+	for _, logCap := range []int{64, segment + 100, 0} {
 		sim, net, s, _ := setup(Config{LogCap: logCap})
 		var held [][]tuple.Tuple
 		var want [][]tuple.Tuple
@@ -277,7 +357,7 @@ func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
 		subscribe(net, sim, 0)
 		// Flushing every 61 appends keeps the subscriber inside even the
 		// 64-tuple window, and batches straddle segment boundaries.
-		const n = 3*logSegment + 500
+		const n = 3*segment + 500
 		for i := 1; i <= n; i++ {
 			s.append(logTuple(i))
 			if i%61 == 0 || i == n {
@@ -314,12 +394,12 @@ func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
 
 func TestSourceFlushSpanningSegments(t *testing.T) {
 	// A reconnect replay covers several segments; the batch must equal the
-	// logged tuples, and appending into its spare capacity must not reach
+	// logged tuples, and writing into the delivered array must not reach
 	// the log.
 	sim, net, s, k := setup(Config{})
 	subscribe(net, sim, 0)
 	s.Disconnect()
-	const n = 2*logSegment + logSegment/2
+	const n = 2*segment + segment/2
 	for i := 1; i <= n; i++ {
 		s.append(logTuple(i))
 	}
@@ -330,23 +410,12 @@ func TestSourceFlushSpanningSegments(t *testing.T) {
 		t.Fatalf("replay delivered %d tuples, want %d", len(k.tuples), n)
 	}
 	for i, tp := range k.tuples {
-		if !tuple.Equal(tp, logTuple(i+1)) || !tuple.Equal(tp, s.at(i)) {
+		if !tuple.Equal(tp, logTuple(i+1)) {
 			t.Fatalf("replay[%d] = %v, want %v", i, tp, logTuple(i+1))
 		}
+		k.tuples[i] = logTuple(-1)
 	}
-	// A tail batch aliased inside one segment is clipped to its length.
-	for i := n + 1; i <= n+10; i++ {
-		s.append(logTuple(i))
-	}
-	batch := s.span(n, n+10)
-	if cap(batch) != len(batch) {
-		t.Fatalf("aliased batch has spare capacity %d", cap(batch)-len(batch))
-	}
-	_ = append(batch, logTuple(-1))
-	s.append(logTuple(n + 11))
-	if got := s.at(n + 10); got.ID != uint64(n+11) {
-		t.Fatalf("log slot after a batch was written through the batch: %v", got)
-	}
+	checkWindow(t, s, 1)
 }
 
 func TestSourceUnboundedLogNeverRecopies(t *testing.T) {
@@ -355,7 +424,7 @@ func TestSourceUnboundedLogNeverRecopies(t *testing.T) {
 	_, _, s, _ := setup(Config{})
 	const n = 100000
 	s.append(logTuple(1))
-	first := &s.segs[0][0]
+	first := oldest(s)
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	for i := 2; i <= n; i++ {
@@ -366,12 +435,13 @@ func TestSourceUnboundedLogNeverRecopies(t *testing.T) {
 	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*own {
 		t.Fatalf("%d appends allocated %.0f B, want ≤ 1.1 × %.0f B", n, got, own)
 	}
-	if &s.segs[0][0] != first {
+	if oldest(s) != first {
 		t.Fatal("the first segment was recopied")
 	}
-	if s.LogLen() != n || s.at(n-1).ID != n {
-		t.Fatalf("LogLen %d, last id %d", s.LogLen(), s.at(n-1).ID)
+	if s.LogLen() != n {
+		t.Fatalf("LogLen %d, want %d", s.LogLen(), n)
 	}
+	checkWindow(t, s, 1)
 }
 
 func TestSourceBoundedLogPositionsAndReplay(t *testing.T) {
