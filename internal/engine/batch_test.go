@@ -90,8 +90,8 @@ func TestEngineStagedPlaneMatchesPerTupleCleanFlow(t *testing.T) {
 }
 
 func TestEngineStagedPlaneMatchesPerTupleDirtyFlow(t *testing.T) {
-	// Tentative traffic fails Gate B mid-chain (or the dispatch entry
-	// gate); both planes must still agree byte for byte.
+	// Tentative traffic enters the staged plane too; both planes must
+	// still agree byte for byte.
 	assertPlanesAgree(t, [][]tuple.Tuple{
 		{
 			tuple.NewInsertion(10*ms, 1),
@@ -151,4 +151,56 @@ func TestEngineStagedPlaneRepeatedDispatchReusesLoanSafely(t *testing.T) {
 		})
 	}
 	assertPlanesAgree(t, batches)
+}
+
+// An input bound straight to an SOutput hands it the ingested frame, so a
+// tentative tuple reaches it while the divergence flag is clear. Per tuple,
+// emitting that tuple raises the flag before the next one is read: the
+// stable insertion after it leaves tentative and the boundary is withheld.
+// The staged plane must read it the same way, although the engine collects
+// the SOutput's emissions and raises the flag only after the call.
+func TestEngineStagedPlaneSOutputReadsItsOwnTentative(t *testing.T) {
+	run := func(perTuple bool) []tuple.Tuple {
+		b := diagram.NewBuilder()
+		b.Add(operator.NewSOutput("out"))
+		b.Input("in", "out", 0)
+		b.Output("result", "out")
+		d, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := runtime.NewVirtual()
+		e := newPlane(sim, d, perTuple)
+		var c capture
+		c.bind(sim, e)
+		e.Ingest("in", []tuple.Tuple{
+			tuple.NewInsertion(10*ms, 1),
+			tuple.NewTentative(20*ms, 2),
+			tuple.NewInsertion(30*ms, 3),
+			tuple.NewBoundary(100 * ms),
+		})
+		sim.Run()
+		if !e.Diverged() {
+			t.Fatalf("per-tuple %v: a tentative output must raise the divergence flag", perTuple)
+		}
+		return c.tuples
+	}
+	ref, got := run(true), run(false)
+	want := []tuple.Type{tuple.Insertion, tuple.Tentative, tuple.Tentative}
+	if len(ref) != len(want) {
+		t.Fatalf("per-tuple plane: %v, want types %v", ref, want)
+	}
+	for i := range want {
+		if ref[i].Type != want[i] {
+			t.Fatalf("per-tuple plane: %v, want types %v", ref, want)
+		}
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("staged %v, per-tuple %v", got, ref)
+	}
+	for i := range got {
+		if !tuple.Equal(got[i], ref[i]) {
+			t.Fatalf("output %d: staged %v, per-tuple %v", i, got[i], ref[i])
+		}
+	}
 }

@@ -65,12 +65,13 @@ func split(ts []tuple.Tuple, sizes []int) [][]tuple.Tuple {
 // the same virtual instants and the same Processed count on both planes:
 // the pieces take one queue slot and one service charge, and the staged
 // plane's passes stop at piece edges, inside a stagedPass or not. With a
-// policy flip mid-replay (Gate A), the rest of the batch — later pieces
-// included — runs per-tuple. The engine never writes a piece.
+// policy flip mid-replay, the SUnion declines the rest of the batch —
+// later pieces included — which runs per-tuple. The engine never writes a
+// piece.
 func TestEngineIngestChunksMatchesOneBatch(t *testing.T) {
 	clean := replayBatch(3*stagedPass+517, 0, 41, 5)
-	// A tentative tuple in the last piece only fails Gate B for the whole
-	// batch: every piece runs per-tuple.
+	// A tentative tuple in the last piece only: every piece is staged, and
+	// the SUnion holds the tentative tuple in its bucket.
 	dirty := append([]tuple.Tuple(nil), clean...)
 	dirty[len(dirty)-3].Type = tuple.Tentative
 	chunkings := map[string][]int{
@@ -184,34 +185,47 @@ func TestEngineHoldsTentativeInLastChunk(t *testing.T) {
 	}
 }
 
-// passSpy wraps a chain's first stage and records the length of every batch
-// the staged plane offers it; it declines them all, so the stage runs its
-// per-tuple loop as if it offered no batch path.
+// passSpy is a Filter that records the length of every frame the staged
+// plane offers it and counts the tuples it is handed one at a time; it
+// takes every frame through the Filter's batch path.
 type passSpy struct {
-	operator.Operator
-	passes []int
+	*operator.Filter
+	passes   []int
+	perTuple int
 }
 
-func (s *passSpy) ProcessBatch(_ int, ts []tuple.Tuple) bool {
+func (s *passSpy) ProcessBatch(port int, ts []tuple.Tuple) bool {
 	s.passes = append(s.passes, len(ts))
-	return false
+	return s.Filter.ProcessBatch(port, ts)
+}
+
+func (s *passSpy) Process(port int, t tuple.Tuple) {
+	s.perTuple++
+	s.Filter.Process(port, t)
 }
 
 // The staged plane's passes over a chunked batch stop at every piece edge
-// and hold at most stagedPass tuples; a tentative tuple in the last piece
-// keeps every piece off the staged plane (Gate B over all pieces); and a
-// policy flip mid-replay ends the staged passes (Gate A between passes).
+// and hold at most stagedPass tuples, and a tentative tuple in the last
+// piece changes neither: every batch on an input with a chain is staged. A
+// policy flip on the first output makes the SUnion decline every later
+// pass, which then runs per-tuple from the SUnion on. Each run's output
+// equals the reference plane's.
 func TestEngineIngestChunksStagedPasses(t *testing.T) {
 	sizes := []int{700, 1500, 3, stagedPass + 5, 1}
 	batch := replayBatch(3*stagedPass+517, 0, 41, 5)
-	run := func(ts []tuple.Tuple, flip bool) *passSpy {
-		spy := &passSpy{Operator: operator.NewFilter("f", func(t tuple.Tuple) bool { return t.Field(0)%2 == 1 })}
+	dirty := append([]tuple.Tuple(nil), batch...)
+	dirty[len(dirty)-3].Type = tuple.Tentative
+	run := func(ts []tuple.Tuple, flip, perTuple bool) (f, g *passSpy, out []tuple.Tuple) {
+		f = &passSpy{Filter: operator.NewFilter("f", func(t tuple.Tuple) bool { return t.Field(0)%2 == 1 })}
+		g = &passSpy{Filter: operator.NewFilter("g", func(tuple.Tuple) bool { return true })}
 		b := diagram.NewBuilder()
-		b.Add(spy)
+		b.Add(f)
 		b.Add(operator.NewSUnion("su", operator.SUnionConfig{Ports: 1, BucketSize: 100 * ms, Delay: 2 * sec}))
+		b.Add(g)
 		b.Add(operator.NewSOutput("out"))
 		b.Connect("f", "su", 0)
-		b.Connect("su", "out", 0)
+		b.Connect("su", "g", 0)
+		b.Connect("g", "out", 0)
 		b.Input("in", "f", 0)
 		b.Output("result", "out")
 		d, err := b.Build()
@@ -219,15 +233,18 @@ func TestEngineIngestChunksStagedPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := runtime.NewVirtual()
-		e := New(sim, d, Config{})
-		e.OnOutputBatch(func(string, []tuple.Tuple) {
+		e := newPlane(sim, d, perTuple)
+		record := func(ts ...tuple.Tuple) {
+			out = append(out, ts...)
 			if flip {
 				e.SetPolicyAll(operator.PolicyProcess)
 			}
-		})
+		}
+		e.OnOutput(func(_ string, tp tuple.Tuple) { record(tp) })
+		e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { record(ts...) })
 		e.IngestChunks("in", split(ts, sizes))
 		sim.Run()
-		return spy
+		return f, g, out
 	}
 	var want []int
 	rest := len(batch)
@@ -240,17 +257,29 @@ func TestEngineIngestChunksStagedPasses(t *testing.T) {
 			want = append(want, min(n, stagedPass))
 		}
 	}
-	if got := run(batch, false).passes; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("staged passes %v, want %v", got, want)
-	}
-	dirty := append([]tuple.Tuple(nil), batch...)
-	dirty[len(dirty)-3].Type = tuple.Tentative
-	if got := run(dirty, false).passes; len(got) != 0 {
-		t.Fatalf("a tentative last piece must keep the batch off the staged plane; passes %v", got)
-	}
-	got := run(batch, true).passes
-	if len(got) == 0 || len(got) >= len(want) {
-		t.Fatalf("a policy flip on the first output must end the staged passes; passes %v of %v", got, want)
+	for _, c := range []struct {
+		name  string
+		batch []tuple.Tuple
+		flip  bool
+	}{
+		{"clean", batch, false},
+		{"tentative-tail", dirty, false},
+		{"flip", batch, true},
+	} {
+		f, g, out := run(c.batch, c.flip, false)
+		if fmt.Sprint(f.passes) != fmt.Sprint(want) || f.perTuple != 0 {
+			t.Fatalf("%s: staged passes %v and %d per-tuple calls, want %v and none", c.name, f.passes, f.perTuple, want)
+		}
+		if c.flip && (len(g.passes) != 1 || g.perTuple == 0) {
+			t.Fatalf("%s: after the flip the SUnion must decline every pass; the stage after it took %v and %d tuples per-tuple", c.name, g.passes, g.perTuple)
+		}
+		if !c.flip && (len(g.passes) != len(want) || g.perTuple != 0) {
+			t.Fatalf("%s: the stage after the SUnion took %v and %d tuples per-tuple; want every pass staged", c.name, g.passes, g.perTuple)
+		}
+		_, _, ref := run(c.batch, c.flip, true)
+		if len(out) == 0 || !sameBatch(out, ref) {
+			t.Fatalf("%s: %d outputs differ from the reference plane's %d", c.name, len(out), len(ref))
+		}
 	}
 }
 

@@ -84,10 +84,9 @@ type stage struct {
 	op   operator.Operator
 	bp   operator.BatchProcessor // non-nil when op implements it
 	port int
-	// clean is set when op is operator.CleanPreserving: an accepted
-	// ProcessBatch call provably emits only stable insertions and stable
-	// boundaries given a clean input, so the dispatcher skips the
-	// per-tuple Gate B rescan of the stage's output.
+	// clean is set when op is operator.CleanPreserving: from a frame
+	// without tentative tuples an accepted ProcessBatch emits none, so the
+	// dispatcher need not scan the stage's output for one.
 	clean bool
 }
 
@@ -189,7 +188,9 @@ func (e *Engine) OnOutput(fn func(stream string, t tuple.Tuple)) { e.onOutput = 
 // an external output stream by the staged batch plane. The slice is only
 // valid for the duration of the call (it is a pooled frame); the callback
 // must copy what it retains. Tuples still reach OnOutput per-tuple whenever
-// the staged plane is not in effect, so both callbacks should be set.
+// they are not run as a staged frame — an input without a chain, a stage
+// that declines its frame, a timer's emission — so both callbacks should
+// be set.
 func (e *Engine) OnOutputBatch(fn func(stream string, ts []tuple.Tuple)) { e.onOutputBatch = fn }
 
 // OnSignal registers the callback receiving SUnion/SOutput control signals.
@@ -233,7 +234,7 @@ func (e *Engine) wire() {
 		// Both closures first check whether the staged batch plane is
 		// collecting this operator's emissions; the collector defers the
 		// divergence bookkeeping to the staged dispatcher, which replicates
-		// the reference plane's write timing exactly (see dispatchStaged).
+		// the reference plane's write timing exactly (see runStages).
 		var emit func(tuple.Tuple)
 		if len(cons) == 1 && !isOutput {
 			to := cons[0]
@@ -378,8 +379,8 @@ func (e *Engine) IngestLent(stream string, ts []tuple.Tuple, pool *tuple.LoanPoo
 
 // IngestChunks queues the pieces of one batch, such as a replay handed over
 // as the runs of a segmented log, as one work item: one queue slot, one
-// service charge, one Gate B verdict. Dispatch reads the pieces in order and
-// never joins or writes them. A batch without tuples is not queued.
+// service charge. Dispatch reads the pieces in order and never joins or
+// writes them. A batch without tuples is not queued.
 func (e *Engine) IngestChunks(stream string, chunks [][]tuple.Tuple) {
 	for _, ts := range chunks {
 		if len(ts) > 0 {
@@ -501,33 +502,22 @@ func (e *Engine) svcDone(any) {
 // stage frames stay near this size instead of growing to the replay's.
 const stagedPass = 2048
 
-// dispatch pushes a serviced batch through the diagram: along the staged
-// batch plane while the safety gates hold, per-tuple otherwise.
-//
-// The staged plane runs a batch in passes of at most stagedPass tuples that
-// never span two of its pieces. dispatchStaged's equivalence argument holds
-// for any clean batch, so it holds for each part of one, and the per-tuple
-// loop over the whole batch is the per-tuple loops over its parts in turn.
-// Gate B was proven for every piece at entry and holds for every part; only
-// Gate A — a policy the previous pass may have changed through a signal —
-// is re-checked between passes, and once it fails the rest of the batch
-// runs per-tuple. The service timer charged the whole batch at once in
-// kick, so the capacity model does not see the passes.
+// dispatch pushes a serviced batch through the diagram. An input without a
+// chain runs per-tuple (Gate C); every other batch runs through its chain
+// in passes of at most stagedPass tuples that never span two of its
+// pieces, whatever the batch holds. The per-tuple loop over the whole
+// batch is the per-tuple loops over its parts in turn, so running the
+// parts one after the other is exact. The service timer charged the whole
+// batch at once in kick, so the capacity model does not see the passes.
 func (e *Engine) dispatch(batch work) {
 	in := batch.in
 	var one [1][]tuple.Tuple
-	pieces := batch.pieces(&one)
-	staged := in.ch != nil && e.policiesStageable()
-	for _, ts := range pieces {
+	for _, ts := range batch.pieces(&one) {
 		tuple.CheckNotReturned("Engine.dispatch", ts)
-		staged = staged && cleanBatch(ts)
-	}
-	for _, ts := range pieces {
-		for staged && len(ts) > 0 {
+		for in.ch != nil && len(ts) > 0 {
 			n := min(len(ts), stagedPass)
 			e.dispatchStaged(in.ch, ts[:n])
 			ts = ts[n:]
-			staged = e.policiesStageable()
 		}
 		for i := range ts {
 			e.Processed++
@@ -536,119 +526,111 @@ func (e *Engine) dispatch(batch work) {
 	}
 }
 
-// policiesStageable is Gate A, checked at the staged plane's entry and
-// between passes: every SUnion must be under PolicyNone or PolicySuspend —
-// the tentative-emitting policies arm flush timers whose heap order depends
-// on per-tuple interleaving, which operator-at-a-time execution would
-// reorder. The entry gate's other half is Gate B (cleanBatch): the batch
-// must hold only stable traffic; anything else takes the reference path,
-// whose ordering around undo/reconciliation is the spec.
-func (e *Engine) policiesStageable() bool {
-	for _, su := range e.sunions {
-		if p := su.Policy(); p != operator.PolicyNone && p != operator.PolicySuspend {
-			return false
-		}
-	}
-	return true
-}
-
-// cleanBatch reports whether ts carries only stable traffic: insertions and
-// stable boundaries. Tentative boundaries (Src==1, footnote 5 of the paper)
-// are excluded along with tentative data — they only occur while some
-// SUnion is emitting tentatively, exactly when staging must stand down.
-func cleanBatch(ts []tuple.Tuple) bool {
-	for i := range ts {
-		if ts[i].Type != tuple.Insertion && !(ts[i].Type == tuple.Boundary && ts[i].Src == 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// dispatchStaged runs a batch through a chain operator-at-a-time: every
-// tuple through stage 0, stage 0's collected emissions through stage 1, and
-// so on. Each stage's output is re-checked against Gate B — the moment a
-// stage emits anything non-stable, the remaining diagram runs per-tuple
-// through the reference plane's emit closures, with the divergence flag
-// written per tentative tuple immediately before the downstream Process
-// call, exactly as the reference emit closure would have.
+// dispatchStaged runs one pass through a chain operator-at-a-time: every
+// tuple through stage 0, stage 0's collected emissions through stage 1,
+// and so on. A stage that does not take its frame runs it, and every stage
+// after it, per-tuple through the emit closures: the reference path from
+// that stage on. The one other deviation from plain stages is the split of
+// runStages, which raises the divergence flag where the reference would.
 //
-// Equivalence argument: within one synchronous dispatch the clock is
-// constant, only SUnions arm timers (never under Gate A's policies), only
-// SOutput reads the divergence flag (and it is terminal in every chain),
-// and the flag can only transition on a tentative emission — which Gate B
-// turns into a fallback at the emitting stage. So reordering per-tuple
-// depth-first traversal into operator-at-a-time stages changes no
-// observable state transition.
+// Why this is exact: the clock is constant within a dispatch; an accepted
+// ProcessBatch arms no timer and raises no signal (SUnion declines under
+// the policies that arm flush timers); and the engine never ingests
+// REC_DONE or UNDO, because the Input Managers consume them. So the one
+// state one stage writes and a later stage reads is the divergence flag,
+// and reordering the per-tuple depth-first traversal into stages changes
+// no observable state transition as long as every stage reads the flag as
+// the reference would.
 func (e *Engine) dispatchStaged(ch *chain, ts []tuple.Tuple) {
 	e.Processed += uint64(len(ts))
-	cur := ts
-	curPooled := false // cur is a pool frame (not the input, not a loan)
+	dirty := !e.diverged && firstTentative(ts) >= 0
 	if ch.copyInput {
-		cur = append(e.frames.Get(), ts...)
-		curPooled = true
+		ts = append(e.frames.Get(), ts...)
 	}
-	for si := range ch.stages {
-		st := ch.stages[si]
-		last := si == len(ch.stages)-1
-		out, pooled, fast := e.collectStage(st, cur)
-		if len(out) > 0 && len(cur) > 0 && &out[0] == &cur[0] {
-			// The stage re-emitted its input frame in place (a self-loan,
-			// possibly compacted shorter): ownership of the frame carries
-			// over unchanged, so it must not be recycled here.
-			cur = out
-		} else {
-			if curPooled {
-				e.frames.Put(cur)
+	e.runStages(ch, 0, ts, ch.copyInput, dirty)
+}
+
+// runStages runs frame ts through ch's stages from si on and publishes what
+// the last one emits; pooled says ts is a pool frame to recycle when done.
+// dirty says the flag is clear and ts may hold a tentative tuple: the entry
+// scan seeds it, and a stage that is not operator.CleanPreserving sets it.
+// Only a dirty stage output is scanned.
+//
+// The split: when a stage's output holds a tentative tuple and the flag is
+// clear, the part before that tuple runs through the remaining stages,
+// then the flag rises, then the rest runs — as it rises on the reference
+// plane when the tentative tuple is emitted. The flag only falls in Restore
+// and injectRecDone, never inside a dispatch, so it rises at most once per
+// pass and nothing is scanned once it is up.
+func (e *Engine) runStages(ch *chain, si int, ts []tuple.Tuple, pooled, dirty bool) {
+	for ; si < len(ch.stages); si++ {
+		st := &ch.stages[si]
+		out, outPooled, took := e.collectStage(st, ts)
+		if !took {
+			for i := range ts {
+				st.op.Process(st.port, ts[i])
 			}
-			cur, curPooled = out, pooled
+			e.release(ts, pooled)
+			return
 		}
-		if last {
-			e.publishStaged(ch.outStream, out)
-			break
+		if len(out) == 0 || len(ts) == 0 || &out[0] != &ts[0] {
+			// Unless the stage re-emitted its input frame in place (a
+			// self-loan, possibly compacted shorter), which carries the
+			// frame's ownership over, the input frame is done with.
+			e.release(ts, pooled)
+			pooled = outPooled
 		}
-		if (!fast || !st.clean) && !cleanBatch(out) {
-			// Gate B fallback: feed this stage's emissions per-tuple into
-			// the next stage; its emit closures take over from there.
-			next := ch.stages[si+1]
-			for i := range out {
-				if out[i].Type == tuple.Tentative {
-					e.diverged = true
-				}
-				next.op.Process(next.port, out[i])
+		ts = out
+		if dirty = !e.diverged && (dirty || !st.clean); dirty {
+			if k := firstTentative(ts); k >= 0 {
+				e.runStages(ch, si+1, ts[:k:k], false, false)
+				e.diverged = true
+				e.runStages(ch, si+1, ts[k:], false, false)
+				e.release(ts, pooled)
+				return
 			}
-			break
+			dirty = false
 		}
 	}
-	if curPooled {
-		e.frames.Put(cur)
+	e.publishStaged(ch.outStream, ts)
+	e.release(ts, pooled)
+}
+
+// release recycles a stage frame that is a pool frame.
+func (e *Engine) release(ts []tuple.Tuple, pooled bool) {
+	if pooled {
+		e.frames.Put(ts)
 	}
 }
 
-// collectStage runs one batch through one operator, capturing its
-// emissions. The batch-processing fast path is taken when the operator
-// offers one and accepts; otherwise the reference per-tuple loop runs with
-// the collector still capturing. The capture buffer is materialized lazily:
-// a pool frame on the first per-tuple or copying emission, or the
-// operator's own loaned array (Env.EmitLoan) aliased in place — the second
-// return value reports whether the result belongs to the frame pool, the
-// third whether the batch fast path accepted (needed for the Gate B
-// rescan-skip, which only CleanPreserving ProcessBatch calls license).
-func (e *Engine) collectStage(st stage, ts []tuple.Tuple) ([]tuple.Tuple, bool, bool) {
-	e.collectOp = st.op
-	e.collectBuf = nil
-	e.collectLoan = false
-	fast := st.bp != nil && st.bp.ProcessBatch(st.port, ts)
-	if !fast {
-		for i := range ts {
-			st.op.Process(st.port, ts[i])
+// firstTentative returns the index of the first tentative tuple in ts, or
+// -1 when it holds none.
+func firstTentative(ts []tuple.Tuple) int {
+	for i := range ts {
+		if ts[i].Type == tuple.Tentative {
+			return i
 		}
 	}
-	out, pooled := e.collectBuf, !e.collectLoan
+	return -1
+}
+
+// collectStage offers a frame to one stage's batch path, capturing its
+// emissions; took is false when the stage has none or declines, and then
+// nothing ran. The capture buffer is materialized lazily: a pool frame on
+// the first per-tuple or copying emission, or the operator's own loaned
+// array (Env.EmitLoan) aliased in place — pooled reports whether the
+// output belongs to the frame pool.
+func (e *Engine) collectStage(st *stage, ts []tuple.Tuple) (out []tuple.Tuple, pooled, took bool) {
+	if st.bp == nil {
+		return nil, false, false
+	}
+	e.collectOp = st.op
+	took = st.bp.ProcessBatch(st.port, ts)
+	out, pooled = e.collectBuf, !e.collectLoan
 	e.collectOp = nil
 	e.collectBuf = nil
 	e.collectLoan = false
-	return out, pooled, fast
+	return out, pooled, took
 }
 
 // collectRoom readies the running stage's frame for n more tuples: a pool
@@ -667,15 +649,7 @@ func (e *Engine) collectRoom(n int) {
 }
 
 // publishStaged delivers a terminal output operator's collected emissions.
-// The divergence scan mirrors the reference emit closure (which sets the
-// flag before publishing each tentative tuple); nothing on the publish side
-// reads the flag, so setting it for the whole batch up front is exact.
 func (e *Engine) publishStaged(stream string, out []tuple.Tuple) {
-	for i := range out {
-		if out[i].Type == tuple.Tentative {
-			e.diverged = true
-		}
-	}
 	if len(out) == 0 {
 		return
 	}
@@ -855,10 +829,8 @@ func (e *Engine) HoldsTentative() bool {
 func holdsTentative(pieces [][]tuple.Tuple) bool {
 	for _, ts := range pieces {
 		tuple.CheckNotReturned("Engine.HoldsTentative", ts)
-		for i := range ts {
-			if ts[i].Type == tuple.Tentative {
-				return true
-			}
+		if firstTentative(ts) >= 0 {
+			return true
 		}
 	}
 	return false

@@ -95,10 +95,9 @@ func TestEngineStagedPassesMatchPerTupleOnLongBatch(t *testing.T) {
 	}
 }
 
-// The same through a restored SOutput: the undo is armed, so the first
-// pass declines the SOutput fast path and emits the UNDO and the
-// corrections per tuple into the collector's frame; later passes are back
-// on the fast path.
+// The same through a restored SOutput: the undo is armed, so the SOutput
+// declines the first pass, which reaches it per-tuple and emits the UNDO
+// and the corrections; later passes are back on the fast path.
 func TestEngineStagedPassesMatchPerTupleThroughRestoredSOutput(t *testing.T) {
 	const perBucket, releaseEvery = 29, 7
 	got, ref := newPassRun(t, false), newPassRun(t, true)
@@ -136,13 +135,16 @@ func TestEngineStagedPassesMatchPerTupleThroughRestoredSOutput(t *testing.T) {
 	}
 }
 
-// A policy flip between passes (Gate A) sends the rest of the batch down
-// the per-tuple path; output and Processed still match the reference.
+// A policy flip between passes makes the SUnion decline every later pass,
+// which then runs per-tuple from the SUnion on: on the staged plane every
+// output before the flip comes as a batch and every one after it tuple by
+// tuple. Output and Processed still match the reference.
 func TestEngineStagedPassesRecheckPolicyGate(t *testing.T) {
 	for _, flipAfter := range []int{1, 2} {
 		t.Run(fmt.Sprintf("after=%d", flipAfter), func(t *testing.T) {
 			got, ref := newPassRun(t, false), newPassRun(t, true)
 			batch := replayBatch(3*stagedPass, 0, 41, 5)
+			perTupleAt := -1 // the staged plane's first per-tuple output
 			for _, r := range []*passRun{got, ref} {
 				r := r
 				su := r.e.Diagram().Op("su").(*operator.SUnion)
@@ -156,11 +158,20 @@ func TestEngineStagedPassesRecheckPolicyGate(t *testing.T) {
 						r.e.SetPolicyAll(operator.PolicyProcess)
 					}
 				}
-				r.e.OnOutput(func(_ string, tp tuple.Tuple) { r.out = append(r.out, tp); flip() })
+				r.e.OnOutput(func(_ string, tp tuple.Tuple) {
+					if r == got && perTupleAt < 0 {
+						perTupleAt = len(r.out)
+					}
+					r.out = append(r.out, tp)
+					flip()
+				})
 				r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { r.out = append(r.out, ts...); flip() })
 				r.ingest(append([]tuple.Tuple(nil), batch...))
 				if flippedAt < 0 || flippedAt >= len(r.out)-stagedPass/3 || su.Policy() != operator.PolicyProcess {
 					t.Fatalf("the policy must flip before the last pass (flipped at output %d of %d)", flippedAt, len(r.out))
+				}
+				if r == got && perTupleAt != flippedAt {
+					t.Fatalf("staged plane: first per-tuple output %d, policy flipped at output %d", perTupleAt, flippedAt)
 				}
 			}
 			comparePlanes(t, got, ref)

@@ -9,16 +9,21 @@ import (
 	"borealis/internal/tuple"
 )
 
-// statefulDiagram builds l, r → SUnion → op → SOutput: a staged chain whose
-// middle stage is a batch processor that keeps tuples across dispatches.
-func statefulDiagram(t *testing.T, op operator.Operator) *diagram.Diagram {
+// statefulDiagram builds l, r → SUnion → op → then... → SOutput: a staged
+// chain whose middle stage is a batch processor that keeps tuples across
+// dispatches.
+func statefulDiagram(t *testing.T, op operator.Operator, then ...operator.Operator) *diagram.Diagram {
 	t.Helper()
 	b := diagram.NewBuilder()
 	b.Add(operator.NewSUnion("su", operator.SUnionConfig{Ports: 2, BucketSize: 100 * ms, Delay: 2 * sec}))
-	b.Add(op)
+	prev := "su"
+	for _, o := range append([]operator.Operator{op}, then...) {
+		b.Add(o)
+		b.Connect(prev, o.Name(), 0)
+		prev = o.Name()
+	}
 	b.Add(operator.NewSOutput("out"))
-	b.Connect("su", op.Name(), 0)
-	b.Connect(op.Name(), "out", 0)
+	b.Connect(prev, "out", 0)
 	b.Input("l", "su", 0)
 	b.Input("r", "su", 1)
 	b.Output("result", "out")
@@ -32,18 +37,21 @@ func statefulDiagram(t *testing.T, op operator.Operator) *diagram.Diagram {
 // A clean frame can meet tentative state: tuples a failure left in a join's
 // window or an aggregate's open accumulators, carried across a restore by a
 // snapshot taken mid-epoch (the restore clears the engine's divergence
-// flag, not the operators' content). Such a frame passes the staged plane's
-// entry gate and the stateful stage accepts it as a batch — yet part of
-// what it emits is TENTATIVE, followed in the same frame by stable results.
-// Neither operator is CleanPreserving, so the dispatcher rescans the stage's
-// output and takes the Gate B fallback: SOutput must see the divergence
-// flag rise between the two and label the trailing stable results
-// tentative, exactly as on the per-tuple plane.
+// flag, not the operators' content). The stateful stage accepts such a
+// frame as a batch — yet part of what it emits is TENTATIVE, mixed in the
+// same frame with stable results. Neither operator is CleanPreserving, so
+// the dispatcher scans the stage's output and splits it at the first
+// tentative tuple: SOutput must see the divergence flag rise exactly there,
+// passing the stable results before it and labelling those after it
+// tentative, as on the per-tuple plane — also when a stage in between
+// drops the tentative tuple itself.
 func TestEngineStagedPlaneRescansStatefulStages(t *testing.T) {
 	cases := []struct {
 		name  string
 		op    func() operator.Operator
+		then  func() operator.Operator // a stage after op, if any
 		clean map[string][]tuple.Tuple // the post-failure dispatch, per input
+		want  []tuple.Type             // the output types, both planes
 	}{
 		{
 			name: "join",
@@ -56,6 +64,39 @@ func TestEngineStagedPlaneRescansStatefulStages(t *testing.T) {
 				"l": {tuple.NewInsertion(120*ms, 2), tuple.NewBoundary(300 * ms)},
 				"r": {tuple.NewInsertion(210*ms, 1), tuple.NewInsertion(220*ms, 2), tuple.NewBoundary(300 * ms)},
 			},
+			want: []tuple.Type{tuple.Tentative, tuple.Tentative},
+		},
+		{
+			name: "join-stable-first",
+			op: func() operator.Operator {
+				return operator.NewSJoin("j", operator.JoinConfig{Window: sec})
+			},
+			// Key 2 meets the stable left tuple first: its result leaves
+			// stable, and only key 1's, which meets the tentative one,
+			// raises the flag. Raising it for the whole frame would label
+			// both tentative.
+			clean: map[string][]tuple.Tuple{
+				"l": {tuple.NewInsertion(120*ms, 2), tuple.NewBoundary(300 * ms)},
+				"r": {tuple.NewInsertion(210*ms, 2), tuple.NewInsertion(220*ms, 1), tuple.NewBoundary(300 * ms)},
+			},
+			want: []tuple.Type{tuple.Insertion, tuple.Tentative},
+		},
+		{
+			name: "join-filtered",
+			op: func() operator.Operator {
+				return operator.NewSJoin("j", operator.JoinConfig{Window: sec})
+			},
+			// The filter drops key 1's tentative result, so the SOutput
+			// never sees a tentative tuple: only the flag the join's
+			// emission raised labels key 2's stable result tentative.
+			then: func() operator.Operator {
+				return operator.NewFilter("f", func(t tuple.Tuple) bool { return t.Field(0) == 2 })
+			},
+			clean: map[string][]tuple.Tuple{
+				"l": {tuple.NewInsertion(120*ms, 2), tuple.NewBoundary(300 * ms)},
+				"r": {tuple.NewInsertion(210*ms, 1), tuple.NewInsertion(220*ms, 2), tuple.NewBoundary(300 * ms)},
+			},
+			want: []tuple.Type{tuple.Tentative},
 		},
 		{
 			name: "aggregate",
@@ -68,13 +109,18 @@ func TestEngineStagedPlaneRescansStatefulStages(t *testing.T) {
 				"l": {tuple.NewBoundary(900 * ms)},
 				"r": {tuple.NewInsertion(450*ms, 1), tuple.NewInsertion(850*ms, 1), tuple.NewBoundary(900 * ms)},
 			},
+			want: []tuple.Type{tuple.Tentative, tuple.Tentative},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(perTuple bool) []tuple.Tuple {
 				sim := runtime.NewVirtual()
-				e := newPlane(sim, statefulDiagram(t, tc.op()), perTuple)
+				var then []operator.Operator
+				if tc.then != nil {
+					then = append(then, tc.then())
+				}
+				e := newPlane(sim, statefulDiagram(t, tc.op(), then...), perTuple)
 				var c capture
 				c.bind(sim, e)
 				// Failure: only l delivers, and PolicyProcess releases its
@@ -98,11 +144,19 @@ func TestEngineStagedPlaneRescansStatefulStages(t *testing.T) {
 				e.Ingest("l", tc.clean["l"])
 				e.Ingest("r", tc.clean["r"])
 				sim.Run()
+				if !e.Diverged() {
+					t.Fatalf("per-tuple %v: the tentative result must leave the node diverged", perTuple)
+				}
 				return c.data()
 			}
 			ref, got := run(true), run(false)
-			if len(ref) != 2 || ref[0].Type != tuple.Tentative || ref[1].Type != tuple.Tentative {
-				t.Fatalf("per-tuple plane: want a tentative result then a stable one relabelled tentative, got %v", ref)
+			if len(ref) != len(tc.want) {
+				t.Fatalf("per-tuple plane: want %d results, got %v", len(tc.want), ref)
+			}
+			for i, typ := range tc.want {
+				if ref[i].Type != typ {
+					t.Fatalf("per-tuple plane: result %d is %v, want type %v", i, ref[i], typ)
+				}
 			}
 			if len(got) != len(ref) {
 				t.Fatalf("plane outputs differ in length: batch %v, per-tuple %v", got, ref)

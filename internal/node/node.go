@@ -696,6 +696,9 @@ func (n *Node) Restart() {
 	n.down = false
 	n.net.SetDown(n.cfg.ID, false)
 	n.recovering = true
+	// The dead incarnation's stall timers kept running and may have set a
+	// failure policy after the crash; the rebuild runs under PolicyNone.
+	n.applyPolicies()
 	n.restartedAt = n.clk.Now()
 	n.state = StateUpFailure // not advertised while recovering
 	n.failed = make(map[string]bool)

@@ -282,7 +282,7 @@ func (a *Aggregate) Process(port int, t tuple.Tuple) {
 // frame and loaning it downstream once. It never declines, and it is
 // deliberately not CleanPreserving: a clean frame can close a window whose
 // accumulators took tentative tuples during an earlier failure, so the
-// staged dispatcher must rescan what the aggregate emits. The input frame
+// staged dispatcher must scan what the aggregate emits. The input frame
 // is only read.
 func (a *Aggregate) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 	out := a.out[:0]

@@ -18,14 +18,12 @@ type BatchProcessor interface {
 }
 
 // CleanPreserving marks BatchProcessors with the invariant: when
-// ProcessBatch accepts a batch holding only stable insertions and stable
-// boundaries, everything it emits is again only stable insertions and
-// stable boundaries. The staged dispatcher can then skip the per-tuple
-// Gate B rescan of the stage's output — the input was already proven
-// clean, inductively from the dispatch entry gate. The invariant only
-// covers accepting ProcessBatch calls; a declined batch runs per-tuple
-// Process, which may emit tentative tuples (e.g. a diverged SOutput), so
-// the dispatcher still rescans after any fallback.
+// ProcessBatch accepts a frame without tentative tuples, it emits none.
+// The staged dispatcher then skips scanning the stage's output for the
+// tuple that raises the node's divergence flag — the input was proven free
+// of them, inductively from the dispatch's entry scan. The invariant only
+// covers accepting ProcessBatch calls; a declined frame runs per-tuple
+// from that stage on and is never scanned.
 type CleanPreserving interface{ CleanPreserving() }
 
 // MutatesBatch marks BatchProcessors whose ProcessBatch may rewrite the
@@ -119,8 +117,8 @@ func (s *SUnion) ProcessBatch(port int, ts []tuple.Tuple) bool {
 	return true
 }
 
-// CleanPreserving: with a clean batch accepted under Gate A's policies,
-// SUnion emits only sorted stable buckets and stable boundaries.
+// CleanPreserving: under the policies it accepts a batch in, SUnion emits
+// only buckets without tentative content, boundaries and REC_DONE.
 func (s *SUnion) CleanPreserving() {}
 
 // pumpNeeded reports whether pump() could change state after a stable data
@@ -211,7 +209,9 @@ func (o *SOutput) ProcessBatch(port int, ts []tuple.Tuple) bool {
 			o.scratch = out[:0]
 			for ; i < len(ts); i++ {
 				o.Process(port, ts[i])
+				o.raised = o.raised || ts[i].Type == tuple.Tentative
 			}
+			o.raised = false
 			return true
 		}
 	}

@@ -144,6 +144,10 @@ func TestSOutputProcessBatchSteadyMatchesProcess(t *testing.T) {
 func TestSOutputProcessBatchRarePathMatchesProcess(t *testing.T) {
 	// A tentative tuple mid-batch forces the flush-prefix-then-per-tuple
 	// path; everything after it goes through the reference implementation.
+	// Per tuple, the engine raises the divergence flag as the tentative
+	// tuple is emitted (the reference env raises it); a collected batch
+	// call sees it raised only afterwards (the batch env never raises it),
+	// so the batch path must read it as raised from that tuple on.
 	in := []tuple.Tuple{
 		tuple.NewInsertion(10, 1),
 		tuple.NewInsertion(20, 2),
@@ -152,14 +156,21 @@ func TestSOutputProcessBatchRarePathMatchesProcess(t *testing.T) {
 	}
 	ref := NewSOutput("o")
 	rc := attach(ref, nil)
+	rc.raise = true
 	for _, tp := range in {
 		ref.Process(0, tp)
+	}
+	if got := rc.ofType(tuple.Tentative); len(got) != 2 {
+		t.Fatalf("the insertion after the tentative tuple must leave tentative: %v", rc.out)
 	}
 
 	fast := NewSOutput("o")
 	fc := attachLoan(fast, nil, true)
 	if !fast.ProcessBatch(0, cloneBatch(in)) {
 		t.Fatal("rare path still accepts the batch")
+	}
+	if fc.divergd || fast.diverged() {
+		t.Fatal("the batch call must leave no divergence behind")
 	}
 	sameTuples(t, fc.out, rc.out)
 	// The flushed prefix must NOT alias the input frame: the reference

@@ -11,13 +11,19 @@ type collector struct {
 	out     []tuple.Tuple
 	signals []Signal
 	divergd bool
+	// raise makes Emit raise divergd on a tentative tuple, as the engine's
+	// emit closures raise the node's flag.
+	raise bool
 }
 
 func newCollector(sim *runtime.VirtualClock) *collector { return &collector{sim: sim} }
 
 func (c *collector) env() *Env {
 	e := &Env{
-		Emit:     func(t tuple.Tuple) { c.out = append(c.out, t) },
+		Emit: func(t tuple.Tuple) {
+			c.out = append(c.out, t)
+			c.divergd = c.divergd || c.raise && t.Type == tuple.Tentative
+		},
 		Signal:   func(s Signal) { c.signals = append(c.signals, s) },
 		Diverged: func() bool { return c.divergd },
 	}

@@ -74,7 +74,7 @@ func (j *SJoin) Process(port int, t tuple.Tuple) {
 // never declines, and it is deliberately not CleanPreserving: a clean frame
 // can still produce a TENTATIVE output when the opposite window holds
 // tentative tuples buffered during an earlier failure, so the staged
-// dispatcher must rescan what the join emits. The input frame is only read.
+// dispatcher must scan what the join emits. The input frame is only read.
 func (j *SJoin) ProcessBatch(_ int, ts []tuple.Tuple) bool {
 	out := j.out[:0]
 	for i := range ts {

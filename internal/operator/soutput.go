@@ -34,6 +34,9 @@ type SOutput struct {
 	// scratch stages ProcessBatch output; reused across batches, never
 	// part of operator state.
 	scratch []tuple.Tuple
+	// raised is set within a ProcessBatch call once it emitted a tentative
+	// tuple (see diverged).
+	raised bool
 }
 
 // NewSOutput builds an SOutput.
@@ -59,10 +62,12 @@ func (o *SOutput) UndosEmitted() uint64 { return o.undos }
 // diverged reports whether the node's state has diverged from the stable
 // execution; while diverged, everything SOutput emits is tentative and
 // boundary tuples are withheld (the implementation does not produce
-// tentative boundaries; footnote 5).
+// tentative boundaries; footnote 5). Emitting a tentative tuple raises the
+// node's flag; a caller collecting a ProcessBatch call's output raises it
+// only after the call, so within the call raised stands in for it.
 func (o *SOutput) diverged() bool {
 	env := o.Env()
-	return env != nil && env.Diverged != nil && env.Diverged()
+	return o.raised || env != nil && env.Diverged != nil && env.Diverged()
 }
 
 // Process consumes one tuple from the diagram and manages the external

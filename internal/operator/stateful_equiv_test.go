@@ -332,7 +332,7 @@ func TestAggregateMatchesReferenceModelOnUnorderedStreams(t *testing.T) {
 // buffered in the opposite join window, or folded into an open accumulator,
 // during an earlier failure taint what a later all-stable frame produces.
 // That is why neither operator is CleanPreserving — the staged dispatcher
-// has to rescan their output (internal/engine tests drive that end to end).
+// has to scan their output (internal/engine tests drive that end to end).
 func TestStatefulOperatorsTaintCleanFramesAndSayso(t *testing.T) {
 	clean := func(ts []tuple.Tuple) bool {
 		for _, t := range ts {
