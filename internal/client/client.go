@@ -98,8 +98,10 @@ type Client struct {
 	clk   runtime.Clock
 	proxy *node.Node
 
-	// Undo-compacted view of the delivered stream.
+	// Undo-compacted view of the delivered stream; segs takes back the
+	// segments an UNDO empties and lends them to the next appends.
 	view node.TupleLog
+	segs tuple.LoanPool
 
 	// Newness watermark.
 	maxSTime int64
@@ -165,6 +167,7 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 		maxSTime: -1,
 		latMin:   math.MaxInt64,
 	}
+	c.view = node.NewTupleLog(0, &c.segs)
 	proxy.OnDeliver(func(_ string, t tuple.Tuple) { c.consume(t) })
 	return c, nil
 }

@@ -105,7 +105,7 @@ func TestEngineIngestChunksMatchesOneBatch(t *testing.T) {
 					if sizes == nil {
 						r.e.Ingest("in", in)
 					} else {
-						r.e.IngestChunks("in", split(in, sizes))
+						r.e.IngestChunks("in", split(in, sizes), nil)
 					}
 					r.sim.Run()
 					where := fmt.Sprintf("%s (per-tuple %v)", name, perTuple)
@@ -147,8 +147,8 @@ func sameBatch(a, b []tuple.Tuple) bool {
 func TestEngineIngestChunksSkipsEmptyBatch(t *testing.T) {
 	sim := runtime.NewVirtual()
 	e := New(sim, chainDiagram(t), Config{Capacity: 1000})
-	e.IngestChunks("in", nil)
-	e.IngestChunks("in", [][]tuple.Tuple{{}, nil})
+	e.IngestChunks("in", nil, nil)
+	e.IngestChunks("in", [][]tuple.Tuple{{}, nil}, nil)
 	if !e.Idle() || e.MaxQueueLen() != 0 {
 		t.Fatal("an empty replay must not be queued")
 	}
@@ -173,7 +173,7 @@ func TestEngineHoldsTentativeInLastChunk(t *testing.T) {
 			if queued {
 				e.Ingest("in", replayBatch(10, 0, 5, 1)) // goes into service first
 			}
-			e.IngestChunks("in", pieces(tentative))
+			e.IngestChunks("in", pieces(tentative), nil)
 			if e.QueueLen() != map[bool]int{true: 1, false: 0}[queued] || e.Idle() {
 				t.Fatalf("queued=%v: queue length %d, idle %v", queued, e.QueueLen(), e.Idle())
 			}
@@ -242,7 +242,7 @@ func TestEngineIngestChunksStagedPasses(t *testing.T) {
 		}
 		e.OnOutput(func(_ string, tp tuple.Tuple) { record(tp) })
 		e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { record(ts...) })
-		e.IngestChunks("in", split(ts, sizes))
+		e.IngestChunks("in", split(ts, sizes), nil)
 		sim.Run()
 		return f, g, out
 	}

@@ -50,8 +50,9 @@ type work struct {
 	// chunks, set instead of tuples by IngestChunks, points at the pieces:
 	// a pointer keeps the ring slot the size a single slice needs.
 	chunks *[][]tuple.Tuple
-	// lent is the pool tuples was lent from, if any: svcDone returns the
-	// array after dispatch, and a batch Restore drops keeps it.
+	// lent is the pool tuples, or each of chunks' segments, was lent from,
+	// if any: svcDone returns them after dispatch, and a batch Restore drops
+	// keeps them.
 	lent *tuple.LoanPool
 }
 
@@ -380,13 +381,30 @@ func (e *Engine) IngestLent(stream string, ts []tuple.Tuple, pool *tuple.LoanPoo
 // IngestChunks queues the pieces of one batch, such as a replay handed over
 // as the runs of a segmented log, as one work item: one queue slot, one
 // service charge. Dispatch reads the pieces in order and never joins or
-// writes them. A batch without tuples is not queued.
-func (e *Engine) IngestChunks(stream string, chunks [][]tuple.Tuple) {
+// writes them. Each piece is a whole segment lent from pool, holding its
+// tuples at its start and zero past them: the engine clears each and
+// returns it to pool right after the batch's dispatch, as IngestLent
+// returns a loan, and a batch Restore discards is never returned. A batch
+// without tuples is not queued, and its pieces go back to pool at once.
+func (e *Engine) IngestChunks(stream string, chunks [][]tuple.Tuple, pool *tuple.LoanPool) {
 	for _, ts := range chunks {
 		if len(ts) > 0 {
-			e.enqueue(stream, work{chunks: &chunks})
+			e.enqueue(stream, work{chunks: &chunks, lent: pool})
 			return
 		}
+	}
+	returnChunks(chunks, pool)
+}
+
+// returnChunks clears a batch's pieces and returns them to pool; without a
+// pool they stay as they are.
+func returnChunks(chunks [][]tuple.Tuple, pool *tuple.LoanPool) {
+	if pool == nil {
+		return
+	}
+	for _, ts := range chunks {
+		clear(ts)
+		pool.Return(ts)
 	}
 }
 
@@ -492,7 +510,11 @@ func (e *Engine) svcDone(any) {
 	batch := e.inService
 	e.inService = work{}
 	e.dispatch(batch)
-	batch.lent.Return(batch.tuples)
+	if batch.chunks != nil {
+		returnChunks(*batch.chunks, batch.lent)
+	} else {
+		batch.lent.Return(batch.tuples)
+	}
 	e.kick()
 }
 

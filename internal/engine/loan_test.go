@@ -68,3 +68,66 @@ func TestRestoreDropsLentBatches(t *testing.T) {
 		t.Fatalf("after Restore: returned %d, processed %d; want both batches dropped", pool.Returned(), e.Processed)
 	}
 }
+
+// poisoning reports whether this is a loanpoison build, where a returned
+// array is overwritten with sentinels and never lent again.
+var poisoning = func() bool {
+	var p tuple.LoanPool
+	p.Return(make([]tuple.Tuple, 1))
+	return p.Kept() == 0
+}()
+
+// segmentBatch copies each piece into a 16-tuple segment lent from p, as
+// an arrival log hands over its runs: the piece at the segment's start,
+// zero past it.
+func segmentBatch(p *tuple.LoanPool, pieces ...[]tuple.Tuple) [][]tuple.Tuple {
+	out := make([][]tuple.Tuple, len(pieces))
+	for i, ts := range pieces {
+		out[i] = append(p.Lend(16), ts...)
+	}
+	return out
+}
+
+// TestChunksReturnedClearedAfterDispatch checks that every segment of a
+// chunked batch goes back to its pool once, cleared, after the batch's
+// dispatch; that a batch Restore discards keeps its segments; and that a
+// batch without tuples gives them back at once.
+func TestChunksReturnedClearedAfterDispatch(t *testing.T) {
+	sim := runtime.NewVirtual()
+	e := New(sim, mergeDiagram(t, 2*sec), Config{Capacity: 100}) // 10 ms per tuple
+	var snap *Snapshot
+	e.RequestCheckpoint(func(s *Snapshot) { snap = s })
+	var pool tuple.LoanPool
+	chunks := segmentBatch(&pool,
+		[]tuple.Tuple{tuple.NewInsertion(10*ms, 1), tuple.NewInsertion(20*ms, 2)},
+		[]tuple.Tuple{tuple.NewBoundary(100 * ms)})
+	e.IngestChunks("in1", chunks, &pool)
+	sim.RunFor(15 * ms)
+	if pool.Returned() != 0 {
+		t.Fatalf("%d segments came back while the batch was in service", pool.Returned())
+	}
+	sim.Run()
+	if pool.Returned() != 2 || e.Processed != 3 {
+		t.Fatalf("after the dispatch: %d segments returned, %d tuples processed; want 2 and 3", pool.Returned(), e.Processed)
+	}
+	for _, seg := range chunks {
+		if poisoning {
+			break // a returned segment holds sentinels
+		}
+		for i, tp := range seg[:cap(seg)] {
+			if tp != (tuple.Tuple{}) {
+				t.Fatalf("slot %d of a returned segment holds %v", i, tp)
+			}
+		}
+	}
+	e.IngestChunks("in1", segmentBatch(&pool, []tuple.Tuple{tuple.NewInsertion(110*ms, 3)}), &pool)
+	e.Restore(snap)
+	sim.Run()
+	if pool.Returned() != 2 {
+		t.Fatalf("a discarded batch's segment came back: %d returned", pool.Returned())
+	}
+	e.IngestChunks("in1", segmentBatch(&pool, nil, nil), &pool)
+	if pool.Returned() != 4 || e.QueueLen() != 0 {
+		t.Fatalf("an empty batch: %d returned, queue %d; want its 2 segments back and nothing queued", pool.Returned(), e.QueueLen())
+	}
+}

@@ -58,9 +58,12 @@ type endpoint struct {
 	// lent the copies it gets and gives them back.
 	returns bool
 	down    bool
-	// lastDeparture enforces FIFO per destination: a message may not be
-	// delivered before one sent earlier on the same ordered link.
-	lastArrival map[string]int64
+	// idx is the endpoint's dense index, given at its first Register.
+	idx int
+	// lastArrival enforces FIFO per destination: a message may not be
+	// delivered before one sent earlier on the same ordered link. It is
+	// indexed by the sender's idx and grows when a sender first sends.
+	lastArrival []int64
 }
 
 // delivery is one in-flight message. Records are pooled per Net: a Send
@@ -133,7 +136,7 @@ func (n *Net) register(id string, h Handler, returns bool) {
 	}
 	ep := n.endpoints[id]
 	if ep == nil {
-		ep = &endpoint{lastArrival: make(map[string]int64)}
+		ep = &endpoint{idx: len(n.endpoints)}
 		n.endpoints[id] = ep
 	}
 	ep.handler, ep.returns = h, returns
@@ -254,10 +257,13 @@ func (n *Net) Send(from, to string, msg any) {
 	// A jittered link deliberately skips the clamp — reordering is the
 	// fault being injected.
 	if !jittered {
-		if prev := dst.lastArrival[from]; at < prev {
+		if src.idx >= len(dst.lastArrival) {
+			dst.lastArrival = append(dst.lastArrival, make([]int64, len(n.endpoints)-len(dst.lastArrival))...)
+		}
+		if prev := dst.lastArrival[src.idx]; at < prev {
 			at = prev
 		}
-		dst.lastArrival[from] = at
+		dst.lastArrival[src.idx] = at
 	}
 	lent := false
 	if m, ok := msg.(tupleCopier); ok {

@@ -223,6 +223,38 @@ func TestReregisterReplacesHandler(t *testing.T) {
 }
 
 // Property: any interleaving of sends on one link is received in send order.
+// TestFIFOPerLinkForLateEndpoints: the clamp is kept per ordered pair,
+// indexed by the sender, for endpoints registered after traffic began in
+// either role, and a sender's clamp on one receiver does not delay its
+// messages to another.
+func TestFIFOPerLinkForLateEndpoints(t *testing.T) {
+	sim, n, boxes := setup()
+	n.Send("a", "b", 0)
+	var late []rec
+	n.Register("d", func(from string, msg any) { late = append(late, rec{from, msg, sim.Now()}) })
+	n.SetLatency("d", "b", 50*runtime.Millisecond)
+	n.SetLatency("a", "d", 40*runtime.Millisecond)
+	n.Send("d", "b", 1)
+	n.Send("a", "d", 1)
+	n.SetLatency("d", "b", runtime.Millisecond)
+	n.SetLatency("a", "d", runtime.Millisecond)
+	n.Send("d", "b", 2)
+	n.Send("a", "d", 2)
+	n.Send("d", "c", 3)
+	sim.Run()
+	for _, tc := range []struct {
+		got  []rec
+		from string
+	}{{(*boxes["b"])[1:], "d"}, {late, "a"}} {
+		if len(tc.got) != 2 || tc.got[0].msg != 1 || tc.got[1].msg != 2 || tc.got[1].at != tc.got[0].at || tc.got[0].from != tc.from {
+			t.Fatalf("from %s: FIFO violated: %+v", tc.from, tc.got)
+		}
+	}
+	if got := *boxes["c"]; len(got) != 1 || got[0].at != DefaultLatency {
+		t.Fatalf("d → c was clamped behind d → b: %+v", got)
+	}
+}
+
 func TestQuickFIFO(t *testing.T) {
 	f := func(lat []uint8) bool {
 		sim := runtime.NewVirtual()

@@ -126,14 +126,16 @@ type connSeq struct {
 	broken      bool
 }
 
-// newInputManager builds a manager for one input stream.
-func newInputManager(clk runtime.Clock, stream string, stallTimeout int64, hooks inputHooks) *InputManager {
+// newInputManager builds a manager for one input stream whose arrival log
+// lends its segments from segs.
+func newInputManager(clk runtime.Clock, stream string, stallTimeout int64, hooks inputHooks, segs *tuple.LoanPool) *InputManager {
 	return &InputManager{
 		clk:               clk,
 		stream:            stream,
 		stallTimeout:      stallTimeout,
 		hooks:             hooks,
 		lastBoundarySTime: -1,
+		log:               NewTupleLog(0, segs),
 		conns:             make(map[string]*connSeq),
 	}
 }
@@ -232,23 +234,21 @@ func (im *InputManager) StartLog() {
 	im.log.truncate(0)
 }
 
-// StopLog ends logging and discards the log.
+// StopLog ends logging and discards the log, returning its segments to
+// the pool.
 func (im *InputManager) StopLog() {
 	im.logging = false
-	im.log = TupleLog{}
+	im.log.truncate(0)
 }
 
-// TakeLog returns the patched log for replay, one slice per run of its
-// segments, and resets it without writing them again (logging stays on:
+// TakeLog returns the patched log for replay, one whole segment per run of
+// it, and empties the log without writing them again (logging stays on:
 // arrivals during the replay belong to the next checkpoint epoch only after
 // the controller takes a new checkpoint; until then they must remain
-// replayable, so the controller calls StartLog again at that moment).
-func (im *InputManager) TakeLog() [][]tuple.Tuple {
-	out := make([][]tuple.Tuple, 0, len(im.log.runs))
-	im.log.Chunks(func(ts []tuple.Tuple) { out = append(out, ts) })
-	im.log = TupleLog{}
-	return out
-}
+// replayable, so the controller calls StartLog again at that moment). The
+// caller owns the segments: Engine.IngestChunks returns them to the pool
+// once the replay is dispatched.
+func (im *InputManager) TakeLog() [][]tuple.Tuple { return im.log.takeRuns() }
 
 // LogLen returns the current log length (for tests and buffer accounting).
 func (im *InputManager) LogLen() int { return im.log.n }
@@ -541,11 +541,10 @@ func (im *InputManager) armStallTimer() {
 
 // Reset returns the manager to its initial state: crash recovery (§4.5)
 // rebuilds a node from nothing, including its subscription bookkeeping.
+// The arrival log's segments go back to its pool.
 func (im *InputManager) Reset() {
-	if im.stallTimer != nil {
-		im.stallTimer.Stop()
-		im.stallTimer = nil
-	}
+	im.stopStallTimer()
+	im.log.truncate(0)
 	*im = InputManager{
 		clk:               im.clk,
 		stream:            im.stream,
@@ -553,7 +552,17 @@ func (im *InputManager) Reset() {
 		hooks:             im.hooks,
 		trace:             im.trace,
 		lastBoundarySTime: -1,
+		log:               im.log,
 		conns:             make(map[string]*connSeq),
+	}
+}
+
+// stopStallTimer disarms stall detection until the next arrival or
+// (re)connection arms it again.
+func (im *InputManager) stopStallTimer() {
+	if im.stallTimer != nil {
+		im.stallTimer.Stop()
+		im.stallTimer = nil
 	}
 }
 

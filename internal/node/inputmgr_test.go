@@ -27,7 +27,7 @@ func newIMHarness(stallTimeout int64) *imHarness {
 		onFailed: func(_ string, k FailKind) { h.failures = append(h.failures, k) },
 		onHealed: func(string) { h.heals++ },
 		forward:  func(_ string, ts []tuple.Tuple) { h.forwarded = append(h.forwarded, ts...) },
-	})
+	}, nil)
 	h.im.SetConnections("up", "", true)
 	return h
 }

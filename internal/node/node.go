@@ -93,6 +93,16 @@ type Node struct {
 	loanPool *tuple.LoanPool
 	loanTs   []tuple.Tuple
 
+	// segs lends the segments of the node's tuple logs — its output
+	// buffers and its arrival logs — and takes back every one they empty,
+	// the replay's included once the engine has dispatched it. It outlives
+	// every epoch and incarnation of the node, so a failure epoch or a
+	// crash-restart refills the segments the last one held.
+	segs tuple.LoanPool
+
+	// streams is the last advertised map of output stream states.
+	streams map[string]StreamState
+
 	ackTicker runtime.Ticker
 	down      bool
 	onDeliver func(stream string, t tuple.Tuple)
@@ -151,14 +161,16 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 					n.eng.IngestLent(s, ts, n.takeLoan(ts))
 				}
 			},
-		})
+		}, &n.segs)
 	}
 	sort.Strings(n.inputOrder)
 	for _, out := range d.Outputs() {
 		stream := out.Stream
 		n.outOrder = append(n.outOrder, stream)
 		if !cfg.TapOnly {
-			n.outputs[stream] = NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
+			ob := NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
+			ob.log.pool = &n.segs
+			n.outputs[stream] = ob
 		}
 	}
 	sort.Strings(n.outOrder)
@@ -331,28 +343,39 @@ func (n *Node) inputProgress() map[string]uint64 {
 // whole-node mode every stream carries the node state; in fine-grained mode
 // (§8.2) a stream is UP_FAILURE only if a currently-failed input reaches it,
 // computed from the diagram structure before tentative data even propagates.
+// While the states stay the same it returns the map it returned last:
+// receivers only read it.
 func (n *Node) streamStates() map[string]StreamState {
-	out := make(map[string]StreamState, len(n.outOrder))
-	for _, s := range n.outOrder {
-		out[s] = n.state
-	}
-	if !n.cfg.FineGrained || n.state == StateStable {
-		return out
-	}
-	affected := make(map[string]bool)
-	for in := range n.failed {
-		for _, s := range n.d.OutputsAffectedBy(in) {
-			affected[s] = true
+	// While failed but not diverged, streams no failed input reaches stay
+	// STABLE; while reconciling or diverged, every stream carries the
+	// node state.
+	var affected map[string]bool
+	if n.cfg.FineGrained && n.state == StateUpFailure && !n.eng.Diverged() {
+		affected = make(map[string]bool)
+		for in := range n.failed {
+			for _, s := range n.d.OutputsAffectedBy(in) {
+				affected[s] = true
+			}
 		}
 	}
-	// While reconciling or diverged, previously-affected streams carry
-	// the node state; untouched streams stay STABLE.
-	for _, s := range n.outOrder {
-		if !affected[s] && n.state == StateUpFailure && !n.eng.Diverged() {
-			out[s] = StateStable
+	state := func(s string) StreamState {
+		if affected != nil && !affected[s] {
+			return StateStable
+		}
+		return n.state
+	}
+	same := n.streams != nil && len(n.streams) == len(n.outOrder)
+	for i := 0; same && i < len(n.outOrder); i++ {
+		st, ok := n.streams[n.outOrder[i]]
+		same = ok && st == state(n.outOrder[i])
+	}
+	if !same {
+		n.streams = make(map[string]StreamState, len(n.outOrder))
+		for _, s := range n.outOrder {
+			n.streams[s] = state(s)
 		}
 	}
-	return out
+	return n.streams
 }
 
 // OnDeliver registers a local tap on the node's output streams: a client
@@ -557,7 +580,7 @@ func (n *Node) onReconcileGranted() {
 		im := n.inputs[stream]
 		replay := im.TakeLog()
 		im.StopLog()
-		n.eng.IngestChunks(stream, replay)
+		n.eng.IngestChunks(stream, replay, &n.segs)
 	}
 	n.eng.ScheduleRecDone()
 	n.applyPolicies()
@@ -666,11 +689,16 @@ func (n *Node) applyPolicies() {
 
 // Crash fails the node: it stops sending and receiving, and loses all
 // volatile state (buffers are lost when a processing node fails, §2.2).
+// Its failure detector stops with it: a dead node declares no input
+// failed, changes no state and takes no checkpoint.
 func (n *Node) Crash() {
 	n.tracef("crash", "")
 	n.down = true
 	n.net.SetDown(n.cfg.ID, true)
 	n.Stop()
+	for _, stream := range n.inputOrder {
+		n.inputs[stream].stopStallTimer()
+	}
 }
 
 // Down reports whether the node is crashed.
@@ -696,8 +724,8 @@ func (n *Node) Restart() {
 	n.down = false
 	n.net.SetDown(n.cfg.ID, false)
 	n.recovering = true
-	// The dead incarnation's stall timers kept running and may have set a
-	// failure policy after the crash; the rebuild runs under PolicyNone.
+	// The rebuild runs under PolicyNone, whatever policy the node crashed
+	// under.
 	n.applyPolicies()
 	n.restartedAt = n.clk.Now()
 	n.state = StateUpFailure // not advertised while recovering

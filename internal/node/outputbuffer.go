@@ -42,9 +42,9 @@ type OutputBuffer struct {
 
 	// The contents are a segmented log: appending never recopies, however
 	// long an unacknowledged buffer grows, and truncation (acks, slide mode,
-	// undo) recycles every segment it empties, so an acknowledged buffer in
-	// steady state allocates nothing and holds no more than its own
-	// high-water mark.
+	// undo) and Reset return every segment they empty to the log's pool, so
+	// an acknowledged buffer in steady state allocates nothing and holds no
+	// more than its own high-water mark.
 	log  TupleLog
 	subs map[string]*obSub
 
@@ -87,7 +87,9 @@ type obSub struct {
 }
 
 // NewOutputBuffer builds a buffer for one output stream of endpoint self.
-// The log's first segment is made on the first append.
+// The log's first segment is made on the first append. The buffer recycles
+// its segments through a pool of its own; a node's buffers share the
+// node's.
 func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, mode BufferMode, capTuples int, expected []string) *OutputBuffer {
 	ob := &OutputBuffer{
 		net:      net,
@@ -96,6 +98,7 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 		mode:     mode,
 		cap:      capTuples,
 		clk:      clk,
+		log:      NewTupleLog(0, new(tuple.LoanPool)),
 		subs:     make(map[string]*obSub),
 		acks:     make(map[string]uint64),
 		expected: append([]string(nil), expected...),
@@ -121,7 +124,7 @@ func (ob *OutputBuffer) drop(k int) {
 // pre-crash subscribers must re-subscribe (their sequence tracking detects
 // the reset).
 func (ob *OutputBuffer) Reset() {
-	ob.log = TupleLog{}
+	ob.log.truncate(0)
 	ob.subs = make(map[string]*obSub)
 	ob.subsSorted = nil
 	ob.acks = make(map[string]uint64)

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -82,6 +83,7 @@ func newOBTwin(t *testing.T, fab obFabric, mode BufferMode, capTuples int, expec
 	w.simA, netA, w.sentGot = build()
 	w.simB, netB, w.sentRef = build()
 	w.got = NewOutputBuffer(w.simA, netA, "up", "s", mode, capTuples, expected)
+	w.got.log.pool = new(tuple.LoanPool) // as a node's buffer
 	w.ref = newRefOutputBuffer(w.simB, netB, "up", "s", mode, capTuples, expected)
 	return w
 }
@@ -137,10 +139,9 @@ func (w *obTwin) recheckSent(step string) {
 
 // checkRuns checks the log's own invariants: the runs hold n tuples and
 // none is empty; every run is staged, a window of a segment no other run or
-// the free list holds (the log never holds an array a flush sent); it
-// reaches the end of that segment unless it is the last run, and no slot
-// of that segment outside the window, nor of a free segment, pins a
-// payload.
+// the pool holds (the log never holds an array a flush sent); it reaches
+// the end of that segment unless it is the last run, and no slot of that
+// segment outside the window, nor of a pooled segment, pins a payload.
 func (w *obTwin) checkRuns(step string) {
 	w.t.Helper()
 	checkTupleLog(w.t, step, &w.got.log)
@@ -182,11 +183,20 @@ func checkTupleLog(t *testing.T, step string, g *TupleLog) {
 	if n != g.n {
 		t.Fatalf("%s: runs hold %d tuples, n = %d", step, n, g.n)
 	}
-	for _, s := range g.free {
+	// Lend every pooled segment and give them back in reverse, which
+	// leaves the pool as it was.
+	pooled := make([][]tuple.Tuple, g.pool.Kept())
+	for i := range pooled {
+		s := g.pool.Lend(cmp.Or(g.segLen, obSegSize))
+		s = s[:cap(s)]
 		if seen[&s[0]] || !zero(s) {
-			t.Fatalf("%s: a free segment is in use or holds a tuple", step)
+			t.Fatalf("%s: a pooled segment is in use or holds a tuple", step)
 		}
 		seen[&s[0]] = true
+		pooled[i] = s
+	}
+	for i := len(pooled) - 1; i >= 0; i-- {
+		g.pool.Return(pooled[i])
 	}
 }
 

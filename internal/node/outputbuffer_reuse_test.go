@@ -59,6 +59,9 @@ func flushAllocs(t *testing.T, f *copyingFabric) float64 {
 // lent array during Send, so a steady-state flush allocates only the boxed
 // DataMsg it sends: the next instant refills the last flush's array.
 func TestOutputBufferReusesFlushArrayOnCopyingFabric(t *testing.T) {
+	if poisoning {
+		t.Skip("a loanpoison build never lends a returned segment again, and every ack here empties one")
+	}
 	if got := flushAllocs(t, &copyingFabric{}); got != 1 {
 		t.Errorf("a flush allocates %.2f times, want 1 (the boxed DataMsg)", got)
 	}

@@ -407,6 +407,7 @@ func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 	net.Register("up", func(string, any) {})
 	net.Register("d1", func(string, any) {})
 	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, nil)
+	ob.log.pool = new(tuple.LoanPool)
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
 	id := uint64(0)
 	data := func() []tuple.Tuple {
@@ -424,8 +425,8 @@ func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 		ob.PublishBatch(data())
 		sim.Run()
 		checkTupleLog(t, fmt.Sprintf("pair %d", pair), &ob.log)
-		if want := (ob.log.n + obSegSize - 1) / obSegSize; len(ob.log.runs) != want || len(ob.log.free) != 0 {
-			t.Fatalf("pair %d: %d tuples in %d runs with %d free segments, want %d runs and none free", pair, ob.log.n, len(ob.log.runs), len(ob.log.free), want)
+		if want := (ob.log.n + obSegSize - 1) / obSegSize; len(ob.log.runs) != want || ob.log.pool.Kept() != 0 {
+			t.Fatalf("pair %d: %d tuples in %d runs with %d pooled segments, want %d runs and none pooled", pair, ob.log.n, len(ob.log.runs), ob.log.pool.Kept(), want)
 		}
 	}
 	if got := ob.after(0); len(got) != int(id) || got[len(got)-1].ID != id {

@@ -18,7 +18,7 @@ func TestQuickConnSeqAdmission(t *testing.T) {
 		broken := 0
 		im := newInputManager(sim, "s", 0, inputHooks{
 			onBroken: func(string, string) { broken++ },
-		})
+		}, nil)
 		im.SetConnections("up", "", true)
 		next := uint64(1)
 		established := false

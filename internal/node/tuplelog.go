@@ -20,22 +20,27 @@ type logRun struct {
 }
 
 // TupleLog is a tuple log kept as a sequence of runs. Appends go to
-// segments, fixed-size blocks the log owns: the last run takes them while
-// its segment has room, then a segment from the free list starts a new run,
-// so appending never recopies anything, however long the log grows. A
-// segment belongs to one run and every slot outside that run's window is
-// zero: truncation clears the slots it drops and moves each segment it
-// empties onto free, where the next append takes it back. Every run but the
-// last reaches the end of its segment, so no segment is kept for a few
-// tuples. An UNDO compacts the log exactly as tuple.ApplyUndo does.
+// segments, fixed-size blocks the log lends from its pool: the last run
+// takes them while its segment has room, then a segment from the pool
+// starts a new run, so appending never recopies anything, however long the
+// log grows. A segment belongs to one run and every slot outside that
+// run's window is zero: truncation clears the slots it drops and returns
+// each segment it empties to the pool, where the next append — of this log
+// or another log of the same owner — takes it back. Every run but the last
+// reaches the end of its segment, so no segment is kept for a few tuples.
+// An UNDO compacts the log exactly as tuple.ApplyUndo does.
 //
 // A Source keeps its persistent log in one, an OutputBuffer its contents,
 // an InputManager its arrival log and the client its view of the delivered
-// stream. The zero value is an empty log of 1 024-tuple segments.
+// stream; a node's buffers and arrival logs share one pool. The zero value
+// is an empty log of 1 024-tuple segments without a pool: it allocates
+// every segment and leaves the ones it empties to the garbage collector.
 type TupleLog struct {
 	runs []logRun
 	n    int
-	free [][]tuple.Tuple
+	// pool lends the segments and takes back the emptied ones; every
+	// array in it is zero.
+	pool *tuple.LoanPool
 	// segLen is the segment length; 0 means obSegSize.
 	segLen int
 	// base is the whole array runs lies in. Dropping head runs only moves
@@ -46,12 +51,12 @@ type TupleLog struct {
 	base []logRun
 }
 
-// NewTupleLog returns an empty log for an owner that keeps it at most bound
-// tuples long (0: no bound). Below one segment the bound sets the segment
-// length, to the smallest power of two that holds it, so a small log pins
-// at most two segments of about its own size.
-func NewTupleLog(bound int) TupleLog {
-	l := TupleLog{segLen: obSegSize}
+// NewTupleLog returns an empty log on pool for an owner that keeps it at
+// most bound tuples long (0: no bound). Below one segment the bound sets
+// the segment length, to the smallest power of two that holds it, so a
+// small log pins at most two segments of about its own size.
+func NewTupleLog(bound int, pool *tuple.LoanPool) TupleLog {
+	l := TupleLog{segLen: obSegSize, pool: pool}
 	for bound > 0 && l.segLen/2 >= bound {
 		l.segLen /= 2
 	}
@@ -77,21 +82,15 @@ func (l *TupleLog) addRun(r logRun) *logRun {
 }
 
 // room returns the last run when its segment has a free slot, and
-// otherwise starts a new run on a segment from the free list.
+// otherwise starts a new run on a segment from the pool.
 func (l *TupleLog) room() *logRun {
 	if k := len(l.runs); k > 0 {
 		if r := &l.runs[k-1]; len(r.ts) < cap(r.ts) {
 			return r
 		}
 	}
-	var s []tuple.Tuple
-	if k := len(l.free); k > 0 {
-		s = l.free[k-1]
-		l.free[k-1] = nil
-		l.free = l.free[:k-1]
-	} else {
-		s = make([]tuple.Tuple, cmp.Or(l.segLen, obSegSize))
-	}
+	n := cmp.Or(l.segLen, obSegSize)
+	s := l.pool.Lend(n)[:n:n]
 	return l.addRun(logRun{ts: s[:0], seg: s})
 }
 
@@ -169,15 +168,36 @@ func (l *TupleLog) LastIndex(match func(t *tuple.Tuple) bool) int {
 	return -1
 }
 
-// release gives up a whole run: its segment is cleared and goes onto the
-// free list.
+// release gives up a whole run: its segment is cleared and goes back to
+// the pool.
 func (l *TupleLog) release(r *logRun) {
 	clear(r.ts)
-	l.free = append(l.free, r.seg)
+	l.pool.Return(r.seg)
+}
+
+// takeRuns empties the log and hands its tuples over, one whole segment per
+// run holding the run at its start: the caller owns the segments, and
+// returns each to the pool cleared, or to nobody. A run whose head was
+// dropped is moved down to its segment's start first.
+func (l *TupleLog) takeRuns() [][]tuple.Tuple {
+	out := make([][]tuple.Tuple, len(l.runs))
+	for i := range l.runs {
+		r := &l.runs[i]
+		k := len(r.ts)
+		if off := len(r.seg) - cap(r.ts); off > 0 {
+			copy(r.seg, r.ts)
+			clear(r.seg[max(k, off) : off+k])
+		}
+		out[i] = r.seg[:k]
+	}
+	clear(l.runs)
+	l.runs = l.runs[:0]
+	l.n = 0
+	return out
 }
 
 // DropHead discards the k oldest live tuples; the segments it empties go
-// onto the free list for the next appends.
+// back to the pool for the next appends.
 func (l *TupleLog) DropHead(k int) {
 	l.n -= k
 	r := 0

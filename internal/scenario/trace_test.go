@@ -43,3 +43,39 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatal("trace is not deterministic across runs")
 	}
 }
+
+// TestCrashedReplicaStaysSilent: a crashed replica's failure detector
+// stops with it. In the corpus spec replica n1b crashes at 11.3 s and
+// restarts 1 s later; in between, the trace holds no input failure, state
+// change or checkpoint from it (its stall timers used to declare both
+// inputs failed and snapshot the dead diagram 105 ms after the crash).
+func TestCrashedReplicaStaysSilent(t *testing.T) {
+	spec, err := Load("../../scenarios/corpus/restart-keeps-dead-policy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, crashes, restarts := false, 0, 0
+	opts := Options{Trace: func(atUS int64, replica, event, detail string) {
+		if replica != "n1b" {
+			return
+		}
+		switch event {
+		case "crash":
+			down = true
+			crashes++
+		case "restart":
+			down = false
+			restarts++
+		case "input-failed", "input-healed", "state", "checkpoint", "discard-epoch":
+			if down {
+				t.Errorf("%d µs: crashed n1b traced %s %s", atUS, event, detail)
+			}
+		}
+	}}
+	if _, err := Run(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+	if crashes != 1 || restarts != 1 {
+		t.Fatalf("n1b crashed %d and restarted %d times, want once each", crashes, restarts)
+	}
+}

@@ -50,7 +50,10 @@ type Source struct {
 
 	// The persistent log, addressed by position: the i-th tuple ever
 	// logged is at position i, and position p at log index p − DroppedLog.
+	// segs takes back the segments eviction empties and lends them to the
+	// next appends.
 	log  node.TupleLog
+	segs tuple.LoanPool
 	subs map[string]*subscriber
 	// pending is the array flushes copy the log into and lend to the
 	// fabric, which copies it during Send; one grown past
@@ -59,6 +62,9 @@ type Source struct {
 	// subsSorted caches the deterministic flush order; rebuilt when the
 	// subscription set changes.
 	subsSorted []string
+	// streams is every keep-alive response's map of stream states: the
+	// one stream, always STABLE. Receivers only read it.
+	streams map[string]node.StreamState
 
 	nextID       uint64
 	seq          uint64
@@ -93,7 +99,8 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 		}
 	}
 	s := &Source{cfg: cfg, clk: clk, net: net, subs: make(map[string]*subscriber),
-		log: node.NewTupleLog(cfg.LogCap)}
+		streams: map[string]node.StreamState{cfg.Stream: node.StateStable}}
+	s.log = node.NewTupleLog(cfg.LogCap, &s.segs)
 	net.Register(cfg.ID, s.handle)
 	return s
 }
@@ -257,9 +264,6 @@ func (s *Source) handle(from string, msg any) {
 	case node.AckMsg:
 		// Sources log persistently; acks need no truncation action.
 	case node.KeepAliveReq:
-		s.net.Send(s.cfg.ID, from, node.KeepAliveResp{
-			Node:    node.StateStable,
-			Streams: map[string]node.StreamState{s.cfg.Stream: node.StateStable},
-		})
+		s.net.Send(s.cfg.ID, from, node.KeepAliveResp{Node: node.StateStable, Streams: s.streams})
 	}
 }
