@@ -69,14 +69,6 @@ func TestRestoreDropsLentBatches(t *testing.T) {
 	}
 }
 
-// poisoning reports whether this is a loanpoison build, where a returned
-// array is overwritten with sentinels and never lent again.
-var poisoning = func() bool {
-	var p tuple.LoanPool
-	p.Return(make([]tuple.Tuple, 1))
-	return p.Kept() == 0
-}()
-
 // segmentBatch copies each piece into a 16-tuple segment lent from p, as
 // an arrival log hands over its runs: the piece at the segment's start,
 // zero past it.
@@ -111,7 +103,7 @@ func TestChunksReturnedClearedAfterDispatch(t *testing.T) {
 		t.Fatalf("after the dispatch: %d segments returned, %d tuples processed; want 2 and 3", pool.Returned(), e.Processed)
 	}
 	for _, seg := range chunks {
-		if poisoning {
+		if tuple.Poisoning() {
 			break // a returned segment holds sentinels
 		}
 		for i, tp := range seg[:cap(seg)] {

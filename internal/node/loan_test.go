@@ -151,11 +151,3 @@ func TestNodeCrashRestartDropsLoans(t *testing.T) {
 		t.Fatalf("the restarted engine processed %d tuples of the dropped batches", p)
 	}
 }
-
-// poisoning reports whether this is a loanpoison build, where a returned
-// array is overwritten and never lent again, so no pool recycles anything.
-var poisoning = func() bool {
-	var p tuple.LoanPool
-	p.Return(make([]tuple.Tuple, 1))
-	return p.Kept() == 0
-}()

@@ -168,9 +168,7 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 		stream := out.Stream
 		n.outOrder = append(n.outOrder, stream)
 		if !cfg.TapOnly {
-			ob := NewOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream])
-			ob.log.pool = &n.segs
-			n.outputs[stream] = ob
+			n.outputs[stream] = newOutputBuffer(clk, net, cfg.ID, stream, cfg.BufferMode, cfg.BufferCap, cfg.Downstreams[stream], &n.segs)
 		}
 	}
 	sort.Strings(n.outOrder)

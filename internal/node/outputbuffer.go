@@ -91,6 +91,11 @@ type obSub struct {
 // its segments through a pool of its own; a node's buffers share the
 // node's.
 func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, mode BufferMode, capTuples int, expected []string) *OutputBuffer {
+	return newOutputBuffer(clk, net, self, stream, mode, capTuples, expected, new(tuple.LoanPool))
+}
+
+// newOutputBuffer is NewOutputBuffer with its segments lent from segs.
+func newOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, mode BufferMode, capTuples int, expected []string, segs *tuple.LoanPool) *OutputBuffer {
 	ob := &OutputBuffer{
 		net:      net,
 		self:     self,
@@ -98,7 +103,7 @@ func NewOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 		mode:     mode,
 		cap:      capTuples,
 		clk:      clk,
-		log:      NewTupleLog(0, new(tuple.LoanPool)),
+		log:      NewTupleLog(0, segs),
 		subs:     make(map[string]*obSub),
 		acks:     make(map[string]uint64),
 		expected: append([]string(nil), expected...),

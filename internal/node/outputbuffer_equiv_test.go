@@ -83,7 +83,6 @@ func newOBTwin(t *testing.T, fab obFabric, mode BufferMode, capTuples int, expec
 	w.simA, netA, w.sentGot = build()
 	w.simB, netB, w.sentRef = build()
 	w.got = NewOutputBuffer(w.simA, netA, "up", "s", mode, capTuples, expected)
-	w.got.log.pool = new(tuple.LoanPool) // as a node's buffer
 	w.ref = newRefOutputBuffer(w.simB, netB, "up", "s", mode, capTuples, expected)
 	return w
 }

@@ -59,7 +59,7 @@ func flushAllocs(t *testing.T, f *copyingFabric) float64 {
 // lent array during Send, so a steady-state flush allocates only the boxed
 // DataMsg it sends: the next instant refills the last flush's array.
 func TestOutputBufferReusesFlushArrayOnCopyingFabric(t *testing.T) {
-	if poisoning {
+	if tuple.Poisoning() {
 		t.Skip("a loanpoison build never lends a returned segment again, and every ack here empties one")
 	}
 	if got := flushAllocs(t, &copyingFabric{}); got != 1 {

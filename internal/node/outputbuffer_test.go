@@ -407,7 +407,6 @@ func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 	net.Register("up", func(string, any) {})
 	net.Register("d1", func(string, any) {})
 	ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, nil)
-	ob.log.pool = new(tuple.LoanPool)
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})
 	id := uint64(0)
 	data := func() []tuple.Tuple {

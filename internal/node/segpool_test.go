@@ -122,7 +122,7 @@ func (h *segHarness) noFresh(had map[*tuple.Tuple]bool, when string) {
 // lends its segments from the node's pool, the replay gives them back once
 // dispatched, and the next epoch of the same size refills exactly those.
 func TestNodeSecondEpochTakesNoFreshSegment(t *testing.T) {
-	if poisoning {
+	if tuple.Poisoning() {
 		t.Skip("a loanpoison build never lends a returned segment again")
 	}
 	h := newSegHarness(t)
@@ -145,7 +145,7 @@ func TestNodeSecondEpochTakesNoFreshSegment(t *testing.T) {
 // segment of the dead incarnation's buffer and arrival logs to the node's
 // pool, and the rebuilt buffer refills them.
 func TestRestartedReplicaRefillsItsSegments(t *testing.T) {
-	if poisoning {
+	if tuple.Poisoning() {
 		t.Skip("a loanpoison build never lends a returned segment again")
 	}
 	h := newSegHarness(t)

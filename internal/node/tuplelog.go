@@ -177,18 +177,16 @@ func (l *TupleLog) release(r *logRun) {
 
 // takeRuns empties the log and hands its tuples over, one whole segment per
 // run holding the run at its start: the caller owns the segments, and
-// returns each to the pool cleared, or to nobody. A run whose head was
-// dropped is moved down to its segment's start first.
+// returns each to the pool cleared, or to nobody. It is for arrival logs,
+// which never drop their head, so every run starts at its segment's start.
 func (l *TupleLog) takeRuns() [][]tuple.Tuple {
 	out := make([][]tuple.Tuple, len(l.runs))
 	for i := range l.runs {
 		r := &l.runs[i]
-		k := len(r.ts)
-		if off := len(r.seg) - cap(r.ts); off > 0 {
-			copy(r.seg, r.ts)
-			clear(r.seg[max(k, off) : off+k])
+		if cap(r.ts) != len(r.seg) {
+			panic("TupleLog.takeRuns: a run whose head was dropped")
 		}
-		out[i] = r.seg[:k]
+		out[i] = r.seg[:len(r.ts)]
 	}
 	clear(l.runs)
 	l.runs = l.runs[:0]

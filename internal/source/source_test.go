@@ -207,14 +207,6 @@ func TestSourceUnsubscribeStops(t *testing.T) {
 	}
 }
 
-// poisoning reports whether this is a loanpoison build, where a returned
-// array is overwritten and never lent again, so no log recycles a segment.
-var poisoning = func() bool {
-	var p tuple.LoanPool
-	p.Return(make([]tuple.Tuple, 1))
-	return p.Kept() == 0
-}()
-
 // logTuple is the i-th data tuple appended by the bounded-log tests.
 func logTuple(i int) tuple.Tuple {
 	return tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}
@@ -294,7 +286,7 @@ func TestSourceSmallLogCapKeepsSmallSegments(t *testing.T) {
 	}
 	goruntime.ReadMemStats(&after)
 	// A loanpoison build never lends a returned segment again.
-	if got, seg := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(tuple.Tuple{})); got >= 3*seg && !poisoning {
+	if got, seg := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(tuple.Tuple{})); got >= 3*seg && !tuple.Poisoning() {
 		t.Fatalf("10 000 appends allocated %d B, want < 3 segments of %d B", got, seg)
 	}
 	for i := 10001; i <= 10200; i++ {

@@ -387,7 +387,7 @@ func TestDecodeHostileCountLeavesPoolAlone(t *testing.T) {
 	if _, _, _, err := decodeFrame(body, &pool); err == nil {
 		t.Fatal("a 2^40-tuple count decoded")
 	}
-	if got := pool.Lend(4)[:1]; &got[0] != &parked[0] && !poisonBuild() {
+	if got := pool.Lend(4)[:1]; &got[0] != &parked[0] && !tuple.Poisoning() {
 		t.Fatal("the rejected frame took an array from the pool")
 	}
 }

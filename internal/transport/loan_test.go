@@ -127,21 +127,12 @@ func TestTCPReturnedLoansAreReused(t *testing.T) {
 	}
 	array := float64(loanFrameTuples * 48)
 	t.Logf("%.0f B allocated per frame; a decoded tuple array is %.0f B", perFrame, array)
-	if poisonBuild() {
+	if tuple.Poisoning() {
 		return // a loanpoison build never lends a returned array again
 	}
 	if perFrame > array/2 {
 		t.Fatalf("steady state allocated %.0f B per frame, want under %.0f: decoding still allocates tuple arrays", perFrame, array/2)
 	}
-}
-
-// poisonBuild reports whether this is a loanpoison build, whose pools
-// overwrite a returned array and never lend it again.
-func poisonBuild() bool {
-	var p tuple.LoanPool
-	a := append(p.Lend(1), tuple.NewInsertion(1))
-	p.Return(a)
-	return a[0].Type != tuple.Insertion
 }
 
 // TestTCPLocalSendLendsACopy: a DataMsg sent to a local endpoint that
@@ -188,7 +179,7 @@ func TestTCPLocalSendLendsACopy(t *testing.T) {
 	if n := tr.loans.Returned(); n != 2 {
 		t.Fatalf("pool counted %d returns, want 2", n)
 	}
-	if poisonBuild() {
+	if tuple.Poisoning() {
 		return // a loanpoison build never lends a returned array again
 	}
 	if &got[1].Tuples[0] != &got[0].Tuples[0] {

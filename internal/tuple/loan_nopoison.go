@@ -6,6 +6,10 @@ package tuple
 // again. See loan_poison.go for the checking build.
 func poisonReturned([]Tuple) bool { return false }
 
+// Poisoning reports whether this is a loanpoison build, whose pools
+// overwrite a returned array and never lend it again. Here it is false.
+func Poisoning() bool { return false }
+
 // CheckNotReturned panics, in builds tagged loanpoison, when ts holds a
 // slot of an array already returned to its LoanPool. Here it does nothing.
 func CheckNotReturned(string, []Tuple) {}

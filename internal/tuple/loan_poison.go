@@ -19,6 +19,10 @@ func poisonReturned(ts []Tuple) bool {
 	return true
 }
 
+// Poisoning reports whether this is a loanpoison build, whose pools
+// overwrite a returned array and never lend it again.
+func Poisoning() bool { return true }
+
 // CheckNotReturned panics when ts holds a slot of an array already
 // returned to its LoanPool: the data plane read a loan after giving it
 // back. It compiles to nothing without the loanpoison build tag.

@@ -5,10 +5,6 @@ import (
 	"testing"
 )
 
-// poisoning reports whether this is a loanpoison build, where returned
-// arrays are overwritten and never lent again.
-var poisoning = poisonReturned(nil)
-
 func TestLoanPoolNilLendsFresh(t *testing.T) {
 	var p *LoanPool
 	a := p.Lend(5)
@@ -36,7 +32,7 @@ func TestLoanPoolLendsPowersOfTwoWhenEmpty(t *testing.T) {
 }
 
 func TestLoanPoolReusesReturnedArrays(t *testing.T) {
-	if poisoning {
+	if Poisoning() {
 		t.Skip("a loanpoison build never lends a returned array again")
 	}
 	var p LoanPool
@@ -57,7 +53,7 @@ func TestLoanPoolReusesReturnedArrays(t *testing.T) {
 // fresh array. An array of a capacity Lend never makes is filed under the
 // class it fills, so it fits every request it is lent for.
 func TestLoanPoolLendsAClassForEveryNItCovers(t *testing.T) {
-	if poisoning {
+	if Poisoning() {
 		t.Skip("a loanpoison build never lends a returned array again")
 	}
 	for k := 0; 1<<k <= LoanMaxCap; k++ {
@@ -99,7 +95,7 @@ func TestLoanPoolLendsAClassForEveryNItCovers(t *testing.T) {
 // as were out of that class at the burst's peak; the same burst again
 // allocates nothing.
 func TestLoanPoolIsBounded(t *testing.T) {
-	if poisoning {
+	if Poisoning() {
 		t.Skip("a loanpoison build keeps no array")
 	}
 	var p LoanPool
@@ -154,7 +150,7 @@ func TestLoanPoolIsBounded(t *testing.T) {
 }
 
 func TestLoanPoolPoisonsReturnedArrays(t *testing.T) {
-	if !poisoning {
+	if !Poisoning() {
 		CheckNotReturned("test", []Tuple{{Type: 0xEE}}) // compiled out: no panic
 		t.Skip("only a loanpoison build poisons")
 	}
