@@ -217,7 +217,9 @@ type (
 	BufferMode = node.BufferMode
 	// Source is a DPC data source (§2.2).
 	Source = source.Source
-	// SourceConfig parameterizes a source.
+	// SourceConfig parameterizes a source. Its Payload must be a pure
+	// function of the sequence number: the source logs ticks, not
+	// tuples, and calls Payload again for every tuple a replay sends.
 	SourceConfig = source.Config
 	// Client is a DPC client application behind a proxy node.
 	Client = client.Client

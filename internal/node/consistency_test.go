@@ -1,6 +1,8 @@
 package node
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 
 	"borealis/internal/diagram"
@@ -168,6 +170,47 @@ func TestKeepAliveResponseTracksAdvertisedState(t *testing.T) {
 	sim.RunFor(500 * ms)
 	if got := n.cm.State("in", "up"); got != StateUpFailure {
 		t.Fatalf("advertised state not tracked: %v", got)
+	}
+}
+
+// TestKeepAliveProgressNeverChangesUnderItsReceiver pins that a keep-alive
+// response's progress token is never written once sent: a receiver keeps
+// it across handler turns. While the last stable id stays put every
+// response carries the same map; a moved id builds a new one.
+func TestKeepAliveProgressNeverChangesUnderItsReceiver(t *testing.T) {
+	h := newSegHarness(t)
+	var got, copies []map[string]uint64
+	h.net.Register("probe", func(_ string, msg any) {
+		if r, ok := msg.(KeepAliveResp); ok {
+			got = append(got, r.Progress)
+			copies = append(copies, maps.Clone(r.Progress))
+		}
+	})
+	ask := func() {
+		h.n.HandleMessage("probe", KeepAliveReq{})
+		h.sim.RunFor(50 * ms)
+	}
+	h.stable(150)
+	ask()
+	ask()
+	h.stable(100)
+	ask()
+	h.stable(100)
+	ask()
+	if len(got) != 4 {
+		t.Fatalf("%d keep-alive responses, want 4", len(got))
+	}
+	for i := range got {
+		if !maps.Equal(got[i], copies[i]) {
+			t.Fatalf("response %d's progress changed after sending: %v, sent %v", i, got[i], copies[i])
+		}
+	}
+	same := func(i, j int) bool { return reflect.ValueOf(got[i]).Pointer() == reflect.ValueOf(got[j]).Pointer() }
+	if !same(0, 1) || same(1, 2) || same(2, 3) {
+		t.Fatal("want one map while the id stays put and a new one each time it moves")
+	}
+	if got[3]["in"] != h.id {
+		t.Fatalf("progress %v, want in: %d", got[3], h.id)
 	}
 }
 

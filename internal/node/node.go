@@ -100,8 +100,10 @@ type Node struct {
 	// crash-restart refills the segments the last one held.
 	segs tuple.LoanPool
 
-	// streams is the last advertised map of output stream states.
-	streams map[string]StreamState
+	// streams is the last advertised map of output stream states, and
+	// progress the last advertised stabilization-progress token.
+	streams  map[string]StreamState
+	progress map[string]uint64
 
 	ackTicker runtime.Ticker
 	down      bool
@@ -324,17 +326,25 @@ func (n *Node) takeLoan(ts []tuple.Tuple) *tuple.LoanPool {
 }
 
 // inputProgress builds the stabilization-progress token of a KeepAliveResp:
-// the last stable tuple id accepted on each input stream. The map is built
-// fresh per response — receivers retain it across handler turns.
+// the last stable tuple id accepted on each input stream. While no id moves
+// it returns the map it returned last: receivers retain it across handler
+// turns and only read it, so a moved id builds a new one.
 func (n *Node) inputProgress() map[string]uint64 {
 	if len(n.inputOrder) == 0 {
 		return nil
 	}
-	p := make(map[string]uint64, len(n.inputOrder))
-	for _, stream := range n.inputOrder {
-		p[stream] = n.inputs[stream].LastStableID()
+	same := len(n.progress) == len(n.inputOrder)
+	for i := 0; same && i < len(n.inputOrder); i++ {
+		id, ok := n.progress[n.inputOrder[i]]
+		same = ok && id == n.inputs[n.inputOrder[i]].LastStableID()
 	}
-	return p
+	if !same {
+		n.progress = make(map[string]uint64, len(n.inputOrder))
+		for _, stream := range n.inputOrder {
+			n.progress[stream] = n.inputs[stream].LastStableID()
+		}
+	}
+	return n.progress
 }
 
 // streamStates computes the advertised state of each output stream. In

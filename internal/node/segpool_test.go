@@ -14,6 +14,7 @@ import (
 type segHarness struct {
 	t   *testing.T
 	sim *runtime.VirtualClock
+	net *netsim.Net
 	n   *Node
 	seq uint64
 	id  uint64 // the last stable id delivered
@@ -23,6 +24,7 @@ func newSegHarness(t *testing.T) *segHarness {
 	t.Helper()
 	h := &segHarness{t: t, sim: runtime.NewVirtual()}
 	net := netsim.New(h.sim)
+	h.net = net
 	net.Register("up", func(string, any) {})
 	n, err := New(h.sim, net, passDiagram(t, "in", "out"), Config{
 		ID:           "a",

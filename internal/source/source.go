@@ -3,7 +3,9 @@
 // double as punctuation and heartbeats (§4.2.1), log everything they ever
 // produced in a persistent log, and replay missed suffixes to subscribers
 // that reconnect or fall behind — including after the source-side failures
-// the experiments inject (disconnection, boundary stalls).
+// the experiments inject (disconnection, boundary stalls). The log holds a
+// record per tick, not the tuples: a tuple is a pure function of its tick
+// and its sequence number, so every flush and replay regenerates it.
 package source
 
 import (
@@ -28,8 +30,10 @@ type Config struct {
 	// BoundaryInterval spaces boundary tuples (default 100 ms).
 	BoundaryInterval int64
 	// Payload builds a tuple's data fields from its sequence number;
-	// the default is [seq]. The source copies the values into the tuple,
-	// so Payload may return the same slice every call.
+	// the default is [seq]. It must be a pure function of seq: the log
+	// keeps no tuples, so every flush and replay calls it again for the
+	// tuples it sends. The source copies the values into the tuple, so
+	// Payload may return the same slice every call.
 	Payload func(seq uint64) []int64
 	// LogCap bounds the persistent log (0 = unbounded). When the log is
 	// full, the oldest entries are dropped and DroppedLog counts them —
@@ -38,8 +42,27 @@ type Config struct {
 }
 
 type subscriber struct {
-	pos int // log position of the next tuple to send
+	pos uint64 // log position of the next tuple to send
 	seq uint64
+}
+
+// tickRec is one tick's entry in the persistent log: n data tuples with ids
+// seq, seq+1, … stamped stime, then a boundary tuple if bound, at the log
+// positions from pos on.
+type tickRec struct {
+	pos, seq uint64
+	stime    int64
+	n        uint32
+	bound    bool
+}
+
+// end returns the log position after the tick's last tuple.
+func (r *tickRec) end() uint64 {
+	e := r.pos + uint64(r.n)
+	if r.bound {
+		e++
+	}
+	return e
 }
 
 // Source is a data source endpoint on the simulated network.
@@ -49,16 +72,21 @@ type Source struct {
 	net fabric.Fabric
 
 	// The persistent log, addressed by position: the i-th tuple ever
-	// logged is at position i, and position p at log index p − DroppedLog.
-	// segs takes back the segments eviction empties and lends them to the
-	// next appends.
-	log  node.TupleLog
-	segs tuple.LoanPool
+	// logged is at position i, and end is the position after the last.
+	// recs[head:] are the records of the ticks still logged, the first of
+	// which may start below DroppedLog; eviction advances head, and
+	// compacts the slice once the dead records outnumber the live ones.
+	recs []tickRec
+	head int
+	end  uint64
 	subs map[string]*subscriber
-	// pending is the array flushes copy the log into and lend to the
-	// fabric, which copies it during Send; one grown past
-	// tuple.LoanMaxCap (a reconnect replay) is given away instead.
+	// pending is the array flushes regenerate the log into and lend to
+	// the fabric, which copies it during Send; one grown past
+	// tuple.LoanMaxCap (a reconnect replay) is given away instead. arena
+	// carves the payloads longer than two values: they are published with
+	// the tuples and never written again.
 	pending []tuple.Tuple
+	arena   tuple.I64Arena
 	// subsSorted caches the deterministic flush order; rebuilt when the
 	// subscription set changes.
 	subsSorted []string
@@ -66,8 +94,6 @@ type Source struct {
 	// one stream, always STABLE. Receivers only read it.
 	streams map[string]node.StreamState
 
-	nextID       uint64
-	seq          uint64
 	acc          float64
 	nextBoundary int64
 
@@ -76,8 +102,9 @@ type Source struct {
 
 	ticker runtime.Ticker
 
-	// Produced counts data tuples generated; DroppedLog counts tuples
-	// evicted from a bounded log.
+	// Produced counts data tuples generated, the last of which has
+	// sequence number and id Produced; DroppedLog counts tuples (log
+	// positions) evicted from a bounded log.
 	Produced   uint64
 	DroppedLog uint64
 }
@@ -100,7 +127,6 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) *Source {
 	}
 	s := &Source{cfg: cfg, clk: clk, net: net, subs: make(map[string]*subscriber),
 		streams: map[string]node.StreamState{cfg.Stream: node.StateStable}}
-	s.log = node.NewTupleLog(cfg.LogCap, &s.segs)
 	net.Register(cfg.ID, s.handle)
 	return s
 }
@@ -112,7 +138,7 @@ func (s *Source) ID() string { return s.cfg.ID }
 func (s *Source) Stream() string { return s.cfg.Stream }
 
 // LogLen returns the persistent log length.
-func (s *Source) LogLen() int { return s.log.Len() }
+func (s *Source) LogLen() int { return int(s.end - s.DroppedLog) }
 
 // Start begins ticking.
 func (s *Source) Start() {
@@ -163,57 +189,93 @@ func (s *Source) tick() {
 	s.acc += s.cfg.Rate * float64(s.cfg.TickInterval) / float64(runtime.Second)
 	n := int(s.acc)
 	s.acc -= float64(n)
-	for i := 0; i < n; i++ {
-		s.nextID++
-		s.seq++
-		s.Produced++
-		t := tuple.Tuple{Type: tuple.Insertion, ID: s.nextID, STime: now}
-		t.SetData(nil, s.cfg.Payload(s.seq)...)
-		s.append(t)
-	}
-	if !s.stallBounds && now >= s.nextBoundary {
-		s.append(tuple.NewBoundary(now))
+	bound := !s.stallBounds && now >= s.nextBoundary
+	if bound {
 		for now >= s.nextBoundary {
 			s.nextBoundary += s.cfg.BoundaryInterval
 		}
 	}
+	s.logTick(now, n, bound)
 	if !s.disconnected {
 		s.flush()
 	}
 }
 
-// append adds a tuple to the persistent log, evicting under LogCap.
-// Eviction recycles the segments it empties: nothing outside the log holds
-// them, because flush copies what it sends.
-func (s *Source) append(t tuple.Tuple) {
-	if s.cfg.LogCap > 0 && s.LogLen() >= s.cfg.LogCap {
-		drop := s.LogLen() - s.cfg.LogCap + 1
-		s.log.DropHead(drop)
-		s.DroppedLog += uint64(drop)
-		for _, sub := range s.subs {
-			sub.pos = max(sub.pos, int(s.DroppedLog))
+// logTick appends a tick of n data tuples stamped stime, followed by a
+// boundary if bound, to the persistent log, evicting under LogCap.
+func (s *Source) logTick(stime int64, n int, bound bool) {
+	r := tickRec{pos: s.end, seq: s.Produced + 1, stime: stime, n: uint32(n), bound: bound}
+	if r.end() == r.pos {
+		return
+	}
+	s.Produced += uint64(n)
+	s.end = r.end()
+	s.recs = append(s.recs, r)
+	if s.cfg.LogCap > 0 && s.LogLen() > s.cfg.LogCap {
+		s.evict(s.end - uint64(s.cfg.LogCap))
+	}
+}
+
+// evict drops the log positions below p. Whole head records go; the first
+// record left may keep only a suffix of its tuples.
+func (s *Source) evict(p uint64) {
+	s.DroppedLog = p
+	for s.recs[s.head].end() <= p {
+		s.head++
+	}
+	if s.head >= len(s.recs)-s.head {
+		s.recs = s.recs[:copy(s.recs, s.recs[s.head:])]
+		s.head = 0
+	}
+	for _, sub := range s.subs {
+		sub.pos = max(sub.pos, p)
+	}
+}
+
+// regenerate appends to ts the logged tuples from position lo, which must
+// not be below DroppedLog, to the end of the log.
+func (s *Source) regenerate(ts []tuple.Tuple, lo uint64) []tuple.Tuple {
+	live := s.recs[s.head:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].end() > lo })
+	for _, r := range live[i:] {
+		for k := max(lo, r.pos) - r.pos; k < uint64(r.n); k++ {
+			t := tuple.Tuple{Type: tuple.Insertion, ID: r.seq + k, STime: r.stime}
+			t.SetData(&s.arena, s.cfg.Payload(r.seq+k)...)
+			ts = append(ts, t)
+		}
+		if r.bound {
+			ts = append(ts, tuple.NewBoundary(r.stime))
 		}
 	}
-	s.log.Append(t)
+	return ts
+}
+
+// position returns the log position of the data tuple with the given id,
+// and whether the log still holds it.
+func (s *Source) position(id uint64) (uint64, bool) {
+	live := s.recs[s.head:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].seq+uint64(live[i].n) > id })
+	if i == len(live) || live[i].seq > id {
+		return 0, false
+	}
+	p := live[i].pos + (id - live[i].seq)
+	return p, p >= s.DroppedLog
 }
 
 // flush sends each subscriber everything it has not yet received, in
 // deterministic (sorted endpoint) order. The tuples from the oldest
-// subscriber position on are copied into pending once; each subscriber gets
-// its suffix of it.
+// subscriber position on are regenerated into pending once; each
+// subscriber gets its suffix of it.
 func (s *Source) flush() {
-	base := int(s.DroppedLog)
-	end := base + s.LogLen()
-	lo := end
+	lo := s.end
 	for _, sub := range s.subs {
 		lo = min(lo, sub.pos)
 	}
-	if lo == end {
+	if lo == s.end {
 		return
 	}
-	n := end - lo
-	batch := slices.Grow(s.pending[:0], n)[:n]
-	s.log.CopyOut(batch, lo-base)
+	n := int(s.end - lo)
+	batch := s.regenerate(slices.Grow(s.pending[:0], n), lo)
 	given := cap(batch) > tuple.LoanMaxCap
 	if s.subsSorted == nil && len(s.subs) > 0 {
 		eps := make([]string, 0, len(s.subs))
@@ -225,11 +287,11 @@ func (s *Source) flush() {
 	}
 	for _, ep := range s.subsSorted {
 		sub := s.subs[ep]
-		if sub.pos >= end {
+		if sub.pos >= s.end {
 			continue
 		}
 		ts := batch[sub.pos-lo : n : n]
-		sub.pos = end
+		sub.pos = s.end
 		sub.seq++
 		s.net.Send(s.cfg.ID, ep, node.DataMsg{Stream: s.cfg.Stream, Seq: sub.seq, Tuples: ts, Given: given})
 	}
@@ -249,9 +311,11 @@ func (s *Source) handle(from string, msg any) {
 		if m.Stream != s.cfg.Stream {
 			return
 		}
-		pos := int(s.DroppedLog)
-		if m.FromID > 0 {
-			pos += 1 + s.log.LastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == m.FromID })
+		// FromID 0, or an id the log does not hold (evicted, or never
+		// produced), replays everything logged.
+		pos := s.DroppedLog
+		if p, ok := s.position(m.FromID); ok {
+			pos = p + 1
 		}
 		s.subs[from] = &subscriber{pos: pos}
 		s.subsSorted = nil

@@ -1,7 +1,10 @@
 package source
 
 import (
+	"fmt"
 	goruntime "runtime"
+	"slices"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -207,40 +210,26 @@ func TestSourceUnsubscribeStops(t *testing.T) {
 	}
 }
 
-// logTuple is the i-th data tuple appended by the bounded-log tests.
+// logTuple is the tuple the bounded-log tests' i-th one-tuple tick logs.
 func logTuple(i int) tuple.Tuple {
-	return tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}
+	t := tuple.Tuple{Type: tuple.Insertion, ID: uint64(i), STime: int64(i)}
+	t.SetData(nil, int64(i))
+	return t
 }
 
-// segment is the length of a full segment of the source's log (the node
-// package's TupleLog).
-const segment = 1024
-
-// oldest returns the log's slot of its oldest live tuple.
-func oldest(s *Source) *tuple.Tuple {
-	var p *tuple.Tuple
-	s.log.Chunks(func(ts []tuple.Tuple) {
-		if p == nil {
-			p = &ts[0]
-		}
-	})
-	return p
-}
-
-// runCaps returns, for each run of the source's log, the slots from its
-// first tuple to the end of its segment: every run is a window of one
-// segment that reaches the segment's end.
-func runCaps(s *Source) []int {
-	var caps []int
-	s.log.Chunks(func(ts []tuple.Tuple) { caps = append(caps, cap(ts)) })
-	return caps
+// logTicks logs the one-tuple ticks first, first+1, …, last, each stamped
+// with its own number, which is also its tuple's id when the log starts
+// at the first.
+func logTicks(s *Source, first, last int) {
+	for i := first; i <= last; i++ {
+		s.logTick(int64(i), 1, false)
+	}
 }
 
 // checkWindow fails unless the log holds exactly the ids first, first+1, …
 func checkWindow(t *testing.T, s *Source, first int) {
 	t.Helper()
-	var got []tuple.Tuple
-	s.log.Chunks(func(ts []tuple.Tuple) { got = append(got, ts...) })
+	got := s.regenerate(nil, s.DroppedLog)
 	if len(got) != s.LogLen() {
 		t.Fatalf("log holds %d tuples, LogLen %d", len(got), s.LogLen())
 	}
@@ -258,9 +247,7 @@ func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
 	const n = 100000
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	for i := 1; i <= n; i++ {
-		s.append(logTuple(i))
-	}
+	logTicks(s, 1, n)
 	goruntime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 512 {
 		t.Fatalf("an append to a full capped log allocates %d B on average, want O(1) (≤ 512 B)", per)
@@ -269,36 +256,35 @@ func TestSourceBoundedLogAppendIsLinear(t *testing.T) {
 		t.Fatalf("LogLen %d, DroppedLog %d; want 1000, %d", s.LogLen(), s.DroppedLog, n-1000)
 	}
 	checkWindow(t, s, n-1000+1)
-	if caps := runCaps(s); len(caps) > 2 {
-		t.Fatalf("%d segments live for a 1000-tuple window; evicted segments must be released", len(caps))
+	if len(s.recs) > 2*1000 {
+		t.Fatalf("%d records kept for a 1000-tuple window; evicted records must be released", len(s.recs))
 	}
 }
 
 func TestSourceSmallLogCapKeepsSmallSegments(t *testing.T) {
-	// A log bounded below one full segment must not pin one: at LogCap 64
-	// the live log sits in at most two 64-tuple segments, and eviction
-	// recycles them, so 10 000 appends allocate fewer than three.
+	// A small LogCap keeps a small record slice: at LogCap 64 at most 64
+	// one-tuple ticks are live, and compaction keeps the slice below twice
+	// that, so once it has grown 10 000 ticks allocate less than three
+	// copies of the 64 tuples they stand for.
 	_, _, s, _ := setup(Config{LogCap: 64})
+	logTicks(s, 1, 200)
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	for i := 1; i <= 10000; i++ {
-		s.append(logTuple(i))
-	}
+	logTicks(s, 201, 10200)
 	goruntime.ReadMemStats(&after)
-	// A loanpoison build never lends a returned segment again.
-	if got, seg := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(tuple.Tuple{})); got >= 3*seg && !tuple.Poisoning() {
-		t.Fatalf("10 000 appends allocated %d B, want < 3 segments of %d B", got, seg)
+	if got, seg := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(tuple.Tuple{})); got >= 3*seg {
+		t.Fatalf("10 000 ticks allocated %d B, want < 3 × %d B", got, seg)
 	}
-	for i := 10001; i <= 10200; i++ {
-		s.append(logTuple(i))
-		if caps := runCaps(s); len(caps) > 2 || caps[len(caps)-1] > 64 {
-			t.Fatalf("after %d appends: runs reaching %v slots, want ≤ 2 of ≤ 64", i, caps)
+	for i := 10201; i <= 10400; i++ {
+		s.logTick(int64(i), 1, false)
+		if live := len(s.recs) - s.head; live > 64 || len(s.recs) > 2*64 {
+			t.Fatalf("after %d ticks: %d records, %d live; want ≤ 128 and ≤ 64", i, len(s.recs), live)
 		}
 	}
 	if s.LogLen() != 64 {
 		t.Fatalf("LogLen %d, want 64", s.LogLen())
 	}
-	checkWindow(t, s, 10200-63)
+	checkWindow(t, s, 10400-63)
 }
 
 // copyingFabric is a stub fabric whose Send copies a message's tuples, as
@@ -314,26 +300,24 @@ func (f *copyingFabric) Send(_, _ string, msg any) {
 }
 
 func TestSourceCappedLogRecyclesSegments(t *testing.T) {
-	// At LogCap 1 000 eviction hands every emptied segment to the next
-	// appends, and a flush copies into the array the last one lent: in
-	// steady state appending and flushing allocate nothing but the boxed
-	// DataMsg each Send takes.
+	// At LogCap 1 000 compaction hands the slots of evicted records to the
+	// next ticks, and a flush regenerates into the array the last one
+	// lent: in steady state logging and flushing allocate nothing but the
+	// boxed DataMsg each Send takes.
 	f := &copyingFabric{}
 	s := New(runtime.NewVirtual(), f, Config{ID: "src", Stream: "s", LogCap: 1000})
 	s.handle("dn", node.SubscribeMsg{Stream: "s"})
 	next := 1
 	op := func() {
-		for i := 0; i < 10; i++ {
-			s.append(logTuple(next))
-			next++
-		}
+		logTicks(s, next, next+9)
+		next += 10
 		s.flush()
 	}
-	for i := 0; i < 4*segment/10; i++ {
+	for i := 0; i < 400; i++ {
 		op()
 	}
-	if a := testing.AllocsPerRun(4*segment/10, op); a != 1 {
-		t.Fatalf("an append-and-flush step allocates %.2f times, want 1 (the boxed DataMsg)", a)
+	if a := testing.AllocsPerRun(400, op); a != 1 {
+		t.Fatalf("a log-and-flush step allocates %.2f times, want 1 (the boxed DataMsg)", a)
 	}
 	if len(f.got) != 10 || f.got[0].ID != uint64(next-10) {
 		t.Fatalf("last flush sent %v, want ids %d…%d", f.got, next-10, next-1)
@@ -342,10 +326,10 @@ func TestSourceCappedLogRecyclesSegments(t *testing.T) {
 }
 
 func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
-	// Later appends, segment crossings and eviction must leave every batch
-	// already handed out exactly as it was sent, and every batch must hold
-	// the tuples logged at its positions.
-	for _, logCap := range []int{64, segment + 100, 0} {
+	// Later ticks, eviction and compaction must leave every batch already
+	// handed out exactly as it was sent, and every batch must hold the
+	// tuples logged at its positions.
+	for _, logCap := range []int{64, 1124, 0} {
 		sim, net, s, _ := setup(Config{LogCap: logCap})
 		var held [][]tuple.Tuple
 		var want [][]tuple.Tuple
@@ -356,11 +340,11 @@ func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
 			}
 		})
 		subscribe(net, sim, 0)
-		// Flushing every 61 appends keeps the subscriber inside even the
-		// 64-tuple window, and batches straddle segment boundaries.
-		const n = 3*segment + 500
+		// Flushing every 61 ticks keeps the subscriber inside even the
+		// 64-tuple window.
+		const n = 3572
 		for i := 1; i <= n; i++ {
-			s.append(logTuple(i))
+			s.logTick(int64(i), 1, false)
 			if i%61 == 0 || i == n {
 				s.flush()
 				sim.RunFor(ms)
@@ -394,16 +378,14 @@ func TestSourceBoundedLogKeepsSentBatchesIntact(t *testing.T) {
 }
 
 func TestSourceFlushSpanningSegments(t *testing.T) {
-	// A reconnect replay covers several segments; the batch must equal the
-	// logged tuples, and writing into the delivered array must not reach
-	// the log.
+	// A reconnect replay regenerates many ticks into one batch; the batch
+	// must equal the logged tuples, and writing into the delivered array
+	// must not reach the log.
 	sim, net, s, k := setup(Config{})
 	subscribe(net, sim, 0)
 	s.Disconnect()
-	const n = 2*segment + segment/2
-	for i := 1; i <= n; i++ {
-		s.append(logTuple(i))
-	}
+	const n = 2560
+	logTicks(s, 1, n)
 	s.Reconnect()
 	s.flush()
 	sim.RunFor(10 * ms)
@@ -419,30 +401,30 @@ func TestSourceFlushSpanningSegments(t *testing.T) {
 	checkWindow(t, s, 1)
 }
 
-func TestSourceUnboundedLogNeverRecopies(t *testing.T) {
-	// An unbounded log grows a segment at a time: 100 000 appends allocate
-	// about the tuples' own bytes, and the first segment never moves.
+func TestSourceUnboundedLogGrowsPerTick(t *testing.T) {
+	// An unbounded log costs a record per tick, not a copy of each tuple:
+	// 100 000 tuples logged in 1 000 ticks allocate less than a tenth of
+	// the tuples' own bytes.
 	_, _, s, _ := setup(Config{})
-	const n = 100000
-	s.append(logTuple(1))
-	first := oldest(s)
+	const ticks, per = 1000, 100
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	for i := 2; i <= n; i++ {
-		s.append(logTuple(i))
+	for i := 1; i <= ticks; i++ {
+		s.logTick(int64(i), per, false)
 	}
 	goruntime.ReadMemStats(&after)
-	own := float64(n) * float64(unsafe.Sizeof(tuple.Tuple{}))
-	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*own {
-		t.Fatalf("%d appends allocated %.0f B, want ≤ 1.1 × %.0f B", n, got, own)
+	own := float64(ticks*per) * float64(unsafe.Sizeof(tuple.Tuple{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > own/10 {
+		t.Fatalf("%d ticks of %d tuples allocated %.0f B, want ≤ %.0f B", ticks, per, got, own/10)
 	}
-	if oldest(s) != first {
-		t.Fatal("the first segment was recopied")
+	if s.LogLen() != ticks*per || len(s.recs) != ticks {
+		t.Fatalf("LogLen %d in %d records, want %d in %d", s.LogLen(), len(s.recs), ticks*per, ticks)
 	}
-	if s.LogLen() != n {
-		t.Fatalf("LogLen %d, want %d", s.LogLen(), n)
+	for i, tp := range s.regenerate(nil, 0) {
+		if tp.ID != uint64(i+1) || tp.STime != int64(i/per+1) || tp.Field(0) != int64(i+1) {
+			t.Fatalf("log[%d] = %v, want id and payload %d at stime %d", i, tp, i+1, i/per+1)
+		}
 	}
-	checkWindow(t, s, 1)
 }
 
 func TestSourceBoundedLogPositionsAndReplay(t *testing.T) {
@@ -451,9 +433,7 @@ func TestSourceBoundedLogPositionsAndReplay(t *testing.T) {
 	// tuple still logged, gap-free from there.
 	subscribe(net, sim, 0)
 	s.Disconnect()
-	for i := 1; i <= 1000; i++ {
-		s.append(logTuple(i))
-	}
+	logTicks(s, 1, 1000)
 	if s.DroppedLog != 900 || s.LogLen() != 100 {
 		t.Fatalf("DroppedLog %d, LogLen %d; want 900, 100", s.DroppedLog, s.LogLen())
 	}
@@ -475,4 +455,333 @@ func TestSourceBoundedLogPositionsAndReplay(t *testing.T) {
 			t.Fatalf("FromID %d: replay %v, want %d..1000", c.from, k.tuples, c.first)
 		}
 	}
+}
+
+// refSource is the source as it stood while its persistent log held the
+// tuples themselves: a tick appends its tuples to a plain slice, a full
+// capped log drops its oldest tuples before each append, a flush copies
+// the log, and a subscription finds FromID by scanning it. It is the
+// reference the tick log is checked against.
+type refSource struct {
+	cfg          Config
+	clk          runtime.Clock
+	net          fabric.Fabric
+	log          []tuple.Tuple // the tuples at positions DroppedLog, DroppedLog+1, …
+	subs         map[string]*subscriber
+	pending      []tuple.Tuple
+	nextID       uint64
+	acc          float64
+	nextBoundary int64
+	disconnected bool
+	stallBounds  bool
+	Produced     uint64
+	DroppedLog   uint64
+}
+
+func (r *refSource) Start() {
+	r.nextBoundary = r.clk.Now() + r.cfg.BoundaryInterval
+	r.clk.NewTicker(r.cfg.TickInterval, r.tick)
+}
+
+func (r *refSource) tick() {
+	now := r.clk.Now()
+	r.acc += r.cfg.Rate * float64(r.cfg.TickInterval) / float64(runtime.Second)
+	n := int(r.acc)
+	r.acc -= float64(n)
+	for i := 0; i < n; i++ {
+		r.nextID++
+		r.Produced++
+		t := tuple.Tuple{Type: tuple.Insertion, ID: r.nextID, STime: now}
+		t.SetData(nil, r.cfg.Payload(r.nextID)...)
+		r.append(t)
+	}
+	if !r.stallBounds && now >= r.nextBoundary {
+		r.append(tuple.NewBoundary(now))
+		for now >= r.nextBoundary {
+			r.nextBoundary += r.cfg.BoundaryInterval
+		}
+	}
+	if !r.disconnected {
+		r.flush()
+	}
+}
+
+func (r *refSource) append(t tuple.Tuple) {
+	if r.cfg.LogCap > 0 && len(r.log) >= r.cfg.LogCap {
+		drop := len(r.log) - r.cfg.LogCap + 1
+		r.log = r.log[drop:]
+		r.DroppedLog += uint64(drop)
+		for _, sub := range r.subs {
+			sub.pos = max(sub.pos, r.DroppedLog)
+		}
+	}
+	r.log = append(r.log, t)
+}
+
+func (r *refSource) flush() {
+	end := r.DroppedLog + uint64(len(r.log))
+	lo := end
+	for _, sub := range r.subs {
+		lo = min(lo, sub.pos)
+	}
+	if lo == end {
+		return
+	}
+	n := int(end - lo)
+	batch := slices.Grow(r.pending[:0], n)[:n]
+	copy(batch, r.log[lo-r.DroppedLog:])
+	given := cap(batch) > tuple.LoanMaxCap
+	eps := make([]string, 0, len(r.subs))
+	for ep := range r.subs {
+		eps = append(eps, ep)
+	}
+	sort.Strings(eps)
+	for _, ep := range eps {
+		sub := r.subs[ep]
+		if sub.pos >= end {
+			continue
+		}
+		ts := batch[sub.pos-lo : n : n]
+		sub.pos = end
+		sub.seq++
+		r.net.Send(r.cfg.ID, ep, node.DataMsg{Stream: r.cfg.Stream, Seq: sub.seq, Tuples: ts, Given: given})
+	}
+	if given {
+		r.pending = nil
+	} else {
+		r.pending = batch[:0]
+	}
+}
+
+func (r *refSource) handle(from string, msg any) {
+	switch m := msg.(type) {
+	case node.SubscribeMsg:
+		pos := r.DroppedLog
+		for i := len(r.log) - 1; m.FromID > 0 && i >= 0; i-- {
+			if r.log[i].IsData() && r.log[i].ID == m.FromID {
+				pos += uint64(i) + 1
+				break
+			}
+		}
+		r.subs[from] = &subscriber{pos: pos}
+		if !r.disconnected {
+			r.flush()
+		}
+	case node.UnsubscribeMsg:
+		delete(r.subs, from)
+	}
+}
+
+// sent is one DataMsg a recorder saw, its tuples copied at Send.
+type sent struct {
+	to  string
+	msg node.DataMsg
+}
+
+// recorder is a stub fabric that keeps every DataMsg sent through it.
+type recorder struct{ sent []sent }
+
+func (f *recorder) Register(string, fabric.Handler) {}
+func (f *recorder) SetDown(string, bool)            {}
+func (f *recorder) Send(_, to string, msg any) {
+	if m, ok := msg.(node.DataMsg); ok {
+		m.Tuples = slices.Clone(m.Tuples)
+		f.sent = append(f.sent, sent{to, m})
+	}
+}
+
+// refPair runs a source and the reference side by side on one clock, each
+// sending to its own recorder, and applies every operation to both.
+type refPair struct {
+	sim       *runtime.VirtualClock
+	s         *Source
+	ref       *refSource
+	got, want recorder
+}
+
+func newRefPair(cfg Config) *refPair {
+	p := &refPair{sim: runtime.NewVirtual()}
+	cfg.ID, cfg.Stream = "src", "s"
+	p.s = New(p.sim, &p.got, cfg)
+	p.ref = &refSource{cfg: p.s.cfg, clk: p.sim, net: &p.want, subs: make(map[string]*subscriber)}
+	p.s.Start()
+	p.ref.Start()
+	return p
+}
+
+func (p *refPair) run(ticks int) { p.sim.RunFor(int64(ticks) * p.s.cfg.TickInterval) }
+
+func (p *refPair) subscribe(ep string, from uint64) {
+	p.s.handle(ep, node.SubscribeMsg{Stream: "s", FromID: from})
+	p.ref.handle(ep, node.SubscribeMsg{Stream: "s", FromID: from})
+}
+
+func (p *refPair) unsubscribe(ep string) {
+	p.s.handle(ep, node.UnsubscribeMsg{Stream: "s"})
+	p.ref.handle(ep, node.UnsubscribeMsg{Stream: "s"})
+}
+
+func (p *refPair) setRate(r float64) { p.s.SetRate(r); p.ref.cfg.Rate = r }
+
+func (p *refPair) connect(up bool) {
+	if up {
+		p.s.Reconnect()
+	} else {
+		p.s.Disconnect()
+	}
+	p.ref.disconnected = !up
+}
+
+func (p *refPair) stall(on bool) {
+	if on {
+		p.s.StallBoundaries()
+	} else {
+		p.s.ResumeBoundaries()
+	}
+	p.ref.stallBounds = on
+}
+
+// check fails unless the source sent exactly what the reference sent since
+// the last check, tuple for tuple, and agrees on its log's counters.
+func (p *refPair) check(t *testing.T, what string) {
+	t.Helper()
+	got, want := p.got.sent, p.want.sent
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if i >= len(got) || i >= len(want) {
+			t.Fatalf("%s: %d messages sent, reference %d", what, len(got), len(want))
+		}
+		g, w := got[i], want[i]
+		if g.to != w.to || g.msg.Stream != w.msg.Stream || g.msg.Seq != w.msg.Seq || g.msg.Given != w.msg.Given ||
+			len(g.msg.Tuples) != len(w.msg.Tuples) {
+			t.Fatalf("%s: message %d to %s seq %d given %v with %d tuples, reference to %s seq %d given %v with %d",
+				what, i, g.to, g.msg.Seq, g.msg.Given, len(g.msg.Tuples), w.to, w.msg.Seq, w.msg.Given, len(w.msg.Tuples))
+		}
+		for j := range g.msg.Tuples {
+			if !tuple.Equal(g.msg.Tuples[j], w.msg.Tuples[j]) {
+				t.Fatalf("%s: message %d slot %d = %v, reference %v", what, i, j, g.msg.Tuples[j], w.msg.Tuples[j])
+			}
+		}
+	}
+	p.got.sent, p.want.sent = p.got.sent[:0], p.want.sent[:0]
+	if s, r := p.s, p.ref; s.LogLen() != len(r.log) || s.DroppedLog != r.DroppedLog || s.Produced != r.Produced {
+		t.Fatalf("%s: LogLen %d, DroppedLog %d, Produced %d; reference %d, %d, %d",
+			what, s.LogLen(), s.DroppedLog, s.Produced, len(r.log), r.DroppedLog, r.Produced)
+	}
+}
+
+// longPayload is a pure payload of three values, carved from the source's
+// arena rather than kept inline.
+func longPayload(seq uint64) []int64 { return []int64{int64(seq), 3 * int64(seq), -int64(seq)} }
+
+func TestSourceMatchesTupleLogReference(t *testing.T) {
+	// 10 tuples a tick and a boundary after every tenth tick's data; the
+	// caps put the horizon inside one tick, a few ticks back, and past the
+	// whole run.
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unbounded", Config{Rate: 1000}},
+		{"cap-below-a-tick", Config{Rate: 1000, LogCap: 7}},
+		{"cap-64", Config{Rate: 1000, LogCap: 64}},
+		{"cap-150-long-payload", Config{Rate: 1000, LogCap: 150, Payload: longPayload}},
+		{"unbounded-long-payload", Config{Rate: 1000, Payload: longPayload}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newRefPair(c.cfg)
+			p.subscribe("a", 0)
+			p.run(25)
+			p.check(t, "steady")
+			// Ticks without data: 0.3 tuples a tick, then boundaries alone.
+			p.setRate(30)
+			p.run(20)
+			p.setRate(0)
+			p.run(5)
+			p.setRate(1000)
+			p.run(3)
+			p.check(t, "sparse ticks")
+			p.stall(true)
+			p.run(15)
+			p.stall(false)
+			p.run(5)
+			p.check(t, "stalled boundaries")
+			p.connect(false)
+			p.run(30)
+			p.subscribe("b", p.s.Produced-45)
+			p.connect(true)
+			p.run(1)
+			p.check(t, "reconnect")
+			// A replay from every id: each tick's first tuple, every
+			// mid-tick one, those next to a boundary, evicted ones, and
+			// ids not produced yet.
+			for id := uint64(0); id <= p.s.Produced+3; id++ {
+				p.subscribe("r", id)
+				p.check(t, fmt.Sprintf("replay from id %d", id))
+				p.unsubscribe("r")
+			}
+			// A replay past tuple.LoanMaxCap is given away.
+			p.setRate(200000)
+			p.connect(false)
+			p.run(10)
+			p.connect(true)
+			p.run(1)
+			if last := p.got.sent[len(p.got.sent)-1].msg; c.cfg.LogCap == 0 && !last.Given {
+				t.Fatalf("a replay of %d tuples was lent, want given", len(last.Tuples))
+			}
+			p.check(t, "long replay")
+			p.unsubscribe("a")
+			p.run(3)
+			p.check(t, "unsubscribed")
+		})
+	}
+}
+
+// FuzzSourceMatchesTupleLogReference drives a source and the reference
+// through the same operations: ticks, subscriptions from ids around the
+// newest, unsubscriptions, disconnection, rate changes and boundary
+// stalls, under a cap chosen by the first byte.
+func FuzzSourceMatchesTupleLogReference(f *testing.F) {
+	f.Add([]byte{0, 0, 8, 1, 16, 3, 32, 4, 9, 17, 41})
+	f.Add([]byte{2, 3, 1, 16, 5, 8, 6, 24, 7, 33, 0, 0, 0, 2, 97})
+	f.Add([]byte{1, 1, 1, 9, 17, 3, 8, 13, 21, 4, 249, 0, 6, 16, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 || len(ops) > 200 {
+			return
+		}
+		caps := []int{0, 1, 7, 64, 300}
+		rates := []float64{0, 30, 1000, 2500, 200000}
+		eps := []string{"a", "b", "c"}
+		cfg := Config{Rate: 1000, LogCap: caps[int(ops[0])%len(caps)], BoundaryInterval: 30 * ms}
+		if ops[1]&1 != 0 {
+			cfg.BoundaryInterval = 100 * ms
+		}
+		if ops[1]&2 != 0 {
+			cfg.Payload = longPayload
+		}
+		p := newRefPair(cfg)
+		for i, b := range ops[2:] {
+			arg := int(b >> 3)
+			switch b % 8 {
+			case 0:
+				p.run(1 + arg%8)
+			case 1:
+				// ids from the newest + 4 (not produced) back 27 (evicted
+				// under a small cap), and 0
+				p.subscribe(eps[arg%3], uint64(max(0, int(p.s.Produced)+4-arg)))
+			case 2:
+				p.unsubscribe(eps[arg%3])
+			case 3:
+				p.connect(false)
+			case 4:
+				p.connect(true)
+			case 5:
+				p.setRate(rates[arg%len(rates)])
+			case 6:
+				p.stall(true)
+			case 7:
+				p.stall(false)
+			}
+			p.check(t, fmt.Sprintf("op %d (%d)", i, b))
+		}
+	})
 }
