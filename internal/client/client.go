@@ -167,7 +167,7 @@ func New(clk runtime.Clock, net fabric.Fabric, cfg Config) (*Client, error) {
 		maxSTime: -1,
 		latMin:   math.MaxInt64,
 	}
-	c.view = node.NewTupleLog(0, &c.segs)
+	c.view = node.NewTupleLog(&c.segs)
 	proxy.OnDeliver(func(_ string, t tuple.Tuple) { c.consume(t) })
 	return c, nil
 }

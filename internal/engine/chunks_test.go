@@ -41,7 +41,6 @@ func newChunkRun(t *testing.T, perTuple bool, flipAt int) *chunkRun {
 			r.e.SetPolicyAll(operator.PolicyProcess)
 		}
 	}
-	r.e.OnOutput(func(_ string, tp tuple.Tuple) { record(tp) })
 	r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { record(ts...) })
 	return r
 }
@@ -240,7 +239,6 @@ func TestEngineIngestChunksStagedPasses(t *testing.T) {
 				e.SetPolicyAll(operator.PolicyProcess)
 			}
 		}
-		e.OnOutput(func(_ string, tp tuple.Tuple) { record(tp) })
 		e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { record(ts...) })
 		e.IngestChunks("in", split(ts, sizes), nil)
 		sim.Run()

@@ -119,13 +119,12 @@ type Engine struct {
 	d   *diagram.Diagram
 	cfg Config
 
-	onOutput func(stream string, t tuple.Tuple)
+	// onOutput receives every tuple emitted on an external output stream,
+	// as a frame: a staged pass's collected output, or a one-tuple frame
+	// for a tuple emitted on its own.
+	onOutput func(stream string, ts []tuple.Tuple)
 	onSignal func(operator.Signal)
 	onIdle   func()
-	// onOutputBatch, when set, receives whole output batches from the
-	// staged plane in one call; unset, the staged plane falls back to
-	// per-tuple onOutput calls.
-	onOutputBatch func(stream string, ts []tuple.Tuple)
 
 	// Staged batch plane. Each input's ch precomputes the linear operator
 	// path a batch can be run through operator-at-a-time; an input without
@@ -181,18 +180,26 @@ func New(clk runtime.Clock, d *diagram.Diagram, cfg Config) *Engine {
 // Diagram returns the executed diagram.
 func (e *Engine) Diagram() *diagram.Diagram { return e.d }
 
-// OnOutput registers the callback receiving every tuple emitted on an
-// external output stream.
-func (e *Engine) OnOutput(fn func(stream string, t tuple.Tuple)) { e.onOutput = fn }
+// OnOutputBatch registers the callback receiving every tuple emitted on an
+// external output stream, as frames: a staged pass's output in one call, a
+// tuple emitted on its own (a timer's flush, a stage that declines its
+// frame, an input without a chain, the reference plane) as a one-tuple
+// frame. The slice is only valid for the duration of the call (it is a
+// pooled frame or the output operator's one-tuple array); the callback
+// must copy what it retains. The engine has one output callback: this
+// registration replaces OnOutput's, and the last one made wins.
+func (e *Engine) OnOutputBatch(fn func(stream string, ts []tuple.Tuple)) { e.onOutput = fn }
 
-// OnOutputBatch registers the callback receiving whole batches emitted on
-// an external output stream by the staged batch plane. The slice is only
-// valid for the duration of the call (it is a pooled frame); the callback
-// must copy what it retains. Tuples still reach OnOutput per-tuple whenever
-// they are not run as a staged frame — an input without a chain, a stage
-// that declines its frame, a timer's emission — so both callbacks should
-// be set.
-func (e *Engine) OnOutputBatch(fn func(stream string, ts []tuple.Tuple)) { e.onOutputBatch = fn }
+// OnOutput registers fn as the engine's one output callback, adapted to be
+// called once per tuple of each frame: it replaces an OnOutputBatch
+// registration, and the last one made wins.
+func (e *Engine) OnOutput(fn func(stream string, t tuple.Tuple)) {
+	e.onOutput = func(stream string, ts []tuple.Tuple) {
+		for i := range ts {
+			fn(stream, ts[i])
+		}
+	}
+}
 
 // OnSignal registers the callback receiving SUnion/SOutput control signals.
 func (e *Engine) OnSignal(fn func(operator.Signal)) { e.onSignal = fn }
@@ -215,10 +222,9 @@ func (e *Engine) MaxQueueLen() int { return e.maxQueue }
 func (e *Engine) Idle() bool { return !e.busy && e.qlen == 0 }
 
 // wire attaches every operator's Env: emissions route synchronously along
-// diagram edges; terminal operators publish to the output callback. Edge
+// diagram edges; output operators publish to the output callback. Edge
 // targets are resolved once here, so per-tuple emission does no diagram
-// lookups, and the common single-consumer edge gets a direct call with no
-// fan-out loop.
+// lookups.
 func (e *Engine) wire() {
 	outputOf := make(map[string]string) // op -> external stream
 	for _, out := range e.d.Outputs() {
@@ -232,40 +238,31 @@ func (e *Engine) wire() {
 			cons[i] = consumer{op: e.d.Op(edge.To), port: edge.Port}
 		}
 		stream, isOutput := outputOf[name]
-		// Both closures first check whether the staged batch plane is
-		// collecting this operator's emissions; the collector defers the
-		// divergence bookkeeping to the staged dispatcher, which replicates
-		// the reference plane's write timing exactly (see runStages).
-		var emit func(tuple.Tuple)
-		if len(cons) == 1 && !isOutput {
-			to := cons[0]
-			emit = func(t tuple.Tuple) {
-				if e.collectOp == op {
-					e.collectRoom(1)
-					e.collectBuf = append(e.collectBuf, t)
-					return
-				}
-				if t.Type == tuple.Tentative {
-					e.diverged = true
-				}
-				to.op.Process(to.port, t)
+		// An output operator publishes a tuple emitted on its own as a
+		// one-tuple frame in this array, made once here.
+		var one []tuple.Tuple
+		if isOutput {
+			one = make([]tuple.Tuple, 1)
+		}
+		// emit first checks whether the staged batch plane is collecting
+		// this operator's emissions; the collector defers the divergence
+		// bookkeeping to the staged dispatcher, which replicates the
+		// reference plane's write timing exactly (see runStages).
+		emit := func(t tuple.Tuple) {
+			if e.collectOp == op {
+				e.collectRoom(1)
+				e.collectBuf = append(e.collectBuf, t)
+				return
 			}
-		} else {
-			emit = func(t tuple.Tuple) {
-				if e.collectOp == op {
-					e.collectRoom(1)
-					e.collectBuf = append(e.collectBuf, t)
-					return
-				}
-				if t.Type == tuple.Tentative {
-					e.diverged = true
-				}
-				for _, c := range cons {
-					c.op.Process(c.port, t)
-				}
-				if isOutput && e.onOutput != nil {
-					e.onOutput(stream, t)
-				}
+			if t.Type == tuple.Tentative {
+				e.diverged = true
+			}
+			for _, c := range cons {
+				c.op.Process(c.port, t)
+			}
+			if one != nil {
+				one[0] = t
+				e.publish(stream, one)
 			}
 		}
 		// The bulk path a ProcessBatch implementation hands its staged
@@ -614,7 +611,7 @@ func (e *Engine) runStages(ch *chain, si int, ts []tuple.Tuple, pooled, dirty bo
 			dirty = false
 		}
 	}
-	e.publishStaged(ch.outStream, ts)
+	e.publish(ch.outStream, ts)
 	e.release(ts, pooled)
 }
 
@@ -670,19 +667,10 @@ func (e *Engine) collectRoom(n int) {
 	}
 }
 
-// publishStaged delivers a terminal output operator's collected emissions.
-func (e *Engine) publishStaged(stream string, out []tuple.Tuple) {
-	if len(out) == 0 {
-		return
-	}
-	if e.onOutputBatch != nil {
-		e.onOutputBatch(stream, out)
-		return
-	}
-	if e.onOutput != nil {
-		for i := range out {
-			e.onOutput(stream, out[i])
-		}
+// publish delivers a frame of an output operator's emissions.
+func (e *Engine) publish(stream string, out []tuple.Tuple) {
+	if len(out) > 0 && e.onOutput != nil {
+		e.onOutput(stream, out)
 	}
 }
 

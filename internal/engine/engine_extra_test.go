@@ -104,3 +104,33 @@ func TestEngineOldestPendingArrival(t *testing.T) {
 		t.Fatalf("oldest pending arrival = %d, want %d", got, 1*sec)
 	}
 }
+
+// The engine has one output callback: OnOutput and OnOutputBatch each
+// replace it, the last registration wins, and whichever it is sees every
+// output tuple — the timer flush of a delaying SUnion included.
+func TestEngineOutputLastRegistrationWins(t *testing.T) {
+	sim := runtime.NewVirtual()
+	e := New(sim, mergeDiagram(t, 2*sec), Config{})
+	perTuple, framed := 0, 0
+	e.OnOutput(func(string, tuple.Tuple) { perTuple++ })
+	e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { framed += len(ts) })
+	feed := func(from int64) {
+		e.Ingest("in1", []tuple.Tuple{tuple.NewInsertion(from+10*ms, 1), tuple.NewBoundary(from + 100*ms)})
+		e.Ingest("in2", []tuple.Tuple{tuple.NewInsertion(from+20*ms, 2), tuple.NewBoundary(from + 100*ms)})
+		sim.Run()
+	}
+	feed(0)
+	e.SetPolicyAll(operator.PolicyDelay)
+	e.Ingest("in1", []tuple.Tuple{tuple.NewInsertion(150*ms, 3)})
+	sim.Run() // the delay timer flushes the bucket tentatively
+	if perTuple != 0 || framed < 4 {
+		t.Fatalf("after OnOutputBatch: OnOutput saw %d tuples, OnOutputBatch %d", perTuple, framed)
+	}
+	e.OnOutput(func(string, tuple.Tuple) { perTuple++ })
+	before := framed
+	e.SetPolicyAll(operator.PolicyNone)
+	feed(200 * ms)
+	if framed != before || perTuple == 0 {
+		t.Fatalf("after OnOutput: OnOutputBatch saw %d more tuples, OnOutput %d", framed-before, perTuple)
+	}
+}

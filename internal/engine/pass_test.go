@@ -11,7 +11,7 @@ import (
 )
 
 // passRun is one engine of a plane comparison: it records every output
-// tuple, through OnOutputBatch on the staged plane and OnOutput otherwise.
+// tuple.
 type passRun struct {
 	sim *runtime.VirtualClock
 	e   *Engine
@@ -21,7 +21,6 @@ type passRun struct {
 func newPassRun(t *testing.T, perTuple bool) *passRun {
 	r := &passRun{sim: runtime.NewVirtual()}
 	r.e = newPlane(r.sim, chainDiagram(t), perTuple)
-	r.e.OnOutput(func(_ string, tp tuple.Tuple) { r.out = append(r.out, tp) })
 	r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { r.out = append(r.out, ts...) })
 	return r
 }
@@ -137,14 +136,16 @@ func TestEngineStagedPassesMatchPerTupleThroughRestoredSOutput(t *testing.T) {
 
 // A policy flip between passes makes the SUnion decline every later pass,
 // which then runs per-tuple from the SUnion on: on the staged plane every
-// output before the flip comes as a batch and every one after it tuple by
-// tuple. Output and Processed still match the reference.
+// output before the flip comes in a frame of a whole pass and every one
+// after it as a one-tuple frame. Output and Processed still match the
+// reference.
 func TestEngineStagedPassesRecheckPolicyGate(t *testing.T) {
 	for _, flipAfter := range []int{1, 2} {
 		t.Run(fmt.Sprintf("after=%d", flipAfter), func(t *testing.T) {
 			got, ref := newPassRun(t, false), newPassRun(t, true)
 			batch := replayBatch(3*stagedPass, 0, 41, 5)
-			perTupleAt := -1 // the staged plane's first per-tuple output
+			oneAt := -1    // the staged plane's first one-tuple frame
+			wideAfter := 0 // its frames of more than one tuple after that
 			for _, r := range []*passRun{got, ref} {
 				r := r
 				su := r.e.Diagram().Op("su").(*operator.SUnion)
@@ -152,26 +153,27 @@ func TestEngineStagedPassesRecheckPolicyGate(t *testing.T) {
 				// flipAfter passes' worth of input, as a node controller
 				// reacting to a signal would.
 				flippedAt := -1
-				flip := func() {
+				r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) {
+					if r == got {
+						switch {
+						case len(ts) == 1 && oneAt < 0:
+							oneAt = len(r.out)
+						case len(ts) > 1 && oneAt >= 0:
+							wideAfter++
+						}
+					}
+					r.out = append(r.out, ts...)
 					if len(r.out) >= flipAfter*stagedPass/3 && flippedAt < 0 {
 						flippedAt = len(r.out)
 						r.e.SetPolicyAll(operator.PolicyProcess)
 					}
-				}
-				r.e.OnOutput(func(_ string, tp tuple.Tuple) {
-					if r == got && perTupleAt < 0 {
-						perTupleAt = len(r.out)
-					}
-					r.out = append(r.out, tp)
-					flip()
 				})
-				r.e.OnOutputBatch(func(_ string, ts []tuple.Tuple) { r.out = append(r.out, ts...); flip() })
 				r.ingest(append([]tuple.Tuple(nil), batch...))
 				if flippedAt < 0 || flippedAt >= len(r.out)-stagedPass/3 || su.Policy() != operator.PolicyProcess {
 					t.Fatalf("the policy must flip before the last pass (flipped at output %d of %d)", flippedAt, len(r.out))
 				}
-				if r == got && perTupleAt != flippedAt {
-					t.Fatalf("staged plane: first per-tuple output %d, policy flipped at output %d", perTupleAt, flippedAt)
+				if r == got && (oneAt != flippedAt || wideAfter > 0) {
+					t.Fatalf("staged plane: first one-tuple frame at output %d, policy flipped at output %d, %d wider frames after it", oneAt, flippedAt, wideAfter)
 				}
 			}
 			comparePlanes(t, got, ref)

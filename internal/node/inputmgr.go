@@ -135,7 +135,7 @@ func newInputManager(clk runtime.Clock, stream string, stallTimeout int64, hooks
 		stallTimeout:      stallTimeout,
 		hooks:             hooks,
 		lastBoundarySTime: -1,
-		log:               NewTupleLog(0, segs),
+		log:               NewTupleLog(segs),
 		conns:             make(map[string]*connSeq),
 	}
 }
@@ -321,152 +321,96 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 	if seq == 1 {
 		dedupBelow = im.lastStableID
 	}
-	// One pass classifies the batch for the decisions below: a new
-	// failure (a tentative tuple before any undo), the forward-as-is
-	// fast path (no correction tuples, no duplicates before the first
-	// correction), and the bulk path (nothing but stable insertions and
-	// stable boundaries). The pass ends at the first undo — nothing after
-	// it changes any answer (dirty is already true by then).
-	hasCorrection := false
-	hasDup := false
-	tentBeforeUndo := false
-	sawUndo := false
-	dirty := false // anything besides stable insertions and stable boundaries
-	insCount := uint64(0)
-	lastInsID := uint64(0)
-	boundCount := 0
-	for i := range ts {
-		switch ts[i].Type {
-		case tuple.Undo:
-			hasCorrection = true
-			sawUndo = true
-			dirty = true
-		case tuple.RecDone:
-			hasCorrection = true
-			dirty = true
-		case tuple.Tentative:
-			tentBeforeUndo = true
-			dirty = true
-		case tuple.Insertion:
-			if !hasCorrection && ts[i].ID <= dedupBelow {
-				hasDup = true
-			}
-			insCount++
-			lastInsID = ts[i].ID
-		case tuple.Boundary:
-			if ts[i].Src != 0 {
-				dirty = true
-			}
-			boundCount++
-		}
-		if sawUndo {
-			break
-		}
-	}
 	// The failure transition fires up front, before any of the batch is
-	// logged/forwarded (see the ordering contract above).
-	if tentBeforeUndo && !fromCorr && !im.correcting && im.failKind == FailNone {
+	// logged/forwarded (see the ordering contract above): a tentative tuple
+	// before the first undo declares it.
+	if !fromCorr && !im.correcting && im.failKind == FailNone && tentativeBeforeUndo(ts) {
 		im.declareFailed(FailTentative)
 	}
-	forwardAsIs := !hasCorrection && !hasDup && !fromCorr && !im.correcting
-	if forwardAsIs && !dirty {
-		// Bulk path for the dominant clean batch: the per-tuple loop below
-		// degenerates to counter updates, in-order log appends, and
-		// boundary bookkeeping, all of which batch. The scan above visited
-		// every tuple (no undo, so it never broke early), so the counts
-		// and the no-duplicates guarantee cover the whole batch.
-		if insCount > 0 {
-			im.Received += insCount
-			im.lastStableID = lastInsID
-			im.seenTentative = false
-		}
-		if im.logging {
-			im.log.appendAll(ts)
-		}
-		if boundCount > 0 {
-			for i := range ts {
-				if ts[i].Type == tuple.Boundary {
-					im.touchBoundary(ts[i].STime)
-				}
-			}
-		}
-		if len(ts) > 0 && im.hooks.forward != nil {
-			im.hooks.forward(im.stream, ts)
-		}
-		if boundCount > 0 && im.failKind != FailNone {
-			im.heal()
-		}
-		return
-	}
-	// liveOut is allocated on its first append: a REC_DONE can clear
-	// correcting in the middle of the batch, so whether anything goes live
-	// is decided per tuple.
-	var liveOut []tuple.Tuple
+	// One walk over the batch. Each run of fresh data and stable boundaries
+	// is logged in one append and goes live whole; a duplicate, a tentative
+	// boundary, an UNDO or a REC_DONE ends the run and is handled on its
+	// own. live says whether the connection's tuples go live: not while it
+	// carries corrections, which an UNDO or a REC_DONE switches.
+	live := !fromCorr && !im.correcting
+	out := liveFrame{ts: ts}
 	healed := false
-	for ti := range ts {
-		t := &ts[ti] // read-only; indexing avoids a 48-byte copy per tuple
-		switch {
-		case t.IsData():
-			if t.Type == tuple.Insertion && t.ID <= dedupBelow {
-				im.DroppedDup++
-				continue
-			}
-			im.Received++
-			if t.Type == tuple.Tentative {
-				im.Tentative++
-				im.seenTentative = true
-				// Tentative data ends the subscribe-replay grace:
-				// any later undo on this connection is a real
-				// correction sequence.
-				im.seamless = false
-			} else {
-				im.lastStableID = t.ID
-				im.seenTentative = false
-			}
-			if im.logging {
-				im.log.Append(*t)
-			}
-			if !forwardAsIs && !fromCorr && !im.correcting {
-				liveOut = appendLive(liveOut, ts, ti)
-			}
-		case t.Type == tuple.Boundary:
-			if t.Src == 1 {
-				// Tentative boundary (footnote 5): a heartbeat
-				// bounding the tentative stream. Forward it
-				// live, but it proves no stability: no heal,
-				// no log entry, no stable watermark.
-				if !forwardAsIs && !fromCorr && !im.correcting {
-					liveOut = appendLive(liveOut, ts, ti)
+	for i := 0; i < len(ts); i++ {
+		// The run's data counters stay in locals until it ends: a counter
+		// field bumped per tuple would chain every step of the walk through
+		// memory.
+		j, tent, bounds, last, lastStable := i, 0, 0, -1, -1
+	run:
+		for ; j < len(ts); j++ {
+			t := &ts[j] // read-only; indexing avoids a 48-byte copy per tuple
+			switch {
+			case t.Type == tuple.Insertion && t.ID > dedupBelow:
+				last, lastStable = j, j
+			case t.Type == tuple.Tentative:
+				last = j
+				tent++
+			case t.Type == tuple.Boundary && t.Src != 1:
+				bounds++
+				im.touchBoundary(t.STime)
+				// Boundary progress on the live connection means the
+				// stream is stable and complete through this point: a
+				// stalled gap was replayed (FIFO), or a diverged upstream
+				// — which suppresses boundaries — is stable again. Either
+				// way the input has healed.
+				if live && im.failKind != FailNone {
+					healed = true
 				}
-				im.lastBoundaryArrival = im.clk.Now()
-				im.armStallTimer()
-				continue
+			default:
+				break run
+			}
+		}
+		if j > i {
+			im.Received += uint64(j - i - bounds)
+			im.Tentative += uint64(tent)
+			if lastStable >= 0 {
+				im.lastStableID = ts[lastStable].ID
+			}
+			if last >= 0 {
+				im.seenTentative = ts[last].Type == tuple.Tentative
+			}
+			if tent > 0 {
+				// Tentative data ends the subscribe-replay grace: any later
+				// undo on this connection is a real correction sequence.
+				im.seamless = false
 			}
 			if im.logging {
-				im.log.Append(*t)
+				im.log.appendAll(ts[i:j])
 			}
-			if !forwardAsIs && !fromCorr && !im.correcting {
-				liveOut = appendLive(liveOut, ts, ti)
+			if live {
+				out.add(i, j)
 			}
-			im.touchBoundary(t.STime)
-			// Boundary progress on the live connection means the
-			// stream is stable and complete through this point: a
-			// stalled gap was replayed (FIFO), or a diverged
-			// upstream — which suppresses boundaries — is stable
-			// again. Either way the input has healed.
-			if !fromCorr && !im.correcting && im.failKind != FailNone {
-				healed = true
+			if i = j; i == len(ts) {
+				break
 			}
-		case t.Type == tuple.Undo:
+		}
+		t := &ts[i]
+		switch t.Type {
+		case tuple.Insertion: // at or below the stable watermark
+			im.DroppedDup++
+		case tuple.Boundary:
+			// Tentative boundary (footnote 5): a heartbeat bounding the
+			// tentative stream. Forward it live, but it proves no
+			// stability: no heal, no log entry, no stable watermark.
+			if live {
+				out.add(i, i+1)
+			}
+			im.lastBoundaryArrival = im.clk.Now()
+			im.armStallTimer()
+		case tuple.Undo:
 			if im.trace != nil {
 				im.trace("undo", fmt.Sprintf("%s from %s: id %d (seamless %v)", im.stream, from, t.ID, im.seamless))
 			}
 			// A correction sequence begins on this connection.
 			if !fromCorr {
 				if im.seamless {
-					// Subscribe-replay of a STABLE replica:
-					// corrections flow straight into live
-					// data; just patch the log (Fig. 8).
+					// Subscribe-replay of a STABLE replica: corrections
+					// flow straight into live data; just patch the log
+					// (Fig. 8).
 					im.seamless = false
 				} else {
 					im.correcting = true
@@ -474,18 +418,17 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 			}
 			im.log.Undo(t.ID)
 			im.seenTentative = false
-		case t.Type == tuple.RecDone:
+		case tuple.RecDone:
 			if im.trace != nil {
 				im.trace("rec-done", fmt.Sprintf("%s from %s", im.stream, from))
 			}
 			// Corrections complete: the stable stream is current and
-			// covers the log's tentative entries, so replaying them
-			// would duplicate data.
+			// covers the log's tentative entries, so replaying them would
+			// duplicate data.
 			im.log.stripTentative()
 			if fromCorr {
-				// The corrected stream takes over as live; the
-				// controller unsubscribes the old tentative
-				// feed (§4.4.3).
+				// The corrected stream takes over as live; the controller
+				// unsubscribes the old tentative feed (§4.4.3).
 				im.live = from
 				im.corr = ""
 			}
@@ -494,25 +437,59 @@ func (im *InputManager) Handle(from string, seq uint64, ts []tuple.Tuple) {
 				healed = true
 			}
 		}
+		live = !fromCorr && !im.correcting
 	}
-	if forwardAsIs {
-		liveOut = ts
-	}
-	if len(liveOut) > 0 && im.hooks.forward != nil {
-		im.hooks.forward(im.stream, liveOut)
+	if ts := out.frame(); len(ts) > 0 && im.hooks.forward != nil {
+		im.hooks.forward(im.stream, ts)
 	}
 	if healed {
 		im.heal()
 	}
 }
 
-// appendLive appends ts[i] to the live batch, allocating it on the first
-// append with room for the rest of ts.
-func appendLive(live, ts []tuple.Tuple, i int) []tuple.Tuple {
-	if live == nil {
-		live = make([]tuple.Tuple, 0, len(ts)-i)
+// tentativeBeforeUndo reports whether a tentative tuple comes before the
+// batch's first UNDO.
+func tentativeBeforeUndo(ts []tuple.Tuple) bool {
+	for i := range ts {
+		switch ts[i].Type {
+		case tuple.Tentative:
+			return true
+		case tuple.Undo:
+			return false
+		}
 	}
-	return append(live, ts[i])
+	return false
+}
+
+// liveFrame collects the tuples of a batch that go live, in order. While
+// every tuple so far went live the frame is the batch's own leading tuples,
+// ts[:n]; once a tuple is held back before a later live one, it is a copy.
+// It never starts inside the batch after ts[0]: the node hands a lent batch
+// to the engine only when the frame starts at ts[0] (Node.takeLoan).
+type liveFrame struct {
+	ts  []tuple.Tuple
+	n   int
+	out []tuple.Tuple
+}
+
+// add appends ts[i:j] to the frame.
+func (f *liveFrame) add(i, j int) {
+	if f.out == nil {
+		if i == f.n {
+			f.n = j
+			return
+		}
+		f.out = append(make([]tuple.Tuple, 0, f.n+len(f.ts)-i), f.ts[:f.n]...)
+	}
+	f.out = append(f.out, f.ts[i:j]...)
+}
+
+// frame returns the live tuples.
+func (f *liveFrame) frame() []tuple.Tuple {
+	if f.out != nil {
+		return f.out
+	}
+	return f.ts[:f.n]
 }
 
 // touchBoundary records boundary progress and re-arms stall detection.

@@ -170,11 +170,11 @@ func TestInputManagerLogMatchesReference(t *testing.T) {
 // afterwards.
 func TestTupleLogTakeRunsHandsOverWholeSegments(t *testing.T) {
 	for _, drop := range []int{0, obSegSize} {
-		l := NewTupleLog(0, new(tuple.LoanPool))
+		l := NewTupleLog(new(tuple.LoanPool))
 		for i := 1; i <= 2*obSegSize+300; i++ {
 			l.Append(ins(uint64(i), int64(i)))
 		}
-		l.DropHead(drop)
+		l.dropHead(drop)
 		next := uint64(drop + 1)
 		for i, seg := range l.takeRuns() {
 			if cap(seg) != obSegSize || len(seg) == 0 {
@@ -202,7 +202,7 @@ func TestTupleLogTakeRunsHandsOverWholeSegments(t *testing.T) {
 // again reuses the segments the strip returned to the pool, and the strip
 // itself allocates nothing.
 func TestTupleLogStripAllocatesNothing(t *testing.T) {
-	l := NewTupleLog(0, new(tuple.LoanPool))
+	l := NewTupleLog(new(tuple.LoanPool))
 	for i := uint64(1); i <= 3*obSegSize/2; i++ {
 		l.Append(tuple.Tuple{Type: tuple.Insertion, ID: i, STime: int64(i)})
 	}

@@ -147,8 +147,7 @@ func New(clk runtime.Clock, net fabric.Fabric, d *diagram.Diagram, cfg Config) (
 		state:   StateStable,
 	}
 	n.eng = engine.New(clk, d, engine.Config{Capacity: cfg.Capacity})
-	n.eng.OnOutput(n.publish)
-	n.eng.OnOutputBatch(n.publishBatch)
+	n.eng.OnOutputBatch(n.publish)
 	n.eng.OnSignal(n.onSignal)
 	n.eng.OnIdle(func() { n.maybeFinishRecovery() })
 	for _, in := range d.Inputs() {
@@ -314,8 +313,9 @@ func (n *Node) handleData(from string, m DataMsg) {
 }
 
 // takeLoan hands the engine the pool of the DataMsg being handled when ts
-// is its lent array, forwarded unchanged; a copy the manager built (or any
-// batch outside handleData) carries no loan.
+// starts at its lent array's first slot: the batch forwarded whole, or its
+// leading tuples. A copy the manager built (or any batch outside
+// handleData) carries no loan.
 func (n *Node) takeLoan(ts []tuple.Tuple) *tuple.LoanPool {
 	p := n.loanPool
 	if p == nil || len(ts) == 0 || len(n.loanTs) == 0 || &ts[0] != &n.loanTs[0] {
@@ -390,29 +390,14 @@ func (n *Node) streamStates() map[string]StreamState {
 // application colocated with its proxy node consumes output here.
 func (n *Node) OnDeliver(fn func(stream string, t tuple.Tuple)) { n.onDeliver = fn }
 
-// publish routes an engine output tuple into the stream's output buffer.
-func (n *Node) publish(stream string, t tuple.Tuple) {
-	if n.onDeliver != nil {
-		n.onDeliver(stream, t)
-	}
-	ob := n.outputs[stream]
-	if ob == nil {
-		return
-	}
-	if !ob.Publish(t) {
-		// BufferBlock back-pressure: stop the inflow entirely; the
-		// upstream buffers (and ultimately the sources) absorb it.
-		n.pauseInputs()
-	}
-}
-
-// publishBatch routes a staged-plane output batch into the stream's output
-// buffer. The deliver taps run first for the whole batch, then the buffer
-// takes it in one call: the tap never touches the buffer and the buffer
-// never calls back, so the interleaving is indistinguishable from the
-// per-tuple publish path. One pauseInputs covers any number of refused
-// tuples — unsubscribe is idempotent per upstream.
-func (n *Node) publishBatch(stream string, ts []tuple.Tuple) {
+// publish routes a frame of engine output into the stream's output buffer.
+// The deliver tap runs first for the whole frame, then the buffer takes it
+// in one call: the tap never touches the buffer and the buffer never calls
+// back, so the order is the same as tuple by tuple. A refused tuple is
+// BufferBlock back-pressure: the inflow stops entirely, and the upstream
+// buffers (and ultimately the sources) absorb it. One pauseInputs covers
+// any number of refused tuples — unsubscribe is idempotent per upstream.
+func (n *Node) publish(stream string, ts []tuple.Tuple) {
 	if n.onDeliver != nil {
 		for i := range ts {
 			n.onDeliver(stream, ts[i])

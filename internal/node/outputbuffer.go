@@ -103,7 +103,7 @@ func newOutputBuffer(clk runtime.Clock, net fabric.Fabric, self, stream string, 
 		mode:     mode,
 		cap:      capTuples,
 		clk:      clk,
-		log:      NewTupleLog(0, segs),
+		log:      NewTupleLog(segs),
 		subs:     make(map[string]*obSub),
 		acks:     make(map[string]uint64),
 		expected: append([]string(nil), expected...),
@@ -120,7 +120,7 @@ func (ob *OutputBuffer) drop(k int) {
 	if k > ob.log.n-ob.fresh {
 		ob.stage()
 	}
-	ob.log.DropHead(k)
+	ob.log.dropHead(k)
 	ob.Truncated += uint64(k)
 }
 
@@ -155,69 +155,55 @@ func (ob *OutputBuffer) Subscribers() []string {
 	return ob.subsSorted
 }
 
-// Publish handles one tuple emitted by the local diagram on this stream:
-// it is buffered (data and boundaries), compacts on undo, and is forwarded
-// to every subscriber. Publish reports false when a BufferBlock buffer is
-// full — the caller must stop producing (back-pressure).
-func (ob *OutputBuffer) Publish(t tuple.Tuple) bool {
-	switch {
-	case t.IsData(), t.Type == tuple.Boundary:
-		if ob.cap > 0 && ob.log.n >= ob.cap {
-			switch ob.mode {
-			case BufferBlock:
-				ob.Blocked = true
-				return false
-			case BufferSlide:
-				ob.drop(ob.log.n - ob.cap + 1)
-			}
-		}
-		ob.log.Append(t)
-		ob.sendLogged(1)
-		return true
-	case t.Type == tuple.Undo:
-		// Compact: delete the revoked tentative suffix. Replays from
-		// now on reflect the corrected stream; live subscribers get
-		// the undo itself.
-		ob.stage()
-		ob.log.Undo(t.ID)
-	case t.Type == tuple.RecDone:
-		// Not buffered: a late subscriber sees only corrected data.
-	}
-	ob.send(t)
-	return true
-}
-
-// PublishBatch handles a whole batch emitted by the staged data plane in
-// one call, reporting false when any tuple hit BufferBlock back-pressure.
-// When the batch is pure data/boundary traffic and fits without touching
-// the capacity limit, the buffer append and the subscriber send are done
-// in bulk — one log append and at most one flush-timer arm for the whole
-// batch, which per-tuple Publish calls would also have produced (the timer
-// only ever arms once per instant), so the paths are exactly equivalent.
-// Anything else — undo compaction, capacity pressure — takes the per-tuple
-// loop.
+// PublishBatch handles a frame of tuples the local diagram emitted on this
+// stream, in order: data and boundaries are buffered and forwarded to every
+// subscriber, an UNDO compacts the buffer and is forwarded, a REC_DONE is
+// only forwarded. It reports false when a full BufferBlock buffer refused a
+// tuple — the caller must stop producing (back-pressure). Each run of data
+// and boundaries is appended to the log in one step and joins the instant's
+// flush in one step; only a run that would cross the capacity limit takes
+// the §8.1 rule tuple by tuple.
 func (ob *OutputBuffer) PublishBatch(ts []tuple.Tuple) bool {
-	bulk := ob.cap <= 0 || ob.log.n+len(ts) <= ob.cap
-	if bulk {
-		for i := range ts {
-			if !ts[i].IsData() && ts[i].Type != tuple.Boundary {
-				bulk = false
-				break
-			}
+	ok := true
+	for len(ts) > 0 {
+		k := 0
+		for k < len(ts) && (ts[k].IsData() || ts[k].Type == tuple.Boundary) {
+			k++
 		}
-	}
-	if !bulk {
-		ok := true
-		for i := range ts {
-			if !ob.Publish(ts[i]) {
-				ok = false
+		if ob.cap > 0 && ob.mode != BufferUnbounded && ob.log.n+k > ob.cap {
+			for i := range ts[:k] {
+				if ob.log.n >= ob.cap {
+					if ob.mode == BufferBlock {
+						ob.Blocked = true
+						ok = false
+						continue
+					}
+					ob.drop(ob.log.n - ob.cap + 1)
+				}
+				ob.log.Append(ts[i])
+				ob.sendLogged(1)
 			}
+		} else if k > 0 {
+			ob.log.appendAll(ts[:k])
+			ob.sendLogged(k)
 		}
-		return ok
+		if k == len(ts) {
+			break
+		}
+		t := ts[k]
+		ts = ts[k+1:]
+		if t.Type == tuple.Undo {
+			// Compact: delete the revoked tentative suffix. Replays from
+			// now on reflect the corrected stream; live subscribers get
+			// the undo itself.
+			ob.stage()
+			ob.log.Undo(t.ID)
+		}
+		// A REC_DONE is not buffered: a late subscriber sees only
+		// corrected data.
+		ob.send(t)
 	}
-	ob.log.appendAll(ts)
-	ob.sendLogged(len(ts))
-	return true
+	return ok
 }
 
 // sendLogged queues the k tuples just appended to the log for delivery to
@@ -257,7 +243,7 @@ func (ob *OutputBuffer) stage() {
 	}
 	k := len(ob.pending)
 	ob.pending = slices.Grow(ob.pending, ob.fresh)[:k+ob.fresh]
-	ob.log.CopyOut(ob.pending[k:], ob.log.n-ob.fresh)
+	ob.log.copyOut(ob.pending[k:], ob.log.n-ob.fresh)
 	ob.fresh = 0
 }
 
@@ -311,7 +297,7 @@ func (ob *OutputBuffer) Subscribe(from string, msg SubscribeMsg) {
 	if undo == 1 {
 		replay[0] = tuple.NewUndo(msg.FromID)
 	}
-	ob.log.CopyOut(replay[undo:], start)
+	ob.log.copyOut(replay[undo:], start)
 	sub.seq++
 	ob.net.Send(ob.self, from, DataMsg{Stream: ob.stream, Seq: sub.seq, Tuples: replay, Given: true})
 }
@@ -322,7 +308,7 @@ func (ob *OutputBuffer) afterIndex(id uint64) int {
 	if id == 0 {
 		return 0
 	}
-	return 1 + ob.log.LastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == id })
+	return 1 + ob.log.lastIndex(func(t *tuple.Tuple) bool { return t.IsData() && t.ID == id })
 }
 
 // Unsubscribe removes a subscriber. Without subscribers the pending flush

@@ -26,9 +26,9 @@ import (
 //
 //   - flush/single-batch: the instant is one PublishBatch;
 //   - flush/multi-batch: four PublishBatch calls of 16 tuples;
-//   - flush/per-tuple: 64 Publish calls.
+//   - flush/per-tuple: 64 one-tuple frames.
 //
-// slide/one-tuple-instants times one Publish and its flush on a full
+// slide/one-tuple-instants times one one-tuple frame and its flush on a full
 // BufferSlide buffer of 4 096 one-tuple instants on that fabric: each op
 // drops the oldest tuple and appends one, recycling a segment every 1 024.
 //
@@ -101,7 +101,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ob.PublishBatch(ts)
-			ob.Publish(undo)
+			publishOne(ob, undo)
 		}
 	})
 
@@ -117,7 +117,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 		}},
 		{"per-tuple", func(ob *OutputBuffer, ts []tuple.Tuple) {
 			for i := range ts {
-				ob.Publish(ts[i])
+				publishOne(ob, ts[i])
 			}
 		}},
 	} {
@@ -163,7 +163,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 		ob, sim := newSubscribed(BufferSlide, 4*obSegSize)
 		next := uint64(1)
 		op := func() {
-			ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)}.WithData(payload...))
+			publishOne(ob, tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)}.WithData(payload...))
 			next++
 			sim.Run()
 		}
@@ -183,7 +183,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 	}{
 		{"one-tuple", func(ob *OutputBuffer, sim *runtime.VirtualClock, ts []tuple.Tuple) {
 			for i := range ts {
-				ob.Publish(ts[i])
+				publishOne(ob, ts[i])
 				sim.Run()
 			}
 		}},
@@ -195,7 +195,7 @@ func BenchmarkOutputBuffer(b *testing.B) {
 			for k := 0; k < len(ts); k += 8 {
 				ob.PublishBatch(ts[k : k+8])
 				if k%16 == 0 {
-					ob.Publish(tuple.NewRecDone(ts[k].STime))
+					publishOne(ob, tuple.NewRecDone(ts[k].STime))
 				}
 				sim.Run()
 			}

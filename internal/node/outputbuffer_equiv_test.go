@@ -1,7 +1,6 @@
 package node
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -186,7 +185,7 @@ func checkTupleLog(t *testing.T, step string, g *TupleLog) {
 	// leaves the pool as it was.
 	pooled := make([][]tuple.Tuple, g.pool.Kept())
 	for i := range pooled {
-		s := g.pool.Lend(cmp.Or(g.segLen, obSegSize))
+		s := g.pool.Lend(obSegSize)
 		s = s[:cap(s)]
 		if seen[&s[0]] || !zero(s) {
 			t.Fatalf("%s: a pooled segment is in use or holds a tuple", step)
@@ -232,7 +231,7 @@ func (w *obTwin) data(tentative bool) tuple.Tuple {
 
 func (w *obTwin) publish(t tuple.Tuple) {
 	w.t.Helper()
-	if a, b := w.got.Publish(t), w.ref.Publish(t); a != b {
+	if a, b := publishOne(w.got, t), w.ref.Publish(t); a != b {
 		w.t.Fatalf("Publish(%v) = %v, reference %v", t, a, b)
 	}
 }

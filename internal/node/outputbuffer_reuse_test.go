@@ -130,7 +130,7 @@ func TestSubscribeReplayAllocatesOnce(t *testing.T) {
 	f := &copyingFabric{}
 	ob := NewOutputBuffer(sim, f, "up", "s", BufferUnbounded, 0, nil)
 	for i := uint64(1); i <= 100; i++ {
-		ob.Publish(ins(i, int64(i)))
+		publishOne(ob, ins(i, int64(i)))
 	}
 	tailOnly := testing.AllocsPerRun(100, func() {
 		ob.Subscribe("d1", SubscribeMsg{Stream: "s", TailOnly: true})

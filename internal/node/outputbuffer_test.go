@@ -34,9 +34,13 @@ func obSetup(mode BufferMode, capTuples int, expected []string) (*runtime.Virtua
 func (ob *OutputBuffer) after(id uint64) []tuple.Tuple {
 	start := ob.afterIndex(id)
 	out := make([]tuple.Tuple, ob.log.n-start)
-	ob.log.CopyOut(out, start)
+	ob.log.copyOut(out, start)
 	return out
 }
+
+// publishOne hands the buffer one tuple as a one-tuple frame, the way the
+// engine publishes a tuple emitted on its own.
+func publishOne(ob *OutputBuffer, t tuple.Tuple) bool { return ob.PublishBatch([]tuple.Tuple{t}) }
 
 func ins(id uint64, stime int64) tuple.Tuple {
 	return tuple.Tuple{Type: tuple.Insertion, ID: id, STime: stime}.WithData(int64(id))
@@ -49,8 +53,8 @@ func tent(id uint64, stime int64) tuple.Tuple {
 func TestOutputBufferForwardsToSubscribers(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
-	ob.Publish(ins(1, 10))
-	ob.Publish(ins(2, 20))
+	publishOne(ob, ins(1, 10))
+	publishOne(ob, ins(2, 20))
 	sim.Run()
 	got := *boxes["d1"]
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
@@ -67,7 +71,7 @@ func TestOutputBufferCoalescesSameInstantEmissions(t *testing.T) {
 	sim.Run()
 	before := net.Delivered
 	for i := uint64(1); i <= 50; i++ {
-		ob.Publish(ins(i, int64(i)))
+		publishOne(ob, ins(i, int64(i)))
 	}
 	sim.Run()
 	if net.Delivered-before != 1 {
@@ -78,7 +82,7 @@ func TestOutputBufferCoalescesSameInstantEmissions(t *testing.T) {
 func TestOutputBufferSubscribeReplaysFromID(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
 	for i := uint64(1); i <= 5; i++ {
-		ob.Publish(ins(i, int64(i)))
+		publishOne(ob, ins(i, int64(i)))
 	}
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s", FromID: 3})
 	sim.Run()
@@ -90,10 +94,10 @@ func TestOutputBufferSubscribeReplaysFromID(t *testing.T) {
 
 func TestOutputBufferSubscribeWithSeenTentativeSendsUndo(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
-	ob.Publish(ins(1, 1))
-	ob.Publish(ins(2, 2))
-	ob.Publish(tent(3, 3))
-	ob.Publish(tent(4, 4))
+	publishOne(ob, ins(1, 1))
+	publishOne(ob, ins(2, 2))
+	publishOne(ob, tent(3, 3))
+	publishOne(ob, tent(4, 4))
 	// Fig. 8: Node 2'' saw tentative after stable tuple 2 → undo + the
 	// corrected suffix (here still tentative, but the subscriber knows).
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s", FromID: 2, SeenTentative: true})
@@ -109,17 +113,17 @@ func TestOutputBufferSubscribeWithSeenTentativeSendsUndo(t *testing.T) {
 
 func TestOutputBufferUndoCompacts(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
-	ob.Publish(ins(1, 1))
-	ob.Publish(tent(2, 2))
-	ob.Publish(tent(3, 3))
+	publishOne(ob, ins(1, 1))
+	publishOne(ob, tent(2, 2))
+	publishOne(ob, tent(3, 3))
 	if ob.Len() != 3 {
 		t.Fatalf("buffer len = %d", ob.Len())
 	}
-	ob.Publish(tuple.NewUndo(1))
+	publishOne(ob, tuple.NewUndo(1))
 	if ob.Len() != 1 {
 		t.Fatalf("undo must compact the buffer: len = %d", ob.Len())
 	}
-	ob.Publish(ins(4, 2)) // correction
+	publishOne(ob, ins(4, 2)) // correction
 	// A late subscriber sees only the corrected stream.
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
 	sim.Run()
@@ -131,9 +135,9 @@ func TestOutputBufferUndoCompacts(t *testing.T) {
 
 func TestOutputBufferBoundariesBufferedRecDoneNot(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
-	ob.Publish(ins(1, 1))
-	ob.Publish(tuple.NewBoundary(100))
-	ob.Publish(tuple.NewRecDone(5))
+	publishOne(ob, ins(1, 1))
+	publishOne(ob, tuple.NewBoundary(100))
+	publishOne(ob, tuple.NewRecDone(5))
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
 	sim.Run()
 	got := *boxes["d1"]
@@ -145,10 +149,10 @@ func TestOutputBufferBoundariesBufferedRecDoneNot(t *testing.T) {
 func TestOutputBufferUnsubscribeStopsFlow(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
-	ob.Publish(ins(1, 1))
+	publishOne(ob, ins(1, 1))
 	sim.Run()
 	ob.Unsubscribe("d1")
-	ob.Publish(ins(2, 2))
+	publishOne(ob, ins(2, 2))
 	sim.Run()
 	if len(*boxes["d1"]) != 1 {
 		t.Fatal("unsubscribed endpoint still receiving")
@@ -158,7 +162,7 @@ func TestOutputBufferUnsubscribeStopsFlow(t *testing.T) {
 func TestOutputBufferAckTruncation(t *testing.T) {
 	_, _, ob, _ := obSetup(BufferUnbounded, 0, []string{"d1", "d2"})
 	for i := uint64(1); i <= 10; i++ {
-		ob.Publish(ins(i, int64(i)))
+		publishOne(ob, ins(i, int64(i)))
 	}
 	ob.Ack("d1", 8)
 	if ob.Truncated != 0 {
@@ -182,7 +186,7 @@ func TestOutputBufferAckTruncation(t *testing.T) {
 func TestOutputBufferSlideMode(t *testing.T) {
 	_, _, ob, _ := obSetup(BufferSlide, 5, nil)
 	for i := uint64(1); i <= 8; i++ {
-		if !ob.Publish(ins(i, int64(i))) {
+		if !publishOne(ob, ins(i, int64(i))) {
 			t.Fatal("slide mode must never block")
 		}
 	}
@@ -197,11 +201,11 @@ func TestOutputBufferSlideMode(t *testing.T) {
 func TestOutputBufferBlockMode(t *testing.T) {
 	_, _, ob, _ := obSetup(BufferBlock, 3, []string{"d1"})
 	for i := uint64(1); i <= 3; i++ {
-		if !ob.Publish(ins(i, int64(i))) {
+		if !publishOne(ob, ins(i, int64(i))) {
 			t.Fatal("must not block below capacity")
 		}
 	}
-	if ob.Publish(ins(4, 4)) {
+	if publishOne(ob, ins(4, 4)) {
 		t.Fatal("full block-mode buffer must refuse")
 	}
 	if !ob.Blocked {
@@ -212,7 +216,7 @@ func TestOutputBufferBlockMode(t *testing.T) {
 	if ob.Blocked {
 		t.Fatal("ack must unblock")
 	}
-	if !ob.Publish(ins(4, 4)) {
+	if !publishOne(ob, ins(4, 4)) {
 		t.Fatal("publish must succeed after truncation")
 	}
 }
@@ -220,7 +224,7 @@ func TestOutputBufferBlockMode(t *testing.T) {
 func TestOutputBufferReplayAfterTruncationStartsAtCut(t *testing.T) {
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, []string{"d1"})
 	for i := uint64(1); i <= 6; i++ {
-		ob.Publish(ins(i, int64(i)))
+		publishOne(ob, ins(i, int64(i)))
 	}
 	ob.Ack("d1", 4)
 	// A subscriber asking for data older than the cut gets what's left.
@@ -245,7 +249,7 @@ func TestOutputBufferPublishBatchMatchesPublish(t *testing.T) {
 			}
 		} else {
 			for _, tp := range batch {
-				ob.Publish(tp)
+				publishOne(ob, tp)
 			}
 		}
 		sim.Run()
@@ -272,8 +276,8 @@ func TestOutputBufferPublishBatchMatchesPublish(t *testing.T) {
 }
 
 func TestOutputBufferPublishBatchFallsBackUnderPressure(t *testing.T) {
-	// A bounded blocking buffer near capacity must take the per-tuple path
-	// and report back-pressure exactly as Publish would.
+	// A run that would cross a blocking buffer's capacity takes the §8.1
+	// rule tuple by tuple: it fills the buffer and reports back-pressure.
 	sim, _, ob, _ := obSetup(BufferBlock, 2, nil)
 	sim.Run()
 	if ob.PublishBatch([]tuple.Tuple{ins(1, 10), ins(2, 20), ins(3, 30)}) {
@@ -289,7 +293,7 @@ func TestOutputBufferPublishBatchFallsBackUnderPressure(t *testing.T) {
 
 func TestOutputBufferPublishBatchUndoTakesPerTuplePath(t *testing.T) {
 	// A batch containing an undo must compact the tentative suffix exactly
-	// like sequential Publish calls.
+	// like the same tuples published as one-tuple frames.
 	sim, _, ob, boxes := obSetup(BufferUnbounded, 0, nil)
 	ob.Subscribe("d1", SubscribeMsg{Stream: "s"})
 	sim.Run()
@@ -320,7 +324,7 @@ func TestOutputBufferFlushArraySizedByItsInstant(t *testing.T) {
 	ob.PublishBatch(replay)
 	sim.Run()
 	for i := 0; i < 10000; i++ {
-		ob.Publish(ins(uint64(10001+i), 20000))
+		publishOne(ob, ins(uint64(10001+i), 20000))
 	}
 	sim.Run()
 
@@ -330,13 +334,13 @@ func TestOutputBufferFlushArraySizedByItsInstant(t *testing.T) {
 	goruntime.GC()
 	goruntime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)})
+		publishOne(ob, tuple.Tuple{Type: tuple.Insertion, ID: next, STime: int64(next)})
 		next++
 		sim.Run()
 	}
 	goruntime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 1024 {
-		t.Fatalf("a one-tuple Publish + flush allocates %d B after a 10 000-tuple flush, want < 1 KB", per)
+		t.Fatalf("a one-tuple frame + flush allocates %d B after a 10 000-tuple flush, want < 1 KB", per)
 	}
 }
 
@@ -380,12 +384,12 @@ func TestSubscribeMidInstantDeliversOnce(t *testing.T) {
 
 	// Joining again between publishes of one instant, an UNDO before and
 	// after: the replay carries what the log held, the flush the rest.
-	ob.Publish(tent(3, 3))
-	ob.Publish(tuple.NewUndo(2))
-	ob.Publish(ins(3, 3))
+	publishOne(ob, tent(3, 3))
+	publishOne(ob, tuple.NewUndo(2))
+	publishOne(ob, ins(3, 3))
 	ob.Subscribe("d2", SubscribeMsg{Stream: "s", FromID: 2})
-	ob.Publish(tent(4, 4))
-	ob.Publish(tuple.NewUndo(3))
+	publishOne(ob, tent(4, 4))
+	publishOne(ob, tuple.NewUndo(3))
 	ob.PublishBatch([]tuple.Tuple{ins(4, 4), ins(5, 5)})
 	sim.Run()
 	if g, want := msgs("d2"), "seq 1: I1 I2; seq 1: I3; seq 2: T4 U3 I4 I5; "; g != want {
@@ -419,7 +423,7 @@ func TestRecDoneInstantsLeaveNoStub(t *testing.T) {
 	}
 	for pair := 0; pair < 100; pair++ {
 		ob.PublishBatch(data())
-		ob.Publish(tuple.NewRecDone(int64(id)))
+		publishOne(ob, tuple.NewRecDone(int64(id)))
 		sim.Run()
 		ob.PublishBatch(data())
 		sim.Run()

@@ -91,12 +91,12 @@ func TestQuickOutputBufferReplayEqualsCompactedLive(t *testing.T) {
 			case 0, 1:
 				id++
 				lastStable = id
-				ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: id, STime: int64(id)}.WithData(int64(id)))
+				publishOne(ob, tuple.Tuple{Type: tuple.Insertion, ID: id, STime: int64(id)}.WithData(int64(id)))
 			case 2:
 				id++
-				ob.Publish(tuple.Tuple{Type: tuple.Tentative, ID: id, STime: int64(id)}.WithData(int64(id)))
+				publishOne(ob, tuple.Tuple{Type: tuple.Tentative, ID: id, STime: int64(id)}.WithData(int64(id)))
 			case 3:
-				ob.Publish(tuple.NewUndo(lastStable))
+				publishOne(ob, tuple.NewUndo(lastStable))
 			}
 		}
 		sim.Run()
@@ -144,7 +144,7 @@ func TestQuickAckTruncationSafety(t *testing.T) {
 		ob := NewOutputBuffer(sim, net, "up", "s", BufferUnbounded, 0, []string{"a", "b"})
 		const n = 40
 		for i := uint64(1); i <= n; i++ {
-			ob.Publish(tuple.Tuple{Type: tuple.Insertion, ID: i, STime: int64(i)})
+			publishOne(ob, tuple.Tuple{Type: tuple.Insertion, ID: i, STime: int64(i)})
 		}
 		minAck := uint64(0)
 		apply := func(from string, acks []uint8) {

@@ -1,12 +1,8 @@
 package node
 
-import (
-	"cmp"
+import "borealis/internal/tuple"
 
-	"borealis/internal/tuple"
-)
-
-// obSegSize is the default length, in tuples, of one segment of a tuple log
+// obSegSize is the length, in tuples, of every segment of a tuple log
 // (48 KiB at 48 bytes a tuple). Past the runtime's 32 KiB small-object
 // limit a segment costs exactly its size: a 512-tuple segment plus the
 // allocation header of an object holding pointers rounds up to a 27 KiB
@@ -30,19 +26,17 @@ type logRun struct {
 // reaches the end of its segment, so no segment is kept for a few tuples.
 // An UNDO compacts the log exactly as tuple.ApplyUndo does.
 //
-// A Source keeps its persistent log in one, an OutputBuffer its contents,
-// an InputManager its arrival log and the client its view of the delivered
-// stream; a node's buffers and arrival logs share one pool. The zero value
-// is an empty log of 1 024-tuple segments without a pool: it allocates
-// every segment and leaves the ones it empties to the garbage collector.
+// An OutputBuffer keeps its contents in one, an InputManager its arrival
+// log and the client its view of the delivered stream; a node's buffers and
+// arrival logs share one pool. The zero value is an empty log without a
+// pool: it allocates every segment and leaves the ones it empties to the
+// garbage collector.
 type TupleLog struct {
 	runs []logRun
 	n    int
 	// pool lends the segments and takes back the emptied ones; every
 	// array in it is zero.
 	pool *tuple.LoanPool
-	// segLen is the segment length; 0 means obSegSize.
-	segLen int
 	// base is the whole array runs lies in. Dropping head runs only moves
 	// runs past them; once runs reaches the end of base, addRun moves them
 	// back to its start if that frees room for a quarter of them or more,
@@ -51,17 +45,8 @@ type TupleLog struct {
 	base []logRun
 }
 
-// NewTupleLog returns an empty log on pool for an owner that keeps it at
-// most bound tuples long (0: no bound). Below one segment the bound sets
-// the segment length, to the smallest power of two that holds it, so a
-// small log pins at most two segments of about its own size.
-func NewTupleLog(bound int, pool *tuple.LoanPool) TupleLog {
-	l := TupleLog{segLen: obSegSize, pool: pool}
-	for bound > 0 && l.segLen/2 >= bound {
-		l.segLen /= 2
-	}
-	return l
-}
+// NewTupleLog returns an empty log whose segments pool lends.
+func NewTupleLog(pool *tuple.LoanPool) TupleLog { return TupleLog{pool: pool} }
 
 // Len returns the number of tuples in the log.
 func (l *TupleLog) Len() int { return l.n }
@@ -89,8 +74,7 @@ func (l *TupleLog) room() *logRun {
 			return r
 		}
 	}
-	n := cmp.Or(l.segLen, obSegSize)
-	s := l.pool.Lend(n)[:n:n]
+	s := l.pool.Lend(obSegSize)[:obSegSize:obSegSize]
 	return l.addRun(logRun{ts: s[:0], seg: s})
 }
 
@@ -138,8 +122,8 @@ func (l *TupleLog) seek(i int) (int, int) {
 	panic("TupleLog: run lengths do not add up to n")
 }
 
-// CopyOut copies live tuples i, i+1, … into dst until dst is full.
-func (l *TupleLog) CopyOut(dst []tuple.Tuple, i int) {
+// copyOut copies live tuples i, i+1, … into dst until dst is full.
+func (l *TupleLog) copyOut(dst []tuple.Tuple, i int) {
 	for r, off := l.seek(i); len(dst) > 0; r, off = r+1, 0 {
 		dst = dst[copy(dst, l.runs[r].ts[off:]):]
 	}
@@ -153,8 +137,8 @@ func (l *TupleLog) Chunks(fn func(ts []tuple.Tuple)) {
 	}
 }
 
-// LastIndex returns the index of the newest live tuple match accepts, or -1.
-func (l *TupleLog) LastIndex(match func(t *tuple.Tuple) bool) int {
+// lastIndex returns the index of the newest live tuple match accepts, or -1.
+func (l *TupleLog) lastIndex(match func(t *tuple.Tuple) bool) int {
 	i := l.n
 	for r := len(l.runs) - 1; r >= 0; r-- {
 		ts := l.runs[r].ts
@@ -194,9 +178,9 @@ func (l *TupleLog) takeRuns() [][]tuple.Tuple {
 	return out
 }
 
-// DropHead discards the k oldest live tuples; the segments it empties go
+// dropHead discards the k oldest live tuples; the segments it empties go
 // back to the pool for the next appends.
-func (l *TupleLog) DropHead(k int) {
+func (l *TupleLog) dropHead(k int) {
 	l.n -= k
 	r := 0
 	for ; k > 0; r++ {
@@ -281,7 +265,7 @@ func (l *TupleLog) ackCut(upTo uint64) int {
 // Insertion carrying the id; without one, keep nothing for id 0 and strip
 // the tentative tuples otherwise.
 func (l *TupleLog) Undo(lastGoodID uint64) {
-	if i := l.LastIndex(func(t *tuple.Tuple) bool {
+	if i := l.lastIndex(func(t *tuple.Tuple) bool {
 		return t.ID == lastGoodID && t.Type == tuple.Insertion
 	}); i >= 0 || lastGoodID == 0 {
 		l.truncate(i + 1)
